@@ -17,7 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace ecgrid;
-  util::Flags flags(argc, argv, {"vehicles", "patrols", "seed", "trace"});
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"vehicles", "patrols", "seed", "trace"},
+      "usage: convoy_patrol [flags]\n"
+      "A convoy crossing the field with roaming patrols on one ECGRID mesh.");
   const int vehicles = flags.getInt("vehicles", 12);
   const int patrols = flags.getInt("patrols", 30);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 11));

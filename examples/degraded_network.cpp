@@ -39,7 +39,10 @@ constexpr double kRebootAfter = 45.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv, {"hosts", "seed"});
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"hosts", "seed"},
+      "usage: degraded_network [flags]\n"
+      "ECGRID under burst loss and gateway crashes.");
   const int hosts = flags.getInt("hosts", 60);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.getInt("seed", 7));

@@ -158,7 +158,11 @@ MissionResult runMission(bool useEcgrid, int teams, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv, {"teams", "seed"});
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"teams", "seed"},
+      "usage: disaster_relief [flags]\n"
+      "Search-and-rescue teams reporting to a command post: ECGRID vs GRID "
+      "lifetime.");
   int teams = flags.getInt("teams", 80);
   std::uint64_t seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
 

@@ -8,8 +8,10 @@
 
 int main(int argc, char** argv) {
   using namespace ecgrid;
-  util::Flags flags(argc, argv,
-                    {"hosts", "speed", "duration", "seed", "flows", "pps"});
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv, {"hosts", "speed", "duration", "seed", "flows", "pps"},
+      "usage: protocol_comparison [flags]\n"
+      "Every protocol side by side on one identical scenario.");
 
   harness::ScenarioConfig base;
   base.hostCount = flags.getInt("hosts", 100);

@@ -25,11 +25,14 @@
 int main(int argc, char** argv) {
   using namespace ecgrid;
 
-  util::Flags flags(argc, argv,
-                    {"protocol", "hosts", "speed", "duration", "seed",
-                     "flows", "pps", "latency-percentiles", "trace-events",
-                     "telemetry", "telemetry-every", "shards", "profile",
-                     "log"});
+  const util::Flags flags = util::Flags::parseOrExit(
+      argc, argv,
+      {"protocol", "hosts", "speed", "duration", "seed", "flows", "pps",
+       "latency-percentiles", "trace-events", "telemetry", "telemetry-every",
+       "shards", "profile", "log"},
+      "usage: quickstart [flags]\n"
+      "Run one scenario (default ECGRID, 100 hosts, 600 s) and print the "
+      "headline numbers.");
 
   harness::ScenarioConfig config;
   auto protocol =

@@ -90,11 +90,15 @@ void Radio::setState(RadioState next) {
 }
 
 void Radio::rearmDepletion() {
-  depletion_.cancel();
-  if (state_ == RadioState::kOff) return;
-  double horizon = battery_.timeToEmpty(sim_.now());
-  if (horizon == std::numeric_limits<double>::infinity()) return;
-  depletion_ = sim_.schedule(horizon, [this] { die(); }, "phy/battery");
+  const double horizon = state_ == RadioState::kOff
+                             ? std::numeric_limits<double>::infinity()
+                             : battery_.timeToEmpty(sim_.now());
+  if (horizon == std::numeric_limits<double>::infinity()) {
+    depletion_.cancel();
+    return;
+  }
+  // Re-armed on every state change: move the queued event, don't churn it.
+  sim_.reschedule(depletion_, horizon, [this] { die(); }, "phy/battery");
 }
 
 void Radio::die() {

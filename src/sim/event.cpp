@@ -15,6 +15,7 @@ constexpr std::size_t kInitialSlots = 256;
 
 EventQueue::EventQueue() {
   slots_.reserve(kInitialSlots);
+  heapPos_.reserve(kInitialSlots);
   heap_.reserve(kInitialSlots);
 }
 
@@ -29,17 +30,21 @@ ECGRID_HOT_PATH std::uint32_t EventQueue::allocSlot() {
     // geometric number of growth events total, audit-exempt by the same
     // argument every lint allow() on a reserved container makes. The
     // reserve() above covers baseline runs; bigger scenarios amortise.
+    // The position index grows in step with the slab.
     ECGRID_ALLOC_EXEMPT();
-    slots_.reserve(slots_.empty() ? kInitialSlots : slots_.capacity() * 2);
+    const std::size_t capacity =
+        slots_.empty() ? kInitialSlots : slots_.capacity() * 2;
+    slots_.reserve(capacity);
+    heapPos_.reserve(capacity);
   }
   slots_.emplace_back();
+  heapPos_.push_back(kNotQueued);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 ECGRID_HOT_PATH void EventQueue::freeSlot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.live = false;
-  slot.cancelled = false;
   slot.label = nullptr;
   slot.action.reset();
   // Bump the generation on free so stale handles can never alias a record
@@ -60,7 +65,6 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
   Slot& slot = slots_[index];
   slot.time = time;
   slot.live = true;
-  slot.cancelled = false;
   slot.label = label;
   slot.action = std::move(action);
   if (heap_.size() == heap_.capacity()) {
@@ -68,67 +72,89 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
     ECGRID_ALLOC_EXEMPT();
     heap_.reserve(heap_.empty() ? kInitialSlots : heap_.capacity() * 2);
   }
-  heap_.push_back(HeapEntry{time, order.tieKey, order.sequence, index});
+  heap_.emplace_back();
   if (heap_.size() > peakDepth_) peakDepth_ = heap_.size();
-  siftUp(heap_.size() - 1);
+  siftUp(heap_.size() - 1,
+         HeapEntry{time, order.tieKey, order.sequence, index});
   return makeHandle(this, index, slot.generation);
 }
 
-ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i) {
-  HeapEntry entry = heap_[i];
+ECGRID_HOT_PATH std::uint32_t EventQueue::queuedSlot(
+    const EventHandle& handle) const {
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;
+  if (!ownsHandle(handle, slot, generation) || slot >= slots_.size()) {
+    return kNoSlot;
+  }
+  const Slot& record = slots_[slot];
+  if (!record.live || record.generation != generation ||
+      heapPos_[slot] == kNotQueued) {
+    return kNoSlot;
+  }
+  return slot;
+}
+
+ECGRID_HOT_PATH EventHandle EventQueue::rekey(EventHandle handle, Time time,
+                                              EventOrder order,
+                                              InlineTask action,
+                                              const char* label) {
+  ECGRID_HOT_SCOPE();
+  const std::uint32_t index = queuedSlot(handle);
+  if (index == kNoSlot) {
+    handle.cancel();
+    return push(time, order, std::move(action), label);
+  }
+  ECGRID_REQUIRE(static_cast<bool>(action), "event action must be callable");
+  ECGRID_REQUIRE(order.sequence < nextSequence_,
+                 "event order was never reserved");
+  // Cancel + push would retire this record (generation bump) and fill a
+  // fresh one with the same fields; do that to the record in place.
+  Slot& slot = slots_[index];
+  ++slot.generation;
+  slot.time = time;
+  slot.label = label;
+  slot.action = std::move(action);
+  sift(heapPos_[index], HeapEntry{time, order.tieKey, order.sequence, index});
+  return makeHandle(this, index, slot.generation);
+}
+
+ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i, const HeapEntry& entry) {
   while (i > 0) {
     std::size_t parent = (i - 1) / 2;
     if (!earlier(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
-ECGRID_HOT_PATH void EventQueue::siftDown(std::size_t i) {
+ECGRID_HOT_PATH void EventQueue::siftDown(std::size_t i,
+                                          const HeapEntry& entry) {
   const std::size_t size = heap_.size();
-  HeapEntry entry = heap_[i];
   while (true) {
     std::size_t child = 2 * i + 1;
     if (child >= size) break;
     if (child + 1 < size && earlier(heap_[child + 1], heap_[child])) ++child;
     if (!earlier(heap_[child], entry)) break;
-    heap_[i] = heap_[child];
+    place(i, heap_[child]);
     i = child;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
-ECGRID_HOT_PATH void EventQueue::removeHeapTop() {
-  heap_.front() = heap_.back();
+ECGRID_HOT_PATH void EventQueue::sift(std::size_t i, const HeapEntry& entry) {
+  if (i > 0 && earlier(entry, heap_[(i - 1) / 2])) {
+    siftUp(i, entry);
+  } else {
+    siftDown(i, entry);
+  }
+}
+
+ECGRID_HOT_PATH void EventQueue::removeHeapAt(std::size_t i) {
+  heapPos_[heap_[i].slot] = kNotQueued;
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) siftDown(0);
-}
-
-ECGRID_HOT_PATH void EventQueue::skipCancelled() {
-  while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
-    freeSlot(heap_.front().slot);
-    removeHeapTop();
-    --cancelledInHeap_;
-  }
-}
-
-ECGRID_HOT_PATH void EventQueue::purgeCancelled() {
-  std::size_t kept = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (slots_[entry.slot].cancelled) {
-      freeSlot(entry.slot);
-    } else {
-      heap_[kept++] = entry;
-    }
-  }
-  heap_.resize(kept);
-  // Bottom-up heapify restores the heap property in O(n). The internal
-  // arrangement differs from an insertion-built heap, but pop order is
-  // fixed by the (time, tieKey, sequence) total order alone, so replay
-  // digests are unaffected.
-  for (std::size_t i = kept / 2; i-- > 0;) siftDown(i);
-  cancelledInHeap_ = 0;
+  if (i < heap_.size()) sift(i, last);
 }
 
 bool EventQueue::pop(Time& time, InlineTask& action) {
@@ -146,7 +172,6 @@ ECGRID_HOT_PATH bool EventQueue::pop(Time& time, InlineTask& action,
     freeSlot(executing_);
     executing_ = kNoSlot;
   }
-  skipCancelled();
   if (heap_.empty()) return false;
   std::uint32_t index = heap_.front().slot;
   order = EventOrder{heap_.front().tieKey, heap_.front().sequence};
@@ -154,19 +179,9 @@ ECGRID_HOT_PATH bool EventQueue::pop(Time& time, InlineTask& action,
   time = slot.time;
   action = std::move(slot.action);
   label = slot.label;
-  removeHeapTop();
+  removeHeapAt(0);
   executing_ = index;
   return true;
-}
-
-Time EventQueue::peekTime() {
-  skipCancelled();
-  return heap_.empty() ? kTimeNever : heap_.front().time;
-}
-
-bool EventQueue::empty() {
-  skipCancelled();
-  return heap_.empty();
 }
 
 ECGRID_HOT_PATH void EventQueue::cancelSlot(std::uint32_t slot,
@@ -174,33 +189,22 @@ ECGRID_HOT_PATH void EventQueue::cancelSlot(std::uint32_t slot,
   if (slot >= slots_.size()) return;
   Slot& record = slots_[slot];
   if (!record.live || record.generation != generation) return;
-  if (record.cancelled) return;
-  record.cancelled = true;
-  // Release the closure eagerly so cancelled events do not pin captured
-  // resources until they percolate to the heap top.
-  record.action.reset();
-  // The currently-executing slot has no heap entry any more; everything
-  // else sits in the heap until reclaimed lazily — and must be *counted*,
-  // because cancel-heavy workloads (Radio::rearmDepletion re-arms a
-  // far-future depletion event on every energy change) would otherwise
-  // accumulate dead far-future entries for the whole run, growing the
-  // slab and heap without bound. The alloc-audit gate caught exactly
-  // that. Past the threshold, rebuild the heap without the dead entries:
-  // O(n) per purge, amortised O(1) per cancellation, and the queue's
-  // footprint stays bounded by ~2x the live high-water mark.
-  if (slot != executing_) {
-    ++cancelledInHeap_;
-    if (cancelledInHeap_ >= kPurgeFloor && cancelledInHeap_ * 2 >= heap_.size()) {
-      purgeCancelled();
-    }
+  // Eager: the entry leaves the heap and the slot is recycled now, so the
+  // heap holds only live events. The executing slot has no heap entry;
+  // its action already left with pop(), so it can be recycled early too.
+  if (slot == executing_) {
+    executing_ = kNoSlot;
+  } else {
+    removeHeapAt(heapPos_[slot]);
   }
+  freeSlot(slot);
 }
 
 bool EventQueue::slotPending(std::uint32_t slot,
                              std::uint32_t generation) const {
   if (slot >= slots_.size()) return false;
   const Slot& record = slots_[slot];
-  return record.live && record.generation == generation && !record.cancelled;
+  return record.live && record.generation == generation;
 }
 
 }  // namespace ecgrid::sim

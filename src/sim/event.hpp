@@ -12,12 +12,17 @@
 // pre-PR-9 design paid one std::function heap box per event whose capture
 // exceeded 16 bytes, and the design before that a shared_ptr control
 // block per event). The heap is an inlined binary heap of plain
-// (time, sequence, slot) entries. The `alloc-audit` preset proves the
-// zero-allocation property at runtime (src/check/alloc_audit.hpp).
+// (time, sequence, slot) entries, indexed: a compact per-slot position
+// array follows every sift move, so any queued entry can be found in O(1).
+// The `alloc-audit` preset proves the zero-allocation property at runtime
+// (src/check/alloc_audit.hpp).
 //
-// Cancellation is O(1): the handle flips a flag on the pooled record and
-// the queue discards flagged records lazily when they reach the top. A
-// popped record's slot is not recycled until the *next* pop, so a handle
+// Cancellation is eager: cancel() removes the entry from the heap in
+// O(log n) and recycles its slot at once, so the heap holds only live
+// events. rekey() moves a queued entry to a new key in place — observably
+// the same as cancel + push, minus the slot churn; Radio's battery-
+// depletion timer, re-armed on every radio state change, is the reason.
+// A popped record's slot is not recycled until the *next* pop, so a handle
 // to the currently-executing event still reports pending() — the same
 // observable semantics the previous shared_ptr-based queue had while
 // Simulator::step kept the record alive through the callback.
@@ -54,6 +59,9 @@ class EventTarget {
   /// private to keep (slot, generation) pairs unforgeable).
   static EventHandle makeHandle(EventTarget* target, std::uint32_t slot,
                                 std::uint32_t generation);
+  /// The (slot, generation) `handle` names, if `this` minted it.
+  bool ownsHandle(const EventHandle& handle, std::uint32_t& slot,
+                  std::uint32_t& generation) const;
 };
 
 /// Handle to a scheduled event. Default-constructed handles are inert.
@@ -86,6 +94,15 @@ inline EventHandle EventTarget::makeHandle(EventTarget* target,
                                            std::uint32_t slot,
                                            std::uint32_t generation) {
   return EventHandle(target, slot, generation);
+}
+
+inline bool EventTarget::ownsHandle(const EventHandle& handle,
+                                    std::uint32_t& slot,
+                                    std::uint32_t& generation) const {
+  if (handle.target_ != this) return false;
+  slot = handle.slot_;
+  generation = handle.generation_;
+  return true;
 }
 
 /// An event's place among events at the same time: the (tieKey, sequence)
@@ -138,6 +155,15 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   EventHandle push(Time time, EventOrder order, InlineTask action,
                    const char* label = nullptr);
 
+  /// Exactly `handle.cancel(); return push(time, order, action, label);`.
+  /// When the handle's event is queued, its heap entry is moved to the new
+  /// key in place and its slot keeps serving (under a new generation, so
+  /// other copies of the old handle go dead just as after a cancel);
+  /// otherwise (inert, fired, cancelled, executing, or another queue's
+  /// handle) it falls back to cancel + push.
+  EventHandle rekey(EventHandle handle, Time time, EventOrder order,
+                    InlineTask action, const char* label = nullptr);
+
   /// Determinism-analysis debug mode (src/check): replace the insertion-
   /// sequence tie-break among equal-time events with random keys drawn
   /// from `stream` (sequence stays the final tie-break, so a perturbed
@@ -149,26 +175,30 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   void perturbTieBreak(RngStream stream) { tieBreakRng_ = stream; }
   bool tieBreakPerturbed() const { return tieBreakRng_.has_value(); }
 
-  /// Discards cancelled records, then moves the next live event's time and
-  /// action into the out-parameters and removes it. Returns false when the
-  /// queue is empty. The event's slot is recycled on the *next* pop, so
-  /// handles to it stay pending() while the caller runs the action.
+  /// Moves the next event's time and action into the out-parameters and
+  /// removes it. Returns false when the queue is empty. The event's slot
+  /// is recycled on the *next* pop, so handles to it stay pending() while
+  /// the caller runs the action.
   bool pop(Time& time, InlineTask& action);
   /// As above, also reporting the event's schedule-site label (nullptr
   /// when the push site gave none) and its place in the same-time order.
   bool pop(Time& time, InlineTask& action, const char*& label,
            EventOrder& order);
 
-  /// Time of the next live event, or kTimeNever if empty.
-  Time peekTime();
+  /// Time of the next event, or kTimeNever if empty.
+  Time peekTime() const {
+    return heap_.empty() ? kTimeNever : heap_.front().time;
+  }
 
-  bool empty();
+  bool empty() const { return heap_.empty(); }
 
-  std::size_t sizeIncludingCancelled() const { return heap_.size(); }
+  /// Events queued (cancelled ones leave at once; the executing one has
+  /// already left).
+  std::size_t size() const { return heap_.size(); }
 
-  /// Largest heap size ever observed (cancelled records included) — the
-  /// queue-depth high-water mark run telemetry reports. Tracked at push,
-  /// so it is exact: depth only grows when an event is inserted.
+  /// Largest size() ever observed — the queue-depth high-water mark run
+  /// telemetry reports. Tracked at push, so it is exact: depth only grows
+  /// when an event is inserted.
   std::size_t peakDepth() const { return peakDepth_; }
 
   /// Pooled slot records ever allocated (the slab high-water mark; slots
@@ -183,12 +213,13 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// heapPos_ value of a slot with no heap entry (free or executing).
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
 
   struct Slot {
     Time time = kTimeZero;
     std::uint32_t generation = 0;
     bool live = false;       ///< allocated: queued or currently executing
-    bool cancelled = false;
     const char* label = nullptr;  ///< schedule-site tag (static storage)
     InlineTask action;
     std::uint32_t nextFree = kNoSlot;
@@ -214,29 +245,33 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
     return a.sequence < b.sequence;
   }
 
-  /// Purge threshold: once at least this many cancelled records sit in
-  /// the heap AND they make up half of it, purgeCancelled() rebuilds the
-  /// heap without them. Keeps cancel-heavy workloads (depletion re-arms,
-  /// ack timeouts) from growing the queue with dead far-future entries;
-  /// the floor keeps small queues from purging constantly.
-  static constexpr std::size_t kPurgeFloor = 64;
-
+  /// Slot index of the queued (not executing) event `handle` names, or
+  /// kNoSlot.
+  std::uint32_t queuedSlot(const EventHandle& handle) const;
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t index);
-  void removeHeapTop();
-  void siftUp(std::size_t i);
-  void siftDown(std::size_t i);
-  void skipCancelled();
-  void purgeCancelled();
+  void removeHeapAt(std::size_t i);
+  /// Store `entry` at heap position i and record that position in
+  /// heapPos_; every sift move goes through here.
+  void place(std::size_t i, const HeapEntry& entry) {
+    heap_[i] = entry;
+    heapPos_[entry.slot] = static_cast<std::uint32_t>(i);
+  }
+  void siftUp(std::size_t i, const HeapEntry& entry);
+  void siftDown(std::size_t i, const HeapEntry& entry);
+  /// siftUp or siftDown, whichever way `entry` has to go from hole i.
+  void sift(std::size_t i, const HeapEntry& entry);
 
   std::vector<Slot> slots_;
   std::vector<HeapEntry> heap_;
+  /// Heap position of each slot's entry (kNotQueued when it has none);
+  /// grows with slots_, indexed by slot.
+  std::vector<std::uint32_t> heapPos_;
   std::optional<RngStream> tieBreakRng_;
   std::uint32_t freeHead_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  ///< slot recycled on next pop
   std::uint64_t nextSequence_ = 0;
-  std::size_t cancelledInHeap_ = 0;  ///< cancelled records awaiting reclaim
-  std::size_t peakDepth_ = 0;        ///< max heap_.size() ever observed
+  std::size_t peakDepth_ = 0;  ///< max heap_.size() ever observed
 };
 
 inline void EventHandle::cancel() {

@@ -133,8 +133,9 @@ class ECGRID_DOMAIN_PER_SCENARIO ShardedEngine {
   /// Time of the globally next live event, or kTimeNever.
   Time nextEventTime();
 
-  /// Heap entries across all shards plus mailbox-buffered events
-  /// (the sharded analogue of EventQueue::sizeIncludingCancelled).
+  /// Heap entries across all shards, not-yet-discarded cancellations
+  /// included, plus mailbox-buffered events (the sharded analogue of
+  /// EventQueue::size).
   [[nodiscard]] std::size_t queueDepthTotal() const;
 
   /// Mirror of EventQueue::perturbTieBreak for the sequenced key space:

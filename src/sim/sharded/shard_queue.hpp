@@ -70,7 +70,7 @@ class ECGRID_DOMAIN_PER_SCENARIO ShardQueue : public EventTarget {
   void finishExecuting();
 
   /// Queued heap entries, including not-yet-discarded cancellations
-  /// (matches sim::EventQueue::sizeIncludingCancelled for depth probes).
+  /// (unlike sim::EventQueue::size, whose cancel removes at once).
   std::size_t sizeIncludingCancelled() const { return heap_.size(); }
 
   /// Largest heap size ever observed — exact per-shard depth high-water

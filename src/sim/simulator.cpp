@@ -75,6 +75,21 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskFor(std::uint64_t ownerKey,
   return queue_.push(now_ + delay, std::move(action), label);
 }
 
+ECGRID_HOT_PATH void Simulator::rescheduleTask(EventHandle& handle,
+                                               Time delay, InlineTask action,
+                                               const char* label) {
+  ECGRID_HOT_SCOPE();
+  if (engine_ != nullptr) {
+    handle.cancel();
+    handle = scheduleTaskIn(delay, std::move(action), label);
+    return;
+  }
+  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  // The place a push right now would take: cancel consumes no order.
+  const EventOrder order = queue_.reserveOrder();
+  handle = queue_.rekey(handle, now_ + delay, order, std::move(action), label);
+}
+
 EventOrder Simulator::reserveOrder() {
   return engine_ != nullptr ? engine_->reserveOrder() : queue_.reserveOrder();
 }
@@ -109,7 +124,7 @@ Time Simulator::nextEventTime() {
 
 std::size_t Simulator::queueDepth() const {
   return engine_ != nullptr ? engine_->queueDepthTotal()
-                            : queue_.sizeIncludingCancelled();
+                            : queue_.size();
 }
 
 std::size_t Simulator::peakQueueDepth() const {
@@ -165,7 +180,7 @@ ECGRID_HOT_PATH bool Simulator::step(Time until) {
     const double wallSeconds =
         std::chrono::duration<double>(wallEnd - wallStart).count();
     probe_->onEvent(label, wallSeconds, now_, eventsExecuted_,
-                    queue_.sizeIncludingCancelled(), 0);
+                    queue_.size(), 0);
   } else {
     action();
   }

@@ -100,6 +100,20 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
                            InlineTask(std::forward<F>(action)), label);
   }
 
+  /// Exactly `handle.cancel(); handle = schedule(delay, action, label);`
+  /// — same execution order, same reserved sequences — but when the
+  /// handle's event is still queued on the serial engine, it is moved to
+  /// its new key in place (EventQueue::rekey) instead of being freed and
+  /// re-pushed. For timers re-armed far more often than they fire
+  /// (Radio's battery-depletion event). On the sharded engine it is
+  /// plain cancel + schedule.
+  template <class F>
+  ECGRID_HOT_PATH void reschedule(EventHandle& handle, Time delay,
+                                  F&& action, const char* label = nullptr) {
+    ECGRID_HOT_SCOPE();
+    rescheduleTask(handle, delay, InlineTask(std::forward<F>(action)), label);
+  }
+
   /// Take the place in the same-time order that an event scheduled right
   /// now would get, without scheduling anything (see sim::EventOrder).
   /// Every other event keeps the key it would have had, so skipping an
@@ -138,6 +152,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   EventHandle scheduleTaskReservedFor(std::uint64_t ownerKey, Time when,
                                       EventOrder order, InlineTask action,
                                       const char* label);
+  void rescheduleTask(EventHandle& handle, Time delay, InlineTask action,
+                      const char* label);
 
   /// Run events until the queue drains or the clock passes `until`.
   /// Events scheduled exactly at `until` are executed.
@@ -152,13 +168,18 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
   std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
+  /// Queue places taken so far (schedules plus reserveOrder calls); see
+  /// EventQueue::reservedSequences.
+  [[nodiscard]] std::uint64_t reservedSequences() const;
+
   /// Time of the next live event, or kTimeNever when the queue is empty.
   Time nextEventTime();
 
   // ---- Telemetry surface (src/obs/telemetry.hpp reads these) -----------
 
-  /// Events queued right now: heap entries including not-yet-reclaimed
-  /// cancellations, plus mailbox-buffered boundary events when sharded.
+  /// Events queued right now: the serial heap holds only live events
+  /// (cancel removes at once); the sharded engine counts its not-yet-
+  /// reclaimed cancellations and mailbox-buffered boundary events too.
   std::size_t queueDepth() const;
 
   /// High-water mark of queueDepth over the run. Exact (per-push) on the
@@ -235,7 +256,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
  private:
   bool stepSharded(Time until);
-  std::uint64_t reservedSequences() const;
 
   /// The latest dispatch, for wouldHaveRun: the popped event's time and
   /// order, and how many sequences had been reserved when it was popped.

@@ -1,6 +1,8 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -19,6 +21,10 @@ Flags::Flags(int argc, const char* const* argv,
              std::vector<std::string> known) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      helpRequested_ = true;
+      continue;
+    }
     if (arg.rfind("--", 0) != 0) {
       positional_.push_back(arg);
       continue;
@@ -44,6 +50,31 @@ Flags::Flags(int argc, const char* const* argv,
     }
     values_[name] = value;
   }
+}
+
+Flags Flags::parseOrExit(int argc, const char* const* argv,
+                         std::vector<std::string> known,
+                         const std::string& summary) {
+  try {
+    Flags flags(argc, argv, known);
+    if (flags.helpRequested()) {
+      std::cout << usage(summary, known);
+      std::exit(0);
+    }
+    return flags;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << (argc > 0 ? argv[0] : "error") << ": " << e.what() << "\n"
+              << usage(summary, known);
+    std::exit(2);
+  }
+}
+
+std::string Flags::usage(const std::string& summary,
+                         const std::vector<std::string>& known) {
+  std::string text = summary + "\n\nflags:\n";
+  for (const std::string& name : known) text += "  --" + name + "\n";
+  text += "  --help, -h\n";
+  return text;
 }
 
 bool Flags::has(const std::string& name) const {

@@ -1,7 +1,8 @@
 // Stress tests for the pooled event queue: randomized interleavings of
-// push/cancel/pop checked against a reference model that reimplements the
-// previous shared_ptr + std::priority_queue design. The pooled queue's
-// contract is that its observable behaviour — pop order, pending() — is
+// push/cancel/rekey/pop checked against a reference model that
+// reimplements the previous shared_ptr + std::priority_queue design, where
+// a rekey is spelled cancel + push. The pooled queue's contract is that its
+// observable behaviour — pop order, pending(), size() — is
 // indistinguishable from that design while allocating far less.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@ struct RefRecord {
   Time time = 0.0;
   std::uint64_t sequence = 0;
   bool cancelled = false;
+  bool popped = false;
   int tag = 0;
 };
 
@@ -32,7 +34,14 @@ class RefQueue {
     record->sequence = nextSequence_++;
     record->tag = tag;
     heap_.push(record);
+    ++live_;
     return record;
+  }
+
+  void cancel(RefRecord& record) {
+    if (record.cancelled || record.popped) return;
+    record.cancelled = true;
+    --live_;
   }
 
   /// Returns the next live record, or nullptr when drained.
@@ -41,8 +50,13 @@ class RefQueue {
     if (heap_.empty()) return nullptr;
     auto top = heap_.top();
     heap_.pop();
+    top->popped = true;
+    --live_;
     return top;
   }
+
+  /// Events neither popped nor cancelled.
+  std::size_t live() const { return live_; }
 
  private:
   struct Later {
@@ -56,6 +70,7 @@ class RefQueue {
                       std::vector<std::shared_ptr<RefRecord>>, Later>
       heap_;
   std::uint64_t nextSequence_ = 0;
+  std::size_t live_ = 0;
 };
 
 class QueueStress : public ::testing::TestWithParam<std::uint64_t> {};
@@ -80,11 +95,26 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
       int tag = nextTag++;
       handles.push_back(queue.push(t, [tag, &popped] { popped.push_back(tag); }));
       refs.push_back(ref.push(t, tag));
-    } else if (dice < 0.75 && !handles.empty()) {
+    } else if (dice < 0.70 && !handles.empty()) {
       std::size_t victim = static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) - 1));
       handles[victim].cancel();
-      refs[victim]->cancelled = true;
+      ref.cancel(*refs[victim]);
+    } else if (dice < 0.85 && !handles.empty()) {
+      // Re-key a random handle: queued (moved in place), already popped,
+      // just popped (its slot is the executing one), or cancelled (all
+      // three fall back to push). The reference spells it cancel + push.
+      std::size_t victim = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) - 1));
+      Time t = static_cast<Time>(rng.uniformInt(0, 50));
+      int tag = nextTag++;
+      EventHandle stale = handles[victim];
+      handles[victim] = queue.rekey(handles[victim], t, queue.reserveOrder(),
+                                    [tag, &popped] { popped.push_back(tag); });
+      ref.cancel(*refs[victim]);
+      refs[victim] = ref.push(t, tag);
+      // Copies of the old handle go dead, exactly as after a cancel.
+      EXPECT_FALSE(stale.pending()) << "stale copy at op " << op;
     } else {
       Time time = 0.0;
       InlineTask action;
@@ -93,6 +123,8 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
       if (refTop != nullptr) refPopped.push_back(refTop->tag);
       ASSERT_EQ(popped, refPopped) << "diverged at op " << op;
     }
+    // Eager cancel: the heap holds exactly the live events.
+    ASSERT_EQ(queue.size(), ref.live()) << "size at op " << op;
     // Spot-check pending() parity on a random handle that has not been
     // popped yet (after popping, the reference record lives as long as
     // callers hold it, whereas the pooled slot retires at the next pop —
@@ -158,17 +190,109 @@ TEST(EventQueuePool, HandlesFromPriorCyclesStayDead) {
   }
 }
 
-// The heap size bookkeeping the Simulator exposes for stats.
-TEST(EventQueuePool, SizeIncludingCancelledCountsHeapEntries) {
+// The heap size bookkeeping the Simulator exposes for stats: a cancelled
+// event leaves the heap at cancel time, wherever it sits, and its slot is
+// reused by the next push.
+TEST(EventQueuePool, SizeDropsAtCancel) {
   EventQueue queue;
   EventHandle a = queue.push(1.0, [] {});
-  queue.push(2.0, [] {});
-  EXPECT_EQ(queue.sizeIncludingCancelled(), 2u);
+  EventHandle b = queue.push(2.0, [] {});
+  queue.push(3.0, [] {});
+  EXPECT_EQ(queue.size(), 3u);
+  b.cancel();  // mid-heap, not the top
+  EXPECT_EQ(queue.size(), 2u);
   a.cancel();
-  // Lazy discard: still on the heap until it reaches the top.
-  EXPECT_EQ(queue.sizeIncludingCancelled(), 2u);
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 2.0);  // discards the cancelled head
-  EXPECT_EQ(queue.sizeIncludingCancelled(), 1u);
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_DOUBLE_EQ(queue.peekTime(), 3.0);
+  queue.push(4.0, [] {});
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.slabSlots(), 3u);
+  EXPECT_EQ(queue.peakDepth(), 3u);
+}
+
+void drain(EventQueue& queue) {
+  Time time = 0.0;
+  InlineTask action;
+  while (queue.pop(time, action)) action();
+}
+
+// A queued event re-keyed in place: same slot, new place in the order, and
+// the old handle (and its copies) dead as after a cancel.
+TEST(EventQueueRekey, MovesAQueuedEventInPlace) {
+  EventQueue queue;
+  std::vector<int> ran;
+  EventHandle a = queue.push(1.0, [&ran] { ran.push_back(1); });
+  queue.push(2.0, [&ran] { ran.push_back(2); });
+  queue.push(3.0, [&ran] { ran.push_back(3); });
+  const EventHandle copy = a;
+  EventHandle moved =
+      queue.rekey(a, 2.0, queue.reserveOrder(), [&ran] { ran.push_back(4); });
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(copy.pending());
+  EXPECT_TRUE(moved.pending());
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.slabSlots(), 3u);
+  EXPECT_EQ(queue.reservedSequences(), 4u);
+  // Ties at 2.0 break by the reserved sequence: the re-keyed event is last.
+  EXPECT_DOUBLE_EQ(queue.peekTime(), 2.0);
+  drain(queue);
+  EXPECT_EQ(ran, (std::vector<int>{2, 4, 3}));
+  // Cancelling a stale copy afterwards must not touch anything.
+  queue.push(5.0, [&ran] { ran.push_back(5); });
+  EventHandle(copy).cancel();
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+// Re-keying the event that is executing right now pushes a fresh event: its
+// slot has no heap entry to move.
+TEST(EventQueueRekey, ExecutingEventFallsBackToPush) {
+  EventQueue queue;
+  std::vector<Time> ran;
+  EventHandle self;
+  self = queue.push(1.0, [&] {
+    ran.push_back(1.0);
+    EXPECT_TRUE(self.pending());
+    const EventHandle executing = self;
+    self = queue.rekey(self, 5.0, queue.reserveOrder(),
+                       [&ran] { ran.push_back(5.0); });
+    EXPECT_FALSE(executing.pending());
+    EXPECT_TRUE(self.pending());
+  });
+  Time time = 0.0;
+  InlineTask action;
+  ASSERT_TRUE(queue.pop(time, action));
+  action();
+  EXPECT_EQ(queue.size(), 1u);
+  ASSERT_TRUE(queue.pop(time, action));
+  EXPECT_DOUBLE_EQ(time, 5.0);
+  action();
+  EXPECT_FALSE(queue.pop(time, action));
+  EXPECT_EQ(ran, (std::vector<Time>{1.0, 5.0}));
+}
+
+// A stale handle (its event fired, its slot since reused) re-keys nothing:
+// the slot's new occupant keeps its place and a fresh event is pushed.
+TEST(EventQueueRekey, StaleHandleFallsBackToPush) {
+  EventQueue queue;
+  std::vector<int> ran;
+  EventHandle stale = queue.push(1.0, [&ran] { ran.push_back(1); });
+  Time time = 0.0;
+  InlineTask action;
+  ASSERT_TRUE(queue.pop(time, action));
+  action();
+  EXPECT_FALSE(queue.pop(time, action));  // recycles the executed slot
+  EventHandle occupant = queue.push(2.0, [&ran] { ran.push_back(2); });
+  ASSERT_EQ(queue.slabSlots(), 1u);  // same slot as the stale handle
+  EventHandle fresh = queue.rekey(stale, 3.0, queue.reserveOrder(),
+                                  [&ran] { ran.push_back(3); });
+  EXPECT_TRUE(occupant.pending());
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(queue.size(), 2u);
+  // An inert handle behaves the same way.
+  queue.rekey(EventHandle(), 4.0, queue.reserveOrder(),
+              [&ran] { ran.push_back(4); });
+  drain(queue);
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3, 4}));
 }
 
 }  // namespace

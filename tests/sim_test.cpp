@@ -6,6 +6,7 @@
 
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
+#include "sim/sharded/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecgrid::sim {
@@ -237,6 +238,108 @@ TEST(Simulator, SchedulingIntoADispatchedPlaceThrows) {
   EXPECT_THROW(simulator.scheduleReservedFor(hostEventKey(0), 1.0, reserved,
                                              [] {}),
                std::invalid_argument);
+}
+
+// --- reschedule (Radio's depletion re-arm) ---------------------------------
+
+enum class Engine { kSerial, kSharded, kPerturbed };
+
+/// A run of re-armed timers: every firing re-arms itself, then re-arms,
+/// cancels or spawns timers at random (coarse delays, so plenty of
+/// same-instant ties) and cancels stale copies of handles re-armed
+/// earlier. Spelled either with Simulator::reschedule or
+/// with cancel + schedule; the two must be indistinguishable.
+class RearmScript {
+ public:
+  static constexpr int kTimers = 16;
+
+  RearmScript(Engine engine, bool useReschedule)
+      : simulator_(11), rng_(7), useReschedule_(useReschedule) {
+    if (engine == Engine::kSharded) {
+      sharded::ShardedEngineConfig config;
+      config.shards = 2;
+      simulator_.enableSharding(config);
+    }
+    if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
+    for (int id = 0; id < kTimers; ++id) arm(id, 0.25 * (id % 4));
+    simulator_.run(300.0);
+  }
+
+  Simulator& simulator() { return simulator_; }
+  const std::vector<int>& trace() const { return trace_; }
+
+ private:
+  void arm(int id, Time delay) {
+    stale_.push_back(timers_[id]);
+    auto fire = [this, id] { onFire(id); };
+    if (useReschedule_) {
+      simulator_.reschedule(timers_[id], delay, fire, "test/timer");
+    } else {
+      timers_[id].cancel();
+      timers_[id] = simulator_.schedule(delay, fire, "test/timer");
+    }
+  }
+
+  void onFire(int id) {
+    trace_.push_back(id);
+    // Re-arm the executing timer (no heap entry to move), then maybe
+    // again once it is queued.
+    arm(id, 0.25 * static_cast<Time>(rng_.uniformInt(1, 8)));
+    const auto ops = rng_.uniformInt(0, 3);
+    for (std::int64_t k = 0; k < ops; ++k) {
+      const auto target = static_cast<int>(rng_.uniformInt(0, kTimers - 1));
+      const Time delay = 0.25 * static_cast<Time>(rng_.uniformInt(0, 8));
+      const double dice = rng_.uniform(0.0, 1.0);
+      if (dice < 0.5) {
+        arm(target, delay);
+      } else if (dice < 0.6) {
+        arm(id, delay);
+      } else if (dice < 0.75) {
+        timers_[target].cancel();
+      } else if (dice < 0.9 && !stale_.empty()) {
+        const auto pick = static_cast<std::size_t>(rng_.uniformInt(
+            0, static_cast<std::int64_t>(stale_.size()) - 1));
+        stale_[pick].cancel();  // must never hit a live re-armed timer
+      } else {
+        simulator_.schedule(delay, [this] { trace_.push_back(-1); });
+      }
+      trace_.push_back(timers_[target].pending() ? 100 + target : -100);
+    }
+  }
+
+  Simulator simulator_;
+  RngStream rng_;
+  bool useReschedule_;
+  EventHandle timers_[kTimers];
+  std::vector<EventHandle> stale_;
+  std::vector<int> trace_;
+};
+
+class RescheduleParity : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(RescheduleParity, MatchesCancelPlusSchedule) {
+  RearmScript rescheduled(GetParam(), true);
+  RearmScript spelledOut(GetParam(), false);
+  EXPECT_GT(rescheduled.simulator().eventsExecuted(), 2000u);
+  EXPECT_EQ(rescheduled.trace(), spelledOut.trace());
+  EXPECT_EQ(rescheduled.simulator().eventsExecuted(),
+            spelledOut.simulator().eventsExecuted());
+  EXPECT_EQ(rescheduled.simulator().reservedSequences(),
+            spelledOut.simulator().reservedSequences());
+  EXPECT_EQ(rescheduled.simulator().queueDepth(),
+            spelledOut.simulator().queueDepth());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, RescheduleParity,
+                         ::testing::Values(Engine::kSerial, Engine::kSharded,
+                                           Engine::kPerturbed));
+
+// The perturbed and unperturbed runs of the script differ (it is full of
+// same-instant ties), so the parity above is not vacuous under perturbation.
+TEST(RescheduleParity, PerturbedScriptTakesADifferentOrder) {
+  RearmScript plain(Engine::kSerial, true);
+  RearmScript perturbed(Engine::kPerturbed, true);
+  EXPECT_NE(plain.trace(), perturbed.trace());
 }
 
 // --- RNG ------------------------------------------------------------------

@@ -1,7 +1,11 @@
 // Tests for utilities: flags parsing, contract macros, logging plumbing.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cctype>
+#include <cstdio>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/flags.hpp"
@@ -47,6 +51,54 @@ TEST(Flags, PositionalArgumentsCollected) {
   Flags flags = parse({"alpha", "--hosts=1", "beta"}, {"hosts"});
   EXPECT_EQ(flags.positional(),
             (std::vector<std::string>{"alpha", "beta"}));
+}
+
+TEST(Flags, HelpIsAlwaysAccepted) {
+  EXPECT_TRUE(parse({"--help"}, {"hosts"}).helpRequested());
+  EXPECT_TRUE(parse({"--hosts=3", "-h"}, {"hosts"}).helpRequested());
+  Flags plain = parse({"--hosts=3"}, {"hosts"});
+  EXPECT_FALSE(plain.helpRequested());
+  EXPECT_TRUE(plain.positional().empty());
+}
+
+TEST(Flags, UsageListsEveryFlag) {
+  EXPECT_EQ(Flags::usage("usage: prog", {"hosts", "seed"}),
+            "usage: prog\n\nflags:\n  --hosts\n  --seed\n  --help, -h\n");
+}
+
+/// Runs `command` through the shell; returns its exit code and captures
+/// stdout and stderr together.
+int runCommand(const std::string& command, std::string& output) {
+  output.clear();
+  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buffer[256];
+  while (fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsZero) {
+  for (const char* binary : {ECGRID_QUICKSTART_BIN, ECGRID_CAMPAIGN_BIN}) {
+    for (const char* flag : {"--help", "-h"}) {
+      std::string output;
+      EXPECT_EQ(runCommand(std::string(binary) + " " + flag, output), 0)
+          << binary << " " << flag << ": " << output;
+      EXPECT_EQ(output.rfind("usage: ", 0), 0u) << output;
+      EXPECT_NE(output.find("  --help, -h"), std::string::npos) << output;
+    }
+  }
+}
+
+TEST(Cli, UnknownFlagExitsTwoWithUsage) {
+  for (const char* binary : {ECGRID_QUICKSTART_BIN, ECGRID_CAMPAIGN_BIN}) {
+    std::string output;
+    EXPECT_EQ(runCommand(std::string(binary) + " --bogus=1", output), 2)
+        << binary << ": " << output;
+    EXPECT_NE(output.find("unknown flag: --bogus"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("usage: "), std::string::npos) << output;
+  }
 }
 
 TEST(Flags, BoolParsing) {

@@ -278,23 +278,28 @@ int runMultiProcess(const std::string& self, const std::string& specPath,
   return exitCode;
 }
 
+constexpr const char* kUsage =
+    "usage: ecgrid-campaign --spec=sweep.json --results=out.jsonl "
+    "[--jobs=N] [--workers=N]\n"
+    "Run (or resume) a parameter sweep, appending one JSON line per run.";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    ecgrid::util::Flags flags(
+    const ecgrid::util::Flags flags = ecgrid::util::Flags::parseOrExit(
         argc, argv,
         {"spec", "results", "jobs", "workers", "worker-index", "worker-count",
          "max-runs", "resume-from", "status-file", "straggler-factor",
-         "dry-run", "quiet"});
+         "dry-run", "quiet"},
+        kUsage);
 
     std::string specPath = flags.getString("spec", "");
     if (specPath.empty() && !flags.positional().empty()) {
       specPath = flags.positional().front();
     }
     if (specPath.empty()) {
-      std::cerr << "usage: ecgrid-campaign --spec=sweep.json "
-                   "--results=out.jsonl [--jobs=N] [--workers=N]\n";
+      std::cerr << kUsage << '\n';
       return 2;
     }
     std::string defaultResults = specPath;
