@@ -6,6 +6,7 @@
 // wakeups of sleeping hosts as the convoy crosses grid after grid, and
 // end-to-end reporting from the convoy tail to the lead vehicle.
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 #include "core/ecgrid_protocol.hpp"
@@ -15,7 +16,7 @@
 #include "stats/packet_accounting.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ecgrid;
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv, {"vehicles", "patrols", "seed", "trace"},
@@ -120,4 +121,8 @@ int main(int argc, char** argv) {
   std::printf("  aen at end            : %.3f\n",
               recorder.aen().valueAt(600.0));
   return 0;
+} catch (const std::exception& e) {
+  // A malformed flag value (with usage) or an invalid scenario: a message
+  // and exit 2, never std::terminate.
+  return ecgrid::util::Flags::exitCodeFor(argv[0], e);
 }

@@ -19,6 +19,7 @@
 // within a HELLO period or two, so the mesh routes around the hole before
 // the crashed hosts even reboot.
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 #include "core/ecgrid_protocol.hpp"
@@ -38,7 +39,7 @@ constexpr double kRebootAfter = 45.0;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv, {"hosts", "seed"},
       "usage: degraded_network [flags]\n"
@@ -151,4 +152,8 @@ int main(int argc, char** argv) {
               "ARQ rides out the fades and the crashed grids\nre-elect "
               "before the old gateways even finish rebooting.\n");
   return 0;
+} catch (const std::exception& e) {
+  // A malformed flag value (with usage) or an invalid scenario: a message
+  // and exit 2, never std::terminate.
+  return ecgrid::util::Flags::exitCodeFor(argv[0], e);
 }

@@ -10,6 +10,7 @@
 // The question a mission planner asks: with ECGRID, how much longer does
 // the mesh outlive a plain GRID deployment, and is any reporting lost?
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 #include "core/ecgrid_protocol.hpp"
@@ -157,7 +158,7 @@ MissionResult runMission(bool useEcgrid, int teams, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv, {"teams", "seed"},
       "usage: disaster_relief [flags]\n"
@@ -185,4 +186,8 @@ int main(int argc, char** argv) {
               "deliver nothing afterwards ('late rcvd'), while the ECGRID "
               "mesh keeps\nreporting through the end of the mission.\n");
   return 0;
+} catch (const std::exception& e) {
+  // A malformed flag value (with usage) or an invalid scenario: a message
+  // and exit 2, never std::terminate.
+  return ecgrid::util::Flags::exitCodeFor(argv[0], e);
 }

@@ -2,11 +2,12 @@
 // version of the paper's whole evaluation, handy as a regression summary
 // and as a template for running your own parameter studies.
 #include <cstdio>
+#include <exception>
 
 #include "harness/scenario.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ecgrid;
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv, {"hosts", "speed", "duration", "seed", "flows", "pps"},
@@ -45,4 +46,8 @@ int main(int argc, char** argv) {
               "and GAF extend the lifetime,\nGAF slightly ahead (its "
               "Model-1 endpoints are free); delivery >99%% for all.\n");
   return 0;
+} catch (const std::exception& e) {
+  // A malformed flag value (with usage) or an invalid scenario: a message
+  // and exit 2, never std::terminate.
+  return ecgrid::util::Flags::exitCodeFor(argv[0], e);
 }

@@ -16,13 +16,14 @@
 //   --log=info,mac=debug     per-component log levels with sim-time stamps
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ecgrid;
 
   const util::Flags flags = util::Flags::parseOrExit(
@@ -169,4 +170,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  // A malformed flag value (with usage) or an invalid scenario: a message
+  // and exit 2, never std::terminate.
+  return ecgrid::util::Flags::exitCodeFor(argv[0], e);
 }

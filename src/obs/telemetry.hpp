@@ -29,8 +29,9 @@
 // byte-identical state digests (gated in tests/telemetry_test.cpp).
 //
 // queue_depth is Simulator::queueDepth(): on the serial engine exactly the
-// queued events, since cancel removes an event at once; the sharded
-// engine also counts cancelled records it has not reclaimed yet.
+// queued events — each item of a run counted on its own — since cancel
+// removes an event at once; the sharded engine also counts cancelled
+// records it has not reclaimed yet.
 //
 // The serial-engine fields are always present; the shard fields
 // (shards/shard_committed/shard_imbalance/window_stalls/cross_shard)

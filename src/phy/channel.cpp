@@ -20,9 +20,24 @@ constexpr double kIndexCellMargin = 1.0625;
 
 // Candidate scratch capacity: a 3x3 bucket neighbourhood at paper-baseline
 // densities holds a few dozen radios; 256 covers city-scale hotspots so
-// steady-state transmissions never grow the buffer. Deferred arrivals are
-// about one transmission's sleepers at a time, so the same bound serves.
+// steady-state transmissions never grow the buffer. Awake and deferred
+// arrivals are about one transmission's receivers at a time, so the same
+// bound serves.
 constexpr std::size_t kInitialScratch = 256;
+
+// Run actions of an arrival (sim::RunItem): the receiver is the item's
+// object, the frame the run's payload.
+void deliverArrival(void* receiver, std::uint64_t /*arg*/,
+                    sim::RunPayload* frame) {
+  static_cast<Radio*>(receiver)->beginReceive(
+      FrameRef::share(*static_cast<Frame*>(frame)));
+}
+
+void interfereArrival(void* receiver, std::uint64_t /*arg*/,
+                      sim::RunPayload* frame) {
+  static_cast<Radio*>(receiver)->beginInterference(
+      static_cast<Frame*>(frame)->airtime);
+}
 }  // namespace
 
 Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
@@ -39,6 +54,7 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
     index_.emplace(reach * kIndexCellMargin);
   }
   scratch_.reserve(kInitialScratch);
+  awake_.reserve(kInitialScratch);
   deferred_.reserve(kInitialScratch);
 }
 
@@ -118,21 +134,26 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
       decodable = false;
     }
   }
-  Arrival arrival{receiver, sim_.now() + delay, sim_.reserveOrder(), frame,
-                  decodable};
+  const sim::Time at = sim_.now() + delay;
+  const sim::EventOrder order = sim_.reserveOrder();
   if (receiver->sleeping()) {
     // Park it in the place the event would take; replayDeferred schedules
     // it there if the receiver wakes before it lands.
-    deferred_.push_back(std::move(arrival));
+    deferred_.push_back(Arrival{receiver, at, order, frame, decodable});
     return;
   }
-  scheduleArrival(arrival);
+  awake_.push_back(
+      decodable
+          ? sim::RunItem{at, order, "phy/deliver", &deliverArrival, receiver}
+          : sim::RunItem{at, order, "phy/interference", &interfereArrival,
+                         receiver});
 }
 
 ECGRID_HOT_PATH void Channel::scheduleArrival(Arrival& arrival) {
   // scheduleFor semantics, not schedule: the reception belongs to the
   // receiver's host, which the sharded engine may own on the other side
   // of a stripe edge (the frame-crossing-a-shard-boundary event).
+  // A replayed arrival is the only one scheduled as a single event.
   Radio* receiver = arrival.radio;
   const std::uint64_t host = sim::hostEventKey(receiver->id());
   if (arrival.decodable) {
@@ -192,6 +213,7 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
                   [now](const Arrival& a) { return a.at < now; });
   }
 
+  awake_.clear();
   if (index_) {
     scratch_.clear();
     index_->collectNear(senderPos, scratch_);
@@ -208,6 +230,16 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
       if (a.radio == nullptr || a.radio == &sender) continue;
       deliverTo(a, sender.id(), senderPos, frame);
     }
+  }
+
+  // Orders were reserved in attachment order; queue the awake arrivals
+  // in key order as one run, sharing the frame.
+  std::sort(awake_.begin(), awake_.end(), sim::itemBefore);
+  sim::RunCursor run;
+  for (const sim::RunItem& item : awake_) {
+    const auto* receiver = static_cast<const Radio*>(item.object);
+    sim_.scheduleReservedInRunFor(run, sim::hostEventKey(receiver->id()),
+                                  item, frame.payload());
   }
 }
 

@@ -18,9 +18,15 @@
 // radio in range:
 //
 //   * One frame per transmission. The stamped packet and its airtime go
-//     into one pooled, immutable Frame (phy/frame.hpp); every delivery
-//     closure and every Radio::Reception holds a FrameRef to it instead
-//     of its own packet copy.
+//     into one pooled, immutable Frame (phy/frame.hpp); every reception
+//     holds a FrameRef to it instead of its own packet copy.
+//   * One queue entry per transmission. Orders are reserved and the
+//     fault slot consulted per receiver, in ascending attachment order;
+//     then the listening receivers' arrivals (phy/deliver, or
+//     phy/interference from the outer ring) are sorted by key and queued
+//     as one event-queue run (sim/event.hpp) holding the frame. Each
+//     arrival is still its own event with its own key — it just costs a
+//     56-byte run item instead of a slot, a closure and a heap push.
 //   * Sleepers cost no events. A sleeping transceiver discards whatever
 //     arrives, so scheduling its phy/deliver (or phy/interference) would
 //     only make an event that does nothing. For a receiver that is asleep
@@ -30,10 +36,11 @@
 //     not. Sleep has only two exits back to hearing — Radio::wake and,
 //     after a crash, Radio::powerUp — and both ask the channel to replay
 //     the receiver's deferred arrivals. Each one that would not yet have
-//     run (Simulator::wouldHaveRun) is scheduled with the same closure,
-//     label, host key, absolute time and reserved order it would have had
-//     at transmit time, so it runs exactly where the skipped event would
-//     have; the rest would have been discarded and are dropped. Frames
+//     run (Simulator::wouldHaveRun) is scheduled as a single event — the
+//     only arrivals that are one — with the label, host key, absolute
+//     time and reserved order it would have had at transmit time, so it
+//     runs exactly where the skipped event would have; the rest would
+//     have been discarded and are dropped. Frames
 //     are in flight for at most reach / propagationSpeed (≈0.83 µs at
 //     250 m), so each transmission prunes arrivals that have passed.
 //
@@ -122,8 +129,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
 
   /// Called by a transmitting radio. Schedules beginReceive on every other
   /// attached radio within range (beginInterference inside the
-  /// interference ring); arrivals at sleeping radios are deferred instead
-  /// (see the header comment).
+  /// interference ring) as one run; arrivals at sleeping radios are
+  /// deferred instead (see the header comment).
   void transmitFrom(Radio& sender, const net::Packet& packet,
                     sim::Time duration);
 
@@ -156,8 +163,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     std::function<geo::Vec2()> position;
   };
 
-  /// One receiver's copy of a transmission: scheduled at once, or parked
-  /// while the receiver sleeps.
+  /// One sleeping receiver's copy of a transmission, parked until it
+  /// wakes.
   struct Arrival {
     Radio* radio = nullptr;
     sim::Time at = 0.0;      ///< absolute arrival time
@@ -176,6 +183,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<std::size_t> freeSlots_;
   std::optional<SpatialIndex> index_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
+  std::vector<sim::RunItem> awake_;   ///< listeners' arrivals, reused per tx
   FramePool::Handle frames_ = FramePool::create();
   std::vector<Arrival> deferred_;  ///< sleepers', in reservation order
   std::size_t liveAttachments_ = 0;

@@ -39,6 +39,7 @@ ECGRID_HOT_PATH FrameRef FramePool::acquire(const net::Packet& packet,
   frame->packet = packet;
   frame->packet.uid = uid;
   frame->airtime = airtime;
+  frame->endRun = sim::RunCursor{};
   ++outstanding_;
   return FrameRef(frame);
 }

@@ -14,6 +14,11 @@
 // (the Channel) goes away while frames are still referenced — closures
 // left in the event queue when a scenario is torn down before its
 // simulator — lives on until the last of them is released.
+//
+// A frame is also the payload of the event-queue run that carries its
+// arrivals (sim::RunPayload; see phy/channel.hpp): the run holds one
+// reference until its last arrival has run. And it names the run its
+// reception ends go into (endRun; see phy/radio.hpp).
 #pragma once
 
 #include <cstddef>
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/event.hpp"
 #include "sim/time.hpp"
 #include "util/ownership.hpp"
 
@@ -30,13 +36,19 @@ namespace ecgrid::phy {
 
 class FramePool;
 
-struct Frame {
+struct Frame final : sim::RunPayload {
   net::Packet packet;  ///< as stamped by the channel (uid assigned)
   sim::Time airtime = 0.0;
+  /// The run the receptions of this frame append their phy/rx_end to.
+  /// Queue bookkeeping, not frame content, hence mutable through the
+  /// const view every FrameRef gives.
+  mutable sim::RunCursor endRun;
 
  private:
   friend class FrameRef;
   friend class FramePool;
+  void retainPayload() override { ++refs_; }
+  void releasePayload() override;
   std::uint32_t refs_ = 0;
   Frame* nextFree_ = nullptr;
   FramePool* pool_ = nullptr;
@@ -58,6 +70,14 @@ class FrameRef {
   ~FrameRef() { reset(); }
 
   void reset();
+
+  /// Another reference to a frame that is still referenced elsewhere (a
+  /// run's payload).
+  static FrameRef share(Frame& frame) { return FrameRef(&frame); }
+
+  /// The frame as a run payload (counting references is all a run does
+  /// with it).
+  sim::RunPayload* payload() const { return frame_; }
 
   const Frame& operator*() const { return *frame_; }
   const Frame* operator->() const { return frame_; }
@@ -95,7 +115,7 @@ class ECGRID_DOMAIN_PER_SCENARIO FramePool {
   }
 
  private:
-  friend class FrameRef;
+  friend struct Frame;
   static constexpr std::size_t kChunkFrames = 64;
 
   FramePool() = default;
@@ -108,8 +128,12 @@ class ECGRID_DOMAIN_PER_SCENARIO FramePool {
   bool orphaned_ = false;  ///< owner gone; delete at the last release
 };
 
+inline void Frame::releasePayload() {
+  if (--refs_ == 0) pool_->release(this);
+}
+
 inline void FrameRef::reset() {
-  if (frame_ != nullptr && --frame_->refs_ == 0) frame_->pool_->release(frame_);
+  if (frame_ != nullptr) frame_->releasePayload();
   frame_ = nullptr;
 }
 

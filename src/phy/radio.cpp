@@ -205,13 +205,20 @@ ECGRID_HOT_PATH void Radio::beginReceive(FrameRef frame) {
   rx.frame = std::move(frame);
   rx.end = sim_.now() + duration;
   rx.corrupted = collision;
-  rx.endEvent = sim_.schedule(
-      duration, [this, token] { onReceptionEnd(token); }, "phy/rx_end");
+  // Receptions of one frame begin in event order, one airtime before they
+  // end, so their ends arrive in key order: they share the frame's run.
+  rx.endEvent = sim_.scheduleInRun(rx.frame->endRun, duration, &endReception,
+                                   this, token, "phy/rx_end");
   if (collision) {
     for (auto& [t, existing] : receptions_) existing.corrupted = true;
   }
   receptions_.emplace_back(token, std::move(rx));
   setState(RadioState::kRx);
+}
+
+void Radio::endReception(void* radio, std::uint64_t token,
+                         sim::RunPayload* /*payload*/) {
+  static_cast<Radio*>(radio)->onReceptionEnd(token);
 }
 
 ECGRID_HOT_PATH void Radio::onReceptionEnd(std::size_t token) {

@@ -10,7 +10,11 @@
 // handed up only when their reception completes uncorrupted and the frame
 // is addressed to this host or broadcast. A reception holds a reference to
 // the channel's one shared Frame for the transmission (phy/frame.hpp),
-// never a copy of the packet.
+// never a copy of the packet. Its phy/rx_end joins the frame's end run
+// (Frame::endRun, sim/event.hpp): receptions of one frame begin in event
+// order and last the same airtime, so their ends are appended in key
+// order and share one queue entry. Aborting a reception (transmit,
+// sleep, powerDown, death) cancels its item like any event.
 //
 // A sleeping radio hears nothing, so the channel does not schedule
 // arrivals at it at all; it parks them instead (phy/channel.hpp). Leaving
@@ -151,6 +155,10 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   void setState(RadioState next);
   void rearmDepletion();
   void die();
+  /// The phy/rx_end run action (sim::RunAction): `token` names the
+  /// reception.
+  static void endReception(void* radio, std::uint64_t token,
+                           sim::RunPayload* payload);
   void onReceptionEnd(std::size_t token);
   void abortAllReceptions();
 

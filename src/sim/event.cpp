@@ -11,12 +11,28 @@ namespace {
 /// Slab capacity pre-sized at construction so paper-baseline runs never
 /// grow the vectors on the hot path (the audit gate would count it).
 constexpr std::size_t kInitialSlots = 256;
+/// Runs open at once: about two per transmission in flight (its arrivals
+/// and its reception ends).
+constexpr std::size_t kInitialRuns = 64;
+/// First capacity of a run's items; it doubles as needed and is kept when
+/// the run is recycled.
+constexpr std::size_t kInitialRunItems = 16;
 }  // namespace
 
 EventQueue::EventQueue() {
   slots_.reserve(kInitialSlots);
   heapPos_.reserve(kInitialSlots);
   heap_.reserve(kInitialSlots);
+  runs_.reserve(kInitialRuns);
+  freeRuns_.reserve(kInitialRuns);
+}
+
+EventQueue::~EventQueue() {
+  // Runs still holding a payload drop it here, as closures left in the
+  // slab drop their captures.
+  for (const std::unique_ptr<Run>& run : runs_) {
+    if (run->payload != nullptr) run->payload->releasePayload();
+  }
 }
 
 ECGRID_HOT_PATH std::uint32_t EventQueue::allocSlot() {
@@ -47,6 +63,7 @@ ECGRID_HOT_PATH void EventQueue::freeSlot(std::uint32_t index) {
   slot.live = false;
   slot.label = nullptr;
   slot.action.reset();
+  slot.run = kNoRun;
   // Bump the generation on free so stale handles can never alias a record
   // that reuses this slot.
   ++slot.generation;
@@ -67,16 +84,92 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
   slot.live = true;
   slot.label = label;
   slot.action = std::move(action);
+  if (++queued_ > peakDepth_) peakDepth_ = queued_;
+  heapPush(HeapEntry{time, order.tieKey, order.sequence, index});
+  return makeHandle(this, index, slot.generation);
+}
+
+ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
   if (heap_.size() == heap_.capacity()) {
     // High-water growth, same argument as the slab in allocSlot().
     ECGRID_ALLOC_EXEMPT();
     heap_.reserve(heap_.empty() ? kInitialSlots : heap_.capacity() * 2);
   }
   heap_.emplace_back();
-  if (heap_.size() > peakDepth_) peakDepth_ = heap_.size();
-  siftUp(heap_.size() - 1,
-         HeapEntry{time, order.tieKey, order.sequence, index});
-  return makeHandle(this, index, slot.generation);
+  siftUp(heap_.size() - 1, entry);
+}
+
+EventQueue::Run& EventQueue::openRun(RunPayload* payload) {
+  if (freeRuns_.empty()) {
+    // Pool growth: a high-water mark (runs in flight at once), never
+    // steady-state churn; same argument as the slab in allocSlot().
+    ECGRID_ALLOC_EXEMPT();
+    const auto index = static_cast<std::uint32_t>(runs_.size());
+    runs_.push_back(std::make_unique<Run>(*this, index));
+    freeRuns_.reserve(runs_.capacity());
+    freeRuns_.push_back(index);
+  }
+  Run& run = *runs_[freeRuns_.back()];
+  freeRuns_.pop_back();
+  run.payload = payload;
+  if (payload != nullptr) payload->retainPayload();
+  return run;
+}
+
+ECGRID_HOT_PATH void EventQueue::recycleRun(Run& run) {
+  if (run.payload != nullptr) {
+    run.payload->releasePayload();
+    run.payload = nullptr;
+  }
+  // Keep the items' capacity: the pool's storage stays at its high-water
+  // mark. The generation bump kills every handle to the old items.
+  run.items.clear();
+  run.head = 0;
+  run.sealed = false;
+  ++run.generation;
+  freeRuns_.push_back(run.index);
+}
+
+ECGRID_HOT_PATH EventHandle EventQueue::append(RunCursor& cursor,
+                                               const RunItem& item,
+                                               RunPayload* payload) {
+  ECGRID_HOT_SCOPE();
+  ECGRID_REQUIRE(item.action != nullptr, "run item action must be set");
+  ECGRID_REQUIRE(item.order.sequence < nextSequence_,
+                 "event order was never reserved");
+  Run* run = nullptr;
+  if (cursor.run_ != RunCursor::kNone) {
+    Run& named = *runs_[cursor.run_];
+    // Appending behind a popped item, or before the tail, would put the
+    // item out of order: open a new run instead.
+    if (named.generation == cursor.generation_ && !named.sealed &&
+        itemBefore(named.items.back(), item)) {
+      run = &named;
+    }
+  }
+  if (run == nullptr) {
+    run = &openRun(payload);
+    cursor.run_ = run->index;
+    cursor.generation_ = run->generation;
+  }
+  std::vector<RunItem>& items = run->items;
+  if (items.size() == items.capacity()) {
+    // A run's storage grows only past its own high-water mark; recycled
+    // runs keep their capacity.
+    ECGRID_ALLOC_EXEMPT();
+    items.reserve(items.empty() ? kInitialRunItems : items.capacity() * 2);
+  }
+  const auto itemIndex = static_cast<std::uint32_t>(items.size());
+  items.push_back(item);
+  ++run->live;
+  if (++queued_ > peakDepth_) peakDepth_ = queued_;
+  if (itemIndex == 0) {
+    // A fresh run: its head entry joins the heap.
+    run->slot = allocSlot();
+    slots_[run->slot].run = run->index;
+    heapPush(headEntry(*run));
+  }
+  return makeHandle(run, itemIndex, run->generation);
 }
 
 ECGRID_HOT_PATH std::uint32_t EventQueue::queuedSlot(
@@ -158,30 +251,97 @@ ECGRID_HOT_PATH void EventQueue::removeHeapAt(std::size_t i) {
 }
 
 bool EventQueue::pop(Time& time, InlineTask& action) {
-  const char* label = nullptr;
-  EventOrder order;
-  return pop(time, action, label, order);
+  Dispatch next;
+  if (!pop(next)) return false;
+  time = next.time;
+  if (next.runAction != nullptr) {
+    action = [run = next.runAction, object = next.object, arg = next.arg,
+              payload = next.payload] { run(object, arg, payload); };
+  } else {
+    action = std::move(next.task);
+  }
+  return true;
 }
 
-ECGRID_HOT_PATH bool EventQueue::pop(Time& time, InlineTask& action,
-                                     const char*& label, EventOrder& order) {
-  ECGRID_HOT_SCOPE();
-  // The previous event's record outlived its execution (see header); now
-  // that the caller is back for the next event, recycle it.
+ECGRID_HOT_PATH void EventQueue::retireExecuting() {
   if (executing_ != kNoSlot) {
     freeSlot(executing_);
     executing_ = kNoSlot;
   }
+  if (executingRun_ != kNoRun) {
+    Run& run = *runs_[executingRun_];
+    executingRun_ = kNoRun;
+    run.items[executingItem_].action = nullptr;
+    if (run.live == 0) recycleRun(run);
+  }
+}
+
+ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
+  ECGRID_HOT_SCOPE();
+  // The previous event's record outlived its execution (see header); now
+  // that the caller is back for the next event, retire it.
+  retireExecuting();
   if (heap_.empty()) return false;
-  std::uint32_t index = heap_.front().slot;
-  order = EventOrder{heap_.front().tieKey, heap_.front().sequence};
+  const HeapEntry& top = heap_.front();
+  out.time = top.time;
+  out.order = EventOrder{top.tieKey, top.sequence};
+  const std::uint32_t index = top.slot;
   Slot& slot = slots_[index];
-  time = slot.time;
-  action = std::move(slot.action);
-  label = slot.label;
+  --queued_;
+  if (slot.run != kNoRun) {
+    popRunItem(*runs_[slot.run], out);
+    return true;
+  }
+  out.task = std::move(slot.action);
+  out.label = slot.label;
   removeHeapAt(0);
   executing_ = index;
   return true;
+}
+
+ECGRID_HOT_PATH void EventQueue::popRunItem(Run& run, Dispatch& out) {
+  const RunItem& item = run.items[run.head];
+  out.label = item.label;
+  out.runAction = item.action;
+  out.object = item.object;
+  out.arg = item.arg;
+  out.payload = run.payload;
+  // The item keeps its action until it retires, so its handle stays
+  // pending() through the callback.
+  executingRun_ = run.index;
+  executingItem_ = static_cast<std::uint32_t>(run.head);
+  run.sealed = true;
+  --run.live;
+  ++run.head;
+  advanceRun(run);
+}
+
+ECGRID_HOT_PATH void EventQueue::advanceRun(Run& run) {
+  const std::size_t at = heapPos_[run.slot];
+  if (run.live == 0) {
+    removeHeapAt(at);
+    freeSlot(run.slot);
+    run.slot = kNoSlot;
+    return;
+  }
+  while (run.items[run.head].action == nullptr) ++run.head;
+  // The head only moves later in the order, so the entry sifts down.
+  siftDown(at, headEntry(run));
+}
+
+ECGRID_HOT_PATH void EventQueue::cancelRunItem(Run& run, std::uint32_t item,
+                                               std::uint32_t generation) {
+  if (generation != run.generation || item >= run.items.size() ||
+      run.items[item].action == nullptr) {
+    return;
+  }
+  run.items[item].action = nullptr;
+  // The executing item has already left the order; it retires as usual.
+  if (run.index == executingRun_ && item == executingItem_) return;
+  --run.live;
+  --queued_;
+  if (item == run.head) advanceRun(run);
+  if (run.live == 0 && run.index != executingRun_) recycleRun(run);
 }
 
 ECGRID_HOT_PATH void EventQueue::cancelSlot(std::uint32_t slot,
@@ -196,6 +356,7 @@ ECGRID_HOT_PATH void EventQueue::cancelSlot(std::uint32_t slot,
     executing_ = kNoSlot;
   } else {
     removeHeapAt(heapPos_[slot]);
+    --queued_;
   }
   freeSlot(slot);
 }

@@ -26,9 +26,25 @@
 // to the currently-executing event still reports pending() — the same
 // observable semantics the previous shared_ptr-based queue had while
 // Simulator::step kept the record alive through the callback.
+//
+// Runs. Most events of a dense run are receptions: one transmission's
+// arrivals at every listening radio, then each reception's end. Those come
+// in batches whose keys are already sorted, so append() queues them as a
+// *run*: a pooled, append-only vector of compact RunItems (key, label and
+// a plain function call — no slot, no InlineTask) that owns one heap entry
+// keyed by its earliest live item. Popping an item re-keys that entry to
+// the next one in place; the sift-down from the root usually stops at
+// once, because the next arrival of the same frame is still the earliest
+// event. Every item keeps the (time, tie key, sequence) key a single push
+// would have given it and the heap entry always carries its run's minimum,
+// so popping the global minimum merges runs and single events in exactly
+// the order single pushes would have. Items are ordinary events to every
+// observer: EventHandles cancel them (the run is an EventTarget), pending()
+// holds through the item's own callback, and size()/peakDepth() count them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -123,12 +139,83 @@ struct EventOrder {
   return a.sequence < b.sequence;
 }
 
+/// What a run's items share — phy::Frame, the frame every arrival of one
+/// transmission delivers. Counted by its owner: a run takes one reference
+/// when it opens and drops it when it is recycled (after its last item has
+/// run), so the payload outlives every item that reads it.
+class RunPayload {
+ public:
+  virtual void retainPayload() = 0;
+  virtual void releasePayload() = 0;
+
+ protected:
+  ~RunPayload() = default;
+};
+
+/// A run item's action: a plain function of the item's object and argument
+/// and the run's payload (nullptr for a run opened without one).
+using RunAction = void (*)(void* object, std::uint64_t arg,
+                           RunPayload* payload);
+
+/// One event of a run (see the header comment): its key, its label and its
+/// action, nothing else.
+struct RunItem {
+  Time time = kTimeZero;
+  EventOrder order;
+  const char* label = nullptr;  ///< schedule-site tag (static storage)
+  RunAction action = nullptr;   ///< nullptr once cancelled or retired
+  void* object = nullptr;
+  std::uint64_t arg = 0;
+};
+/// A dense transmission queues hundreds of these at once.
+ECGRID_LAYOUT_BUDGET(RunItem, 56);
+
+/// Queue order of two run items: time, then (tie key, sequence).
+[[nodiscard]] inline bool itemBefore(const RunItem& a, const RunItem& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return orderedBefore(a.order, b.order);
+}
+
+/// Names the run EventQueue::append adds to next. Starts empty; append
+/// points it at a fresh run whenever the named one cannot take the item.
+/// A cursor belongs to the queue that set it.
+class RunCursor {
+ private:
+  friend class EventQueue;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  std::uint32_t run_ = kNone;
+  std::uint32_t generation_ = 0;
+};
+
+/// An event taken off the queue by EventQueue::pop: its key, its label and
+/// its action — an InlineTask for a single event, the RunAction call for a
+/// run item. Pop into a fresh Dispatch.
+struct Dispatch {
+  Time time = kTimeZero;
+  EventOrder order;
+  const char* label = nullptr;
+  InlineTask task;               ///< single events
+  RunAction runAction = nullptr;  ///< run items (task stays empty)
+  void* object = nullptr;
+  std::uint64_t arg = 0;
+  RunPayload* payload = nullptr;
+
+  void operator()() {
+    if (runAction != nullptr) {
+      runAction(object, arg, payload);
+    } else {
+      task();
+    }
+  }
+};
+
 /// Min-heap of events ordered by (time, sequence), backed by a slab of
-/// pooled records. Non-copyable and non-movable: handles store a pointer
-/// back to the queue.
+/// pooled records and a pool of runs. Non-copyable and non-movable:
+/// handles store a pointer back to the queue.
 class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
  public:
   EventQueue();
+  ~EventQueue() override;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -164,6 +251,16 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   EventHandle rekey(EventHandle handle, Time time, EventOrder order,
                     InlineTask action, const char* label = nullptr);
 
+  /// Queue `item` (its order taken with reserveOrder()) as the new tail of
+  /// the run `cursor` names. When there is no such run any more, or it has
+  /// started draining, or `item` sorts before its tail, a fresh run is
+  /// opened instead — holding a reference to `payload` — and `cursor` is
+  /// pointed at it. Items are never inserted out of order, so each keeps
+  /// the place a single push would give it. The handle cancels the item
+  /// like any event.
+  EventHandle append(RunCursor& cursor, const RunItem& item,
+                     RunPayload* payload = nullptr);
+
   /// Determinism-analysis debug mode (src/check): replace the insertion-
   /// sequence tie-break among equal-time events with random keys drawn
   /// from `stream` (sequence stays the final tie-break, so a perturbed
@@ -175,15 +272,13 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   void perturbTieBreak(RngStream stream) { tieBreakRng_ = stream; }
   bool tieBreakPerturbed() const { return tieBreakRng_.has_value(); }
 
-  /// Moves the next event's time and action into the out-parameters and
-  /// removes it. Returns false when the queue is empty. The event's slot
-  /// is recycled on the *next* pop, so handles to it stay pending() while
-  /// the caller runs the action.
+  /// Moves the next event — its key, label (nullptr when the push site gave
+  /// none) and action — into `out` and removes it. Returns false when the
+  /// queue is empty. The event's record is retired on the *next* pop, so
+  /// handles to it stay pending() while the caller runs the action.
+  bool pop(Dispatch& out);
+  /// As above, with a run item's call packed into `action`.
   bool pop(Time& time, InlineTask& action);
-  /// As above, also reporting the event's schedule-site label (nullptr
-  /// when the push site gave none) and its place in the same-time order.
-  bool pop(Time& time, InlineTask& action, const char*& label,
-           EventOrder& order);
 
   /// Time of the next event, or kTimeNever if empty.
   Time peekTime() const {
@@ -192,18 +287,22 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
 
   bool empty() const { return heap_.empty(); }
 
-  /// Events queued (cancelled ones leave at once; the executing one has
-  /// already left).
-  std::size_t size() const { return heap_.size(); }
+  /// Events queued, run items included (cancelled ones leave at once; the
+  /// executing one has already left).
+  std::size_t size() const { return queued_; }
 
   /// Largest size() ever observed — the queue-depth high-water mark run
-  /// telemetry reports. Tracked at push, so it is exact: depth only grows
-  /// when an event is inserted.
+  /// telemetry reports. Tracked at push and append, so it is exact: depth
+  /// only grows when an event is inserted.
   std::size_t peakDepth() const { return peakDepth_; }
 
   /// Pooled slot records ever allocated (the slab high-water mark; slots
-  /// are recycled, never returned to the allocator).
+  /// are recycled, never returned to the allocator). A run takes one slot
+  /// for its heap entry, whatever its length.
   std::size_t slabSlots() const { return slots_.size(); }
+
+  /// Runs ever opened at once (the run pool's high-water mark).
+  std::size_t runPoolSize() const { return runs_.size(); }
 
  protected:
   // EventTarget backends (EventHandle reaches them through the base).
@@ -215,6 +314,40 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// heapPos_ value of a slot with no heap entry (free or executing).
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+  static constexpr std::uint32_t kNoRun = 0xffffffffu;
+
+  /// A run (see the header comment). Items before `head` have been popped
+  /// (the executing one keeps its action until it retires) or cancelled;
+  /// `head` is the earliest live item, whose key the run's heap entry
+  /// carries. The run is the EventTarget of its items' handles: slot =
+  /// item index, generation = the run's, bumped when it is recycled.
+  class Run final : public EventTarget {
+   public:
+    Run(EventQueue& owner, std::uint32_t at) : queue(owner), index(at) {}
+    // Handles hold its address.
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+    EventQueue& queue;
+    const std::uint32_t index;  ///< in runs_
+    std::vector<RunItem> items;
+    std::size_t head = 0;
+    std::size_t live = 0;  ///< items neither popped nor cancelled
+    RunPayload* payload = nullptr;
+    std::uint32_t generation = 0;
+    std::uint32_t slot = kNoSlot;  ///< slab slot holding the heap entry
+    bool sealed = false;           ///< an item has been popped: no appends
+
+   protected:
+    void cancelSlot(std::uint32_t item, std::uint32_t generation) override {
+      queue.cancelRunItem(*this, item, generation);
+    }
+    bool slotPending(std::uint32_t item,
+                     std::uint32_t generation) const override {
+      return generation == this->generation && item < items.size() &&
+             items[item].action != nullptr;
+    }
+  };
 
   struct Slot {
     Time time = kTimeZero;
@@ -223,6 +356,7 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
     const char* label = nullptr;  ///< schedule-site tag (static storage)
     InlineTask action;
     std::uint32_t nextFree = kNoSlot;
+    std::uint32_t run = kNoRun;  ///< the run whose heap entry this holds
   };
   /// The slab holds one Slot per in-flight event; at city scale that is
   /// hundreds of thousands. InlineTask (96B inline + 3 fn ptrs, padded to
@@ -250,7 +384,24 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   std::uint32_t queuedSlot(const EventHandle& handle) const;
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t index);
+  void heapPush(const HeapEntry& entry);
   void removeHeapAt(std::size_t i);
+  /// Retire the event popped last: recycle its slot, or clear its run
+  /// item and recycle the run if nothing of it is left.
+  void retireExecuting();
+  Run& openRun(RunPayload* payload);
+  void recycleRun(Run& run);
+  void popRunItem(Run& run, Dispatch& out);
+  void cancelRunItem(Run& run, std::uint32_t item, std::uint32_t generation);
+  /// The run's head moved (popped or cancelled): advance it past cancelled
+  /// items and re-key the run's heap entry, or drop the entry when no live
+  /// item is left.
+  void advanceRun(Run& run);
+  static HeapEntry headEntry(const Run& run) {
+    const RunItem& head = run.items[run.head];
+    return HeapEntry{head.time, head.order.tieKey, head.order.sequence,
+                     run.slot};
+  }
   /// Store `entry` at heap position i and record that position in
   /// heapPos_; every sift move goes through here.
   void place(std::size_t i, const HeapEntry& entry) {
@@ -267,11 +418,20 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// Heap position of each slot's entry (kNotQueued when it has none);
   /// grows with slots_, indexed by slot.
   std::vector<std::uint32_t> heapPos_;
+  /// Every run ever opened, by index; recycled ones wait on freeRuns_.
+  /// Separately allocated so a Run's address — its items' handle target —
+  /// never moves.
+  std::vector<std::unique_ptr<Run>> runs_;
+  std::vector<std::uint32_t> freeRuns_;
   std::optional<RngStream> tieBreakRng_;
   std::uint32_t freeHead_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  ///< slot recycled on next pop
+  /// Run item popped last, retired on next pop.
+  std::uint32_t executingRun_ = kNoRun;
+  std::uint32_t executingItem_ = 0;
   std::uint64_t nextSequence_ = 0;
-  std::size_t peakDepth_ = 0;  ///< max heap_.size() ever observed
+  std::size_t queued_ = 0;     ///< events queued, run items included
+  std::size_t peakDepth_ = 0;  ///< max queued_ ever observed
 };
 
 inline void EventHandle::cancel() {

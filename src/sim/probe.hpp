@@ -24,8 +24,10 @@ class ExecutionProbe {
 
   /// Called after each executed event. `label` is the schedule site's
   /// static label, or nullptr for unlabeled events; `wallSeconds` is the
-  /// callback's wall-clock cost; `queueSize` counts queued heap entries
-  /// (including not-yet-discarded cancellations) right after the event;
+  /// callback's wall-clock cost; `queueSize` counts the events queued
+  /// right after the event — run items included, cancelled events never
+  /// (the serial queue removes them at cancel), except on the sharded
+  /// engine, which still counts its not-yet-reclaimed cancellations;
   /// `shard` is the executing shard under the sharded engine, 0 on the
   /// serial engine.
   virtual void onEvent(const char* label, double wallSeconds, Time simTime,

@@ -90,6 +90,74 @@ ECGRID_HOT_PATH void Simulator::rescheduleTask(EventHandle& handle,
   handle = queue_.rekey(handle, now_ + delay, order, std::move(action), label);
 }
 
+namespace {
+
+/// A run item's call as one InlineTask, for the sharded engine, which
+/// queues every item as its own event. Holds its own payload reference.
+class RunItemTask {
+ public:
+  RunItemTask(const RunItem& item, RunPayload* payload)
+      : action_(item.action),
+        object_(item.object),
+        arg_(item.arg),
+        payload_(payload) {
+    if (payload_ != nullptr) payload_->retainPayload();
+  }
+  RunItemTask(RunItemTask&& other) noexcept
+      : action_(other.action_),
+        object_(other.object_),
+        arg_(other.arg_),
+        payload_(std::exchange(other.payload_, nullptr)) {}
+  RunItemTask(const RunItemTask&) = delete;
+  RunItemTask& operator=(const RunItemTask&) = delete;
+  RunItemTask& operator=(RunItemTask&&) = delete;
+  ~RunItemTask() {
+    if (payload_ != nullptr) payload_->releasePayload();
+  }
+
+  void operator()() { action_(object_, arg_, payload_); }
+
+ private:
+  RunAction action_;
+  void* object_;
+  std::uint64_t arg_;
+  RunPayload* payload_;
+};
+
+}  // namespace
+
+ECGRID_HOT_PATH EventHandle Simulator::scheduleInRun(RunCursor& run,
+                                                     Time delay,
+                                                     RunAction action,
+                                                     void* object,
+                                                     std::uint64_t arg,
+                                                     const char* label) {
+  ECGRID_HOT_SCOPE();
+  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  RunItem item{now_ + delay, EventOrder{}, label, action, object, arg};
+  if (engine_ != nullptr) {
+    // pushLocal takes the item's order itself.
+    return engine_->pushLocal(item.time, InlineTask(RunItemTask(item, nullptr)),
+                              label);
+  }
+  item.order = queue_.reserveOrder();
+  return queue_.append(run, item);
+}
+
+ECGRID_HOT_PATH EventHandle Simulator::scheduleReservedInRunFor(
+    RunCursor& run, std::uint64_t ownerKey, const RunItem& item,
+    RunPayload* payload) {
+  ECGRID_HOT_SCOPE();
+  ECGRID_REQUIRE(!wouldHaveRun(item.time, item.order),
+                 "reserved event's place has already been dispatched");
+  if (engine_ != nullptr) {
+    return engine_->pushFor(ownerKey, item.time, item.order,
+                            InlineTask(RunItemTask(item, payload)),
+                            item.label);
+  }
+  return queue_.append(run, item, payload);
+}
+
 EventOrder Simulator::reserveOrder() {
   return engine_ != nullptr ? engine_->reserveOrder() : queue_.reserveOrder();
 }
@@ -159,13 +227,12 @@ void Simulator::setPeriodicHook(std::uint64_t everyEvents,
 ECGRID_HOT_PATH bool Simulator::step(Time until) {
   if (engine_ != nullptr) return stepSharded(until);
   if (queue_.peekTime() > until) return false;
-  Time time = kTimeZero;
-  InlineTask action;
-  const char* label = nullptr;
-  EventOrder order;
-  if (!queue_.pop(time, action, label, order)) return false;
-  now_ = time;
-  lastDispatch_ = {time, order, queue_.reservedSequences()};
+  // One event per pop, whether a single event or a run item: each counts,
+  // is probed and hooked on its own.
+  Dispatch event;
+  if (!queue_.pop(event)) return false;
+  now_ = event.time;
+  lastDispatch_ = {event.time, event.order, queue_.reservedSequences()};
   ++eventsExecuted_;
   if (probe_ != nullptr) {
     // Wall-clock attribution for the profiler. Reporting-only: wall time
@@ -174,15 +241,15 @@ ECGRID_HOT_PATH bool Simulator::step(Time until) {
     // timers in bench/bench_support.hpp.
     // ecgrid-lint: allow(banned-random)
     const auto wallStart = std::chrono::steady_clock::now();
-    action();
+    event();
     // ecgrid-lint: allow(banned-random)
     const auto wallEnd = std::chrono::steady_clock::now();
     const double wallSeconds =
         std::chrono::duration<double>(wallEnd - wallStart).count();
-    probe_->onEvent(label, wallSeconds, now_, eventsExecuted_,
+    probe_->onEvent(event.label, wallSeconds, now_, eventsExecuted_,
                     queue_.size(), 0);
   } else {
-    action();
+    event();
   }
   if (hook_ && eventsExecuted_ % hookEvery_ == 0) hook_();
   return true;

@@ -143,6 +143,24 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// answer is one of the legal tie orders, which is all that mode asks.
   [[nodiscard]] bool wouldHaveRun(Time when, const EventOrder& order) const;
 
+  /// schedule() of `action(object, arg, nullptr)` as the tail of the run
+  /// `run` names (EventQueue::append): same key, same label, same handle
+  /// semantics, without a slot of its own. For batches scheduled in key
+  /// order — Radio's reception ends of one frame. The sharded engine has
+  /// no runs: there, this and scheduleReservedInRunFor push the item as a
+  /// single event.
+  EventHandle scheduleInRun(RunCursor& run, Time delay, RunAction action,
+                            void* object, std::uint64_t arg,
+                            const char* label);
+
+  /// scheduleReservedFor() of `item` (its order taken with reserveOrder())
+  /// as the tail of the run `run` names; a run opened for it holds
+  /// `payload`. For batches scheduled in key order — phy::Channel's
+  /// arrivals of one transmission.
+  EventHandle scheduleReservedInRunFor(RunCursor& run, std::uint64_t ownerKey,
+                                       const RunItem& item,
+                                       RunPayload* payload);
+
   /// Monomorphic backends behind the schedule templates (the templates
   /// only build the InlineTask; everything else stays out of line).
   EventHandle scheduleTaskIn(Time delay, InlineTask action, const char* label);
@@ -177,9 +195,10 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
   // ---- Telemetry surface (src/obs/telemetry.hpp reads these) -----------
 
-  /// Events queued right now: the serial heap holds only live events
-  /// (cancel removes at once); the sharded engine counts its not-yet-
-  /// reclaimed cancellations and mailbox-buffered boundary events too.
+  /// Events queued right now: on the serial engine every live event, run
+  /// items one by one (cancel removes at once); the sharded engine counts
+  /// its not-yet-reclaimed cancellations and mailbox-buffered boundary
+  /// events too.
   std::size_t queueDepth() const;
 
   /// High-water mark of queueDepth over the run. Exact (per-push) on the
@@ -187,7 +206,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   std::size_t peakQueueDepth() const;
 
   /// Pooled event-slot records ever allocated across all queues — the
-  /// slab high-water mark (slots recycle; slabs never shrink).
+  /// slab high-water mark (slots recycle; slabs never shrink). A run
+  /// takes one slot however many items it holds.
   std::size_t slabSlotsTotal() const;
 
   /// Swap the serial event queue for the sharded engine

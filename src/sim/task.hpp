@@ -1,12 +1,14 @@
 // InlineTask — move-only callable with inline storage for event payloads.
 //
 // std::function's 16-byte small-buffer optimisation forces a heap
-// allocation for the hot phy/deliver closure (receiver pointer + 48-byte
-// Packet + duration ≈ 64 bytes) — one malloc/free pair per delivered
-// frame. Both event engines store InlineTask instead: any nothrow-movable
+// allocation for any closure over 16 bytes — one malloc/free pair per
+// event. Both event engines store InlineTask instead: any nothrow-movable
 // callable up to kInlineBytes lives directly in the pooled event slot, so
 // steady-state dispatch performs no heap traffic at all. Larger callables
 // fall back to a heap box transparently (same observable semantics).
+// The bulk of a dense run's events, receptions, no longer come through
+// here: they are run items (sim/event.hpp), a plain function pointer
+// each.
 //
 // The sharded engine's per-shard queues (sim/sharded/shard_queue.hpp)
 // adopted this shape in PR 7 and proved the 2.1–2.3× win; PR 9 migrated
@@ -29,9 +31,9 @@ namespace ecgrid::sim {
 
 class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
  public:
-  /// Sized when phy/deliver carried its own net::Packet copy (receiver
-  /// pointer + packet + duration); it now carries a shared-frame
-  /// reference (16 bytes), and the largest hot closures left are a
+  /// Sized when the per-receiver phy/deliver closure carried its own
+  /// net::Packet copy (receiver pointer + packet + duration). Arrivals
+  /// are run items now; the largest hot closures left are a
   /// std::function plus a small payload (paging/deliver). Anything
   /// bigger transparently boxes on the heap.
   static constexpr std::size_t kInlineBytes = 96;

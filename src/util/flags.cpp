@@ -1,6 +1,8 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -57,8 +59,9 @@ Flags Flags::parseOrExit(int argc, const char* const* argv,
                          const std::string& summary) {
   try {
     Flags flags(argc, argv, known);
+    flags.usage_ = usage(summary, known);
     if (flags.helpRequested()) {
-      std::cout << usage(summary, known);
+      std::cout << flags.usage_;
       std::exit(0);
     }
     return flags;
@@ -87,22 +90,60 @@ std::string Flags::getString(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+int Flags::exitCodeFor(const char* argv0, const std::exception& error) {
+  std::cerr << (argv0 != nullptr ? argv0 : "error") << ": " << error.what()
+            << "\n";
+  if (const auto* flagError = dynamic_cast<const FlagError*>(&error)) {
+    std::cerr << flagError->usage();
+  }
+  return 2;
+}
+
+void Flags::reject(const std::string& name, const std::string& value,
+                   const char* expected) const {
+  throw FlagError("--" + name + ": expected " + expected + ", got '" +
+                      value + "'",
+                  usage_);
+}
+
+namespace {
+
+/// Parses all of `text` as a T; false on junk, trailing characters or
+/// overflow.
+template <class T>
+bool parseWhole(const std::string& text, T& out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return !text.empty() && error == std::errc() && stop == end;
+}
+
+}  // namespace
+
 double Flags::getDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  double value = 0.0;
+  if (!parseWhole(it->second, value) || !std::isfinite(value)) {
+    reject(name, it->second, "a number");
+  }
+  return value;
 }
 
 int Flags::getInt(const std::string& name, int fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoi(it->second);
+  int value = 0;
+  if (!parseWhole(it->second, value)) reject(name, it->second, "an integer");
+  return value;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  reject(name, value, "true/false, 1/0 or yes/no");
 }
 
 }  // namespace ecgrid::util

@@ -509,6 +509,111 @@ TEST(Channel, BroadcastReceiversShareOneFrame) {
   EXPECT_EQ(seen[1], seen[2]);
 }
 
+// --- reception runs ---------------------------------------------------------
+
+/// Radios on a line at the given x positions, logging every decode.
+struct Line {
+  sim::Simulator simulator;
+  Channel channel{simulator, ChannelConfig{}};
+  std::vector<std::unique_ptr<energy::Battery>> batteries;
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::vector<std::pair<sim::Time, net::NodeId>> decoded;
+
+  /// `count` radios `spacing` metres apart, radio 0 at the origin.
+  Line(int count, double spacing) : Line(spaced(count, spacing)) {}
+
+  explicit Line(const std::vector<double>& xs) {
+    for (int i = 0; i < static_cast<int>(xs.size()); ++i) {
+      batteries.push_back(std::make_unique<energy::Battery>(500.0));
+      radios.push_back(std::make_unique<Radio>(simulator, *batteries.back(),
+                                               energy::PowerProfile{}, i));
+      Radio& radio = *radios.back();
+      radio.attachChannel(&channel);
+      const double x = xs[static_cast<std::size_t>(i)];
+      channel.attach(&radio, [x] { return geo::Vec2{x, 0.0}; });
+      radio.setFrameCallback([this, i](const net::Packet&) {
+        decoded.emplace_back(simulator.now(), i);
+      });
+    }
+  }
+
+  static std::vector<double> spaced(int count, double spacing) {
+    std::vector<double> xs;
+    for (int i = 0; i < count; ++i) xs.push_back(spacing * i);
+    return xs;
+  }
+};
+
+// One transmission to N listeners queues N arrivals but one run: the slab
+// does not grow with N. The reception ends of the frame share a second run.
+TEST(Channel, BroadcastArrivalsShareOneRun) {
+  std::vector<std::size_t> slabGrowth;
+  for (int listeners : {4, 64}) {
+    Line line(listeners + 1, 1.0);
+    const std::size_t depth = line.simulator.queueDepth();
+    const std::size_t slots = line.simulator.slabSlotsTotal();
+    line.radios[0]->transmit(makeFrame(0, net::kBroadcastId), 1e-3);
+    // Every arrival and the tx_end count as queued events.
+    EXPECT_EQ(line.simulator.queueDepth(),
+              depth + static_cast<std::size_t>(listeners) + 1);
+    line.simulator.run(1.0);
+    EXPECT_EQ(line.decoded.size(), static_cast<std::size_t>(listeners));
+    // tx_end, then one phy/deliver and one phy/rx_end per listener.
+    EXPECT_EQ(line.simulator.eventsExecuted(),
+              1u + 2u * static_cast<std::uint64_t>(listeners));
+    slabGrowth.push_back(line.simulator.slabSlotsTotal() - slots);
+  }
+  EXPECT_EQ(slabGrowth[0], slabGrowth[1]);
+  EXPECT_LE(slabGrowth[1], 3u);  // tx_end + arrivals run + rx_end run
+}
+
+// Transmitting, sleeping or powering down mid-reception aborts it: the
+// reception's phy/rx_end item is cancelled — it never runs — and the frame
+// is never handed up. The other listener, out of the victim's range, still
+// decodes it.
+TEST(Radio, AbortingAReceptionCancelsItsEndItem) {
+  for (int abort = 0; abort < 3; ++abort) {
+    Line line({0.0, 100.0, -200.0});
+    line.radios[0]->transmit(makeFrame(0, net::kBroadcastId), 1e-3);
+    line.simulator.run(0.5e-3);  // both receptions in progress
+    Radio& victim = *line.radios[1];
+    ASSERT_EQ(victim.state(), RadioState::kRx);
+    if (abort == 0) {
+      victim.sleep();
+    } else if (abort == 1) {
+      victim.powerDown();
+    } else {
+      // Half-duplex: transmitting stomps the reception.
+      victim.transmit(makeFrame(1, 0), 1e-4);
+    }
+    line.simulator.run(1.0);
+    ASSERT_EQ(line.decoded.size(), 1u) << "abort " << abort;
+    EXPECT_EQ(line.decoded[0].second, 2) << "abort " << abort;
+    // tx_end, two phy/deliver, radio 2's phy/rx_end; a transmitting victim
+    // adds its tx_end and its frame's (deaf) arrival at radio 0.
+    EXPECT_EQ(line.simulator.eventsExecuted(), abort < 2 ? 4u : 6u)
+        << "abort " << abort;
+  }
+}
+
+// A sleeper's arrival is replayed as a single event into its reserved
+// place, between the arrivals the run holds: the receptions end in
+// distance order at exactly arrival + airtime.
+TEST(Channel, ReplayedArrivalLandsBetweenRunItems) {
+  Line line(4, 60.0);
+  line.radios[2]->sleep();
+  line.radios[0]->transmit(makeFrame(0, net::kBroadcastId), 1e-3);
+  EXPECT_EQ(line.channel.deferredArrivals(), 1u);
+  // Wake after radio 1's arrival but before radio 2's.
+  line.simulator.scheduleAt(90.0 / 3e8, [&] { line.radios[2]->wake(); });
+  line.simulator.run(1.0);
+  ASSERT_EQ(line.decoded.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(line.decoded[k].second, static_cast<net::NodeId>(k + 1));
+    EXPECT_EQ(line.decoded[k].first, 60.0 * (k + 1) / 3e8 + 1e-3);
+  }
+}
+
 TEST(FramePool, RecyclesFramesAndOutlivesItsOwner) {
   net::Packet packet = makeFrame(0, 1);
   FramePool::Handle pool = FramePool::create();

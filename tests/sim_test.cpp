@@ -2,6 +2,7 @@
 // determinism, and RNG stream independence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -340,6 +341,177 @@ TEST(RescheduleParity, PerturbedScriptTakesADifferentOrder) {
   RearmScript plain(Engine::kSerial, true);
   RearmScript perturbed(Engine::kPerturbed, true);
   EXPECT_NE(plain.trace(), perturbed.trace());
+}
+
+// --- runs (phy::Channel arrivals and Radio reception ends) -----------------
+
+/// A RunPayload that counts its references (a frame stand-in).
+class CountedPayload final : public RunPayload {
+ public:
+  void retainPayload() override { ++refs; }
+  void releasePayload() override { --refs; }
+  int refs = 0;
+};
+
+/// Broadcast receptions as the PHY schedules them: each transmission
+/// reserves its receivers' arrival orders in receiver order, then queues
+/// the arrivals sorted by key; each arrival schedules its reception end one
+/// airtime later; receptions are aborted at random (transmit, sleep,
+/// powerDown cancel the end), and callbacks test pending(). Spelled either
+/// with runs (Simulator::scheduleReservedInRunFor / scheduleInRun) or with
+/// one closure per event; the two must be indistinguishable.
+class ReceptionScript {
+ public:
+  static constexpr int kReceivers = 12;
+
+  ReceptionScript(Engine engine, bool useRuns)
+      : simulator_(13), rng_(5), useRuns_(useRuns) {
+    if (engine == Engine::kSharded) {
+      sharded::ShardedEngineConfig config;
+      config.shards = 2;
+      simulator_.enableSharding(config);
+    }
+    if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
+    frames_.reserve(kFrames);
+    for (int k = 0; k < 8; ++k) {
+      simulator_.schedule(0.25 * k, [this] { transmit(); }, "test/tx");
+    }
+    simulator_.run(500.0);
+  }
+
+  Simulator& simulator() { return simulator_; }
+  const std::vector<int>& trace() const { return trace_; }
+  int outstandingPayloadRefs() const {
+    int refs = 0;
+    for (const Frame& frame : frames_) refs += frame.payload.refs;
+    return refs;
+  }
+
+ private:
+  static constexpr std::size_t kFrames = 600;
+
+  struct Frame {
+    CountedPayload payload;
+    RunCursor endRun;
+  };
+
+  static void arrive(void* script, std::uint64_t arg, RunPayload* payload) {
+    auto* self = static_cast<ReceptionScript*>(script);
+    if (payload != nullptr) {
+      EXPECT_EQ(payload, &self->frames_[arg >> 8].payload);
+    }
+    self->onArrive(arg);
+  }
+  static void end(void* script, std::uint64_t arg, RunPayload* /*payload*/) {
+    static_cast<ReceptionScript*>(script)->onEnd(arg);
+  }
+
+  void transmit() {
+    if (frames_.size() == kFrames) return;
+    const std::uint64_t frame = frames_.size();
+    frames_.emplace_back();
+    std::vector<RunItem> arrivals;
+    for (int r = 0; r < kReceivers; ++r) {
+      if (!rng_.chance(0.7)) continue;
+      // Coarse propagation delays: plenty of same-instant arrivals.
+      const Time at = simulator_.now() + 0.25 * rng_.uniformInt(0, 2);
+      arrivals.push_back(RunItem{at, simulator_.reserveOrder(), "test/arrive",
+                                 &arrive, this, (frame << 8) | r});
+    }
+    std::sort(arrivals.begin(), arrivals.end(), itemBefore);
+    RunCursor run;
+    for (const RunItem& item : arrivals) {
+      const std::uint64_t owner = hostEventKey(static_cast<int>(item.arg & 0xff));
+      if (useRuns_) {
+        simulator_.scheduleReservedInRunFor(run, owner, item,
+                                            &frames_[frame].payload);
+      } else {
+        const std::uint64_t arg = item.arg;
+        simulator_.scheduleReservedFor(
+            owner, item.time, item.order, [this, arg] { onArrive(arg); },
+            "test/arrive");
+      }
+    }
+  }
+
+  void onArrive(std::uint64_t arg) {
+    const auto r = static_cast<std::size_t>(arg & 0xff);
+    trace_.push_back(static_cast<int>(arg));
+    // A new reception at r aborts the one in progress, now and then.
+    if (rng_.chance(0.2)) ends_[r].cancel();
+    if (useRuns_) {
+      ends_[r] = simulator_.scheduleInRun(frames_[arg >> 8].endRun, kAirtime,
+                                          &end, this, arg, "test/end");
+    } else {
+      ends_[r] = simulator_.schedule(kAirtime, [this, arg] { onEnd(arg); },
+                                     "test/end");
+    }
+  }
+
+  void onEnd(std::uint64_t arg) {
+    const auto r = static_cast<std::size_t>(arg & 0xff);
+    trace_.push_back(-static_cast<int>(arg));
+    trace_.push_back(ends_[r].pending() ? 1 : 0);  // true while it runs
+    const auto other =
+        static_cast<std::size_t>(rng_.uniformInt(0, kReceivers - 1));
+    const double dice = rng_.uniform(0.0, 1.0);
+    if (dice < 0.15) {
+      ends_[other].cancel();  // queued, executing, or already retired
+    } else if (dice < 0.2) {
+      ends_[r].cancel();  // the executing item itself
+    }
+    trace_.push_back(ends_[other].pending() ? 1 : 0);
+    if (dice > 0.6) {
+      simulator_.schedule(0.25 * rng_.uniformInt(0, 4),
+                          [this] { transmit(); }, "test/tx");
+    }
+  }
+
+  static constexpr Time kAirtime = 1.0;  // longer than any delay spread
+
+  Simulator simulator_;
+  RngStream rng_;
+  bool useRuns_;
+  std::vector<Frame> frames_;
+  EventHandle ends_[kReceivers];
+  std::vector<int> trace_;
+};
+
+class ReceptionRunParity : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(ReceptionRunParity, MatchesPerEventScheduling) {
+  ReceptionScript runs(GetParam(), true);
+  ReceptionScript perEvent(GetParam(), false);
+  EXPECT_GT(runs.simulator().eventsExecuted(), 5000u);
+  EXPECT_EQ(runs.trace(), perEvent.trace());
+  EXPECT_EQ(runs.simulator().eventsExecuted(),
+            perEvent.simulator().eventsExecuted());
+  EXPECT_EQ(runs.simulator().reservedSequences(),
+            perEvent.simulator().reservedSequences());
+  EXPECT_EQ(runs.simulator().queueDepth(),
+            perEvent.simulator().queueDepth());
+  EXPECT_EQ(runs.simulator().peakQueueDepth(),
+            perEvent.simulator().peakQueueDepth());
+  EXPECT_EQ(runs.outstandingPayloadRefs(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ReceptionRunParity,
+                         ::testing::Values(Engine::kSerial, Engine::kSharded,
+                                           Engine::kPerturbed));
+
+// The sequenced 2-shard engine expands runs into single events and still
+// commits the serial order; perturbation really reorders the script, so
+// its parity above is not vacuous; and on the serial queue runs take far
+// fewer slab slots than one slot per event.
+TEST(ReceptionRunParity, EnginesAgreeAndRunsSaveSlots) {
+  ReceptionScript serial(Engine::kSerial, true);
+  ReceptionScript sharded(Engine::kSharded, true);
+  ReceptionScript perturbed(Engine::kPerturbed, true);
+  ReceptionScript perEvent(Engine::kSerial, false);
+  EXPECT_EQ(serial.trace(), sharded.trace());
+  EXPECT_NE(serial.trace(), perturbed.trace());
+  EXPECT_LT(2 * serial.simulator().slabSlotsTotal(),
+            perEvent.simulator().slabSlotsTotal());
 }
 
 // --- RNG ------------------------------------------------------------------

@@ -102,12 +102,84 @@ TEST(Cli, UnknownFlagExitsTwoWithUsage) {
 }
 
 TEST(Flags, BoolParsing) {
-  Flags flags = parse({"--a=true", "--b=0", "--c=yes", "--d=nope"},
+  Flags flags = parse({"--a=true", "--b=0", "--c=yes", "--d=no"},
                       {"a", "b", "c", "d"});
   EXPECT_TRUE(flags.getBool("a", false));
   EXPECT_FALSE(flags.getBool("b", true));
   EXPECT_TRUE(flags.getBool("c", false));
   EXPECT_FALSE(flags.getBool("d", true));
+}
+
+// A value that is not wholly a number or a boolean is an error naming the
+// flag — never a partial read ("12abc" as 12) or a silent false.
+TEST(Flags, MalformedValuesThrowNamingTheFlag) {
+  Flags flags = parse({"--hosts=abc", "--seed=12abc", "--speed=1.5x",
+                       "--duration=", "--profile=flase", "--big=99999999999",
+                       "--pps=nan"},
+                      {"hosts", "seed", "speed", "duration", "profile", "big",
+                       "pps"});
+  auto message = [](auto&& read) -> std::string {
+    try {
+      read();
+    } catch (const FlagError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([&] { (void)flags.getInt("hosts", 0); }),
+            "--hosts: expected an integer, got 'abc'");
+  EXPECT_EQ(message([&] { (void)flags.getInt("seed", 0); }),
+            "--seed: expected an integer, got '12abc'");
+  EXPECT_EQ(message([&] { (void)flags.getInt("big", 0); }),
+            "--big: expected an integer, got '99999999999'");
+  EXPECT_EQ(message([&] { (void)flags.getDouble("speed", 0.0); }),
+            "--speed: expected a number, got '1.5x'");
+  EXPECT_EQ(message([&] { (void)flags.getDouble("duration", 0.0); }),
+            "--duration: expected a number, got ''");
+  EXPECT_EQ(message([&] { (void)flags.getDouble("pps", 0.0); }),
+            "--pps: expected a number, got 'nan'");
+  EXPECT_EQ(message([&] { (void)flags.getBool("profile", false); }),
+            "--profile: expected true/false, 1/0 or yes/no, got 'flase'");
+  // Well-formed values of every kind still read.
+  Flags good = parse({"--n=-3", "--x=2e-3", "--b=false"}, {"n", "x", "b"});
+  EXPECT_EQ(good.getInt("n", 0), -3);
+  EXPECT_DOUBLE_EQ(good.getDouble("x", 0.0), 2e-3);
+  EXPECT_FALSE(good.getBool("b", true));
+}
+
+// The real binaries turn malformed values and invalid scenarios into a
+// message and exit 2, not std::terminate (exit 134).
+TEST(Cli, MalformedValueExitsTwoWithUsage) {
+  const std::string quickstart = ECGRID_QUICKSTART_BIN;
+  const std::string campaign = ECGRID_CAMPAIGN_BIN;
+  const struct {
+    std::string command;
+    const char* error;
+  } cases[] = {
+      {quickstart + " --hosts abc", "--hosts: expected an integer, got 'abc'"},
+      {quickstart + " --hosts 12abc",
+       "--hosts: expected an integer, got '12abc'"},
+      {quickstart + " --profile=flase",
+       "--profile: expected true/false, 1/0 or yes/no, got 'flase'"},
+      {campaign + " --spec=x.json --results=y.jsonl --jobs=two",
+       "--jobs: expected an integer, got 'two'"},
+  };
+  for (const auto& c : cases) {
+    std::string output;
+    EXPECT_EQ(runCommand(c.command, output), 2) << c.command << ": " << output;
+    EXPECT_NE(output.find(c.error), std::string::npos) << output;
+    EXPECT_NE(output.find("usage: "), std::string::npos) << output;
+  }
+}
+
+TEST(Cli, InvalidScenarioExitsTwo) {
+  std::string output;
+  EXPECT_EQ(runCommand(std::string(ECGRID_QUICKSTART_BIN) + " --duration 1",
+                       output),
+            2)
+      << output;
+  EXPECT_NE(output.find("flow window is empty"), std::string::npos) << output;
+  EXPECT_EQ(output.find("usage: "), std::string::npos) << output;
 }
 
 TEST(Contracts, RequireThrowsInvalidArgument) {

@@ -357,6 +357,8 @@ int main(int argc, char** argv) {
                 << " total)\n";
     }
     return 0;
+  } catch (const ecgrid::util::FlagError& e) {
+    return ecgrid::util::Flags::exitCodeFor(argv[0], e);
   } catch (const std::exception& e) {
     std::cerr << "ecgrid-campaign: " << e.what() << '\n';
     return 1;
