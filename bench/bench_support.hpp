@@ -10,18 +10,14 @@
 //   ECGRID_BENCH_JOBS=N     — worker threads for independent runs (default
 //                             1 = serial; results are identical either way)
 //   ECGRID_BENCH_HORIZON=S  — cap every run's duration at S seconds (CI
-//                             smoke under slow sanitizers)
-//   ECGRID_BENCH_SHARDS=N   — run every scenario on the sharded event
-//                             engine with N spatial shards (default 1 =
-//                             serial oracle). Figure numbers are
-//                             byte-identical at any value — the sharded
-//                             engine commits the identical event order
-//                             (tests/sharded_test.cpp) — so this only
-//                             changes engine mechanics and the profile.*
-//                             attribution.
+//                             smoke under slow sanitizers; 0 = no cap)
 //   ECGRID_BENCH_OUT=DIR    — write artifacts to DIR instead of bench_out/
 //                             (CI scratch runs; keeps committed records
 //                             untouched)
+// An empty knob counts as unset. A malformed numeric knob
+// (ECGRID_BENCH_JOBS=two, ECGRID_BENCH_SEEDS=3abc) ends the bench with exit
+// code 2 and a message naming the variable, rather than silently running a
+// different experiment.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +35,7 @@
 #include "harness/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "stats/timeseries.hpp"
+#include "util/flags.hpp"
 
 namespace ecgrid::bench {
 
@@ -46,44 +44,53 @@ inline bool quickMode() {
   return env != nullptr && std::string(env) != "0";
 }
 
-inline int seedCount(int fallback) {
-  const char* env = std::getenv("ECGRID_BENCH_SEEDS");
+/// Ends the bench on a malformed environment knob: exit code 2 and a
+/// message naming the variable and what it expects.
+[[noreturn]] inline void rejectEnv(const char* name, const char* value,
+                                   const char* expected) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, value);
+  std::exit(2);
+}
+
+/// Environment knob `name`, or nullptr when it is unset or empty.
+inline const char* envKnob(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && *env != '\0' ? env : nullptr;
+}
+
+/// Environment knob `name` as a positive integer; `fallback` when unset.
+/// The whole value must parse (util::parseInt, the flag parser's rule).
+inline int positiveEnvInt(const char* name, int fallback) {
+  const char* env = envKnob(name);
   if (env == nullptr) return fallback;
-  int n = std::atoi(env);
-  return n > 0 ? n : fallback;
+  const std::optional<int> n = util::parseInt(env);
+  if (!n || *n <= 0) rejectEnv(name, env, "a positive integer");
+  return *n;
+}
+
+inline int seedCount(int fallback) {
+  return positiveEnvInt("ECGRID_BENCH_SEEDS", fallback);
 }
 
 /// Worker threads for runScenariosParallel. Default 1 (serial).
 inline unsigned benchJobs() {
-  const char* env = std::getenv("ECGRID_BENCH_JOBS");
-  if (env == nullptr) return 1;
-  int n = std::atoi(env);
-  return n > 0 ? static_cast<unsigned>(n) : 1u;
+  return static_cast<unsigned>(positiveEnvInt("ECGRID_BENCH_JOBS", 1));
 }
 
 /// Optional hard cap on run duration (seconds), for CI smoke runs under
 /// sanitizers where even quick-mode horizons are too slow. 0 = no cap.
 inline double horizonCap() {
-  const char* env = std::getenv("ECGRID_BENCH_HORIZON");
+  const char* env = envKnob("ECGRID_BENCH_HORIZON");
   if (env == nullptr) return 0.0;
-  double s = std::atof(env);
-  return s > 0.0 ? s : 0.0;
+  const std::optional<double> s = util::parseNumber(env);
+  if (!s || *s < 0.0) rejectEnv("ECGRID_BENCH_HORIZON", env, "seconds >= 0");
+  return *s;
 }
 
 /// Apply the ECGRID_BENCH_HORIZON cap to one config.
 inline void applyHorizonCap(harness::ScenarioConfig& config) {
   double cap = horizonCap();
   if (cap > 0.0 && config.duration > cap) config.duration = cap;
-}
-
-/// Event-engine shard count for every bench scenario (ECGRID_BENCH_SHARDS,
-/// default 1 = the serial oracle). Applied by paperBaseline(), so every
-/// figure bench honours it without per-bench wiring.
-inline int benchShards() {
-  const char* env = std::getenv("ECGRID_BENCH_SHARDS");
-  if (env == nullptr) return 1;
-  int n = std::atoi(env);
-  return n > 0 ? n : 1;
 }
 
 /// Wall-clock stopwatch for the whole bench. Wall time never feeds the
@@ -114,7 +121,6 @@ inline harness::ScenarioConfig paperBaseline() {
   config.maxSpeed = 1.0;
   config.pauseTime = 0.0;
   config.duration = 2000.0;
-  config.shards = benchShards();
   return config;
 }
 

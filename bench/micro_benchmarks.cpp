@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "sim/sharded/engine.hpp"
 #include "energy/battery.hpp"
 #include "geo/grid.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -239,75 +238,6 @@ BENCHMARK(BM_ChannelFanOut)
     ->Args({100, 1})
     ->Args({100, 0})
     ->UseManualTime();
-
-// Cost of a boundary event's shard handoff: post into an edge mailbox,
-// drain the mailbox into the destination shard's queue, pop and recycle.
-// This is the sharded engine's analogue of BM_EventQueuePushPop and
-// bounds how much cross-stripe phy/paging traffic costs per frame.
-void BM_ShardHandoff(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  sim::sharded::EdgeMailbox mailbox;
-  sim::sharded::ShardQueue queue;
-  std::uint64_t fired = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      sim::sharded::EventKey key;
-      key.time = static_cast<double>((i * 7919) % batch);
-      key.tieKey = static_cast<std::uint64_t>(i);
-      key.sequence = static_cast<std::uint64_t>(i);
-      mailbox.post(key, sim::sharded::InlineTask([&fired] { ++fired; }),
-                   "bench/handoff", sim::kTimeZero);
-    }
-    mailbox.drainInto(queue);
-    double time = 0.0;
-    sim::sharded::InlineTask task;
-    const char* label = nullptr;
-    while (queue.popFront(time, task, label)) {
-      task();
-      task.reset();
-      queue.finishExecuting();
-    }
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_ShardHandoff)->Arg(64)->Arg(4096);
-
-// Cost of one conservative window: per-shard standing timers that only
-// repost locally, so every window executes a handful of events and the
-// measured time is dominated by the window loop's floor computation,
-// mailbox sweep, and (workers > 1) the thread-pool barrier.
-void BM_ShardWindowBarrier(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  sim::sharded::ShardedEngineConfig config;
-  config.shards = shards;
-  config.lookaheadSeconds = 1e-3;
-  sim::sharded::ShardedEngine engine(config);
-  struct Timer {
-    sim::sharded::ShardedEngine::ShardContext* context;
-    void operator()() {
-      context->postLocal(1e-3, sim::sharded::InlineTask(*this));
-    }
-  };
-  for (int s = 0; s < shards; ++s) {
-    Timer timer{&engine.shardContext(s)};
-    engine.seedWindowed(s, 1e-3, sim::sharded::InlineTask(timer));
-  }
-  double until = 0.0;
-  std::uint64_t windows = 0;
-  for (auto _ : state) {
-    until += 1.0;  // ~1000 windows per iteration at 1 ms lookahead
-    windows += engine.runWindowed(workers, until).windows;
-  }
-  benchmark::DoNotOptimize(windows);
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ShardWindowBarrier)
-    ->ArgNames({"shards", "workers"})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4});
 
 void BM_BatteryIntegration(benchmark::State& state) {
   energy::Battery battery(1e12);

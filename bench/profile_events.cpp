@@ -13,22 +13,14 @@
 // queue_depth_<protocol>_{min,mean,max} envelope series (x = sim time,
 // y = queue size, downsampled to ~256 buckets).
 //
-// Two shard-scaling sections follow the per-protocol profiles:
-//   * scenario scaling — the profiled ECGRID scenario at 1 vs N shards
-//     (ECGRID_BENCH_SHARDS, default 4). Sequenced mode commits the
-//     identical global event order, so this is expected to sit near
-//     1.0×: it reports the engine's bookkeeping overhead and the
-//     per-shard wall attribution (profile.shards.*), not a speedup.
-//   * dispatch scaling — a pure event-dispatch workload (self-
-//     rescheduling timers, no protocol work) on the serial queue vs
-//     the windowed sharded engine. The serial queue is measured twice:
-//     with its InlineTask slots and with every closure boxed in a
-//     std::function first — the pre-PR-9 storage strategy — so
-//     `dispatch.serial_inline_speedup` reports what moving the serial
-//     engine onto inline slots bought. Sharding then pays on top:
-//     each shard's heap is smaller and cache-resident. The headline
-//     `dispatch.speedup_shards4` metric is the sharding PR's >= 2x
-//     gate.
+// Two throughput sections follow the per-protocol profiles:
+//   * scenario throughput — the profiled ECGRID scenario, timed twice;
+//     `scenario.serial.events_per_s` is the mean of the two rates.
+//   * dispatch throughput — a pure event-dispatch workload (self-
+//     rescheduling timers, no protocol work) on the event queue, measured
+//     twice: with its InlineTask slots and with every closure boxed in a
+//     std::function first, so `dispatch.serial_inline_speedup` reports
+//     what the inline slots buy.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -37,12 +29,10 @@
 
 #include "bench_support.hpp"
 #include "sim/event.hpp"
-#include "sim/sharded/engine.hpp"
-#include "sim/sharded/lookahead.hpp"
 
 namespace {
 
-/// The hot-path closure the engines really carry: phy/deliver captures a
+/// A closure the size of a per-receiver delivery: it captures a
 /// receiver pointer, a ~48-byte packet, and a duration — well past
 /// std::function's 16-byte small-buffer optimisation, so the serial
 /// queue pays one malloc/free per delivered event. InlineTask's 96-byte
@@ -56,15 +46,12 @@ struct DeliveryPayload {
 };
 
 /// Standing event population for the dispatch workloads. Sized at the
-/// city-scale regime the sharding targets: a dense scenario keeps tens
-/// of thousands of timers pending, so the serial binary heap is ~17
-/// levels deep and spills L2, while a 4-shard split both shortens each
-/// heap and keeps it cache-resident — that locality, plus the inline
-/// task slots, is where the measured speedup comes from.
+/// city-scale regime: a dense scenario keeps tens of thousands of timers
+/// pending, so the binary heap is ~17 levels deep and spills L2.
 constexpr int kStanding = 100'000;
 
-/// Serial dispatch baseline: a standing population of self-rescheduling
-/// timers on the serial EventQueue, closures held in the queue's
+/// Dispatch baseline: a standing population of self-rescheduling
+/// timers on the EventQueue, closures held in the queue's
 /// InlineTask slots — the same regime BM_EventQueueChurn measures, sized
 /// here in events per wall second.
 double serialDispatchEventsPerSecond(std::uint64_t events) {
@@ -91,11 +78,10 @@ double serialDispatchEventsPerSecond(std::uint64_t events) {
   return events / timer.seconds();
 }
 
-/// The same workload under the pre-PR-9 storage strategy: every closure
-/// boxed in a std::function before scheduling. The payload exceeds
-/// std::function's small-buffer optimisation, so each push pays one heap
-/// allocation and each execution one free — exactly what the serial
-/// queue paid per delivered event before its slots moved to InlineTask.
+/// The same workload with every closure boxed in a std::function before
+/// scheduling. The payload exceeds std::function's small-buffer
+/// optimisation, so each push pays one heap allocation and each
+/// execution one free.
 /// The delta against serialDispatchEventsPerSecond isolates the boxing
 /// cost; everything else (heap discipline, slab recycling, payload
 /// size) is identical.
@@ -125,63 +111,6 @@ double serialStdFunctionDispatchEventsPerSecond(std::uint64_t events) {
     boxedPush(now + rng.uniform(0.0, 1.0));
   }
   return events / timer.seconds();
-}
-
-/// Sharded windowed dispatch: the same standing-timer workload spread
-/// over `shards` stripes, self-rescheduling through InlineTask slots
-/// with occasional cross-shard hops at the conservative lookahead.
-double windowedDispatchEventsPerSecond(int shards, std::uint64_t events) {
-  using namespace ecgrid;
-  using sim::sharded::InlineTask;
-  sim::sharded::ShardedEngineConfig config;
-  config.shards = shards;
-  config.lookaheadSeconds = sim::sharded::conservativeLookahead(
-      0.0, 3e8, 192e-6, 40, 2e6);
-  sim::sharded::ShardedEngine engine(config);
-
-  struct Timer {
-    sim::sharded::ShardedEngine* engine;
-    sim::sharded::ShardedEngine::ShardContext* context;
-    std::uint64_t rng;
-    DeliveryPayload payload;
-    void operator()() {
-      payload.duration += 1.0;
-      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-      const double lookahead = engine->lookaheadSeconds();
-      if (rng % 16 == 0 && engine->shardCount() > 1) {
-        const int target =
-            (context->shard() + 1) % engine->shardCount();
-        Timer next = *this;
-        next.context = &engine->shardContext(target);
-        context->postRemote(target, lookahead * (1.0 + (rng % 7)),
-                            InlineTask(next), "dispatch/hop");
-      } else {
-        context->postLocal(lookahead * 0.25 * (1 + (rng % 5)),
-                           InlineTask(*this), "dispatch/tick");
-      }
-    }
-  };
-  static_assert(sizeof(Timer) <= InlineTask::kInlineBytes);
-
-  // Seed the whole standing population inside the first lookahead
-  // window so it is live from the start.
-  for (int i = 0; i < kStanding; ++i) {
-    const int shard = i % shards;
-    Timer timer{&engine, &engine.shardContext(shard),
-                0x9e3779b97f4a7c15ULL * (i + 1), DeliveryPayload{}};
-    engine.seedWindowed(
-        shard, config.lookaheadSeconds * static_cast<double>(i) / kStanding,
-        InlineTask(timer), "dispatch/seed");
-  }
-  // The timers live forever; bound the run by simulated horizon sized
-  // so the executed-event count lands near `events` (each timer fires
-  // roughly every 0.75 * lookahead across the mix of delays).
-  const double horizon =
-      config.lookaheadSeconds *
-      (1.0 + 0.75 * static_cast<double>(events) / kStanding);
-  bench::WallTimer timer;
-  const sim::sharded::WindowedStats stats = engine.runWindowed(1, horizon);
-  return stats.eventsExecuted / timer.seconds();
 }
 
 }  // namespace
@@ -263,79 +192,45 @@ int main() {
                                                result.queueDepthSamples));
   }
 
-  // --- Scenario shard scaling -------------------------------------------
-  // The profiled ECGRID scenario, serial vs sharded. Sequenced mode
-  // executes the identical event schedule (the parity tests prove it),
-  // so events/s here measures engine overhead, and the sharded run's
-  // snapshot carries the per-shard wall attribution (profile.shards.*).
+  // --- Scenario throughput ---------------------------------------------
+  // The profiled ECGRID scenario, timed twice: the wall rate is noisy,
+  // the event schedule is not.
   {
-    const int shards = std::max(4, bench::benchShards());
-    std::printf("\nScenario shard scaling (sequenced; identical schedule, "
-                "1 vs %d shards):\n", shards);
+    std::printf("\nScenario throughput (profiled ECGRID, two runs):\n");
     harness::ScenarioConfig config = bench::paperBaseline();
     config.protocol = ProtocolKind::kEcgrid;
     config.duration = bench::quickMode() ? 60.0 : 300.0;
     config.profileSimulator = true;
     bench::applyHorizonCap(config);
-    config.shards = 1;
-    bench::WallTimer serialTimer;
-    const harness::ScenarioResult serial = harness::runScenario(config);
-    const double serialWall = serialTimer.seconds();
-    config.shards = shards;
-    bench::WallTimer shardedTimer;
-    const harness::ScenarioResult sharded = harness::runScenario(config);
-    const double shardedWall = shardedTimer.seconds();
-    report.addRun(serial);
-    report.addRun(sharded);
-    const double serialRate = serial.eventsExecuted / serialWall;
-    const double shardedRate = sharded.eventsExecuted / shardedWall;
-    std::printf("  serial       %10.0f events/s\n", serialRate);
-    std::printf("  %d shards     %10.0f events/s  (%.2fx; %llu boundary "
-                "events, %llu migrations)\n",
-                shards, shardedRate, shardedRate / serialRate,
-                static_cast<unsigned long long>(sharded.crossShardEvents),
-                static_cast<unsigned long long>(sharded.shardMigrations));
-    report.addMetric("scenario.serial.events_per_s", serialRate);
-    report.addMetric("scenario.sharded.events_per_s", shardedRate);
-    report.addMetric("scenario.sharded.shards", shards);
-    report.addMetric("scenario.sharded.cross_shard_events",
-                     static_cast<double>(sharded.crossShardEvents));
-    report.addMetric("scenario.sharded.migrations",
-                     static_cast<double>(sharded.shardMigrations));
-    report.addScenarioMetrics("ecgrid_sharded", sharded.metrics);
+    double rateSum = 0.0;
+    for (int repetition = 0; repetition < 2; ++repetition) {
+      bench::WallTimer runTimer;
+      const harness::ScenarioResult result = harness::runScenario(config);
+      const double rate = result.eventsExecuted / runTimer.seconds();
+      report.addRun(result);
+      rateSum += rate;
+      std::printf("  run %d  %10.0f events/s\n", repetition + 1, rate);
+    }
+    report.addMetric("scenario.serial.events_per_s", rateSum / 2.0);
   }
 
-  // --- Dispatch shard scaling -------------------------------------------
-  // Pure event-dispatch throughput: the serial queue (InlineTask slots,
-  // with the pre-PR-9 std::function-boxed strategy alongside for the
-  // storage-migration delta) vs the windowed sharded engine at 1/2/4/8
-  // shards. The >= 2x acceptance gate lives on dispatch.speedup_shards4.
+  // --- Dispatch throughput ----------------------------------------------
+  // Pure event-dispatch throughput of the queue, with InlineTask slots
+  // and with the std::function-boxed strategy alongside.
   {
     const std::uint64_t events = bench::quickMode() ? 400'000 : 4'000'000;
-    std::printf("\nDispatch shard scaling (%llu events, standing timers):\n",
+    std::printf("\nDispatch throughput (%llu events, standing timers):\n",
                 static_cast<unsigned long long>(events));
     const double boxedRate = serialStdFunctionDispatchEventsPerSecond(events);
     const double serialRate = serialDispatchEventsPerSecond(events);
-    std::printf("  serial boxed %10.0f events/s  (std::function per event)\n",
+    std::printf("  boxed        %10.0f events/s  (std::function per event)\n",
                 boxedRate);
-    std::printf("  serial queue %10.0f events/s  (InlineTask slots, %.2fx "
+    std::printf("  inline       %10.0f events/s  (InlineTask slots, %.2fx "
                 "boxed)\n",
                 serialRate, serialRate / boxedRate);
     report.addMetric("dispatch.serial_stdfunction.events_per_s", boxedRate);
     report.addMetric("dispatch.serial.events_per_s", serialRate);
     report.addMetric("dispatch.serial_inline_speedup", serialRate / boxedRate);
-    double rate4 = 0.0;
-    for (int shards : {1, 2, 4, 8}) {
-      const double rate = windowedDispatchEventsPerSecond(shards, events);
-      if (shards == 4) rate4 = rate;
-      std::printf("  %d shard(s)   %10.0f events/s  (%.2fx serial)\n",
-                  shards, rate, rate / serialRate);
-      char name[48];
-      std::snprintf(name, sizeof name, "dispatch.shards%d.events_per_s",
-                    shards);
-      report.addMetric(name, rate);
-    }
-    report.addMetric("dispatch.speedup_shards4", rate4 / serialRate);
   }
 
   report.write(timer.seconds());

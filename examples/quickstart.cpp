@@ -1,7 +1,7 @@
 // Quickstart: run one ECGRID scenario and print the headline numbers.
 //
 //   $ ./quickstart [--protocol ECGRID|GRID|GAF|FLOOD] [--hosts N]
-//                  [--speed M/S] [--duration S] [--seed N] [--shards N]
+//                  [--speed M/S] [--duration S] [--seed N]
 //                  [--trace-events PATH] [--telemetry PATH] [--profile]
 //                  [--log SPEC]
 //
@@ -30,7 +30,7 @@ int main(int argc, char** argv) try {
       argc, argv,
       {"protocol", "hosts", "speed", "duration", "seed", "flows", "pps",
        "latency-percentiles", "trace-events", "telemetry", "telemetry-every",
-       "shards", "profile", "log"},
+       "profile", "log"},
       "usage: quickstart [flags]\n"
       "Run one scenario (default ECGRID, 100 hosts, 600 s) and print the "
       "headline numbers.");
@@ -53,7 +53,6 @@ int main(int argc, char** argv) try {
   config.telemetryPath = flags.getString("telemetry", "");
   config.telemetryEveryEvents =
       static_cast<std::uint64_t>(flags.getInt("telemetry-every", 16384));
-  config.shards = flags.getInt("shards", 1);
   config.profileSimulator = flags.getBool("profile", false);
   if (flags.has("log")) {
     util::Logger::configure(flags.getString("log", "info"));

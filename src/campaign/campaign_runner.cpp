@@ -113,8 +113,8 @@ void writeStatus(const CampaignOptions& options, const std::string& name,
 }
 
 /// Deterministic telemetry roll-up for one record. Every field is a pure
-/// function of (overrides, seed) — peak depths, slab size, per-shard
-/// balance, events per SIM second — never of wall time, preserving the
+/// function of (overrides, seed) — peak depths, slab size, events per
+/// SIM second — never of wall time, preserving the
 /// byte-exact resume-equality contract. Wall-side health (events per
 /// wall second, ETA, stragglers) lives in the ephemeral status file.
 util::JsonObject telemetryToJson(const harness::ScenarioResult& result,
@@ -126,9 +126,6 @@ util::JsonObject telemetryToJson(const harness::ScenarioResult& result,
       simDuration > 0.0
           ? static_cast<double>(result.eventsExecuted) / simDuration
           : 0.0;
-  telemetry["shardImbalance"] = result.shardImbalance;
-  telemetry["windowStalls"] = static_cast<double>(result.shardWindowStalls);
-  telemetry["crossShardEvents"] = static_cast<double>(result.crossShardEvents);
   return telemetry;
 }
 

@@ -62,10 +62,8 @@ void FaultInjector::armCrashes() {
     ECGRID_REQUIRE(node != nullptr, "scripted crash names an unknown host");
     ECGRID_REQUIRE(e.at >= sim_.now(), "scripted crash is in the past");
     ECGRID_REQUIRE(e.restartAt > e.at, "restart must follow the crash");
-    // Host-directed intervention: route to the victim's shard so the
-    // crash executes in its owner's context under the sharded engine.
-    sim_.scheduleFor(
-        sim::hostEventKey(e.host), e.at - sim_.now(),
+    sim_.schedule(
+        e.at - sim_.now(),
         [this, node, restartAt = e.restartAt] {
           crashNow(*node, restartAt, /*poisson=*/false);
         },
@@ -86,11 +84,8 @@ void FaultInjector::armGps() {
                      plan_.gps.driftPeriodSeconds > 0.0,
                  "GPS drift needs a positive period");
   // Offsets apply through a t = 0 event so protocols are started before
-  // any onCellChanged fires.
-  // Injector-owned sweep over every host, not a host-directed delivery:
-  // it legitimately runs in the hub context (the per-host work happens
-  // through Node's own entry points).
-  // ecgrid-lint: allow(shard-mailbox-bypass)
+  // any onCellChanged fires. One injector-owned sweep over every host;
+  // the per-host work goes through Node's own entry points.
   sim_.schedule(0.0, [this] {
     for (auto& nodePtr : network_.nodes()) {
       if (!faultEligible(*nodePtr)) continue;
@@ -99,8 +94,6 @@ void FaultInjector::armGps() {
       nodePtr->setGpsError(error);
     }
     if (plan_.gps.driftStddevMeters > 0.0) {
-      // Hub-owned periodic sweep (see armGps).
-      // ecgrid-lint: allow(shard-mailbox-bypass)
       sim_.schedule(plan_.gps.driftPeriodSeconds, [this] { gpsDriftTick(); },
                     "fault/gps_drift");
     }
@@ -117,8 +110,6 @@ void FaultInjector::gpsDriftTick() {
     error.y += gpsRng_.gaussian(0.0, plan_.gps.driftStddevMeters);
     nodePtr->setGpsError(error);
   }
-  // Hub-owned periodic sweep (see armGps).
-  // ecgrid-lint: allow(shard-mailbox-bypass)
   sim_.schedule(plan_.gps.driftPeriodSeconds, [this] { gpsDriftTick(); },
                 "fault/gps_drift");
 }
@@ -127,10 +118,8 @@ void FaultInjector::schedulePoissonCrash(net::Node& node) {
   poissonPending_.insert(node.id());
   sim::Time dt =
       crashRng_.exponential(1.0 / plan_.hosts.crashRatePerHostPerSecond);
-  // Host-directed intervention: route to the victim's shard (see
-  // armCrashes).
-  sim_.scheduleFor(
-      sim::hostEventKey(node.id()), dt,
+  sim_.schedule(
+      dt,
       [this, &node] {
         // Clear the pending marker even when the crash no-ops on an
         // already-down host: the next restart (whatever revives the host)
@@ -151,10 +140,8 @@ void FaultInjector::crashNow(net::Node& node, sim::Time restartAt,
         sim_.now() + crashRng_.exponential(plan_.hosts.meanDowntimeSeconds);
   }
   if (restartAt < sim::kTimeNever) {
-    // Host-directed intervention: route to the victim's shard (see
-    // armCrashes).
-    sim_.scheduleFor(sim::hostEventKey(node.id()), restartAt - sim_.now(),
-                     [this, &node] { restartNow(node); }, "fault/restart");
+    sim_.schedule(restartAt - sim_.now(), [this, &node] { restartNow(node); },
+                  "fault/restart");
   }
 }
 

@@ -18,20 +18,12 @@ std::string metricLabel(const std::string& label) {
 
 void SimProfiler::onEvent(const char* label, double wallSeconds,
                           sim::Time simTime, std::uint64_t eventsExecuted,
-                          std::size_t queueSize, int shard) {
+                          std::size_t queueSize) {
   ++events_;
   totalWall_ += wallSeconds;
   LabelStats& stats = byPointer_[label == nullptr ? kUnlabeled : label];
   ++stats.count;
   stats.wallSeconds += wallSeconds;
-  if (shard >= 0) {
-    if (static_cast<std::size_t>(shard) >= byShard_.size()) {
-      byShard_.resize(static_cast<std::size_t>(shard) + 1);
-    }
-    LabelStats& shardStats = byShard_[static_cast<std::size_t>(shard)];
-    ++shardStats.count;
-    shardStats.wallSeconds += wallSeconds;
-  }
   if (queueSampleEvery_ > 0 && eventsExecuted % queueSampleEvery_ == 0) {
     queueDepth_.emplace_back(simTime, static_cast<double>(queueSize));
   }
@@ -55,12 +47,6 @@ void SimProfiler::mergeInto(MetricsRegistry& metrics) const {
     const std::string base = "profile.events." + metricLabel(label);
     metrics.counter(base + ".count").add(stats.count);
     metrics.gauge(base + ".wall_s").set(stats.wallSeconds);
-  }
-  for (std::size_t shard = 0; shard < byShard_.size(); ++shard) {
-    const std::string base =
-        "profile.shards." + std::to_string(shard);
-    metrics.counter(base + ".count").add(byShard_[shard].count);
-    metrics.gauge(base + ".wall_s").set(byShard_[shard].wallSeconds);
   }
   metrics.counter("profile.events_total").add(events_);
   metrics.gauge("profile.wall_s_total").set(totalWall_);

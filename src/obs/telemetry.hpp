@@ -10,14 +10,12 @@
 //   {"kind":"sample","seq":1,"events":16384,"sim_t":4.012345,
 //    "wall_s":0.031922,"events_per_wall_s":513258.1,"sim_per_wall":125.7,
 //    "queue_depth":412,"peak_queue_depth":498,"slab_slots":512,
-//    "alloc_phase":"steady","alloc_count":0,"alloc_hot":0,
-//    "shards":4,"shard_committed":[5122,3810,3800,3652],
-//    "shard_imbalance":1.25,"window_stalls":0,"cross_shard":118}
+//    "alloc_phase":"steady","alloc_count":0,"alloc_hot":0}
 //   {"kind":"summary","samples":12,"events":196608,...}
 //
 // Sampling is driven by committed-event count (the harness periodic
 // hook), never by wall time — so WHICH samples exist, and every
-// deterministic field in them (events, sim_t, depths, shard counts), is
+// deterministic field in them (events, sim_t, depths, slab slots), is
 // a pure function of the scenario, identical on any machine. Only the
 // wall_s / events_per_wall_s / sim_per_wall fields vary across hosts;
 // they are reporting-only, never fed back into the simulation, which is
@@ -28,14 +26,9 @@
 // only reads engine state — so a run with telemetry armed replays to
 // byte-identical state digests (gated in tests/telemetry_test.cpp).
 //
-// queue_depth is Simulator::queueDepth(): on the serial engine exactly the
-// queued events — each item of a run counted on its own — since cancel
-// removes an event at once; the sharded engine also counts cancelled
-// records it has not reclaimed yet.
-//
-// The serial-engine fields are always present; the shard fields
-// (shards/shard_committed/shard_imbalance/window_stalls/cross_shard)
-// appear only when the simulator runs the sharded engine.
+// queue_depth is Simulator::queueDepth(): exactly the queued events — each
+// item of a run counted on its own — since cancel removes an event at
+// once.
 #pragma once
 
 #include <cstdint>
@@ -59,19 +52,6 @@ struct AllocSample {
   std::uint64_t hotAllocations = 0;
 };
 using AllocSampler = std::function<AllocSample()>;
-
-/// Deterministic roll-up of one run's telemetry, for callers that fold
-/// health stats into records that must stay byte-reproducible (campaign
-/// JSONL): every field is a pure function of the event schedule.
-struct TelemetryRollup {
-  std::uint64_t samples = 0;
-  std::size_t peakQueueDepth = 0;
-  std::size_t slabSlots = 0;
-  /// max(per-shard committed) / mean(per-shard committed); 1.0 when
-  /// perfectly balanced or when running serial / a single shard.
-  double shardImbalance = 1.0;
-  std::uint64_t windowStalls = 0;
-};
 
 class ECGRID_DOMAIN_PER_SCENARIO RunTelemetry {
  public:
@@ -105,14 +85,9 @@ class ECGRID_DOMAIN_PER_SCENARIO RunTelemetry {
 
   [[nodiscard]] std::uint64_t samplesWritten() const { return samples_; }
 
-  /// Deterministic roll-up of everything sampled so far (see
-  /// TelemetryRollup). Valid before or after finish().
-  [[nodiscard]] TelemetryRollup rollup() const;
-
  private:
   /// Fields shared by sample and summary records: progress counters,
-  /// wall-side rates, depth/slab high-water, alloc-audit phase counts,
-  /// and the shard block when sharded.
+  /// wall-side rates, depth/slab high-water, alloc-audit phase counts.
   void writeHealthFields(double wallSeconds);
 
   sim::Simulator& sim_;

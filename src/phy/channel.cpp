@@ -150,23 +150,19 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
 }
 
 ECGRID_HOT_PATH void Channel::scheduleArrival(Arrival& arrival) {
-  // scheduleFor semantics, not schedule: the reception belongs to the
-  // receiver's host, which the sharded engine may own on the other side
-  // of a stripe edge (the frame-crossing-a-shard-boundary event).
   // A replayed arrival is the only one scheduled as a single event.
   Radio* receiver = arrival.radio;
-  const std::uint64_t host = sim::hostEventKey(receiver->id());
   if (arrival.decodable) {
-    sim_.scheduleReservedFor(
-        host, arrival.at, arrival.order,
+    sim_.scheduleReserved(
+        arrival.at, arrival.order,
         [receiver, frame = std::move(arrival.frame)]() mutable {
           receiver->beginReceive(std::move(frame));
         },
         "phy/deliver");
   } else {
     const sim::Time airtime = arrival.frame->airtime;
-    sim_.scheduleReservedFor(
-        host, arrival.at, arrival.order,
+    sim_.scheduleReserved(
+        arrival.at, arrival.order,
         [receiver, airtime] { receiver->beginInterference(airtime); },
         "phy/interference");
   }
@@ -237,9 +233,7 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
   std::sort(awake_.begin(), awake_.end(), sim::itemBefore);
   sim::RunCursor run;
   for (const sim::RunItem& item : awake_) {
-    const auto* receiver = static_cast<const Radio*>(item.object);
-    sim_.scheduleReservedInRunFor(run, sim::hostEventKey(receiver->id()),
-                                  item, frame.payload());
+    sim_.scheduleReservedInRun(run, item, frame.payload());
   }
 }
 

@@ -52,12 +52,10 @@ void PagingChannel::deliver(const Attachment& a,
   ++pagesDelivered_;
   mPagesDelivered_.add();
   // Copy the hook: the attachment vector may grow before the event fires.
-  // scheduleFor routes the signal to the paged host's shard (paging
-  // across shards is a boundary event under the sharded engine).
   auto hook = a.onPaged;
-  sim_.scheduleFor(
-      sim::hostEventKey(a.id), config_.latencySeconds,
-      [hook, signal] { hook(signal); }, "paging/deliver");
+  sim_.schedule(
+      config_.latencySeconds, [hook, signal] { hook(signal); },
+      "paging/deliver");
 }
 
 void PagingChannel::pageHost(net::NodeId pagedBy, const geo::Vec2& from,

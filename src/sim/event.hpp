@@ -59,9 +59,9 @@ namespace ecgrid::sim {
 class EventHandle;
 
 /// Backend interface behind EventHandle: anything owning pooled event
-/// slots addressed by (index, generation). The serial EventQueue and the
-/// sharded engine's per-shard queues (sim/sharded/shard_queue.hpp) both
-/// implement it, so a handle is oblivious to which engine minted it.
+/// slots addressed by (index, generation). The EventQueue implements it
+/// for its slots and for its run items, so a handle is oblivious to which
+/// kind of entry it names.
 class EventTarget {
  public:
   virtual ~EventTarget() = default;

@@ -26,13 +26,10 @@ class ExecutionProbe {
   /// static label, or nullptr for unlabeled events; `wallSeconds` is the
   /// callback's wall-clock cost; `queueSize` counts the events queued
   /// right after the event — run items included, cancelled events never
-  /// (the serial queue removes them at cancel), except on the sharded
-  /// engine, which still counts its not-yet-reclaimed cancellations;
-  /// `shard` is the executing shard under the sharded engine, 0 on the
-  /// serial engine.
+  /// (the queue removes them at cancel).
   virtual void onEvent(const char* label, double wallSeconds, Time simTime,
-                       std::uint64_t eventsExecuted, std::size_t queueSize,
-                       int shard) = 0;
+                       std::uint64_t eventsExecuted,
+                       std::size_t queueSize) = 0;
 };
 
 }  // namespace ecgrid::sim

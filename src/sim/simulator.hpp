@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/event.hpp"
@@ -35,22 +34,9 @@ namespace ecgrid::sim {
 
 class ExecutionProbe;
 
-namespace sharded {
-class ShardedEngine;
-struct ShardedEngineConfig;
-}  // namespace sharded
-
-/// Stable owner key for host-directed events (scheduleFor / the sharded
-/// engine's host registry), derived from a net::NodeId without the sim
-/// layer depending on net/.
-constexpr std::uint64_t hostEventKey(std::int32_t hostId) {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hostId));
-}
-
 class ECGRID_DOMAIN_PER_SCENARIO Simulator {
  public:
   explicit Simulator(std::uint64_t masterSeed = 1);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -83,30 +69,12 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
     return scheduleTaskAt(when, InlineTask(std::forward<F>(action)), label);
   }
 
-  /// Schedule `action` on behalf of host `ownerKey` (hostEventKey of its
-  /// node id) — the boundary-crossing entry point for shared-medium
-  /// deliveries (phy::Channel, phy::PagingChannel). On the serial engine
-  /// this is exactly schedule(); on the sharded engine the event is
-  /// routed to the shard owning that host, crossing an edge mailbox when
-  /// the sender executes elsewhere. Cross-shard deliveries are fire-and-
-  /// forget: the returned handle is inert for them (every call site
-  /// discards it).
-  template <class F>
-  ECGRID_HOT_PATH EventHandle scheduleFor(std::uint64_t ownerKey, Time delay,
-                                          F&& action,
-                                          const char* label = nullptr) {
-    ECGRID_HOT_SCOPE();
-    return scheduleTaskFor(ownerKey, delay,
-                           InlineTask(std::forward<F>(action)), label);
-  }
-
   /// Exactly `handle.cancel(); handle = schedule(delay, action, label);`
   /// — same execution order, same reserved sequences — but when the
-  /// handle's event is still queued on the serial engine, it is moved to
-  /// its new key in place (EventQueue::rekey) instead of being freed and
-  /// re-pushed. For timers re-armed far more often than they fire
-  /// (Radio's battery-depletion event). On the sharded engine it is
-  /// plain cancel + schedule.
+  /// handle's event is still queued, it is moved to its new key in place
+  /// (EventQueue::rekey) instead of being freed and re-pushed. For timers
+  /// re-armed far more often than they fire (Radio's battery-depletion
+  /// event).
   template <class F>
   ECGRID_HOT_PATH void reschedule(EventHandle& handle, Time delay,
                                   F&& action, const char* label = nullptr) {
@@ -118,20 +86,19 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// now would get, without scheduling anything (see sim::EventOrder).
   /// Every other event keeps the key it would have had, so skipping an
   /// event this way leaves the rest of the run's order untouched.
-  EventOrder reserveOrder();
+  EventOrder reserveOrder() { return queue_.reserveOrder(); }
 
-  /// scheduleFor at absolute time `when` into a place taken earlier with
+  /// Schedule at absolute time `when` into a place taken earlier with
   /// reserveOrder(). The event then runs exactly where it would have run
   /// had it been scheduled at reservation time. Requires
   /// !wouldHaveRun(when, order).
   template <class F>
-  ECGRID_HOT_PATH EventHandle scheduleReservedFor(std::uint64_t ownerKey,
-                                                  Time when, EventOrder order,
-                                                  F&& action,
-                                                  const char* label = nullptr) {
+  ECGRID_HOT_PATH EventHandle scheduleReserved(Time when, EventOrder order,
+                                               F&& action,
+                                               const char* label = nullptr) {
     ECGRID_HOT_SCOPE();
-    return scheduleTaskReservedFor(ownerKey, when, order,
-                                   InlineTask(std::forward<F>(action)), label);
+    return scheduleTaskReserved(when, order,
+                                InlineTask(std::forward<F>(action)), label);
   }
 
   /// True when an event reserved as `order` for time `when` would already
@@ -146,30 +113,24 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// schedule() of `action(object, arg, nullptr)` as the tail of the run
   /// `run` names (EventQueue::append): same key, same label, same handle
   /// semantics, without a slot of its own. For batches scheduled in key
-  /// order — Radio's reception ends of one frame. The sharded engine has
-  /// no runs: there, this and scheduleReservedInRunFor push the item as a
-  /// single event.
+  /// order — Radio's reception ends of one frame.
   EventHandle scheduleInRun(RunCursor& run, Time delay, RunAction action,
                             void* object, std::uint64_t arg,
                             const char* label);
 
-  /// scheduleReservedFor() of `item` (its order taken with reserveOrder())
+  /// scheduleReserved() of `item` (its order taken with reserveOrder())
   /// as the tail of the run `run` names; a run opened for it holds
   /// `payload`. For batches scheduled in key order — phy::Channel's
   /// arrivals of one transmission.
-  EventHandle scheduleReservedInRunFor(RunCursor& run, std::uint64_t ownerKey,
-                                       const RunItem& item,
-                                       RunPayload* payload);
+  EventHandle scheduleReservedInRun(RunCursor& run, const RunItem& item,
+                                    RunPayload* payload);
 
   /// Monomorphic backends behind the schedule templates (the templates
   /// only build the InlineTask; everything else stays out of line).
   EventHandle scheduleTaskIn(Time delay, InlineTask action, const char* label);
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
-  EventHandle scheduleTaskFor(std::uint64_t ownerKey, Time delay,
-                              InlineTask action, const char* label);
-  EventHandle scheduleTaskReservedFor(std::uint64_t ownerKey, Time when,
-                                      EventOrder order, InlineTask action,
-                                      const char* label);
+  EventHandle scheduleTaskReserved(Time when, EventOrder order,
+                                   InlineTask action, const char* label);
   void rescheduleTask(EventHandle& handle, Time delay, InlineTask action,
                       const char* label);
 
@@ -188,60 +149,26 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
   /// Queue places taken so far (schedules plus reserveOrder calls); see
   /// EventQueue::reservedSequences.
-  [[nodiscard]] std::uint64_t reservedSequences() const;
+  [[nodiscard]] std::uint64_t reservedSequences() const {
+    return queue_.reservedSequences();
+  }
 
   /// Time of the next live event, or kTimeNever when the queue is empty.
-  Time nextEventTime();
+  Time nextEventTime() { return queue_.peekTime(); }
 
   // ---- Telemetry surface (src/obs/telemetry.hpp reads these) -----------
 
-  /// Events queued right now: on the serial engine every live event, run
-  /// items one by one (cancel removes at once); the sharded engine counts
-  /// its not-yet-reclaimed cancellations and mailbox-buffered boundary
-  /// events too.
-  std::size_t queueDepth() const;
+  /// Events queued right now: every live event, run items one by one
+  /// (cancel removes at once).
+  std::size_t queueDepth() const { return queue_.size(); }
 
-  /// High-water mark of queueDepth over the run. Exact (per-push) on the
-  /// serial path; commit-granularity on the sharded engine.
-  std::size_t peakQueueDepth() const;
+  /// High-water mark of queueDepth over the run.
+  std::size_t peakQueueDepth() const { return queue_.peakDepth(); }
 
-  /// Pooled event-slot records ever allocated across all queues — the
-  /// slab high-water mark (slots recycle; slabs never shrink). A run
-  /// takes one slot however many items it holds.
-  std::size_t slabSlotsTotal() const;
-
-  /// Swap the serial event queue for the sharded engine
-  /// (sim/sharded/engine.hpp, sequenced mode). Must be called before
-  /// anything is scheduled; the run then commits events in the identical
-  /// global order the serial queue would (the digest-parity contract).
-  /// The serial path is the oracle: with this never called, scheduling
-  /// and stepping do not touch the engine at all.
-  void enableSharding(const sharded::ShardedEngineConfig& config);
-
-  /// The sharded engine, or nullptr on the serial path.
-  sharded::ShardedEngine* shardedEngine() const { return engine_.get(); }
-
-  /// Register host `ownerKey` with a live x-position provider so the
-  /// sharded engine can derive (and migrate) its owning shard. No-op on
-  /// the serial path.
-  void registerShardHost(std::uint64_t ownerKey,
-                         std::function<double()> xProvider);
-
-  /// RAII host-execution context: while alive, events scheduled without
-  /// an owner key land on `ownerKey`'s shard — placed in the per-host
-  /// entry points (Node::start/restart/sendFromApp) so timer chains
-  /// inherit their host's shard. Null-safe: free on the serial path.
-  class HostScope {
-   public:
-    HostScope(Simulator& sim, std::uint64_t ownerKey);
-    ~HostScope();
-    HostScope(const HostScope&) = delete;
-    HostScope& operator=(const HostScope&) = delete;
-
-   private:
-    sharded::ShardedEngine* engine_;
-    int previousShard_ = 0;
-  };
+  /// Pooled event-slot records ever allocated — the slab high-water mark
+  /// (slots recycle; slabs never shrink). A run takes one slot however
+  /// many items it holds.
+  std::size_t slabSlotsTotal() const { return queue_.slabSlots(); }
 
   /// Determinism-analysis debug mode: randomise the tie-break among
   /// equal-time events using the dedicated "check/tiebreak" stream (see
@@ -251,7 +178,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// unperturbed run exactly when some component depends on the order
   /// of same-instant events.
   void perturbTieBreaks();
-  bool tieBreaksPerturbed() const;
+  bool tieBreaksPerturbed() const { return queue_.tieBreakPerturbed(); }
 
   /// Install `hook` to run after every `everyEvents`-th executed event
   /// (the invariant auditor hangs off this). The hook must not assume it
@@ -275,8 +202,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   const RngFactory& rng() const { return rngFactory_; }
 
  private:
-  bool stepSharded(Time until);
-
   /// The latest dispatch, for wouldHaveRun: the popped event's time and
   /// order, and how many sequences had been reserved when it was popped.
   /// run() advancing the clock to its horizon records a dispatch that
@@ -294,8 +219,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   std::uint64_t hookEvery_ = 0;
   std::function<void()> hook_;
   EventQueue queue_;
-  /// Sharded engine (sequenced mode); nullptr = serial oracle path.
-  std::unique_ptr<sharded::ShardedEngine> engine_;
   RngFactory rngFactory_;
   obs::Observability* observability_ = nullptr;
   ExecutionProbe* probe_ = nullptr;

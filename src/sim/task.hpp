@@ -2,7 +2,7 @@
 //
 // std::function's 16-byte small-buffer optimisation forces a heap
 // allocation for any closure over 16 bytes — one malloc/free pair per
-// event. Both event engines store InlineTask instead: any nothrow-movable
+// event. The event queue stores InlineTask instead: any nothrow-movable
 // callable up to kInlineBytes lives directly in the pooled event slot, so
 // steady-state dispatch performs no heap traffic at all. Larger callables
 // fall back to a heap box transparently (same observable semantics).
@@ -10,14 +10,10 @@
 // here: they are run items (sim/event.hpp), a plain function pointer
 // each.
 //
-// The sharded engine's per-shard queues (sim/sharded/shard_queue.hpp)
-// adopted this shape in PR 7 and proved the 2.1–2.3× win; PR 9 migrated
-// the serial EventQueue and Simulator::schedule onto it, so the serial
-// oracle and the shards now share one slot layout. A std::function is 32
-// bytes and therefore always fits inline, which is how legacy
-// std::function-typed callables still ride the queues without double
-// indirection: the function object (and whatever allocation it already
-// made) is moved, never re-wrapped.
+// A std::function is 32 bytes and therefore always fits inline, which is
+// how legacy std::function-typed callables still ride the queue without
+// double indirection: the function object (and whatever allocation it
+// already made) is moved, never re-wrapped.
 #pragma once
 
 #include <cstddef>
@@ -109,7 +105,7 @@ class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
   void (*destroy_)(void*) = nullptr;
 };
 
-/// One InlineTask sits in every pooled event slot of every queue; at
+/// One InlineTask sits in every pooled event slot of the queue; at
 /// 100k hosts the slabs hold hundreds of thousands of these.
 ECGRID_LAYOUT_BUDGET(InlineTask, 128);
 

@@ -119,22 +119,32 @@ bool parseWhole(const std::string& text, T& out) {
 
 }  // namespace
 
+std::optional<int> parseInt(const std::string& text) {
+  int value = 0;
+  if (!parseWhole(text, value)) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parseNumber(const std::string& text) {
+  double value = 0.0;
+  if (!parseWhole(text, value) || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
 double Flags::getDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  double value = 0.0;
-  if (!parseWhole(it->second, value) || !std::isfinite(value)) {
-    reject(name, it->second, "a number");
-  }
-  return value;
+  const std::optional<double> value = parseNumber(it->second);
+  if (!value) reject(name, it->second, "a number");
+  return *value;
 }
 
 int Flags::getInt(const std::string& name, int fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  int value = 0;
-  if (!parseWhole(it->second, value)) reject(name, it->second, "an integer");
-  return value;
+  const std::optional<int> value = parseInt(it->second);
+  if (!value) reject(name, it->second, "an integer");
+  return *value;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

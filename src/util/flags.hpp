@@ -20,6 +20,14 @@
 
 namespace ecgrid::util {
 
+/// All of `text` as an int, or std::nullopt on junk, trailing characters
+/// or overflow — the parse behind Flags::getInt, for other strict inputs
+/// such as the bench environment knobs.
+[[nodiscard]] std::optional<int> parseInt(const std::string& text);
+/// All of `text` as a finite number, or std::nullopt — the parse behind
+/// Flags::getDouble.
+[[nodiscard]] std::optional<double> parseNumber(const std::string& text);
+
 /// A flag value of the wrong form (`--hosts abc`). Carries the usage text
 /// of the Flags that rejected it, so main() can print both.
 class FlagError : public std::invalid_argument {

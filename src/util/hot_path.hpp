@@ -62,7 +62,7 @@
   static_assert(sizeof(Type) <= (Bytes),                                 \
                 "layout budget exceeded: sizeof(" #Type ") > " #Bytes    \
                 " bytes — trim the struct or renegotiate the budget in " \
-                "DESIGN.md §16")
+                "DESIGN.md §15")
 
 namespace ecgrid::util {
 

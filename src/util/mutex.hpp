@@ -14,12 +14,11 @@
 // zero-overhead std::mutex / std::lock_guard.
 //
 // Keep the surface minimal on purpose: the simulator core is
-// single-threaded by design (one Simulator per scenario, per-host state
-// never crosses shards — see util/ownership.hpp and DESIGN.md §13), so
-// only genuinely process-wide registries (util/log) and the harness
-// thread pool ever need a lock. New locks in src/ should be rare and
-// reviewed; each one is shared state a future intra-run shard boundary
-// has to cut around.
+// single-threaded by design (one Simulator per scenario, nothing
+// per-scenario shared between the parallel runner's workers — see
+// util/ownership.hpp and DESIGN.md §13), so only genuinely process-wide
+// registries (util/log) ever need a lock. New locks in src/ should be
+// rare and reviewed; each one is state that concurrent scenarios share.
 #pragma once
 
 #include <mutex>

@@ -1,9 +1,12 @@
-// Ownership-domain tags — which shard of the system owns an object.
+// Ownership-domain tags — which part of the system owns an object.
 //
 // Thread-safety annotations (util/thread_annotations.hpp) say which lock
 // guards a field; these macros say which *execution domain* owns a whole
-// class, which is the contract the planned intra-run sharding (ROADMAP
-// item 2) will cut along. Three domains cover the repo (DESIGN.md §13):
+// class. The domains are what keep a run reproducible and scenarios safe
+// to run side by side on the parallel runner: a host learns about other
+// hosts only through the medium, and nothing per-scenario is reachable
+// from another scenario's thread. Three domains cover the repo
+// (DESIGN.md §13):
 //
 //   ECGRID_DOMAIN_PER_HOST      Owned by exactly one mobile host: the
 //                               protocol stack, MAC, radio, battery,

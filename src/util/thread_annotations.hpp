@@ -1,4 +1,4 @@
-// Clang thread-safety annotation macros (shard-safety static analysis).
+// Clang thread-safety annotation macros (lock-discipline static analysis).
 //
 // These wrap clang's capability analysis attributes so cross-thread
 // surfaces can declare, in the type system, which lock guards which
@@ -23,8 +23,8 @@
 //   ECGRID_NO_THREAD_SAFETY_ANALYSIS
 //                                opt a function out (justify in a comment)
 //
-// The sibling ownership-domain macros (which *thread/shard* owns an
-// object, rather than which lock guards a field) live in
+// The sibling ownership-domain macros (which host, scenario or process
+// owns an object, rather than which lock guards a field) live in
 // util/ownership.hpp.
 #pragma once
 

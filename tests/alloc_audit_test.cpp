@@ -1,4 +1,4 @@
-// Allocation-audit gate (src/check/alloc_audit, DESIGN.md §16).
+// Allocation-audit gate (src/check/alloc_audit, DESIGN.md §15).
 //
 // The phase/counter API is exercised in every build; the tests that need
 // real allocation interception GTEST_SKIP() unless the binary was built

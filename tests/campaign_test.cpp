@@ -186,6 +186,21 @@ TEST(CampaignResolve, RejectsUnknownKeysLoudly) {
   EXPECT_THROW(campaign::resolveConfig(overrides, 1), std::invalid_argument);
 }
 
+// A key ScenarioConfig does not have is an error, not a silently ignored
+// knob.
+TEST(CampaignResolve, RejectsAShardsKey) {
+  const CampaignSpec spec =
+      parseCampaignSpec(R"({"name":"x","base":{"shards":4},"seeds":[1]})");
+  const std::vector<RunSpec> runs = campaign::expandCampaign(spec);
+  ASSERT_EQ(runs.size(), 1u);
+  try {
+    (void)campaign::resolveConfig(runs[0].overrides, runs[0].seed);
+    FAIL() << "the spec resolved";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown campaign config key 'shards'");
+  }
+}
+
 // --------------------------------------------------------------------------
 // Records & resume bookkeeping
 

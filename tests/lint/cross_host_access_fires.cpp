@@ -1,8 +1,8 @@
 // ecgrid-lint-fixture-path: src/protocols/common/neighbor_peek.cpp
 // ecgrid-lint-fixture: expect-violation(cross-host-access)
 // Per-host protocol code holding a remote-host handle and dereferencing
-// the network directly: both pin two hosts into one shard. (Fixture is
-// lint input only, never compiled.)
+// the network directly: both learn about another host without going
+// through the medium. (Fixture is lint input only, never compiled.)
 namespace ecgrid::protocols {
 
 struct NeighborPeek {

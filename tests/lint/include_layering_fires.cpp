@@ -2,7 +2,7 @@
 // ecgrid-lint-fixture: expect-violation(include-layering)
 // A MAC reaching up the layer DAG: net/ aggregates (Node/Network) and
 // the harness sit above mac, so these edges would weld the MAC to
-// whole-network state a shard boundary must be able to cut.
+// whole-network state that per-host code must not see.
 #include "harness/scenario.hpp"
 #include "net/network.hpp"
 

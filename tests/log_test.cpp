@@ -149,7 +149,7 @@ TEST_F(LogTest, OmitsSimTimePrefixWithoutASimulator) {
   EXPECT_EQ(out.find("[t="), std::string::npos);
 }
 
-// Regression for the shard-safety audit of the global Logger: parallel
+// Regression for the thread-safety audit of the global Logger: parallel
 // scenario workers log (level gate, override lookups, line emission,
 // thread-local sim-time prefixes) while another thread keeps calling
 // Logger::configure. The tsan CI preset runs this test and holds the

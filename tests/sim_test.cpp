@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded/engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecgrid::sim {
@@ -192,8 +193,7 @@ TEST(Simulator, ReservedEventRunsInItsReservedPlace) {
   const EventOrder reserved = simulator.reserveOrder();
   simulator.schedule(1.0, [&] { order.push_back('c'); });
   // Pushed last, but it took its place between a and c when reserved.
-  simulator.scheduleReservedFor(hostEventKey(0), 1.0, reserved,
-                                [&] { order.push_back('b'); });
+  simulator.scheduleReserved(1.0, reserved, [&] { order.push_back('b'); });
   simulator.run();
   EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
 }
@@ -236,14 +236,15 @@ TEST(Simulator, SchedulingIntoADispatchedPlaceThrows) {
   const EventOrder reserved = simulator.reserveOrder();
   simulator.schedule(1.0, [] {});
   simulator.run();
-  EXPECT_THROW(simulator.scheduleReservedFor(hostEventKey(0), 1.0, reserved,
-                                             [] {}),
+  EXPECT_THROW(simulator.scheduleReserved(1.0, reserved, [] {}),
                std::invalid_argument);
 }
 
 // --- reschedule (Radio's depletion re-arm) ---------------------------------
 
-enum class Engine { kSerial, kSharded, kPerturbed };
+/// How a script's simulator orders same-instant events. The explicit
+/// values name the parameterised test cases.
+enum class Engine { kSerial = 0, kPerturbed = 2 };
 
 /// A run of re-armed timers: every firing re-arms itself, then re-arms,
 /// cancels or spawns timers at random (coarse delays, so plenty of
@@ -256,11 +257,6 @@ class RearmScript {
 
   RearmScript(Engine engine, bool useReschedule)
       : simulator_(11), rng_(7), useReschedule_(useReschedule) {
-    if (engine == Engine::kSharded) {
-      sharded::ShardedEngineConfig config;
-      config.shards = 2;
-      simulator_.enableSharding(config);
-    }
     if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
     for (int id = 0; id < kTimers; ++id) arm(id, 0.25 * (id % 4));
     simulator_.run(300.0);
@@ -332,7 +328,7 @@ TEST_P(RescheduleParity, MatchesCancelPlusSchedule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, RescheduleParity,
-                         ::testing::Values(Engine::kSerial, Engine::kSharded,
+                         ::testing::Values(Engine::kSerial,
                                            Engine::kPerturbed));
 
 // The perturbed and unperturbed runs of the script differ (it is full of
@@ -358,7 +354,7 @@ class CountedPayload final : public RunPayload {
 /// the arrivals sorted by key; each arrival schedules its reception end one
 /// airtime later; receptions are aborted at random (transmit, sleep,
 /// powerDown cancel the end), and callbacks test pending(). Spelled either
-/// with runs (Simulator::scheduleReservedInRunFor / scheduleInRun) or with
+/// with runs (Simulator::scheduleReservedInRun / scheduleInRun) or with
 /// one closure per event; the two must be indistinguishable.
 class ReceptionScript {
  public:
@@ -366,11 +362,6 @@ class ReceptionScript {
 
   ReceptionScript(Engine engine, bool useRuns)
       : simulator_(13), rng_(5), useRuns_(useRuns) {
-    if (engine == Engine::kSharded) {
-      sharded::ShardedEngineConfig config;
-      config.shards = 2;
-      simulator_.enableSharding(config);
-    }
     if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
     frames_.reserve(kFrames);
     for (int k = 0; k < 8; ++k) {
@@ -421,14 +412,12 @@ class ReceptionScript {
     std::sort(arrivals.begin(), arrivals.end(), itemBefore);
     RunCursor run;
     for (const RunItem& item : arrivals) {
-      const std::uint64_t owner = hostEventKey(static_cast<int>(item.arg & 0xff));
       if (useRuns_) {
-        simulator_.scheduleReservedInRunFor(run, owner, item,
-                                            &frames_[frame].payload);
+        simulator_.scheduleReservedInRun(run, item, &frames_[frame].payload);
       } else {
         const std::uint64_t arg = item.arg;
-        simulator_.scheduleReservedFor(
-            owner, item.time, item.order, [this, arg] { onArrive(arg); },
+        simulator_.scheduleReserved(
+            item.time, item.order, [this, arg] { onArrive(arg); },
             "test/arrive");
       }
     }
@@ -496,22 +485,69 @@ TEST_P(ReceptionRunParity, MatchesPerEventScheduling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ReceptionRunParity,
-                         ::testing::Values(Engine::kSerial, Engine::kSharded,
+                         ::testing::Values(Engine::kSerial,
                                            Engine::kPerturbed));
 
-// The sequenced 2-shard engine expands runs into single events and still
-// commits the serial order; perturbation really reorders the script, so
-// its parity above is not vacuous; and on the serial queue runs take far
-// fewer slab slots than one slot per event.
-TEST(ReceptionRunParity, EnginesAgreeAndRunsSaveSlots) {
+// Perturbation really reorders the script, so its parity above is not
+// vacuous; and runs take far fewer slab slots than one slot per event.
+TEST(ReceptionRunParity, PerturbationReordersAndRunsSaveSlots) {
   ReceptionScript serial(Engine::kSerial, true);
-  ReceptionScript sharded(Engine::kSharded, true);
   ReceptionScript perturbed(Engine::kPerturbed, true);
   ReceptionScript perEvent(Engine::kSerial, false);
-  EXPECT_EQ(serial.trace(), sharded.trace());
   EXPECT_NE(serial.trace(), perturbed.trace());
   EXPECT_LT(2 * serial.simulator().slabSlotsTotal(),
             perEvent.simulator().slabSlotsTotal());
+}
+
+// --- InlineTask (the queue's slot type) ------------------------------------
+
+TEST(InlineTask, InvokesInlineCallable) {
+  int hits = 0;
+  InlineTask task([&hits] { ++hits; });
+  ASSERT_TRUE(static_cast<bool>(task));
+  task();
+  task();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineTask, MoveTransfersOwnership) {
+  int hits = 0;
+  InlineTask a([&hits] { ++hits; });
+  InlineTask b(std::move(a));
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(b));
+  b();
+  EXPECT_EQ(hits, 1);
+  InlineTask c;
+  c = std::move(b);
+  ASSERT_TRUE(static_cast<bool>(c));
+  c();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineTask, OversizedCallableBoxesOnHeapWithSameSemantics) {
+  // Capture well past kInlineBytes to force the heap-box path.
+  struct Big {
+    double padding[32] = {};
+  };
+  Big big;
+  big.padding[31] = 7.0;
+  double seen = 0.0;
+  static_assert(sizeof(Big) > InlineTask::kInlineBytes);
+  InlineTask task([big, &seen] { seen = big.padding[31]; });
+  InlineTask moved(std::move(task));
+  moved();
+  EXPECT_DOUBLE_EQ(seen, 7.0);
+  moved.reset();
+  EXPECT_FALSE(static_cast<bool>(moved));
+}
+
+TEST(InlineTask, HoldsStdFunctionWithoutReWrapping) {
+  int hits = 0;
+  std::function<void()> fn = [&hits] { ++hits; };
+  InlineTask task(std::move(fn));
+  task();
+  EXPECT_EQ(hits, 1);
 }
 
 // --- RNG ------------------------------------------------------------------

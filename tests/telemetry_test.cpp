@@ -1,14 +1,12 @@
-// Fleet-telemetry tests (PR 10): the RunTelemetry JSONL stream (header,
-// sampling cadence, serial vs sharded field sets, summary record), the
-// acceptance gate that arming telemetry leaves replay digests
-// byte-identical, the per-shard load metrics surfaced in
-// ScenarioResult, and the campaign live-status file (progress counts,
-// wall percentiles, straggler flagging, resume arithmetic).
+// Fleet-telemetry tests: the RunTelemetry JSONL stream (header, sampling
+// cadence, summary record), the acceptance gate that arming telemetry
+// leaves replay digests byte-identical, and the campaign live-status file
+// (progress counts, wall percentiles, straggler flagging, resume
+// arithmetic).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -102,90 +100,27 @@ TEST(Telemetry, HeaderCadenceAndSummary) {
   std::remove(path.c_str());
 }
 
-TEST(Telemetry, SerialOmitsShardFieldsShardedCarriesThem) {
-  const std::string serialPath = tempPath("serial.jsonl");
-  const std::string shardedPath = tempPath("sharded.jsonl");
-
-  harness::ScenarioConfig config = smallConfig();
-  config.telemetryPath = serialPath;
-  config.telemetryEveryEvents = 256;
-  harness::runScenario(config);
-
-  config.telemetryPath = shardedPath;
-  config.shards = 4;
-  harness::runScenario(config);
-
-  const auto serial = readJsonl(serialPath);
-  const auto sharded = readJsonl(shardedPath);
-  ASSERT_GE(serial.size(), 3u);
-  ASSERT_GE(sharded.size(), 3u);
-
-  // Serial samples carry no shard block; sharded ones carry all of it.
-  EXPECT_EQ(serial[1].find("shards"), nullptr);
-  EXPECT_EQ(serial[1].find("shard_committed"), nullptr);
-
-  const util::JsonValue& summary = sharded.back();
-  EXPECT_EQ(num(summary, "shards"), 4.0);
-  ASSERT_NE(summary.find("shard_committed"), nullptr);
-  const util::JsonArray& committed =
-      summary.find("shard_committed")->asArray();
-  ASSERT_EQ(committed.size(), 4u);
-  double total = 0.0;
-  for (const util::JsonValue& c : committed) total += c.asNumber();
-  EXPECT_EQ(total, num(summary, "events"));
-  EXPECT_GE(num(summary, "shard_imbalance"), 1.0);
-  EXPECT_GE(num(summary, "cross_shard"), 0.0);
-
-  std::remove(serialPath.c_str());
-  std::remove(shardedPath.c_str());
-}
-
 // --------------------------------------------------------------------------
 // Acceptance gate: arming telemetry cannot perturb the simulation
 
 TEST(Telemetry, ReplayDigestsIdenticalWithTelemetryArmed) {
-  for (int shards : {1, 4}) {
-    harness::ScenarioConfig bare = smallConfig();
-    bare.shards = shards;
-    bare.digestEveryEvents = 4096;
-    const harness::ScenarioResult before = harness::runScenario(bare);
-    ASSERT_FALSE(before.digestTrace.empty());
+  harness::ScenarioConfig bare = smallConfig();
+  bare.digestEveryEvents = 4096;
+  const harness::ScenarioResult before = harness::runScenario(bare);
+  ASSERT_FALSE(before.digestTrace.empty());
 
-    harness::ScenarioConfig armed = bare;
-    armed.telemetryPath = tempPath("digest.jsonl");
-    armed.telemetryEveryEvents = 1024;  // denser than the digest cadence
-    const harness::ScenarioResult after = harness::runScenario(armed);
+  harness::ScenarioConfig armed = bare;
+  armed.telemetryPath = tempPath("digest.jsonl");
+  armed.telemetryEveryEvents = 1024;  // denser than the digest cadence
+  const harness::ScenarioResult after = harness::runScenario(armed);
 
-    EXPECT_GT(after.telemetrySamples, 0u);
-    EXPECT_EQ(before.digestTrace, after.digestTrace)
-        << "telemetry perturbed the replay digest at shards=" << shards;
-    EXPECT_EQ(before.eventsExecuted, after.eventsExecuted);
-    std::remove(armed.telemetryPath.c_str());
-  }
-}
-
-// --------------------------------------------------------------------------
-// Per-shard load metrics in ScenarioResult
-
-TEST(Telemetry, ResultCarriesShardLoadMetrics) {
-  harness::ScenarioConfig config = smallConfig();
-  config.shards = 4;
-  const harness::ScenarioResult result = harness::runScenario(config);
-
-  ASSERT_EQ(result.shardCommitted.size(), 4u);
-  const std::uint64_t total =
-      std::accumulate(result.shardCommitted.begin(),
-                      result.shardCommitted.end(), std::uint64_t{0});
-  EXPECT_EQ(total, result.eventsExecuted);
-  EXPECT_GE(result.shardImbalance, 1.0);
-  EXPECT_GT(result.peakQueueDepth, 0u);
-  EXPECT_GT(result.slabSlotsTotal, 0u);
-
-  const harness::ScenarioResult serial =
-      harness::runScenario(smallConfig());
-  EXPECT_TRUE(serial.shardCommitted.empty());
-  EXPECT_EQ(serial.shardImbalance, 1.0);
-  EXPECT_GT(serial.peakQueueDepth, 0u);
+  EXPECT_GT(after.telemetrySamples, 0u);
+  EXPECT_EQ(before.digestTrace, after.digestTrace)
+      << "telemetry perturbed the replay digest";
+  EXPECT_EQ(before.eventsExecuted, after.eventsExecuted);
+  EXPECT_GT(after.peakQueueDepth, 0u);
+  EXPECT_GT(after.slabSlotsTotal, 0u);
+  std::remove(armed.telemetryPath.c_str());
 }
 
 // --------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "util/error.hpp"
@@ -147,6 +148,23 @@ TEST(Flags, MalformedValuesThrowNamingTheFlag) {
   EXPECT_FALSE(good.getBool("b", true));
 }
 
+// parseInt / parseNumber take the whole text or nothing: the rule behind
+// getInt / getDouble, and behind the bench environment knobs
+// (bench/bench_support.hpp).
+TEST(Flags, ParseIntAndNumberReadTheWholeText) {
+  EXPECT_EQ(parseInt("3"), 3);
+  EXPECT_EQ(parseInt("-12"), -12);
+  EXPECT_EQ(parseInt("two"), std::nullopt);
+  EXPECT_EQ(parseInt("3abc"), std::nullopt);
+  EXPECT_EQ(parseInt(""), std::nullopt);
+  EXPECT_EQ(parseInt("99999999999"), std::nullopt);
+  EXPECT_EQ(parseNumber("120"), 120.0);
+  EXPECT_EQ(parseNumber("1e2"), 100.0);
+  EXPECT_EQ(parseNumber("1e"), std::nullopt);
+  EXPECT_EQ(parseNumber("2.5s"), std::nullopt);
+  EXPECT_EQ(parseNumber("inf"), std::nullopt);
+}
+
 // The real binaries turn malformed values and invalid scenarios into a
 // message and exit 2, not std::terminate (exit 134).
 TEST(Cli, MalformedValueExitsTwoWithUsage) {
@@ -161,6 +179,7 @@ TEST(Cli, MalformedValueExitsTwoWithUsage) {
        "--hosts: expected an integer, got '12abc'"},
       {quickstart + " --profile=flase",
        "--profile: expected true/false, 1/0 or yes/no, got 'flase'"},
+      {quickstart + " --shards 4", "unknown flag: --shards"},
       {campaign + " --spec=x.json --results=y.jsonl --jobs=two",
        "--jobs: expected an integer, got 'two'"},
   };
@@ -169,6 +188,31 @@ TEST(Cli, MalformedValueExitsTwoWithUsage) {
     EXPECT_EQ(runCommand(c.command, output), 2) << c.command << ": " << output;
     EXPECT_NE(output.find(c.error), std::string::npos) << output;
     EXPECT_NE(output.find("usage: "), std::string::npos) << output;
+  }
+}
+
+// A bench's numeric environment knobs parse like flag values: garbage is
+// an error naming the variable (exit 2), never a partial read or a quiet
+// fallback. Quick mode, a 1 s horizon and a scratch output directory
+// keep a regression from running the full figure.
+TEST(Cli, MalformedBenchKnobExitsTwo) {
+  const std::string bench = "ECGRID_BENCH_QUICK=1 ECGRID_BENCH_OUT=" +
+                            ::testing::TempDir() + " " + ECGRID_FIG6_BIN;
+  const struct {
+    std::string env;
+    const char* error;
+  } cases[] = {
+      {"ECGRID_BENCH_HORIZON=1 ECGRID_BENCH_JOBS=two",
+       "ECGRID_BENCH_JOBS: expected a positive integer, got 'two'"},
+      {"ECGRID_BENCH_HORIZON=1 ECGRID_BENCH_SEEDS=3abc",
+       "ECGRID_BENCH_SEEDS: expected a positive integer, got '3abc'"},
+      {"ECGRID_BENCH_HORIZON=1e",
+       "ECGRID_BENCH_HORIZON: expected seconds >= 0, got '1e'"},
+  };
+  for (const auto& c : cases) {
+    std::string output;
+    EXPECT_EQ(runCommand(c.env + " " + bench, output), 2) << c.env << output;
+    EXPECT_NE(output.find(c.error), std::string::npos) << output;
   }
 }
 

@@ -312,7 +312,6 @@ CAMPAIGN_MEANS = (
     ("p95LatencySeconds", "p95_s"),
     ("abortedFlows", "aborted"),
     ("telemetry.peakQueueDepth", "peak_q"),
-    ("telemetry.shardImbalance", "imbal"),
     ("telemetry.eventsPerSimSecond", "ev_per_sim"),
 )
 

@@ -66,9 +66,6 @@ TELEMETRY_REQUIRED = (
     "sim_per_wall",
 )
 
-TELEMETRY_SHARDED = ("shards", "shard_committed", "shard_imbalance",
-                     "window_stalls", "cross_shard")
-
 
 class Checker:
     def __init__(self, path):
@@ -188,23 +185,6 @@ def check_telemetry(checker, records):
                     f"{key} went backwards ({value} < {last[key]})",
                 )
             last[key] = value
-        sharded = [k for k in TELEMETRY_SHARDED if k in record]
-        if sharded and len(sharded) != len(TELEMETRY_SHARDED):
-            absent = sorted(set(TELEMETRY_SHARDED) - set(sharded))
-            checker.error(
-                lineno, f"partial sharded fields (missing {absent})"
-            )
-        elif sharded:
-            committed = record["shard_committed"]
-            if (
-                not isinstance(committed, list)
-                or len(committed) != record["shards"]
-            ):
-                checker.error(
-                    lineno,
-                    "shard_committed length != shards "
-                    f"({committed!r} vs {record['shards']})",
-                )
         if kind == "sample":
             samples += 1
             if record.get("seq") != samples:
