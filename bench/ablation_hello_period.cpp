@@ -27,7 +27,8 @@ int main() {
     std::printf("  %-12.1f %10.2f %12.1f %12.2f %12.0f\n", period,
                 100.0 * result.deliveryRate, 1e3 * result.meanLatencySeconds,
                 result.aliveFraction.valueAt(800.0),
-                static_cast<double>(result.framesTransmitted) / duration);
+                obs::metricOr(result.metrics, "phy.frames_transmitted") /
+                    duration);
   }
   return 0;
 }

@@ -29,11 +29,11 @@ int main() {
       tuned.interferenceRangeFactor = factor;
       result = harness::runScenario(tuned);
     }
-    std::printf("  %-16.1f %10.2f %12.1f %12llu %14llu\n",
+    std::printf("  %-16.1f %10.2f %12.1f %12.0f %14.0f\n",
                 factor * 250.0, 100.0 * result.deliveryRate,
                 1e3 * result.meanLatencySeconds,
-                static_cast<unsigned long long>(result.macRetransmissions),
-                static_cast<unsigned long long>(result.framesTransmitted));
+                obs::metricOr(result.metrics, "mac.retransmissions"),
+                obs::metricOr(result.metrics, "phy.frames_transmitted"));
   }
   return 0;
 }

@@ -39,10 +39,10 @@ int main() {
     config.flowCount = 5;
     config.packetsPerSecondPerFlow = 2.0;
     harness::ScenarioResult result = harness::runScenario(config);
-    std::printf("  %-26s %10.2f %12.1f %14llu %12llu\n", v.label,
+    std::printf("  %-26s %10.2f %12.1f %14.0f %12.0f\n", v.label,
                 100.0 * result.deliveryRate, 1e3 * result.meanLatencySeconds,
-                static_cast<unsigned long long>(result.framesTransmitted),
-                static_cast<unsigned long long>(result.routing.rreqsSent));
+                obs::metricOr(result.metrics, "phy.frames_transmitted"),
+                obs::metricOr(result.metrics, "routing.rreqs_sent"));
   }
   return 0;
 }

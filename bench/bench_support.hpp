@@ -218,7 +218,8 @@ class BenchReport {
   void addRun(const harness::ScenarioResult& result) {
     ++runs_;
     eventsExecuted_ += result.eventsExecuted;
-    framesTransmitted_ += result.framesTransmitted;
+    framesTransmitted_ += static_cast<std::uint64_t>(
+        obs::metricOr(result.metrics, "phy.frames_transmitted"));
   }
   void addRuns(const std::vector<harness::ScenarioResult>& results) {
     for (const harness::ScenarioResult& r : results) addRun(r);

@@ -73,7 +73,7 @@ int main() {
   report.addRuns(results);
 
   std::size_t run = 0;
-  std::uint64_t crashes = 0, restarts = 0, corrupted = 0;
+  double crashes = 0.0, restarts = 0.0, corrupted = 0.0;
   std::vector<stats::TimeSeries> csv;
   for (ProtocolKind protocol : protocols) {
     std::printf("\n%s\n", harness::toString(protocol));
@@ -97,9 +97,9 @@ int main() {
         for (int seed = 0; seed < seeds; ++seed) {
           const harness::ScenarioResult& r = results[run++];
           sum += 100.0 * r.deliveryRate;
-          crashes += r.crashesInjected;
-          restarts += r.restartsInjected;
-          corrupted += r.deliveriesCorrupted;
+          crashes += obs::metricOr(r.metrics, "fault.crashes");
+          restarts += obs::metricOr(r.metrics, "fault.restarts");
+          corrupted += obs::metricOr(r.metrics, "phy.deliveries_corrupted");
         }
         double pct = sum / seeds;
         std::printf(" %6.2f", pct);
@@ -109,14 +109,12 @@ int main() {
       csv.push_back(std::move(row));
     }
   }
-  std::printf("\n(%llu crashes, %llu restarts, %llu corrupted deliveries "
+  std::printf("\n(%.0f crashes, %.0f restarts, %.0f corrupted deliveries "
               "across all runs)\n",
-              static_cast<unsigned long long>(crashes),
-              static_cast<unsigned long long>(restarts),
-              static_cast<unsigned long long>(corrupted));
-  report.addMetric("crashes_injected", static_cast<double>(crashes));
-  report.addMetric("restarts_injected", static_cast<double>(restarts));
-  report.addMetric("deliveries_corrupted", static_cast<double>(corrupted));
+              crashes, restarts, corrupted);
+  report.addMetric("crashes_injected", crashes);
+  report.addMetric("restarts_injected", restarts);
+  report.addMetric("deliveries_corrupted", corrupted);
   report.addSeries(csv);
   bench::writeSeries("fig_robustness_pdr", csv);
   report.write(timer.seconds());

@@ -22,19 +22,14 @@
 
 namespace {
 
-double metricOr(const ecgrid::obs::MetricsSnapshot& metrics,
-                const std::string& name, double fallback) {
-  auto it = metrics.find(name);
-  return it == metrics.end() ? fallback : it->second;
-}
-
 /// SLO attainment (%) for one class in one run: slo_met / flows_completed.
 double sloPct(const ecgrid::obs::MetricsSnapshot& metrics,
               const std::string& cls) {
   const double completed =
-      metricOr(metrics, "workload." + cls + ".flows_completed", 0.0);
+      ecgrid::obs::metricOr(metrics, "workload." + cls + ".flows_completed");
   if (completed <= 0.0) return 0.0;
-  return 100.0 * metricOr(metrics, "workload." + cls + ".slo_met", 0.0) /
+  return 100.0 *
+         ecgrid::obs::metricOr(metrics, "workload." + cls + ".slo_met") /
          completed;
 }
 
@@ -154,7 +149,7 @@ int main() {
         bulkSum += sloPct(r.metrics, "bulk");
         abortSum += static_cast<double>(r.abortedFlows);
         aenSum += r.aen.points().empty() ? 0.0 : r.aen.points().back().second;
-        dropSum += static_cast<double>(r.macFramesDropped);
+        dropSum += obs::metricOr(r.metrics, "mac.frames_dropped");
         aborted += r.abortedFlows;
         ++run;
       }

@@ -5,16 +5,65 @@
 // Demonstrates scripted mobility, heterogeneous speeds, the dwell-timer
 // wakeups of sleeping hosts as the convoy crosses grid after grid, and
 // end-to-end reporting from the convoy tail to the lead vehicle.
+//
+// With --trace PATH the run writes an ecgrid-events trace: the protocol
+// events plus, every 5 s, one "state"/"host" instant per host carrying its
+// position, liveness, radio state, gateway role, cell, battery and GPS
+// error. Gateways also carry served_x/served_y, the grid they believe they
+// serve. tools/trace_check.py validates it; tools/trace_chrome.py opens it
+// in Perfetto.
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "core/ecgrid_protocol.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "obs/observability.hpp"
 #include "stats/energy_recorder.hpp"
-#include "stats/trace_recorder.hpp"
 #include "stats/packet_accounting.hpp"
 #include "util/flags.hpp"
+
+namespace {
+
+/// One state sample of `node`. x/y and cell_x/cell_y are ground truth;
+/// gps_err is the magnitude of the host's injected position error.
+void traceHostState(ecgrid::obs::EventTracer& tracer, ecgrid::net::Node& node,
+                    ecgrid::sim::Time now) {
+  using namespace ecgrid;
+  const bool alive = node.alive();
+  // Every host in this scenario runs ECGRID (see install() below).
+  const auto& protocol =
+      static_cast<const core::EcgridProtocol&>(node.protocol());
+  const bool gateway = alive && protocol.isGateway();
+  const std::optional<geo::GridCoord> served =
+      gateway ? protocol.servedGrid() : std::nullopt;
+  const geo::Vec2 pos = node.truePosition();
+  const geo::GridCoord cell = node.gridMap().cellOf(pos);
+  const double battery = node.batteryRef().remainingRatio(now);
+  const double gpsErr = node.gpsError().length();
+  if (served) {
+    tracer.instant("state", "host", node.id(),
+                   {{"x", pos.x}, {"y", pos.y}, {"alive", alive},
+                    {"crashed", node.crashed()},
+                    {"sleeping", node.radio().sleeping()},
+                    {"gateway", gateway}, {"cell_x", cell.x},
+                    {"cell_y", cell.y}, {"battery", battery},
+                    {"gps_err", gpsErr}, {"served_x", served->x},
+                    {"served_y", served->y}});
+  } else {
+    tracer.instant("state", "host", node.id(),
+                   {{"x", pos.x}, {"y", pos.y}, {"alive", alive},
+                    {"crashed", node.crashed()},
+                    {"sleeping", node.radio().sleeping()},
+                    {"gateway", gateway}, {"cell_x", cell.x},
+                    {"cell_y", cell.y}, {"battery", battery},
+                    {"gps_err", gpsErr}});
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) try {
   using namespace ecgrid;
@@ -27,6 +76,14 @@ int main(int argc, char** argv) try {
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 11));
 
   sim::Simulator simulator(seed);
+  // The hub must exist before the network so the layers register their
+  // counters and find the tracer.
+  obs::Observability observability(simulator);
+  if (flags.has("trace")) {
+    observability.openTrace(flags.getString("trace", "convoy_trace.jsonl"),
+                            {{"protocol", "ECGRID"},
+                             {"seed", std::to_string(seed)}});
+  }
   net::Network network(simulator, net::NetworkConfig{});
 
   auto oracle = [&network](net::NodeId id) -> std::optional<geo::GridCoord> {
@@ -92,13 +149,15 @@ int main(int argc, char** argv) try {
   simulator.schedule(2.0, report);
 
   stats::EnergyRecorder recorder(network, 10.0);
-  std::unique_ptr<stats::TraceRecorder> trace;
-  if (flags.has("trace")) {
-    // One JSON line per host per 5 s — feed it to your favourite plotter
-    // to watch the column drag gateway duty across the field.
-    trace = std::make_unique<stats::TraceRecorder>(
-        network, 5.0, flags.getString("trace", "convoy_trace.jsonl"));
-  }
+  // One state instant per host every 5 s — plot them to watch the column
+  // drag gateway duty across the field.
+  std::function<void()> sampleState = [&]() {
+    for (auto& node : network.nodes()) {
+      traceHostState(*observability.tracer(), *node, simulator.now());
+    }
+    simulator.schedule(5.0, sampleState, "obs/state");
+  };
+  if (observability.tracer() != nullptr) sampleState();
   network.start();
   simulator.run(600.0);
   recorder.sample();

@@ -64,13 +64,15 @@ int main(int argc, char** argv) try {
               config.maxSpeed, config.duration);
 
   harness::ScenarioResult result = harness::runScenario(config);
+  auto count = [&result](const char* name) {
+    return obs::metricOr(result.metrics, name);
+  };
 
   std::printf("  events executed      : %llu\n",
               static_cast<unsigned long long>(result.eventsExecuted));
-  std::printf("  frames on the air    : %llu\n",
-              static_cast<unsigned long long>(result.framesTransmitted));
-  std::printf("  RAS pages sent       : %llu\n",
-              static_cast<unsigned long long>(result.pagesSent));
+  std::printf("  frames on the air    : %.0f\n",
+              count("phy.frames_transmitted"));
+  std::printf("  RAS pages sent       : %.0f\n", count("paging.pages_sent"));
   std::printf("  packets sent/received: %llu / %llu (PDR %.2f%%)\n",
               static_cast<unsigned long long>(result.packetsSent),
               static_cast<unsigned long long>(result.packetsReceived),
@@ -111,24 +113,18 @@ int main(int argc, char** argv) try {
                   1e3 * sorted[idx]);
     }
   }
-  std::printf("  mac: sent=%llu dropped=%llu retx=%llu acks=%llu/skip=%llu\n",
-              static_cast<unsigned long long>(result.macFramesSent),
-              static_cast<unsigned long long>(result.macFramesDropped),
-              static_cast<unsigned long long>(result.macRetransmissions),
-              static_cast<unsigned long long>(result.macAcksSent),
-              static_cast<unsigned long long>(result.macAcksSkipped));
+  std::printf("  mac: sent=%.0f dropped=%.0f retx=%.0f acks=%.0f/skip=%.0f\n",
+              count("mac.frames_sent"), count("mac.frames_dropped"),
+              count("mac.retransmissions"), count("mac.acks_sent"),
+              count("mac.acks_skipped"));
   std::printf(
-      "  routing: originated=%llu forwarded=%llu delivered=%llu "
-      "dropped=%llu rreq=%llu rrep=%llu rerr=%llu disc=%llu discFail=%llu\n",
-      static_cast<unsigned long long>(result.routing.dataOriginated),
-      static_cast<unsigned long long>(result.routing.dataForwarded),
-      static_cast<unsigned long long>(result.routing.dataDeliveredLocal),
-      static_cast<unsigned long long>(result.routing.dataDropped),
-      static_cast<unsigned long long>(result.routing.rreqsSent),
-      static_cast<unsigned long long>(result.routing.rrepsSent),
-      static_cast<unsigned long long>(result.routing.rerrsSent),
-      static_cast<unsigned long long>(result.routing.discoveriesStarted),
-      static_cast<unsigned long long>(result.routing.discoveriesFailed));
+      "  routing: forwarded=%.0f delivered=%.0f dropped=%.0f rreq=%.0f "
+      "rrep=%.0f rerr=%.0f disc=%.0f discFail=%.0f\n",
+      count("routing.data_forwarded"), count("routing.data_delivered_local"),
+      count("routing.data_dropped"), count("routing.rreqs_sent"),
+      count("routing.rreps_sent"), count("routing.rerrs_sent"),
+      count("routing.discoveries_started"),
+      count("routing.discoveries_failed"));
   if (!config.eventTracePath.empty()) {
     std::printf("  event trace          : %s (%llu events; convert with "
                 "tools/trace_chrome.py)\n",

@@ -139,15 +139,9 @@ util::JsonObject resultToJson(const harness::ScenarioResult& result) {
   out["p50LatencySeconds"] = result.p50LatencySeconds;
   out["p95LatencySeconds"] = result.p95LatencySeconds;
   out["p99LatencySeconds"] = result.p99LatencySeconds;
-  out["framesTransmitted"] = static_cast<double>(result.framesTransmitted);
-  out["pagesSent"] = static_cast<double>(result.pagesSent);
   out["eventsExecuted"] = static_cast<double>(result.eventsExecuted);
   out["firstDeath"] = result.firstDeath;
   out["networkDown"] = result.networkDown;
-  out["macFramesSent"] = static_cast<double>(result.macFramesSent);
-  out["macFramesDropped"] = static_cast<double>(result.macFramesDropped);
-  out["macRetransmissions"] =
-      static_cast<double>(result.macRetransmissions);
   util::JsonObject metrics;
   for (const auto& [name, value] : result.metrics) metrics[name] = value;
   out["metrics"] = std::move(metrics);

@@ -367,14 +367,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   result.p95LatencySeconds = accounting.latencyPercentile(95.0);
   result.p99LatencySeconds = accounting.latencyPercentile(99.0);
   result.latencies = accounting.latencies();
-  result.framesTransmitted = network.channel().framesTransmitted();
-  result.pagesSent = network.paging().pagesSent();
-  result.deliveriesCorrupted = network.channel().deliveriesCorrupted();
-  result.pagesLost = network.paging().pagesLost();
-  if (injector) {
-    result.crashesInjected = injector->crashesInjected();
-    result.restartsInjected = injector->restartsInjected();
-  }
   result.eventsExecuted = simulator.eventsExecuted();
   result.auditRuns = auditor.runs();
   result.digestTrace = std::move(digestTrace);
@@ -382,32 +374,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   result.slabSlotsTotal = static_cast<std::uint64_t>(simulator.slabSlotsTotal());
   if (telemetry != nullptr) {
     result.telemetrySamples = telemetry->samplesWritten();
-  }
-
-  for (auto& nodePtr : network.nodes()) {
-    result.macFramesSent += nodePtr->mac().framesSent();
-    result.macFramesDropped += nodePtr->mac().framesDropped();
-    result.macRetransmissions += nodePtr->mac().retransmissions();
-    result.macAcksSkipped += nodePtr->mac().acksSkipped();
-    result.macAcksSent += nodePtr->mac().acksSent();
-    const protocols::RoutingStats* stats = nullptr;
-    if (auto* base = dynamic_cast<protocols::GridProtocolBase*>(
-            &nodePtr->protocol())) {
-      stats = &base->routingStats();
-    } else if (auto* gaf = dynamic_cast<protocols::GafProtocol*>(
-                   &nodePtr->protocol())) {
-      stats = &gaf->routingStats();
-    }
-    if (stats == nullptr) continue;
-    result.routing.dataOriginated += stats->dataOriginated;
-    result.routing.dataForwarded += stats->dataForwarded;
-    result.routing.dataDeliveredLocal += stats->dataDeliveredLocal;
-    result.routing.dataDropped += stats->dataDropped;
-    result.routing.rreqsSent += stats->rreqsSent;
-    result.routing.rrepsSent += stats->rrepsSent;
-    result.routing.rerrsSent += stats->rerrsSent;
-    result.routing.discoveriesStarted += stats->discoveriesStarted;
-    result.routing.discoveriesFailed += stats->discoveriesFailed;
   }
 
   // Post-run aggregates: traffic accounting and the end-to-end latency

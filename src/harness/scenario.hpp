@@ -172,6 +172,11 @@ struct ScenarioConfig {
   fault::FaultPlan fault;
 };
 
+/// What one run produced. The paper's curves (alive fraction, aen,
+/// awake fraction), the traffic outcome and the engine roll-ups are
+/// fields; every per-layer counter (frames, pages, MAC drops and
+/// retransmissions, RREQs, crashes, ...) lives only in `metrics`, read
+/// with obs::metricOr where the counter may never have fired.
 struct ScenarioResult {
   stats::TimeSeries aliveFraction;
   stats::TimeSeries aen;
@@ -192,15 +197,6 @@ struct ScenarioResult {
   double p50LatencySeconds = 0.0;
   double p95LatencySeconds = 0.0;
   double p99LatencySeconds = 0.0;
-
-  std::uint64_t framesTransmitted = 0;  ///< MAC frames on the air
-  std::uint64_t pagesSent = 0;          ///< RAS pages
-
-  // fault-injection accounting (all zero when the plan is empty)
-  std::uint64_t crashesInjected = 0;      ///< host crashes applied
-  std::uint64_t restartsInjected = 0;     ///< host reboots applied
-  std::uint64_t deliveriesCorrupted = 0;  ///< frames lost to channel errors
-  std::uint64_t pagesLost = 0;            ///< RAS pages missed
 
   std::uint64_t eventsExecuted = 0;
   std::uint64_t auditRuns = 0;  ///< invariant-audit sweeps completed
@@ -225,16 +221,9 @@ struct ScenarioResult {
   /// The last sample is always taken at the horizon after the closing
   /// energy sample, so `digestTrace.back().digest` is the final digest.
   check::DigestTrace digestTrace;
-  std::uint64_t macFramesSent = 0;      ///< frames handed off successfully
-  std::uint64_t macFramesDropped = 0;   ///< MAC-level drops (all causes)
-  std::uint64_t macRetransmissions = 0; ///< ARQ retransmissions
-  std::uint64_t macAcksSent = 0;
-  std::uint64_t macAcksSkipped = 0;  ///< ACKs suppressed (radio busy)
 
   /// Every delivered packet's end-to-end latency, seconds (unordered).
   std::vector<double> latencies;
-
-  protocols::RoutingStats routing;  ///< summed over all hosts
 
   /// Flattened snapshot of every counter/gauge/histogram the layers
   /// registered during the run (obs::MetricsRegistry), plus post-run

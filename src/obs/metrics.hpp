@@ -133,6 +133,15 @@ class Histogram {
 /// within [A-Za-z0-9_.-], so BenchReport serializes them unescaped.
 using MetricsSnapshot = std::map<std::string, double>;
 
+/// Snapshot lookup where an absent name reads as 0. Some counters are
+/// registered only when they first fire (fault.crashes, workload.*), so a
+/// run in which they never fired has no entry for them.
+[[nodiscard]] inline double metricOr(const MetricsSnapshot& snapshot,
+                                     const std::string& name) {
+  const auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0.0 : it->second;
+}
+
 class ECGRID_DOMAIN_PER_SCENARIO MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -75,6 +75,9 @@ void EventTracer::writeLine(const char* cat, const char* ev, const char* ph,
         case TraceField::Kind::kDouble:
           std::fprintf(out_, "%.9g", field.doubleValue);
           break;
+        case TraceField::Kind::kBool:
+          std::fputs(field.intValue != 0 ? "true" : "false", out_);
+          break;
         case TraceField::Kind::kString:
           std::fprintf(out_, "\"");
           writeEscaped(out_, field.stringValue);

@@ -35,11 +35,11 @@
 namespace ecgrid::obs {
 
 /// One key/value argument of a trace event. Implicitly constructible from
-/// the types call sites actually pass (ids, counts, seconds, reason
+/// the types call sites actually pass (ids, counts, seconds, flags, reason
 /// strings), so emission reads as a brace list:
 ///   tracer->instant("mac", "drop", node, {{"reason", "retry_limit"}});
 struct TraceField {
-  enum class Kind : std::uint8_t { kInt, kDouble, kString };
+  enum class Kind : std::uint8_t { kInt, kDouble, kBool, kString };
 
   TraceField(const char* key, int value)
       : key(key), kind(Kind::kInt), intValue(value) {}
@@ -55,6 +55,8 @@ struct TraceField {
       : key(key), kind(Kind::kInt), intValue(static_cast<long long>(value)) {}
   TraceField(const char* key, double value)
       : key(key), kind(Kind::kDouble), doubleValue(value) {}
+  TraceField(const char* key, bool value)
+      : key(key), kind(Kind::kBool), intValue(value ? 1 : 0) {}
   TraceField(const char* key, const char* value)
       : key(key), kind(Kind::kString), stringValue(value) {}
 

@@ -54,7 +54,6 @@ struct RoutingConfig {
 };
 
 struct RoutingStats {
-  std::uint64_t dataOriginated = 0;
   std::uint64_t dataForwarded = 0;
   std::uint64_t dataDeliveredLocal = 0;
   std::uint64_t dataDropped = 0;

@@ -224,8 +224,7 @@ TEST(DeterminismCheck, DigestSamplingDoesNotPerturbTheRun) {
   harness::ScenarioResult sampled = harness::runScenario(config);
   EXPECT_EQ(plain.eventsExecuted, sampled.eventsExecuted);
   EXPECT_EQ(plain.packetsReceived, sampled.packetsReceived);
-  EXPECT_EQ(plain.framesTransmitted, sampled.framesTransmitted);
-  EXPECT_EQ(plain.macFramesSent, sampled.macFramesSent);
+  EXPECT_EQ(plain.metrics, sampled.metrics);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ struct ExactnessPin {
   std::uint64_t finalDigest;
   std::uint64_t metricsDigest;
   std::uint64_t packetsReceived;
-  std::uint64_t framesTransmitted;
+  std::uint64_t phyFramesTransmitted;
 };
 
 std::vector<ExactnessPin> exactnessPins() {
@@ -316,7 +315,8 @@ TEST_P(ExactnessPinCheck, OutcomeMatchesRecordedValues) {
   EXPECT_EQ(result.digestTrace.back().digest, pin.finalDigest);
   EXPECT_EQ(metricsDigest(result.metrics), pin.metricsDigest);
   EXPECT_EQ(result.packetsReceived, pin.packetsReceived);
-  EXPECT_EQ(result.framesTransmitted, pin.framesTransmitted);
+  EXPECT_EQ(obs::metricOr(result.metrics, "phy.frames_transmitted"),
+            static_cast<double>(pin.phyFramesTransmitted));
 }
 
 INSTANTIATE_TEST_SUITE_P(

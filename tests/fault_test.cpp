@@ -14,6 +14,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/scenario.hpp"
+#include "obs/observability.hpp"
 #include "test_net.hpp"
 
 namespace ecgrid {
@@ -344,6 +345,79 @@ TEST(FaultInjector, PagingFaultSwallowsPages) {
   EXPECT_GT(net.network.paging().pagesLost(), lostBefore);
 }
 
+// The metrics registry is the one source of truth for run counters: it
+// must agree with every component's own counter, and — unlike a sum over
+// the protocol instances alive at the end — it keeps a rebooted host's
+// pre-crash routing work.
+TEST(RegistryCounters, MatchComponentCountersAcrossCrashAndRestart) {
+  test::TestNet net{test::TestNet::WithHub{}};
+  // Two hosts per grid in cells 0, 2, 4 and 6 of one row: each cell has a
+  // gateway and a sleeper, and 0 -> 7 needs a multi-hop route.
+  for (int i = 0; i < 8; ++i) {
+    net.addStatic(i, {30.0 + 200.0 * (i / 2) + 40.0 * (i % 2), 50.0});
+  }
+  for (auto& node : net.network.nodes()) {
+    net::Node* raw = node.get();
+    raw->setProtocolFactory([raw, &net] {
+      return std::make_unique<core::EcgridProtocol>(*raw,
+                                                    oracleConfig(net.network));
+    });
+  }
+  // Both hosts of the source's cell crash at t = 20 and reboot at t = 30,
+  // so whichever was the gateway doing discovery loses its protocol state.
+  fault::FaultPlan plan;
+  plan.hosts.crashes.push_back({0, 20.0, 30.0});
+  plan.hosts.crashes.push_back({1, 20.0, 30.0});
+  fault::FaultInjector injector(net.simulator, net.network, plan);
+  net::Node& source = *net.network.findNode(0);
+  std::uint64_t seq = 0;
+  std::function<void()> send = [&] {
+    source.sendFromApp(7, 256, net::DataTag{1, seq++, net.simulator.now()});
+    net.simulator.schedule(1.0, send);
+  };
+  net.simulator.schedule(2.0, send);
+  net.start();
+
+  auto liveRreqs = [&net] {
+    std::uint64_t sum = 0;
+    for (auto& node : net.network.nodes()) {
+      sum += net.gridProtocolOf(node->id()).routingStats().rreqsSent;
+    }
+    return sum;
+  };
+  net.simulator.run(19.9);
+  ASSERT_GT(net.gridProtocolOf(0).routingStats().rreqsSent +
+                net.gridProtocolOf(1).routingStats().rreqsSent,
+            0u)
+      << "the source cell sent no RREQ before the crash";
+  net.simulator.run(60.0);
+
+  const obs::MetricsSnapshot m = net.hub->metrics().snapshot();
+  std::uint64_t macSent = 0, macDropped = 0, macRetx = 0;
+  for (auto& node : net.network.nodes()) {
+    macSent += node->mac().framesSent();
+    macDropped += node->mac().framesDropped();
+    macRetx += node->mac().retransmissions();
+  }
+  EXPECT_EQ(obs::metricOr(m, "mac.frames_sent"), static_cast<double>(macSent));
+  EXPECT_EQ(obs::metricOr(m, "mac.frames_dropped"),
+            static_cast<double>(macDropped));
+  EXPECT_EQ(obs::metricOr(m, "mac.retransmissions"),
+            static_cast<double>(macRetx));
+  EXPECT_EQ(obs::metricOr(m, "phy.frames_transmitted"),
+            static_cast<double>(net.network.channel().framesTransmitted()));
+  EXPECT_EQ(obs::metricOr(m, "paging.pages_sent"),
+            static_cast<double>(net.network.paging().pagesSent()));
+  EXPECT_EQ(injector.crashesInjected(), 2u);
+  EXPECT_EQ(injector.restartsInjected(), 2u);
+  EXPECT_EQ(obs::metricOr(m, "fault.crashes"),
+            static_cast<double>(injector.crashesInjected()));
+  EXPECT_EQ(obs::metricOr(m, "fault.restarts"),
+            static_cast<double>(injector.restartsInjected()));
+  EXPECT_GT(obs::metricOr(m, "routing.rreqs_sent"),
+            static_cast<double>(liveRreqs()));
+}
+
 // --------------------------------------------------------------------------
 // Scenario-level: byte-identity, crash dips, Poisson determinism, GPS
 
@@ -358,12 +432,17 @@ harness::ScenarioConfig faultBase() {
   return config;
 }
 
+double count(const harness::ScenarioResult& result, const char* name) {
+  return obs::metricOr(result.metrics, name);
+}
+
 void expectIdenticalRuns(const harness::ScenarioResult& a,
                          const harness::ScenarioResult& b) {
   EXPECT_EQ(a.packetsSent, b.packetsSent);
   EXPECT_EQ(a.packetsReceived, b.packetsReceived);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-  EXPECT_EQ(a.framesTransmitted, b.framesTransmitted);
+  EXPECT_EQ(count(a, "phy.frames_transmitted"),
+            count(b, "phy.frames_transmitted"));
   EXPECT_DOUBLE_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
   ASSERT_EQ(a.aen.size(), b.aen.size());
   for (std::size_t i = 0; i < a.aen.size(); ++i) {
@@ -392,10 +471,10 @@ TEST_P(ZeroEffectPlan, IsByteIdenticalToNoFaultLayerAtAll) {
   harness::ScenarioResult armed = harness::runScenario(config);
 
   expectIdenticalRuns(bare, armed);
-  EXPECT_EQ(armed.crashesInjected, 0u);
-  EXPECT_EQ(armed.restartsInjected, 0u);
-  EXPECT_EQ(armed.deliveriesCorrupted, 0u);
-  EXPECT_EQ(armed.pagesLost, 0u);
+  EXPECT_EQ(count(armed, "fault.crashes"), 0.0);
+  EXPECT_EQ(count(armed, "fault.restarts"), 0.0);
+  EXPECT_EQ(count(armed, "phy.deliveries_corrupted"), 0.0);
+  EXPECT_EQ(count(armed, "paging.pages_lost"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ZeroEffectPlan,
@@ -413,8 +492,8 @@ TEST(ScenarioFault, ScheduledCrashDipsAliveFractionAndRestartRecovers) {
   // audits accept crashed hosts as down rather than flagging them.
   harness::ScenarioResult result = harness::runScenario(config);
 
-  EXPECT_EQ(result.crashesInjected, 2u);
-  EXPECT_EQ(result.restartsInjected, 2u);
+  EXPECT_EQ(count(result, "fault.crashes"), 2.0);
+  EXPECT_EQ(count(result, "fault.restarts"), 2.0);
   EXPECT_DOUBLE_EQ(result.aliveFraction.valueAt(45.0), 38.0 / 40.0);
   EXPECT_DOUBLE_EQ(result.aliveFraction.valueAt(110.0), 1.0);
   EXPECT_TRUE(result.deathTimes.empty());  // crashes are not battery deaths
@@ -429,7 +508,7 @@ TEST(ScenarioFault, BurstLossDegradesButArqAbsorbsMost) {
   config.fault.channel.pGoodToBad =
       fault::gilbertElliottPGoodToBad(0.2, 0.05);
   harness::ScenarioResult result = harness::runScenario(config);
-  EXPECT_GT(result.deliveriesCorrupted, 100u);
+  EXPECT_GT(count(result, "phy.deliveries_corrupted"), 100.0);
   EXPECT_GT(result.deliveryRate, 0.5) << "ARQ should ride out 20% burst loss";
 }
 
@@ -449,15 +528,12 @@ TEST(ScenarioFault, FullAdversePlanIsDeterministicPerSeed) {
   harness::ScenarioResult a = harness::runScenario(config);
   harness::ScenarioResult b = harness::runScenario(config);
   expectIdenticalRuns(a, b);
-  EXPECT_EQ(a.crashesInjected, b.crashesInjected);
-  EXPECT_EQ(a.restartsInjected, b.restartsInjected);
-  EXPECT_EQ(a.deliveriesCorrupted, b.deliveriesCorrupted);
-  EXPECT_EQ(a.pagesLost, b.pagesLost);
+  EXPECT_EQ(a.metrics, b.metrics);
 
   // 40 hosts × 120 s × 2e-3 crashes/host/s ≈ 9.6 expected crashes.
-  EXPECT_GT(a.crashesInjected, 0u);
-  EXPECT_GE(a.crashesInjected, a.restartsInjected);
-  EXPECT_GT(a.deliveriesCorrupted, 0u);
+  EXPECT_GT(count(a, "fault.crashes"), 0.0);
+  EXPECT_GE(count(a, "fault.crashes"), count(a, "fault.restarts"));
+  EXPECT_GT(count(a, "phy.deliveries_corrupted"), 0.0);
 
   config.seed = 8;
   harness::ScenarioResult c = harness::runScenario(config);

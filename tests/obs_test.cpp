@@ -299,9 +299,7 @@ TEST(ScenarioMetrics, SnapshotCoversEveryLayer) {
   EXPECT_DOUBLE_EQ(m.at("e2e.latency_s.count"),
                    static_cast<double>(result.latencies.size()));
   EXPECT_GT(result.p99LatencySeconds, 0.0);
-  // Registry counters agree with the legacy result fields.
-  EXPECT_DOUBLE_EQ(m.at("mac.frames_sent"),
-                   static_cast<double>(result.macFramesSent));
+  // The post-run traffic counters agree with the accounting fields.
   EXPECT_DOUBLE_EQ(m.at("traffic.packets_sent"),
                    static_cast<double>(result.packetsSent));
   EXPECT_DOUBLE_EQ(m.at("traffic.packets_received"),

@@ -33,7 +33,8 @@ std::vector<ScenarioConfig> smallSweep() {
 
 void expectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-  EXPECT_EQ(a.framesTransmitted, b.framesTransmitted);
+  EXPECT_EQ(obs::metricOr(a.metrics, "phy.frames_transmitted"),
+            obs::metricOr(b.metrics, "phy.frames_transmitted"));
   EXPECT_EQ(a.packetsSent, b.packetsSent);
   EXPECT_EQ(a.packetsReceived, b.packetsReceived);
   EXPECT_EQ(a.latencies, b.latencies);

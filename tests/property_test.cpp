@@ -165,9 +165,11 @@ TEST_P(ChurnDeterminism, TwoRunsIdentical) {
   harness::ScenarioResult a = harness::runScenario(config);
   harness::ScenarioResult b = harness::runScenario(config);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-  EXPECT_EQ(a.framesTransmitted, b.framesTransmitted);
+  EXPECT_EQ(obs::metricOr(a.metrics, "phy.frames_transmitted"),
+            obs::metricOr(b.metrics, "phy.frames_transmitted"));
   EXPECT_EQ(a.packetsReceived, b.packetsReceived);
-  EXPECT_EQ(a.pagesSent, b.pagesSent);
+  EXPECT_EQ(obs::metricOr(a.metrics, "paging.pages_sent"),
+            obs::metricOr(b.metrics, "paging.pages_sent"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ChurnDeterminism,

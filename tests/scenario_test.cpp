@@ -61,7 +61,8 @@ TEST(Scenario, SameSeedIsBitwiseDeterministic) {
   EXPECT_EQ(a.packetsSent, b.packetsSent);
   EXPECT_EQ(a.packetsReceived, b.packetsReceived);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-  EXPECT_EQ(a.framesTransmitted, b.framesTransmitted);
+  EXPECT_EQ(obs::metricOr(a.metrics, "phy.frames_transmitted"),
+            obs::metricOr(b.metrics, "phy.frames_transmitted"));
   EXPECT_DOUBLE_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
   ASSERT_EQ(a.aen.size(), b.aen.size());
   for (std::size_t i = 0; i < a.aen.size(); ++i) {

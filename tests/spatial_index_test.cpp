@@ -210,13 +210,9 @@ TEST(ScenarioDifferential, SpatialIndexIsBitIdenticalToBruteForce) {
 
   // Re-bucketing timers only add events; they must not remove any.
   EXPECT_GT(indexed.eventsExecuted, brute.eventsExecuted);
-  EXPECT_EQ(indexed.framesTransmitted, brute.framesTransmitted);
   EXPECT_EQ(indexed.packetsSent, brute.packetsSent);
   EXPECT_EQ(indexed.packetsReceived, brute.packetsReceived);
-  EXPECT_EQ(indexed.macFramesSent, brute.macFramesSent);
-  EXPECT_EQ(indexed.macFramesDropped, brute.macFramesDropped);
-  EXPECT_EQ(indexed.macRetransmissions, brute.macRetransmissions);
-  EXPECT_EQ(indexed.pagesSent, brute.pagesSent);
+  EXPECT_EQ(indexed.metrics, brute.metrics);
   EXPECT_EQ(indexed.deathTimes, brute.deathTimes);
   EXPECT_EQ(indexed.latencies, brute.latencies);
   ASSERT_EQ(indexed.aen.points().size(), brute.aen.points().size());

@@ -8,6 +8,7 @@
 #include "core/ecgrid_protocol.hpp"
 #include "mobility/mobility_model.hpp"
 #include "net/network.hpp"
+#include "obs/observability.hpp"
 #include "protocols/gaf/gaf_protocol.hpp"
 #include "protocols/grid/grid_protocol.hpp"
 #include "sim/simulator.hpp"
@@ -18,11 +19,20 @@ namespace ecgrid::test {
 /// installed per node via the install* helpers; positions are static
 /// unless a scripted model is supplied.
 struct TestNet {
+  /// Tag for the constructor that installs an obs::Observability hub.
+  struct WithHub {};
+
   sim::Simulator simulator{12345};
+  /// Null unless built WithHub. Declared before the network so every
+  /// layer registers its counters on the hub's registry.
+  std::unique_ptr<obs::Observability> hub;
   net::Network network;
 
   explicit TestNet(net::NetworkConfig config = {})
       : network(simulator, config) {}
+  explicit TestNet(WithHub, net::NetworkConfig config = {})
+      : hub(std::make_unique<obs::Observability>(simulator)),
+        network(simulator, config) {}
 
   net::Node& addStatic(net::NodeId id, geo::Vec2 position,
                        double batteryJ = 500.0) {

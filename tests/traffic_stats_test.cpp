@@ -8,7 +8,6 @@
 
 #include "protocols/flooding/flooding_protocol.hpp"
 #include "stats/energy_recorder.hpp"
-#include "stats/trace_recorder.hpp"
 #include "stats/packet_accounting.hpp"
 #include "stats/timeseries.hpp"
 #include "test_net.hpp"
@@ -236,54 +235,6 @@ TEST(EnergyRecorder, ExcludesInfiniteBatteriesByDefault) {
   recorder.sample();
   EXPECT_NEAR(recorder.aen().points().back().second, 5.0 * 0.863 / 500.0,
               1e-3);
-}
-
-TEST(TraceRecorder, WritesOneJsonLinePerHostPerSample) {
-  TestNet net;
-  net.addStatic(1, {50.0, 50.0});
-  net.addStatic(2, {30.0, 30.0});
-  net.installEcgridEverywhere();
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ecgrid_trace_test.jsonl")
-          .string();
-  {
-    stats::TraceRecorder trace(net.network, 1.0, path);
-    net.network.start();
-    net.simulator.run(5.0);
-    trace.flush();
-    // Samples at t=0..5 inclusive of the initial one: 6 ticks × 2 hosts.
-    EXPECT_EQ(trace.linesWritten(), 12u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  // v2 opens with a schema header line, excluded from linesWritten().
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"schema\":\"ecgrid-state\""), std::string::npos);
-  EXPECT_NE(line.find("\"version\":2"), std::string::npos);
-  int lines = 0;
-  bool sawGateway = false;
-  bool sawSleeper = false;
-  bool sawServed = false;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"battery\":"), std::string::npos);
-    bool gateway = line.find("\"gateway\":true") != std::string::npos;
-    sawGateway |= gateway;
-    sawSleeper |= line.find("\"sleeping\":true") != std::string::npos;
-    // served_x/served_y appear on gateway records only.
-    bool served = line.find("\"served_x\":") != std::string::npos;
-    sawServed |= served;
-    if (served) {
-      EXPECT_TRUE(gateway);
-    }
-  }
-  EXPECT_EQ(lines, 12);
-  EXPECT_TRUE(sawGateway);
-  EXPECT_TRUE(sawSleeper);
-  EXPECT_TRUE(sawServed);
-  std::filesystem::remove(path);
 }
 
 TEST(FlowManager, CreatesDistinctEndpointFlows) {

@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
 """Validate ecgrid trace artifacts.
 
-Auto-detects and checks the four trace formats the simulator and its
+Auto-detects and checks the three trace formats the simulator and its
 tooling produce:
 
   * ecgrid-events    — protocol event JSONL from obs::EventTracer
                        (header {"schema":"ecgrid-events","version":1,...})
-  * ecgrid-state     — periodic network-state JSONL from
-                       stats::TraceRecorder
-                       (header {"schema":"ecgrid-state","version":2,...})
   * ecgrid-telemetry — run-health samples from obs::RunTelemetry
                        (header {"schema":"ecgrid-telemetry","version":1,
                        ...}); checked for required keys, monotone wall_s
@@ -20,8 +17,8 @@ Checks applied to every format: each record parses as JSON, required keys
 are present, and timestamps never decrease. Event traces additionally get
 span-pairing checks: every "e" must close an open (cat, id) span ("b"
 without "e" is legal — an open span at end-of-sim is a signal, e.g. a
-page that never woke its target). State traces check per-record field
-presence and that served_x/served_y appear only on gateway records.
+page that never woke its target) — and state samples ("state"/"host"
+instants) must carry served_x/served_y together and only on a gateway.
 
 Only the Python standard library is used. Exit 0 = valid; exit 1 prints
 every violation (capped) to stderr.
@@ -34,22 +31,6 @@ import json
 import sys
 
 MAX_REPORTED = 20
-
-STATE_REQUIRED = (
-    "t",
-    "id",
-    "x",
-    "y",
-    "alive",
-    "crashed",
-    "sleeping",
-    "gateway",
-    "cell_x",
-    "cell_y",
-    "battery",
-    "gps_err",
-)
-
 
 TELEMETRY_REQUIRED = (
     "kind",
@@ -127,32 +108,23 @@ def check_events(checker, records):
                     checker.error(lineno, f"span end {key} with no open begin")
                 else:
                     del open_spans[key]
-            elif phase != "i":
+            elif phase == "i":
+                if record["cat"] == "state" and record["ev"] == "host":
+                    check_state_sample(checker, lineno, record.get("args", {}))
+            else:
                 checker.error(lineno, f"unknown phase '{phase}'")
     # Open spans at EOF are legal (a page that never woke its target, an
     # election cut short by death) — report as info only, never an error.
     return len(open_spans)
 
 
-def check_state(checker, records, version):
-    """ecgrid-state JSONL: per-host record fields, monotone sample time."""
-    last_t = None
-    for lineno, record in records:
-        missing = [key for key in STATE_REQUIRED if key not in record]
-        if missing:
-            checker.error(lineno, f"missing keys: {', '.join(missing)}")
-            continue
-        t = record["t"]
-        if last_t is not None and t < last_t:
-            checker.error(lineno, f"time went backwards ({t} < {last_t})")
-        last_t = t
-        has_served = "served_x" in record or "served_y" in record
-        if has_served and version < 2:
-            checker.error(lineno, "served_x/served_y in a pre-v2 trace")
-        if has_served and not record["gateway"]:
-            checker.error(lineno, "served grid on a non-gateway record")
-        if has_served and ("served_x" not in record or "served_y" not in record):
-            checker.error(lineno, "served_x/served_y must appear together")
+def check_state_sample(checker, lineno, args):
+    """A state/host instant: the served grid only on a gateway record."""
+    has_served = "served_x" in args or "served_y" in args
+    if has_served and args.get("gateway") is not True:
+        checker.error(lineno, "served grid on a non-gateway record")
+    if has_served and ("served_x" not in args or "served_y" not in args):
+        checker.error(lineno, "served_x/served_y must appear together")
 
 
 def check_telemetry(checker, records):
@@ -268,8 +240,7 @@ def check_file(path):
             return checker, "chrome-trace", len(trace.get("traceEvents", []))
 
         schema = header.get("schema") if isinstance(header, dict) else None
-        if schema not in ("ecgrid-events", "ecgrid-state",
-                          "ecgrid-telemetry"):
+        if schema not in ("ecgrid-events", "ecgrid-telemetry"):
             checker.error(1, f"unknown schema {schema!r}")
             return checker, "unknown", 0
 
@@ -297,15 +268,12 @@ def check_file(path):
             if open_count:
                 label += f" ({open_count} span(s) left open)"
             return checker, label, count
-        if schema == "ecgrid-telemetry":
-            samples = check_telemetry(checker, counted())
-            label = (
-                f"ecgrid-telemetry v{header.get('version')} "
-                f"({samples} sample(s))"
-            )
-            return checker, label, count
-        check_state(checker, counted(), header.get("version", 1))
-        return checker, f"ecgrid-state v{header.get('version')}", count
+        samples = check_telemetry(checker, counted())
+        label = (
+            f"ecgrid-telemetry v{header.get('version')} "
+            f"({samples} sample(s))"
+        )
+        return checker, label, count
 
 
 def main(argv):
