@@ -272,6 +272,18 @@ int main(int argc, char** argv) {
   }
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());
+  // The context's library_build_type describes the benchmark library, not
+  // this binary; record how the simulator code under test was compiled.
+#if defined(__OPTIMIZE__)
+  benchmark::AddCustomContext("ecgrid_optimized", "true");
+#else
+  benchmark::AddCustomContext("ecgrid_optimized", "false");
+#endif
+#if defined(NDEBUG)
+  benchmark::AddCustomContext("ecgrid_ndebug", "true");
+#else
+  benchmark::AddCustomContext("ecgrid_ndebug", "false");
+#endif
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

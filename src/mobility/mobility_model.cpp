@@ -15,13 +15,13 @@ constexpr double kBoundaryEpsilon = 1e-6;
 sim::Time MobilityModel::nextPossibleCellExit(const geo::GridMap& grid,
                                               sim::Time t,
                                               const geo::Vec2& offset) {
-  geo::Vec2 pos = positionAt(t) + offset;
-  geo::Vec2 vel = velocityAt(t);
-  double exit = grid.timeToExitCell(pos, vel);
+  const geo::Segment leg = legAt(t);
+  geo::Vec2 pos = leg.at(t) + offset;
+  double exit = grid.timeToExitCell(pos, leg.velocity);
   sim::Time byMotion =
       exit == std::numeric_limits<double>::infinity() ? sim::kTimeNever
                                                       : t + exit;
-  sim::Time byChange = nextChangeTime(t);
+  sim::Time byChange = leg.end;
   sim::Time next = byMotion < byChange ? byMotion : byChange;
   if (next >= sim::kTimeNever) return sim::kTimeNever;
   if (next <= t) next = t;
@@ -38,27 +38,16 @@ ScriptedMobility::ScriptedMobility(std::vector<Leg> legs)
   }
 }
 
-const ScriptedMobility::Leg& ScriptedMobility::legAt(sim::Time t) const {
+geo::Segment ScriptedMobility::legAt(sim::Time t) {
   // Linear scan is fine: scripted trajectories are short test fixtures.
-  const Leg* current = &legs_.front();
-  for (const Leg& leg : legs_) {
-    if (leg.start <= t) current = &leg;
+  std::size_t current = 0;
+  while (current + 1 < legs_.size() && legs_[current + 1].start <= t) {
+    ++current;
   }
-  return *current;
-}
-
-geo::Vec2 ScriptedMobility::positionAt(sim::Time t) {
-  const Leg& leg = legAt(t);
-  return leg.origin + leg.velocity * (t - leg.start);
-}
-
-geo::Vec2 ScriptedMobility::velocityAt(sim::Time t) { return legAt(t).velocity; }
-
-sim::Time ScriptedMobility::nextChangeTime(sim::Time t) {
-  for (const Leg& leg : legs_) {
-    if (leg.start > t) return leg.start;
-  }
-  return sim::kTimeNever;
+  const Leg& leg = legs_[current];
+  const sim::Time end =
+      current + 1 < legs_.size() ? legs_[current + 1].start : sim::kTimeNever;
+  return {leg.start, end, leg.origin, leg.velocity};
 }
 
 }  // namespace ecgrid::mobility

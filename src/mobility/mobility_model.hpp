@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "geo/grid.hpp"
+#include "geo/segment.hpp"
 #include "geo/vec2.hpp"
 #include "sim/time.hpp"
 #include "util/ownership.hpp"
@@ -22,16 +23,22 @@ class ECGRID_DOMAIN_PER_HOST MobilityModel {
  public:
   virtual ~MobilityModel() = default;
 
-  /// Position at time `t`. `t` must be non-decreasing across calls (models
-  /// generate their trajectory lazily).
-  virtual geo::Vec2 positionAt(sim::Time t) = 0;
+  /// The motion leg containing `t`: start <= t < end, with end =
+  /// kTimeNever for a leg that never changes. `t` must be non-decreasing
+  /// across calls (models generate their trajectory lazily). A leg, once
+  /// returned, describes the trajectory over its whole interval, so
+  /// callers may cache it until `end` (phy::Channel does).
+  virtual geo::Segment legAt(sim::Time t) = 0;
+
+  /// Position at time `t`: legAt(t).at(t).
+  geo::Vec2 positionAt(sim::Time t) { return legAt(t).at(t); }
 
   /// Velocity during the motion leg containing `t` (zero while paused).
-  virtual geo::Vec2 velocityAt(sim::Time t) = 0;
+  geo::Vec2 velocityAt(sim::Time t) { return legAt(t).velocity; }
 
-  /// Absolute time of the next velocity change at or after `t`
-  /// (kTimeNever for models that never change).
-  virtual sim::Time nextChangeTime(sim::Time t) = 0;
+  /// Absolute time of the next velocity change after `t` (kTimeNever for
+  /// models that never change).
+  sim::Time nextChangeTime(sim::Time t) { return legAt(t).end; }
 
   /// Estimated dwell: earliest future time at which the host *could* leave
   /// its current grid cell — either by crossing the boundary on its
@@ -52,16 +59,17 @@ class StaticMobility final : public MobilityModel {
  public:
   explicit StaticMobility(geo::Vec2 position) : position_(position) {}
 
-  geo::Vec2 positionAt(sim::Time) override { return position_; }
-  geo::Vec2 velocityAt(sim::Time) override { return {}; }
-  sim::Time nextChangeTime(sim::Time) override { return sim::kTimeNever; }
+  geo::Segment legAt(sim::Time) override {
+    return {sim::kTimeZero, sim::kTimeNever, position_, {}};
+  }
 
  private:
   geo::Vec2 position_;
 };
 
 /// Scripted piecewise-linear motion for deterministic tests: the host
-/// follows a fixed list of (startTime, startPos, velocity) legs.
+/// follows a fixed list of (startTime, startPos, velocity) legs, each
+/// lasting until the next one starts.
 class ScriptedMobility final : public MobilityModel {
  public:
   struct Leg {
@@ -73,12 +81,9 @@ class ScriptedMobility final : public MobilityModel {
   /// Legs must be sorted by start time; the first must start at 0.
   explicit ScriptedMobility(std::vector<Leg> legs);
 
-  geo::Vec2 positionAt(sim::Time t) override;
-  geo::Vec2 velocityAt(sim::Time t) override;
-  sim::Time nextChangeTime(sim::Time t) override;
+  geo::Segment legAt(sim::Time t) override;
 
  private:
-  const Leg& legAt(sim::Time t) const;
   std::vector<Leg> legs_;
 };
 

@@ -17,7 +17,7 @@ RandomWalk::RandomWalk(const RandomWalkConfig& config, sim::RngStream rng)
   current_ = makeLeg(0.0, start);
 }
 
-RandomWalk::Leg RandomWalk::makeLeg(sim::Time start, const geo::Vec2& from) {
+geo::Segment RandomWalk::makeLeg(sim::Time start, const geo::Vec2& from) {
   double heading = rng_.uniform(0.0, 2.0 * std::numbers::pi);
   geo::Vec2 velocity{config_.speed * std::cos(heading),
                      config_.speed * std::sin(heading)};
@@ -33,7 +33,7 @@ RandomWalk::Leg RandomWalk::makeLeg(sim::Time start, const geo::Vec2& from) {
   clip(from.y, velocity.y, config_.fieldHeight);
   if (tEdge < 1e-6) tEdge = 1e-6;
 
-  Leg leg;
+  geo::Segment leg;
   leg.start = start;
   leg.end = start + tEdge;
   leg.origin = from;
@@ -45,8 +45,7 @@ void RandomWalk::advanceTo(sim::Time t) {
   ECGRID_REQUIRE(t + 1e-9 >= current_.start,
                  "mobility queried backwards in time");
   while (t >= current_.end) {
-    geo::Vec2 endPos =
-        current_.origin + current_.velocity * (current_.end - current_.start);
+    geo::Vec2 endPos = current_.at(current_.end);
     // Numerical safety: clamp strictly inside the field before re-drawing.
     endPos.x = std::clamp(endPos.x, 0.0, config_.fieldWidth);
     endPos.y = std::clamp(endPos.y, 0.0, config_.fieldHeight);
@@ -54,19 +53,9 @@ void RandomWalk::advanceTo(sim::Time t) {
   }
 }
 
-geo::Vec2 RandomWalk::positionAt(sim::Time t) {
+geo::Segment RandomWalk::legAt(sim::Time t) {
   advanceTo(t);
-  return current_.origin + current_.velocity * (t - current_.start);
-}
-
-geo::Vec2 RandomWalk::velocityAt(sim::Time t) {
-  advanceTo(t);
-  return current_.velocity;
-}
-
-sim::Time RandomWalk::nextChangeTime(sim::Time t) {
-  advanceTo(t);
-  return current_.end;
+  return current_;
 }
 
 }  // namespace ecgrid::mobility

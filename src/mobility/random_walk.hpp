@@ -24,24 +24,15 @@ class ECGRID_DOMAIN_PER_HOST RandomWalk final : public MobilityModel {
  public:
   RandomWalk(const RandomWalkConfig& config, sim::RngStream rng);
 
-  geo::Vec2 positionAt(sim::Time t) override;
-  geo::Vec2 velocityAt(sim::Time t) override;
-  sim::Time nextChangeTime(sim::Time t) override;
+  geo::Segment legAt(sim::Time t) override;
 
  private:
-  struct Leg {
-    sim::Time start = 0.0;
-    sim::Time end = 0.0;
-    geo::Vec2 origin;
-    geo::Vec2 velocity;
-  };
-
   void advanceTo(sim::Time t);
-  Leg makeLeg(sim::Time start, const geo::Vec2& from);
+  geo::Segment makeLeg(sim::Time start, const geo::Vec2& from);
 
   RandomWalkConfig config_;
   sim::RngStream rng_;
-  Leg current_;
+  geo::Segment current_;
 };
 
 }  // namespace ecgrid::mobility

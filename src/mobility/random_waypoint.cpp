@@ -21,10 +21,10 @@ RandomWaypoint::RandomWaypoint(const RandomWaypointConfig& config,
   }
 }
 
-RandomWaypoint::Leg RandomWaypoint::makePauseLeg(sim::Time start,
-                                                 sim::Time duration,
-                                                 const geo::Vec2& at) {
-  Leg leg;
+geo::Segment RandomWaypoint::makePauseLeg(sim::Time start,
+                                          sim::Time duration,
+                                          const geo::Vec2& at) {
+  geo::Segment leg;
   leg.start = start;
   leg.end = start + duration;
   leg.origin = at;
@@ -32,13 +32,13 @@ RandomWaypoint::Leg RandomWaypoint::makePauseLeg(sim::Time start,
   return leg;
 }
 
-RandomWaypoint::Leg RandomWaypoint::makeTravelLeg(sim::Time start,
-                                                  const geo::Vec2& from) {
+geo::Segment RandomWaypoint::makeTravelLeg(sim::Time start,
+                                           const geo::Vec2& from) {
   geo::Vec2 waypoint{rng_.uniform(0.0, config_.fieldWidth),
                      rng_.uniform(0.0, config_.fieldHeight)};
   double speed = rng_.uniform(config_.minSpeed, config_.maxSpeed);
   double distance = from.distanceTo(waypoint);
-  Leg leg;
+  geo::Segment leg;
   leg.start = start;
   leg.origin = from;
   if (distance < 1e-9) {
@@ -57,8 +57,7 @@ void RandomWaypoint::advanceTo(sim::Time t) {
   ECGRID_REQUIRE(t + 1e-9 >= current_.start,
                  "mobility queried backwards in time");
   while (t >= current_.end) {
-    geo::Vec2 endPos =
-        current_.origin + current_.velocity * (current_.end - current_.start);
+    geo::Vec2 endPos = current_.at(current_.end);
     bool wasTravel = current_.velocity.lengthSquared() > 0.0;
     if (wasTravel && config_.pauseTime > 0.0) {
       current_ = makePauseLeg(current_.end, config_.pauseTime, endPos);
@@ -68,19 +67,9 @@ void RandomWaypoint::advanceTo(sim::Time t) {
   }
 }
 
-geo::Vec2 RandomWaypoint::positionAt(sim::Time t) {
+geo::Segment RandomWaypoint::legAt(sim::Time t) {
   advanceTo(t);
-  return current_.origin + current_.velocity * (t - current_.start);
-}
-
-geo::Vec2 RandomWaypoint::velocityAt(sim::Time t) {
-  advanceTo(t);
-  return current_.velocity;
-}
-
-sim::Time RandomWaypoint::nextChangeTime(sim::Time t) {
-  advanceTo(t);
-  return current_.end;
+  return current_;
 }
 
 }  // namespace ecgrid::mobility

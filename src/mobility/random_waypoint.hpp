@@ -34,27 +34,18 @@ class ECGRID_DOMAIN_PER_HOST RandomWaypoint final : public MobilityModel {
   /// `config.pauseTime` (matching ns-2 setdest traces).
   RandomWaypoint(const RandomWaypointConfig& config, sim::RngStream rng);
 
-  geo::Vec2 positionAt(sim::Time t) override;
-  geo::Vec2 velocityAt(sim::Time t) override;
-  sim::Time nextChangeTime(sim::Time t) override;
+  geo::Segment legAt(sim::Time t) override;
 
  private:
-  struct Leg {
-    sim::Time start = 0.0;
-    sim::Time end = 0.0;
-    geo::Vec2 origin;
-    geo::Vec2 velocity;
-  };
-
   /// Extends the trajectory until the current leg covers `t`.
   void advanceTo(sim::Time t);
-  Leg makeTravelLeg(sim::Time start, const geo::Vec2& from);
-  static Leg makePauseLeg(sim::Time start, sim::Time duration,
-                          const geo::Vec2& at);
+  geo::Segment makeTravelLeg(sim::Time start, const geo::Vec2& from);
+  static geo::Segment makePauseLeg(sim::Time start, sim::Time duration,
+                                   const geo::Vec2& at);
 
   RandomWaypointConfig config_;
   sim::RngStream rng_;
-  Leg current_;
+  geo::Segment current_;
 };
 
 }  // namespace ecgrid::mobility

@@ -81,8 +81,8 @@ Node::~Node() = default;
 void Node::attachToMedia() {
   // Physical media always see the ground-truth position: GPS error warps
   // what the host believes, not where its antenna radiates.
-  channelAttachment_ =
-      channel_.attach(radio_.get(), [this] { return truePosition(); });
+  channelAttachment_ = channel_.attach(
+      radio_.get(), [this](sim::Time t) { return mobility_->legAt(t); });
   pagingAttachment_ = paging_.attach(
       config_.id, [this] { return truePosition(); },
       // The pager's broadcast sequence is programmed with the grid the

@@ -63,22 +63,34 @@ sim::Time Channel::frameAirtime(int bytes) const {
   return config_.preambleSeconds + bytes * 8.0 / config_.bitrateBps;
 }
 
-std::size_t Channel::attach(Radio* radio, std::function<geo::Vec2()> position) {
+std::size_t Channel::attach(Radio* radio, LegProvider legs) {
   ECGRID_REQUIRE(radio != nullptr, "radio required");
-  ECGRID_REQUIRE(position != nullptr, "position provider required");
+  ECGRID_REQUIRE(legs != nullptr, "leg provider required");
   std::size_t id;
   if (!freeSlots_.empty()) {
     id = freeSlots_.back();
     freeSlots_.pop_back();
-    attachments_[id] = Attachment{radio, std::move(position)};
+    attachments_[id] = Attachment{radio, std::move(legs)};
   } else {
     id = attachments_.size();
-    attachments_.push_back(Attachment{radio, std::move(position)});
+    attachments_.push_back(Attachment{radio, std::move(legs)});
+    legs_.emplace_back();
   }
+  // A default leg has already ended: the first query reads a fresh one.
+  legs_[id] = geo::Segment{};
   radio->setChannelAttachmentId(id);
-  if (index_) index_->insert(id, attachments_[id].position());
+  if (index_) index_->insert(id, positionOf(id, sim_.now()));
   ++liveAttachments_;
   return id;
+}
+
+std::size_t Channel::attach(Radio* radio, std::function<geo::Vec2()> position) {
+  ECGRID_REQUIRE(position != nullptr, "position provider required");
+  // A leg that ends where it starts is stale at once, so every query asks
+  // the provider again.
+  return attach(radio, [position = std::move(position)](sim::Time now) {
+    return geo::Segment{now, now, position(), {}};
+  });
 }
 
 void Channel::detach(std::size_t attachmentId) {
@@ -88,7 +100,7 @@ void Channel::detach(std::size_t attachmentId) {
   if (index_) index_->remove(attachmentId);
   slot.radio->setChannelAttachmentId(Radio::kNoAttachment);
   slot.radio = nullptr;
-  slot.position = nullptr;
+  slot.legs = nullptr;
   freeSlots_.push_back(attachmentId);
   --liveAttachments_;
 }
@@ -96,28 +108,36 @@ void Channel::detach(std::size_t attachmentId) {
 void Channel::notifyMoved(std::size_t attachmentId) {
   ECGRID_REQUIRE(attachmentId < attachments_.size(), "bad attachment id");
   if (!index_) return;
-  const Attachment& slot = attachments_[attachmentId];
-  ECGRID_REQUIRE(slot.radio != nullptr, "attachment is detached");
-  index_->update(attachmentId, slot.position());
+  ECGRID_REQUIRE(attachments_[attachmentId].radio != nullptr,
+                 "attachment is detached");
+  index_->update(attachmentId, positionOf(attachmentId, sim_.now()));
 }
 
 const geo::GridMap* Channel::indexGrid() const {
   return index_ ? &index_->grid() : nullptr;
 }
 
-ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
+ECGRID_HOT_PATH geo::Vec2 Channel::positionOf(std::size_t id,
+                                              sim::Time now) {
+  geo::Segment& leg = legs_[id];
+  if (now >= leg.end) leg = attachments_[id].legs(now);
+  return leg.at(now);
+}
+
+ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id,
+                                        const sim::EventOrder& place,
                                         net::NodeId senderId,
                                         const geo::Vec2& senderPos,
+                                        sim::Time now,
                                         const FrameRef& frame) {
   ECGRID_HOT_SCOPE();
   const double rangeSq = config_.rangeMeters * config_.rangeMeters;
   const double interfSq =
       config_.interferenceRangeMeters * config_.interferenceRangeMeters;
-  geo::Vec2 rxPos = attachment.position();
-  double distSq = senderPos.distanceSquaredTo(rxPos);
+  double distSq = senderPos.distanceSquaredTo(positionOf(id, now));
   if (distSq > rangeSq && distSq > interfSq) return;
   double delay = std::sqrt(distSq) / config_.propagationSpeed;
-  Radio* receiver = attachment.radio;
+  Radio* receiver = attachments_[id].radio;
   // Outside decode range (the interference ring) energy arrives but
   // cannot decode.
   bool decodable = distSq <= rangeSq;
@@ -134,18 +154,17 @@ ECGRID_HOT_PATH void Channel::deliverTo(const Attachment& attachment,
       decodable = false;
     }
   }
-  const sim::Time at = sim_.now() + delay;
-  const sim::EventOrder order = sim_.reserveOrder();
+  const sim::Time at = now + delay;
   if (receiver->sleeping()) {
     // Park it in the place the event would take; replayDeferred schedules
     // it there if the receiver wakes before it lands.
-    deferred_.push_back(Arrival{receiver, at, order, frame, decodable});
+    deferred_.push_back(Arrival{receiver, at, place, frame, decodable});
     return;
   }
   awake_.push_back(
       decodable
-          ? sim::RunItem{at, order, "phy/deliver", &deliverArrival, receiver}
-          : sim::RunItem{at, order, "phy/interference", &interfereArrival,
+          ? sim::RunItem{at, place, "phy/deliver", &deliverArrival, receiver}
+          : sim::RunItem{at, place, "phy/interference", &interfereArrival,
                          receiver});
 }
 
@@ -199,37 +218,40 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
   ECGRID_CHECK(senderId < attachments_.size() &&
                    attachments_[senderId].radio == &sender,
                "transmitting radio is not attached to this channel");
-  geo::Vec2 senderPos = attachments_[senderId].position();
+  const sim::Time now = sim_.now();
+  const geo::Vec2 senderPos = positionOf(senderId, now);
 
   if (!deferred_.empty()) {
     // Arrivals that have landed while their receiver slept can no longer
     // matter to a wake.
-    const sim::Time now = sim_.now();
     std::erase_if(deferred_,
                   [now](const Arrival& a) { return a.at < now; });
   }
 
+  // One queue place per attachment slot, taken at once: receiver `id`
+  // gets place `id`, so same-instant arrivals run in ascending attachment
+  // order whatever order the candidates are visited in.
+  const sim::OrderBlock places = sim_.reserveBlock(attachments_.size());
   awake_.clear();
   if (index_) {
     scratch_.clear();
     index_->collectNear(senderPos, scratch_);
-    // Bucket iteration order is hash-dependent; sorting by attachment id
-    // restores the exact slot-order schedule of the brute-force scan, so
-    // both modes produce bit-identical simulations.
-    std::sort(scratch_.begin(), scratch_.end());
+    // Bucket iteration order is hash-dependent. Only the fault slot sees
+    // visiting order (it may draw from a stateful stream), so only then
+    // are candidates sorted into the brute-force scan's slot order.
+    if (config_.deliveryFault) std::sort(scratch_.begin(), scratch_.end());
     for (std::size_t id : scratch_) {
       if (id == senderId) continue;
-      deliverTo(attachments_[id], sender.id(), senderPos, frame);
+      deliverTo(id, places[id], sender.id(), senderPos, now, frame);
     }
   } else {
-    for (const Attachment& a : attachments_) {
-      if (a.radio == nullptr || a.radio == &sender) continue;
-      deliverTo(a, sender.id(), senderPos, frame);
+    for (std::size_t id = 0; id < attachments_.size(); ++id) {
+      if (attachments_[id].radio == nullptr || id == senderId) continue;
+      deliverTo(id, places[id], sender.id(), senderPos, now, frame);
     }
   }
 
-  // Orders were reserved in attachment order; queue the awake arrivals
-  // in key order as one run, sharing the frame.
+  // Queue the awake arrivals in key order as one run, sharing the frame.
   std::sort(awake_.begin(), awake_.end(), sim::itemBefore);
   sim::RunCursor run;
   for (const sim::RunItem& item : awake_) {

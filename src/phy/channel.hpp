@@ -9,38 +9,49 @@
 //
 // Fan-out uses a SpatialIndex by default: attachments are bucketed by a
 // grid of side strictly greater than the effective reach, and a broadcast
-// scans only the 3x3 buckets around the sender. Candidate ids are sorted
-// before delivery so the schedule order (and hence every sequence number)
-// is identical to the brute-force O(N) scan, which is kept behind
-// `ChannelConfig::useSpatialIndex = false` for differential testing.
+// scans only the 3x3 buckets around the sender. The brute-force O(N) scan
+// is kept behind `ChannelConfig::useSpatialIndex = false` for differential
+// testing; both modes produce bit-identical simulations.
 //
 // PHY work scales with the radios that can hear a frame, not with every
 // radio in range:
 //
+//   * One block of queue places per transmission. The transmission takes
+//     as many consecutive places as there are attachment slots, at once
+//     (Simulator::reserveBlock), and receiver `id` gets place `id` of the
+//     block. No other event's sequence falls inside the block, so same-
+//     instant arrivals run in ascending attachment order however the
+//     candidates were visited: the hash-ordered bucket scan needs no sort.
+//     The one exception is the fault slot, which may draw from a stateful
+//     stream; while it is armed the candidates are sorted so it is
+//     consulted in ascending attachment order in both modes.
+//   * One cached motion leg per radio. Positions come from a dense vector
+//     of geo::Segments, one per attachment; a radio's leg is re-read
+//     through its provider only once the clock reaches the leg's end.
+//     Every mobility model is piecewise-linear and its positionAt is the
+//     leg's own formula, so the cached position is bit-identical.
 //   * One frame per transmission. The stamped packet and its airtime go
 //     into one pooled, immutable Frame (phy/frame.hpp); every reception
 //     holds a FrameRef to it instead of its own packet copy.
-//   * One queue entry per transmission. Orders are reserved and the
-//     fault slot consulted per receiver, in ascending attachment order;
-//     then the listening receivers' arrivals (phy/deliver, or
-//     phy/interference from the outer ring) are sorted by key and queued
-//     as one event-queue run (sim/event.hpp) holding the frame. Each
-//     arrival is still its own event with its own key — it just costs a
-//     56-byte run item instead of a slot, a closure and a heap push.
+//   * One queue entry per transmission. The listening receivers' arrivals
+//     (phy/deliver, or phy/interference from the outer ring) are sorted by
+//     key and queued as one event-queue run (sim/event.hpp) holding the
+//     frame. Each arrival is still its own event with its own key — it
+//     just costs a 56-byte run item instead of a slot, a closure and a
+//     heap push.
 //   * Sleepers cost no events. A sleeping transceiver discards whatever
 //     arrives, so scheduling its phy/deliver (or phy/interference) would
 //     only make an event that does nothing. For a receiver that is asleep
-//     at transmit time the channel instead reserves the event's place in
-//     the queue order (Simulator::reserveOrder) and parks a deferred
-//     arrival: receiver, arrival time, that order, frame, decodable or
-//     not. Sleep has only two exits back to hearing — Radio::wake and,
-//     after a crash, Radio::powerUp — and both ask the channel to replay
-//     the receiver's deferred arrivals. Each one that would not yet have
-//     run (Simulator::wouldHaveRun) is scheduled as a single event — the
-//     only arrivals that are one — with the label, host key, absolute
-//     time and reserved order it would have had at transmit time, so it
-//     runs exactly where the skipped event would have; the rest would
-//     have been discarded and are dropped. Frames
+//     at transmit time the channel instead parks a deferred arrival in
+//     its block place: receiver, arrival time, that place, frame,
+//     decodable or not. Sleep has only two exits back to hearing —
+//     Radio::wake and, after a crash, Radio::powerUp — and both ask the
+//     channel to replay the receiver's deferred arrivals. Each one that
+//     would not yet have run (Simulator::wouldHaveRun) is scheduled as a
+//     single event — the only arrivals that are one — with the label,
+//     host key, absolute time and reserved place it would have had at
+//     transmit time, so it runs exactly where the skipped event would
+//     have; the rest would have been discarded and are dropped. Frames
 //     are in flight for at most reach / propagationSpeed (≈0.83 µs at
 //     250 m), so each transmission prunes arrivals that have passed.
 //
@@ -58,6 +69,7 @@
 #include <optional>
 #include <vector>
 
+#include "geo/segment.hpp"
 #include "geo/vec2.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
@@ -106,10 +118,19 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Packet::bytes()).
   sim::Time frameAirtime(int bytes) const;
 
-  /// Register a radio with a provider for its *current* position
-  /// (evaluated lazily at each transmission). Returns an attachment id;
-  /// ids of detached radios are recycled. The id is also stored on the
-  /// radio so transmitFrom can find the sender without scanning.
+  /// A radio's motion, one leg at a time: the leg containing the given
+  /// time (mobility::MobilityModel::legAt).
+  using LegProvider = std::function<geo::Segment(sim::Time)>;
+
+  /// Register a radio with a provider for its motion legs. The channel
+  /// caches each radio's current leg and asks again only once the clock
+  /// reaches the leg's end. Returns an attachment id; ids of detached
+  /// radios are recycled. The id is also stored on the radio so
+  /// transmitFrom can find the sender without scanning.
+  std::size_t attach(Radio* radio, LegProvider legs);
+
+  /// As above, for a provider of the radio's *current* position only: it
+  /// is asked again at every query (a zero-length leg).
   std::size_t attach(Radio* radio, std::function<geo::Vec2()> position);
 
   /// Detach (host death). The radio receives nothing afterwards and the
@@ -160,7 +181,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
  private:
   struct Attachment {
     Radio* radio = nullptr;  // nullptr = detached slot
-    std::function<geo::Vec2()> position;
+    LegProvider legs;
   };
 
   /// One sleeping receiver's copy of a transmission, parked until it
@@ -173,13 +194,20 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     bool decodable = false;  ///< phy/deliver; else phy/interference
   };
 
-  void deliverTo(const Attachment& attachment, net::NodeId senderId,
-                 const geo::Vec2& senderPos, const FrameRef& frame);
+  /// Attachment `id`'s position now, from its cached leg (refreshed
+  /// through its provider once the leg has ended).
+  geo::Vec2 positionOf(std::size_t id, sim::Time now);
+  void deliverTo(std::size_t id, const sim::EventOrder& place,
+                 net::NodeId senderId, const geo::Vec2& senderPos,
+                 sim::Time now, const FrameRef& frame);
   void scheduleArrival(Arrival& arrival);
 
   sim::Simulator& sim_;
   ChannelConfig config_;
   std::vector<Attachment> attachments_;
+  /// Each attachment's current motion leg, by id; a stale one (end <= now)
+  /// is re-read on its next query.
+  std::vector<geo::Segment> legs_;
   std::vector<std::size_t> freeSlots_;
   std::optional<SpatialIndex> index_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx

@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -123,10 +122,12 @@ inline bool EventTarget::ownsHandle(const EventHandle& handle,
 
 /// An event's place among events at the same time: the (tieKey, sequence)
 /// pair a push assigns. Reserving one (EventQueue::reserveOrder) consumes
-/// exactly what a push would — one sequence number, plus one tie-break
-/// draw when perturbed — so an event that may never be needed can be
-/// skipped and later pushed into the very place it would have had, leaving
-/// every other event's key untouched (phy::Channel's sleeper skip).
+/// exactly what a push would — one sequence number — so an event that may
+/// never be needed can be skipped and later pushed into the very place it
+/// would have had, leaving every other event's key untouched
+/// (phy::Channel's sleeper skip). EventQueue::reserveBlock takes n
+/// consecutive places at once for a batch whose members are known only by
+/// index (a transmission's receivers, by attachment id).
 struct EventOrder {
   std::uint64_t tieKey = 0;
   std::uint64_t sequence = 0;
@@ -138,6 +139,46 @@ struct EventOrder {
   if (a.tieKey != b.tieKey) return a.tieKey < b.tieKey;
   return a.sequence < b.sequence;
 }
+
+/// How a sequence number becomes a tie key: the identity normally, so ties
+/// run in insertion order; under EventQueue::perturbTieBreak a counter-
+/// based hash of (seed, sequence) — a pure function of the place, so a
+/// block of places costs no draws and a perturbed run is reproducible.
+struct TieBreak {
+  bool perturbed = false;
+  std::uint64_t seed = 0;
+
+  [[nodiscard]] std::uint64_t keyOf(std::uint64_t sequence) const {
+    if (!perturbed) return sequence;
+    // splitmix64's finaliser over the seeded counter.
+    std::uint64_t z = seed + sequence * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  [[nodiscard]] EventOrder orderOf(std::uint64_t sequence) const {
+    return {keyOf(sequence), sequence};
+  }
+};
+
+/// Consecutive places taken at once (EventQueue::reserveBlock). Place i is
+/// exactly what the i-th of that many back-to-back reserveOrder() calls
+/// would have returned, and no other event's sequence falls inside the
+/// block, so within it places keep index order.
+class OrderBlock {
+ public:
+  OrderBlock(const TieBreak& tieBreak, std::uint64_t first)
+      : tieBreak_(tieBreak), first_(first) {}
+
+  /// Place `i`; `i` must be below the block's size.
+  [[nodiscard]] EventOrder operator[](std::uint64_t i) const {
+    return tieBreak_.orderOf(first_ + i);
+  }
+
+ private:
+  TieBreak tieBreak_;
+  std::uint64_t first_ = 0;
+};
 
 /// What a run's items share — phy::Frame, the frame every arrival of one
 /// transmission delivers. Counted by its owner: a run takes one reference
@@ -230,9 +271,14 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
 
   /// Take the next place in the same-time order without pushing anything
   /// (see EventOrder). Sequence numbers below reservedSequences() are taken.
-  EventOrder reserveOrder() {
-    const std::uint64_t sequence = nextSequence_++;
-    return {tieBreakRng_ ? tieBreakRng_->raw() : sequence, sequence};
+  EventOrder reserveOrder() { return tieBreak_.orderOf(nextSequence_++); }
+
+  /// Take the next `n` places at once, in O(1): the block's place i is what
+  /// the i-th of n reserveOrder() calls made now would return.
+  OrderBlock reserveBlock(std::uint64_t n) {
+    const OrderBlock block(tieBreak_, nextSequence_);
+    nextSequence_ += n;
+    return block;
   }
   [[nodiscard]] std::uint64_t reservedSequences() const {
     return nextSequence_;
@@ -262,15 +308,16 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
                      RunPayload* payload = nullptr);
 
   /// Determinism-analysis debug mode (src/check): replace the insertion-
-  /// sequence tie-break among equal-time events with random keys drawn
-  /// from `stream` (sequence stays the final tie-break, so a perturbed
-  /// run is itself exactly reproducible). Affects only events pushed
-  /// after the call. Correct protocol logic must not care which of two
-  /// same-instant events runs first; a digest that diverges under this
-  /// mode marks order-dependent logic — the simulator's data-race
+  /// sequence tie-break among equal-time events with pseudo-random keys,
+  /// a hash of each place's sequence under a seed drawn once from
+  /// `stream` (TieBreak; sequence stays the final tie-break, so a
+  /// perturbed run is itself exactly reproducible). Affects only places
+  /// reserved after the call. Correct protocol logic must not care which
+  /// of two same-instant events runs first; a digest that diverges under
+  /// this mode marks order-dependent logic — the simulator's data-race
   /// analogue. Never enable in runs whose numbers you intend to keep.
-  void perturbTieBreak(RngStream stream) { tieBreakRng_ = stream; }
-  bool tieBreakPerturbed() const { return tieBreakRng_.has_value(); }
+  void perturbTieBreak(RngStream stream) { tieBreak_ = {true, stream.raw()}; }
+  bool tieBreakPerturbed() const { return tieBreak_.perturbed; }
 
   /// Moves the next event — its key, label (nullptr when the push site gave
   /// none) and action — into `out` and removes it. Returns false when the
@@ -365,8 +412,8 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
 
   struct HeapEntry {
     Time time = kTimeZero;
-    /// Tie-break among equal times: == sequence normally, a random draw
-    /// under perturbTieBreak() (see above).
+    /// Tie-break among equal times: == sequence normally, a hash of it
+    /// under perturbTieBreak() (see TieBreak).
     std::uint64_t tieKey = 0;
     std::uint64_t sequence = 0;
     std::uint32_t slot = 0;
@@ -423,7 +470,7 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// never moves.
   std::vector<std::unique_ptr<Run>> runs_;
   std::vector<std::uint32_t> freeRuns_;
-  std::optional<RngStream> tieBreakRng_;
+  TieBreak tieBreak_;
   std::uint32_t freeHead_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  ///< slot recycled on next pop
   /// Run item popped last, retired on next pop.

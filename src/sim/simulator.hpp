@@ -88,6 +88,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// event this way leaves the rest of the run's order untouched.
   EventOrder reserveOrder() { return queue_.reserveOrder(); }
 
+  /// reserveOrder() `n` times over, in O(1) (EventQueue::reserveBlock).
+  OrderBlock reserveBlock(std::uint64_t n) { return queue_.reserveBlock(n); }
+
   /// Schedule at absolute time `when` into a place taken earlier with
   /// reserveOrder(). The event then runs exactly where it would have run
   /// had it been scheduled at reservation time. Requires
@@ -147,7 +150,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
   std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
-  /// Queue places taken so far (schedules plus reserveOrder calls); see
+  /// Queue places taken so far (schedules plus reserved places); see
   /// EventQueue::reservedSequences.
   [[nodiscard]] std::uint64_t reservedSequences() const {
     return queue_.reservedSequences();

@@ -11,10 +11,12 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace ecgrid::sim {
 namespace {
@@ -549,6 +551,162 @@ TEST(EventQueueRun, RunHoldsItsPayloadUntilRecycled) {
     EXPECT_EQ(payload.refs, 1);
   }
   EXPECT_EQ(payload.refs, 0);  // released by the queue's destructor
+}
+
+// --- Block reservation ------------------------------------------------------
+
+/// One scripted run: pushes, rekeys and pops interleaved with batches of n
+/// places, taken with one reserveBlock(n) when `useBlocks`, else with n
+/// reserveOrder() calls. Each batch fills a random subset of its places in
+/// a random order, as a transmission fills its receivers' places in bucket
+/// order. The script draws the same in both modes. Returns the tags in pop
+/// order.
+std::vector<int> scriptedPops(std::uint64_t seed, bool useBlocks,
+                              bool perturb) {
+  RngStream script(seed);
+  EventQueue queue;
+  if (perturb) queue.perturbTieBreak(RngStream(seed + 1));
+  std::vector<int> popped;
+  std::vector<EventHandle> handles;
+  int nextTag = 0;
+  auto action = [&popped](int tag) {
+    return [tag, &popped] { popped.push_back(tag); };
+  };
+  // Coarse times force plenty of ties.
+  auto coarseTime = [&script] {
+    return static_cast<Time>(script.uniformInt(0, 50));
+  };
+  for (int op = 0; op < 5000; ++op) {
+    const double dice = script.uniform(0.0, 1.0);
+    if (dice < 0.15) {
+      const auto n = static_cast<std::uint64_t>(script.uniformInt(1, 40));
+      std::vector<EventOrder> places;
+      if (useBlocks) {
+        const OrderBlock block = queue.reserveBlock(n);
+        for (std::uint64_t i = 0; i < n; ++i) places.push_back(block[i]);
+      } else {
+        for (std::uint64_t i = 0; i < n; ++i) {
+          places.push_back(queue.reserveOrder());
+        }
+      }
+      std::vector<std::size_t> visit(places.size());
+      for (std::size_t i = 0; i < visit.size(); ++i) visit[i] = i;
+      for (std::size_t i = visit.size(); i > 1; --i) {
+        std::swap(visit[i - 1],
+                  visit[static_cast<std::size_t>(script.uniformInt(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      for (std::size_t id : visit) {
+        if (!script.chance(0.6)) continue;
+        const Time t = coarseTime();
+        handles.push_back(queue.push(t, places[id], action(nextTag++)));
+      }
+    } else if (dice < 0.55) {
+      const Time t = coarseTime();
+      handles.push_back(queue.push(t, action(nextTag++)));
+    } else if (dice < 0.70 && !handles.empty()) {
+      const auto victim = static_cast<std::size_t>(script.uniformInt(
+          0, static_cast<std::int64_t>(handles.size()) - 1));
+      const Time t = coarseTime();
+      handles[victim] = queue.rekey(handles[victim], t, queue.reserveOrder(),
+                                    action(nextTag++));
+    } else {
+      Dispatch next;
+      if (queue.pop(next)) next();
+    }
+  }
+  drain(queue);
+  return popped;
+}
+
+TEST(EventQueueBlock, PlacesAreConsecutiveReservations) {
+  for (const bool perturb : {false, true}) {
+    EventQueue blocked;
+    EventQueue single;
+    if (perturb) {
+      blocked.perturbTieBreak(RngStream(5));
+      single.perturbTieBreak(RngStream(5));
+    }
+    blocked.reserveOrder();
+    single.reserveOrder();
+    const OrderBlock block = blocked.reserveBlock(7);
+    for (std::uint64_t i = 0; i < 7; ++i) {
+      const EventOrder expected = single.reserveOrder();
+      EXPECT_EQ(block[i].sequence, expected.sequence);
+      EXPECT_EQ(block[i].tieKey, expected.tieKey);
+    }
+    // The block's places are taken: the next reservation follows it.
+    EXPECT_EQ(blocked.reservedSequences(), single.reservedSequences());
+    EXPECT_EQ(blocked.reserveOrder().tieKey, single.reserveOrder().tieKey);
+  }
+}
+
+TEST(EventQueueBlock, InterleavedBlocksPopAsConsecutiveReservations) {
+  for (const std::uint64_t seed : {3u, 99u, 2026u}) {
+    const std::vector<int> blocks = scriptedPops(seed, true, false);
+    EXPECT_EQ(blocks, scriptedPops(seed, false, false)) << "seed " << seed;
+    EXPECT_GT(blocks.size(), 1000u);
+  }
+}
+
+TEST(EventQueueBlock, PerturbedBlocksAreReproducibleAndReorderTies) {
+  for (const std::uint64_t seed : {3u, 99u}) {
+    const std::vector<int> perturbed = scriptedPops(seed, true, true);
+    // Block places draw the same keys as single reservations…
+    EXPECT_EQ(perturbed, scriptedPops(seed, false, true)) << "seed " << seed;
+    // …a perturbed run replays exactly…
+    EXPECT_EQ(perturbed, scriptedPops(seed, true, true)) << "seed " << seed;
+    // …and same-instant events run in another order.
+    EXPECT_NE(perturbed, scriptedPops(seed, true, false)) << "seed " << seed;
+  }
+}
+
+// The sleeper-replay path on block places: a transmission at t = 1 takes
+// four places for arrivals at t = 2, queues places 0 and 2 (awake
+// receivers) and parks 1 and 3 (sleepers). Receiver 3 wakes at t = 1.5 and
+// its arrival is scheduled into its reserved place; receiver 1 wakes at
+// t = 2, after its place has passed, and its arrival is dropped. Taking the
+// four places one by one must give the same run.
+TEST(EventQueueBlock, SleeperReplayOnBlockPlaces) {
+  for (const bool useBlocks : {true, false}) {
+    Simulator simulator;
+    std::vector<std::string> ran;
+    auto note = [&ran](std::string what) {
+      return [&ran, what] { ran.push_back(what); };
+    };
+    simulator.scheduleAt(2.0, note("before"));
+    std::vector<EventOrder> places;
+    simulator.scheduleAt(1.0, [&] {
+      if (useBlocks) {
+        const OrderBlock block = simulator.reserveBlock(4);
+        for (std::uint64_t i = 0; i < 4; ++i) places.push_back(block[i]);
+      } else {
+        for (int i = 0; i < 4; ++i) places.push_back(simulator.reserveOrder());
+      }
+      simulator.scheduleReserved(2.0, places[2], note("place2"));
+      simulator.scheduleReserved(2.0, places[0], note("place0"));
+      // Reserved after the dispatch that is running: not yet run.
+      EXPECT_FALSE(simulator.wouldHaveRun(2.0, places[1]));
+      EXPECT_FALSE(simulator.wouldHaveRun(1.0, places[3]));
+      simulator.scheduleAt(2.0, [&] {
+        ran.push_back("after");
+        EXPECT_TRUE(simulator.wouldHaveRun(2.0, places[1]));
+        EXPECT_THROW(simulator.scheduleReserved(2.0, places[1], [] {}),
+                     std::invalid_argument);
+        // A block reserved now is behind this dispatch.
+        const OrderBlock late = simulator.reserveBlock(2);
+        EXPECT_FALSE(simulator.wouldHaveRun(2.0, late[0]));
+      });
+    });
+    simulator.scheduleAt(1.5, [&] {
+      ASSERT_FALSE(simulator.wouldHaveRun(2.0, places[3]));
+      simulator.scheduleReserved(2.0, places[3], note("place3"));
+    });
+    simulator.run();
+    EXPECT_EQ(ran, (std::vector<std::string>{"before", "place0", "place2",
+                                             "place3", "after"}))
+        << (useBlocks ? "block" : "single");
+  }
 }
 
 }  // namespace

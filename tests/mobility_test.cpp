@@ -1,7 +1,10 @@
 // Tests for mobility models and the event-exact grid tracker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "mobility/grid_tracker.hpp"
 #include "mobility/mobility_model.hpp"
@@ -150,6 +153,63 @@ TEST(RandomWalk, StaysInField) {
     EXPECT_LE(pos.y, 1000.0 + 1e-6);
     EXPECT_NEAR(model.velocityAt(i * 1.7).length(), 5.0, 1e-9);
   }
+}
+
+// legAt is the only virtual: positionAt, velocityAt and nextChangeTime
+// read the leg containing t. Sweep time monotonically, landing exactly on
+// every other leg end, and check each query against the leg it came from,
+// bit for bit (a cached leg must answer exactly as the model does).
+int expectLegsCoverSweep(MobilityModel& model, sim::Time horizon) {
+  int endsLanded = 0;
+  sim::Time t = 0.0;
+  for (int step = 0; t < horizon; ++step) {
+    const geo::Segment leg = model.legAt(t);
+    EXPECT_LE(leg.start, t);
+    EXPECT_LT(t, leg.end);
+    const geo::Vec2 position = model.positionAt(t);
+    const geo::Vec2 expected = leg.at(t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(position.x),
+              std::bit_cast<std::uint64_t>(expected.x))
+        << "t = " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(position.y),
+              std::bit_cast<std::uint64_t>(expected.y))
+        << "t = " << t;
+    EXPECT_EQ(model.velocityAt(t), leg.velocity);
+    EXPECT_EQ(model.nextChangeTime(t), leg.end);
+    if (step % 2 == 1 && leg.end < horizon) {
+      t = leg.end;
+      ++endsLanded;
+    } else {
+      t += std::min(leg.end - t, 7.0) * 0.5;
+    }
+  }
+  return endsLanded;
+}
+
+TEST(MobilityModel, LegAtAgreesWithEveryQueryAcrossLegEnds) {
+  StaticMobility still({3.0, 4.0});
+  EXPECT_EQ(expectLegsCoverSweep(still, 200.0), 0);
+  EXPECT_EQ(still.legAt(5.0).end, sim::kTimeNever);
+
+  ScriptedMobility scripted({
+      {0.0, {0.0, 0.0}, {1.0, 0.0}},
+      {10.0, {10.0, 0.0}, {0.0, 2.0}},
+      {12.5, {50.0, 50.0}, {}},  // a jump, then a pause
+      {20.0, {50.0, 50.0}, {-0.3, 0.7}},
+  });
+  EXPECT_EQ(expectLegsCoverSweep(scripted, 200.0), 3);
+
+  RandomWaypointConfig waypointConfig;
+  waypointConfig.maxSpeed = 10.0;
+  waypointConfig.pauseTime = 5.0;
+  RandomWaypoint waypoint(waypointConfig, sim::RngStream(8));
+  EXPECT_GT(expectLegsCoverSweep(waypoint, 2000.0), 10);
+
+  RandomWalkConfig walkConfig;
+  walkConfig.speed = 5.0;
+  walkConfig.epoch = 3.0;
+  RandomWalk walk(walkConfig, sim::RngStream(9));
+  EXPECT_GT(expectLegsCoverSweep(walk, 2000.0), 10);
 }
 
 TEST(GridTracker, FiresExactlyOnCrossing) {

@@ -3,12 +3,14 @@
 // replay, shared frames, and the RAS paging channel.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "energy/battery.hpp"
+#include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
 #include "phy/frame.hpp"
 #include "phy/paging.hpp"
@@ -294,6 +296,48 @@ TEST(Channel, WakeInsideFlightWindowReceivesAtTheSameInstant) {
   // Arrival at transmit time + flight, reception over one airtime: the
   // instant an always-scheduled delivery would have produced.
   EXPECT_EQ(receivedAt, (0.0 + kFlight100m) + 1e-3);
+}
+
+// The channel caches each radio's motion leg and re-reads it once the clock
+// reaches the leg's end. A transmission at exactly a leg boundary must see
+// the new leg: here the receiver's script jumps at t = 1, so extrapolating
+// the old leg would put it 120 m further away.
+TEST(Channel, TransmissionAtALegEndReadsTheNewLeg) {
+  sim::Simulator simulator;
+  Channel channel(simulator, ChannelConfig{});
+  energy::Battery batteryTx(500.0);
+  energy::Battery batteryRx(500.0);
+  Radio tx(simulator, batteryTx, energy::PowerProfile{}, 0);
+  Radio rx(simulator, batteryRx, energy::PowerProfile{}, 1);
+  tx.attachChannel(&channel);
+  rx.attachChannel(&channel);
+  mobility::ScriptedMobility script({
+      {0.0, {100.0, 0.0}, {50.0, 0.0}},
+      {1.0, {30.0, 0.0}, {}},
+  });
+  channel.attach(&tx, [] { return geo::Vec2{0.0, 0.0}; });
+  channel.attach(&rx, [&script](sim::Time t) { return script.legAt(t); });
+  std::vector<sim::Time> receivedAt;
+  rx.setFrameCallback(
+      [&](const net::Packet&) { receivedAt.push_back(simulator.now()); });
+  constexpr sim::Time kAirtime = 1e-4;
+  // Arrival from a fresh position read, plus one airtime.
+  auto expectedEnd = [&](sim::Time at) {
+    const double distSq =
+        geo::Vec2{0.0, 0.0}.distanceSquaredTo(script.positionAt(at));
+    return (at + std::sqrt(distSq) / channel.config().propagationSpeed) +
+           kAirtime;
+  };
+  for (const sim::Time at : {0.5, 1.0}) {
+    simulator.scheduleAt(at, [&] {
+      tx.transmit(makeFrame(0, net::kBroadcastId), kAirtime);
+    });
+  }
+  simulator.run(2.0);
+  ASSERT_EQ(receivedAt.size(), 2u);
+  EXPECT_EQ(receivedAt[0], expectedEnd(0.5));
+  EXPECT_EQ(receivedAt[1], expectedEnd(1.0));
+  EXPECT_EQ(script.positionAt(1.0), (geo::Vec2{30.0, 0.0}));
 }
 
 TEST(Channel, WakeAfterArrivalMissesTheFrame) {

@@ -2,7 +2,8 @@
 // attachment-slot reuse, and — the property that licenses the whole
 // optimisation — differential equivalence with the brute-force scan,
 // from single broadcasts on randomized static topologies up to full
-// mobile scenarios with an interference ring.
+// mobile scenarios with an interference ring, with and without the
+// delivery-fault slot armed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "energy/battery.hpp"
 #include "harness/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "phy/spatial_index.hpp"
@@ -173,6 +175,52 @@ TEST_P(FanoutDifferential, IndexedMatchesBruteForce) {
   EXPECT_GT(indexed.deliveries.size(), 0u);
 }
 
+// With the fault slot armed, the slot is the one place where visiting order
+// shows: a stateful fault stream must be drawn in ascending attachment
+// order in both modes, sleepers included, or every later draw shifts.
+TEST_P(FanoutDifferential, FaultArmedIndexedMatchesBruteForce) {
+  const std::uint64_t seed = GetParam();
+  const int radioCount = 60;
+  FanoutWorld indexed(radioCount, true, 450.0, seed);
+  FanoutWorld brute(radioCount, false, 450.0, seed);
+  std::vector<std::pair<net::NodeId, net::NodeId>> indexedCalls;
+  std::vector<std::pair<net::NodeId, net::NodeId>> bruteCalls;
+  auto arm = [seed](FanoutWorld& world, auto& calls) {
+    world.channel->setDeliveryFault(
+        [rng = sim::RngStream(seed * 7 + 1), &calls](
+            net::NodeId sender, net::NodeId receiver) mutable {
+          calls.emplace_back(sender, receiver);
+          return rng.chance(0.3);
+        });
+    for (int i = 0; i < radioCount; i += 4) {
+      world.radios[static_cast<std::size_t>(i)]->sleep();
+    }
+  };
+  arm(indexed, indexedCalls);
+  arm(brute, bruteCalls);
+  for (int src = 1; src < radioCount; ++src) {
+    if (src % 4 == 0) continue;  // asleep: cannot transmit
+    indexed.broadcastAndSettle(src);
+    brute.broadcastAndSettle(src);
+    ASSERT_EQ(indexedCalls, bruteCalls) << "after tx from " << src;
+    ASSERT_EQ(indexed.deliveries, brute.deliveries) << "after tx from " << src;
+  }
+  EXPECT_EQ(indexed.channel->framesTransmitted(),
+            brute.channel->framesTransmitted());
+  EXPECT_EQ(indexed.channel->deliveriesScheduled(),
+            brute.channel->deliveriesScheduled());
+  EXPECT_EQ(indexed.channel->deliveriesCorrupted(),
+            brute.channel->deliveriesCorrupted());
+  EXPECT_EQ(indexed.channel->deferredArrivals(),
+            brute.channel->deferredArrivals());
+  EXPECT_EQ(indexed.simulator.eventsExecuted(),
+            brute.simulator.eventsExecuted());
+  EXPECT_EQ(indexed.simulator.reservedSequences(),
+            brute.simulator.reservedSequences());
+  EXPECT_GT(indexed.channel->deliveriesCorrupted(), 0u);
+  EXPECT_GT(indexed.deliveries.size(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FanoutDifferential,
                          ::testing::Values(3u, 17u, 2026u));
 
@@ -216,6 +264,39 @@ TEST(ScenarioDifferential, SpatialIndexIsBitIdenticalToBruteForce) {
   EXPECT_EQ(indexed.deathTimes, brute.deathTimes);
   EXPECT_EQ(indexed.latencies, brute.latencies);
   ASSERT_EQ(indexed.aen.points().size(), brute.aen.points().size());
+  EXPECT_EQ(indexed.aen.points(), brute.aen.points());
+  EXPECT_EQ(indexed.aliveFraction.points(), brute.aliveFraction.points());
+  EXPECT_EQ(indexed.awakeFraction.points(), brute.awakeFraction.points());
+}
+
+// The same claim with the fault slot armed: a Gilbert–Elliott channel keeps
+// per-receiver Markov state drawn from one stream, so it holds only if the
+// indexed scan consults the slot in the brute-force scan's order.
+TEST(ScenarioDifferential, FaultArmedSpatialIndexIsBitIdenticalToBruteForce) {
+  ScenarioConfig config;
+  config.protocol = ProtocolKind::kEcgrid;
+  config.hostCount = 30;
+  config.fieldSize = 700.0;
+  config.duration = 150.0;
+  config.maxSpeed = 10.0;
+  config.interferenceRangeFactor = 2.0;
+  config.flowCount = 4;
+  config.seed = 6;
+  config.fault.channel.kind = fault::ChannelErrorKind::kGilbertElliott;
+  config.fault.channel.pGoodToBad = 0.05;
+  config.fault.channel.pBadToGood = 0.3;
+
+  config.channelSpatialIndex = true;
+  ScenarioResult indexed = runScenario(config);
+  config.channelSpatialIndex = false;
+  ScenarioResult brute = runScenario(config);
+
+  EXPECT_GT(obs::metricOr(indexed.metrics, "phy.deliveries_corrupted"), 0.0);
+  EXPECT_EQ(indexed.packetsSent, brute.packetsSent);
+  EXPECT_EQ(indexed.packetsReceived, brute.packetsReceived);
+  EXPECT_EQ(indexed.metrics, brute.metrics);
+  EXPECT_EQ(indexed.deathTimes, brute.deathTimes);
+  EXPECT_EQ(indexed.latencies, brute.latencies);
   EXPECT_EQ(indexed.aen.points(), brute.aen.points());
   EXPECT_EQ(indexed.aliveFraction.points(), brute.aliveFraction.points());
   EXPECT_EQ(indexed.awakeFraction.points(), brute.awakeFraction.points());
