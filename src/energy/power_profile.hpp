@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "util/error.hpp"
 
@@ -66,6 +67,13 @@ struct PowerProfile {
   /// Total host draw: radio + GPS. A dead host draws nothing.
   double totalPowerW(PowerState state) const {
     return state == PowerState::kOff ? 0.0 : radioPowerW(state) + gpsW;
+  }
+
+  /// The largest total draw of any live state.
+  double maxPowerW() const {
+    double radio = txW;
+    for (double w : {rxW, idleW, sleepW}) radio = w > radio ? w : radio;
+    return radio + gpsW;
   }
 
   /// The exact numbers used throughout the paper's evaluation.

@@ -36,7 +36,7 @@
 namespace ecgrid::mac {
 
 /// MAC-level acknowledgement. Never reaches the routing layer.
-class AckHeader final : public net::Header {
+class AckHeader final : public net::HeaderOf<AckHeader> {
  public:
   explicit AckHeader(std::uint64_t ackedSeq) : ackedSeq_(ackedSeq) {}
   std::uint64_t ackedSeq() const { return ackedSeq_; }

@@ -34,7 +34,6 @@ Node::Node(sim::Simulator& sim, const geo::GridMap& grid,
 
   radio_ = std::make_unique<phy::Radio>(sim_, battery_, config_.powerProfile,
                                         config_.id);
-  radio_->attachChannel(&channel_);
   radio_->setDeathCallback([this] { onDeath(); });
 
   mac_ = std::make_unique<mac::CsmaMac>(

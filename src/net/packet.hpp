@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 namespace ecgrid::net {
 
@@ -32,7 +33,11 @@ inline constexpr NodeId kBroadcastId = -1;
 inline constexpr int kMacOverheadBytes = 34;
 
 /// Base class for all protocol headers. Concrete headers live with the
-/// protocol that owns them (protocols/common, core, protocols/gaf).
+/// protocol that owns them (protocols/common, core, protocols/gaf) and are
+/// declared `class H final : public HeaderOf<H>`, which stamps every
+/// object with its class's tag so a typed view costs a pointer compare. A
+/// class deriving from Header directly carries no tag: no typed view
+/// matches it.
 class Header {
  public:
   virtual ~Header() = default;
@@ -46,7 +51,45 @@ class Header {
 
   /// One-line human-readable rendering for trace logs.
   [[nodiscard]] virtual std::string describe() const { return name(); }
+
+  /// The concrete class's tag: the address of HeaderOf<H>::kTag, or
+  /// nullptr for an untagged class.
+  [[nodiscard]] const void* tag() const { return tag_; }
+
+ protected:
+  Header() = default;
+
+ private:
+  template <typename H>
+  friend class HeaderOf;
+  explicit Header(const void* tag) : tag_(tag) {}
+
+  const void* tag_ = nullptr;
 };
+
+/// The base of concrete header class H: one tag per class, no central
+/// registry — the tag is the address of a byte each class owns.
+template <typename H>
+class HeaderOf : public Header {
+ public:
+  static constexpr char kTag = 0;
+
+ protected:
+  HeaderOf() : Header(&kTag) {}
+};
+
+/// Typed view of `header`; nullptr when it is null or of another class.
+/// Exact-class match, hence the finality requirement: no subclass of H
+/// can carry H's tag.
+template <typename H>
+[[nodiscard]] const H* headerAs(const Header* header) {
+  static_assert(std::is_final_v<H>, "headerAs needs a final header class");
+  static_assert(std::is_base_of_v<HeaderOf<H>, H>,
+                "header classes derive from HeaderOf<Self>");
+  return header != nullptr && header->tag() == &HeaderOf<H>::kTag
+             ? static_cast<const H*>(header)
+             : nullptr;
+}
 
 struct Packet {
   NodeId macSrc = kBroadcastId;
@@ -71,7 +114,7 @@ struct Packet {
   /// Typed view of the header; nullptr when it is some other type.
   template <typename H>
   const H* headerAs() const {
-    return dynamic_cast<const H*>(header.get());
+    return net::headerAs<H>(header.get());
   }
 };
 

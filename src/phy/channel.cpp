@@ -1,6 +1,8 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "obs/observability.hpp"
@@ -38,7 +40,62 @@ void interfereArrival(void* receiver, std::uint64_t /*arg*/,
   static_cast<Radio*>(receiver)->beginInterference(
       static_cast<Frame*>(frame)->airtime);
 }
+
+// Arrival sets smaller than this are ordered by the insertion pass alone:
+// below it the radix passes' 256-bucket histograms cost more than they
+// save.
+constexpr std::size_t kRadixMinItems = 16;
+// Radix passes cover only this many of the highest bits in which the
+// arrival times differ (two 8-bit passes): ~160 arrivals spread over 2^16
+// buckets leave the insertion pass almost nothing to move, for half the
+// passes of the full span.
+constexpr int kRadixBits = 16;
 }  // namespace
+
+ECGRID_HOT_PATH void orderArrivals(std::vector<sim::RunItem>& items,
+                                   std::vector<sim::RunItem>& buffer) {
+  const std::size_t n = items.size();
+  if (n >= kRadixMinItems) {
+    // Times are non-negative, so their bit patterns order as they do, and
+    // bits in which every time agrees cannot reorder anything. LSD passes
+    // of 8-bit digits over the top of the span in which they differ order
+    // the items up to ties in the bits below it.
+    const auto bits = [](const sim::RunItem& item) {
+      return std::bit_cast<std::uint64_t>(item.time);
+    };
+    const std::uint64_t first = bits(items.front());
+    std::uint64_t differ = 0;
+    for (const sim::RunItem& item : items) differ |= bits(item) ^ first;
+    if (differ != 0) {
+      const int high = 64 - std::countl_zero(differ);
+      const int low = std::max(std::countr_zero(differ), high - kRadixBits);
+      buffer.resize(n);
+      for (int shift = low; shift < high; shift += 8) {
+        std::array<std::uint32_t, 257> start{};
+        for (const sim::RunItem& item : items) {
+          ++start[((bits(item) >> shift) & 0xffu) + 1];
+        }
+        for (std::size_t digit = 0; digit < 256; ++digit) {
+          start[digit + 1] += start[digit];
+        }
+        for (const sim::RunItem& item : items) {
+          buffer[start[(bits(item) >> shift) & 0xffu]++] = item;
+        }
+        items.swap(buffer);
+      }
+    }
+  }
+  // Insertion pass: finishes what the radix passes left (items sharing
+  // their window, and equal times, which it settles by place) and sorts a
+  // small set outright. It compares whole keys, so the result is exact
+  // whatever the passes did.
+  for (std::size_t i = 1; i < n; ++i) {
+    for (std::size_t k = i; k > 0 && sim::itemBefore(items[k], items[k - 1]);
+         --k) {
+      std::swap(items[k], items[k - 1]);
+    }
+  }
+}
 
 Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
     : sim_(sim),
@@ -54,8 +111,10 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
     index_.emplace(reach * kIndexCellMargin);
   }
   scratch_.reserve(kInitialScratch);
+  radixBuffer_.reserve(kInitialScratch);
   awake_.reserve(kInitialScratch);
-  deferred_.reserve(kInitialScratch);
+  inFlight_.reserve(kInitialScratch);
+  parked_.reserve(kInitialScratch);
 }
 
 sim::Time Channel::frameAirtime(int bytes) const {
@@ -75,10 +134,14 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
     id = attachments_.size();
     attachments_.push_back(Attachment{radio, std::move(legs)});
     legs_.emplace_back();
+    asleep_.push_back(0);
   }
   // A default leg has already ended: the first query reads a fresh one.
   legs_[id] = geo::Segment{};
+  // The radio keeps the sleep byte current from here on.
+  radio->attachChannel(this);
   radio->setChannelAttachmentId(id);
+  setAsleep(id, radio->sleeping());
   if (index_) index_->insert(id, positionOf(id, sim_.now()));
   ++liveAttachments_;
   return id;
@@ -101,6 +164,7 @@ void Channel::detach(std::size_t attachmentId) {
   slot.radio->setChannelAttachmentId(Radio::kNoAttachment);
   slot.radio = nullptr;
   slot.legs = nullptr;
+  asleep_[attachmentId] = 0;
   freeSlots_.push_back(attachmentId);
   --liveAttachments_;
 }
@@ -124,12 +188,10 @@ ECGRID_HOT_PATH geo::Vec2 Channel::positionOf(std::size_t id,
   return leg.at(now);
 }
 
-ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id,
-                                        const sim::EventOrder& place,
-                                        net::NodeId senderId,
+ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId senderId,
                                         const geo::Vec2& senderPos,
-                                        sim::Time now,
-                                        const FrameRef& frame) {
+                                        sim::Time now, const FrameRef& frame,
+                                        const sim::OrderBlock& places) {
   ECGRID_HOT_SCOPE();
   const double rangeSq = config_.rangeMeters * config_.rangeMeters;
   const double interfSq =
@@ -137,7 +199,6 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id,
   double distSq = senderPos.distanceSquaredTo(positionOf(id, now));
   if (distSq > rangeSq && distSq > interfSq) return;
   double delay = std::sqrt(distSq) / config_.propagationSpeed;
-  Radio* receiver = attachments_[id].radio;
   // Outside decode range (the interference ring) energy arrives but
   // cannot decode.
   bool decodable = distSq <= rangeSq;
@@ -145,7 +206,7 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id,
     ++deliveriesScheduled_;
     mDeliveriesScheduled_.add();
     if (config_.deliveryFault &&
-        config_.deliveryFault(senderId, receiver->id())) {
+        config_.deliveryFault(senderId, attachments_[id].radio->id())) {
       // Channel error: the frame arrives as undecodable energy — carrier
       // sense stays busy and concurrent receptions are ruined, but the
       // frame itself is lost (the MAC's ARQ sees a missing ACK).
@@ -155,33 +216,43 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id,
     }
   }
   const sim::Time at = now + delay;
-  if (receiver->sleeping()) {
-    // Park it in the place the event would take; replayDeferred schedules
-    // it there if the receiver wakes before it lands.
-    deferred_.push_back(Arrival{receiver, at, place, frame, decodable});
+  if (asleep_[id] != 0) {
+    // Park it against its block place; replayDeferred schedules it there
+    // if the receiver wakes before it lands.
+    if (currentInFlight_ == kNoInFlight) {
+      currentInFlight_ = static_cast<std::uint32_t>(inFlight_.size());
+      inFlight_.push_back(InFlight{frame, places});
+    }
+    parked_.push_back(Parked{attachments_[id].radio, at,
+                             static_cast<std::uint32_t>(id), currentInFlight_,
+                             decodable});
+    if (at > latestParked_) latestParked_ = at;
     return;
   }
+  Radio* receiver = attachments_[id].radio;
   awake_.push_back(
-      decodable
-          ? sim::RunItem{at, place, "phy/deliver", &deliverArrival, receiver}
-          : sim::RunItem{at, place, "phy/interference", &interfereArrival,
-                         receiver});
+      decodable ? sim::RunItem{at, places[id], "phy/deliver", &deliverArrival,
+                               receiver}
+                : sim::RunItem{at, places[id], "phy/interference",
+                               &interfereArrival, receiver});
 }
 
-ECGRID_HOT_PATH void Channel::scheduleArrival(Arrival& arrival) {
+ECGRID_HOT_PATH void Channel::scheduleArrival(const Parked& arrival) {
   // A replayed arrival is the only one scheduled as a single event.
   Radio* receiver = arrival.radio;
+  const InFlight& tx = inFlight_[arrival.tx];
+  const sim::EventOrder place = tx.places[arrival.id];
   if (arrival.decodable) {
     sim_.scheduleReserved(
-        arrival.at, arrival.order,
-        [receiver, frame = std::move(arrival.frame)]() mutable {
+        arrival.at, place,
+        [receiver, frame = tx.frame]() mutable {
           receiver->beginReceive(std::move(frame));
         },
         "phy/deliver");
   } else {
-    const sim::Time airtime = arrival.frame->airtime;
+    const sim::Time airtime = tx.frame->airtime;
     sim_.scheduleReserved(
-        arrival.at, arrival.order,
+        arrival.at, place,
         [receiver, airtime] { receiver->beginInterference(airtime); },
         "phy/interference");
   }
@@ -189,21 +260,20 @@ ECGRID_HOT_PATH void Channel::scheduleArrival(Arrival& arrival) {
 
 ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
   ECGRID_HOT_SCOPE();
-  const sim::Time now = sim_.now();
-  std::size_t kept = 0;
-  for (Arrival& arrival : deferred_) {
-    if (arrival.radio == &radio) {
-      if (!sim_.wouldHaveRun(arrival.at, arrival.order)) {
-        scheduleArrival(arrival);
-      }
-      continue;
+  for (Parked& arrival : parked_) {
+    if (arrival.radio != &radio) continue;
+    if (!sim_.wouldHaveRun(arrival.at,
+                           inFlight_[arrival.tx].places[arrival.id])) {
+      scheduleArrival(arrival);
     }
-    if (arrival.at < now) continue;  // landed on a sleeper: nothing to do
-    if (&deferred_[kept] != &arrival) deferred_[kept] = std::move(arrival);
-    ++kept;
+    arrival.radio = nullptr;  // replayed, or landed while it slept
   }
-  deferred_.erase(deferred_.begin() + static_cast<std::ptrdiff_t>(kept),
-                  deferred_.end());
+}
+
+std::size_t Channel::deferredArrivals() const {
+  return static_cast<std::size_t>(
+      std::count_if(parked_.begin(), parked_.end(),
+                    [](const Parked& p) { return p.radio != nullptr; }));
 }
 
 ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
@@ -221,12 +291,13 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
   const sim::Time now = sim_.now();
   const geo::Vec2 senderPos = positionOf(senderId, now);
 
-  if (!deferred_.empty()) {
-    // Arrivals that have landed while their receiver slept can no longer
-    // matter to a wake.
-    std::erase_if(deferred_,
-                  [now](const Arrival& a) { return a.at < now; });
+  if (!parked_.empty() && latestParked_ < now) {
+    // Every parked arrival has landed while its receiver slept: none can
+    // matter to a wake any more.
+    parked_.clear();
+    inFlight_.clear();
   }
+  currentInFlight_ = kNoInFlight;
 
   // One queue place per attachment slot, taken at once: receiver `id`
   // gets place `id`, so same-instant arrivals run in ascending attachment
@@ -242,17 +313,17 @@ ECGRID_HOT_PATH void Channel::transmitFrom(Radio& sender,
     if (config_.deliveryFault) std::sort(scratch_.begin(), scratch_.end());
     for (std::size_t id : scratch_) {
       if (id == senderId) continue;
-      deliverTo(id, places[id], sender.id(), senderPos, now, frame);
+      deliverTo(id, sender.id(), senderPos, now, frame, places);
     }
   } else {
     for (std::size_t id = 0; id < attachments_.size(); ++id) {
       if (attachments_[id].radio == nullptr || id == senderId) continue;
-      deliverTo(id, places[id], sender.id(), senderPos, now, frame);
+      deliverTo(id, sender.id(), senderPos, now, frame, places);
     }
   }
 
   // Queue the awake arrivals in key order as one run, sharing the frame.
-  std::sort(awake_.begin(), awake_.end(), sim::itemBefore);
+  orderArrivals(awake_, radixBuffer_);
   sim::RunCursor run;
   for (const sim::RunItem& item : awake_) {
     sim_.scheduleReservedInRun(run, item, frame.payload());

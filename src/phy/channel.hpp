@@ -34,26 +34,39 @@
 //     into one pooled, immutable Frame (phy/frame.hpp); every reception
 //     holds a FrameRef to it instead of its own packet copy.
 //   * One queue entry per transmission. The listening receivers' arrivals
-//     (phy/deliver, or phy/interference from the outer ring) are sorted by
-//     key and queued as one event-queue run (sim/event.hpp) holding the
-//     frame. Each arrival is still its own event with its own key — it
-//     just costs a 56-byte run item instead of a slot, a closure and a
-//     heap push.
+//     (phy/deliver, or phy/interference from the outer ring) are queued in
+//     key order as one event-queue run (sim/event.hpp) holding the frame.
+//     Each arrival is still its own event with its own key — it just costs
+//     a 56-byte run item instead of a slot, a closure and a heap push.
+//   * Arrivals ordered by radix, not by comparison sort. A non-negative
+//     double orders as its bit pattern, and one transmission's arrival
+//     times differ only in their low bits (they lie within reach /
+//     propagationSpeed of each other), so an LSD radix sort over the top
+//     16 of the bits in which they differ orders them by time, up to the
+//     rare items that share those 16 bits. An insertion pass with
+//     sim::itemBefore then finishes the order and settles equal times by
+//     place, in either tie-break mode (and alone sorts a set too small
+//     for the radix passes to pay). Keys are unique (places are), so the
+//     result is exactly a comparison sort's.
 //   * Sleepers cost no events. A sleeping transceiver discards whatever
 //     arrives, so scheduling its phy/deliver (or phy/interference) would
-//     only make an event that does nothing. For a receiver that is asleep
-//     at transmit time the channel instead parks a deferred arrival in
-//     its block place: receiver, arrival time, that place, frame,
-//     decodable or not. Sleep has only two exits back to hearing —
-//     Radio::wake and, after a crash, Radio::powerUp — and both ask the
-//     channel to replay the receiver's deferred arrivals. Each one that
-//     would not yet have run (Simulator::wouldHaveRun) is scheduled as a
-//     single event — the only arrivals that are one — with the label,
-//     host key, absolute time and reserved place it would have had at
-//     transmit time, so it runs exactly where the skipped event would
-//     have; the rest would have been discarded and are dropped. Frames
-//     are in flight for at most reach / propagationSpeed (≈0.83 µs at
-//     250 m), so each transmission prunes arrivals that have passed.
+//     only make an event that does nothing. The channel keeps a dense
+//     sleep byte per attachment (Radio::setState sets and clears it; attach
+//     seeds it), so a candidate's sleep is read without touching its Radio.
+//     For a receiver asleep at transmit time the channel parks a compact
+//     record instead — receiver, attachment id, arrival time, decodable or
+//     not, and the index of the transmission's one in-flight record, which
+//     holds the frame and the block of places. Sleep has only two exits
+//     back to hearing — Radio::wake and, after a crash, Radio::powerUp —
+//     and both ask the channel to replay the receiver's parked arrivals.
+//     Each one that would not yet have run (Simulator::wouldHaveRun) is
+//     scheduled as a single event — the only arrivals that are one — with
+//     the label, host key, absolute time and block place it would have had
+//     at transmit time, so it runs exactly where the skipped event would
+//     have; the rest would have been discarded and are dropped. Frames are
+//     in flight for at most reach / propagationSpeed (≈0.83 µs at 250 m),
+//     so once the latest parked arrival has passed, a transmission drops
+//     every record at once.
 //
 // The skip is exact, not approximate: every other event keeps its
 // (time, tie key, sequence) key, deliveryFault is still consulted for
@@ -81,6 +94,12 @@
 namespace ecgrid::phy {
 
 class Radio;
+
+/// Order one transmission's arrivals — times non-negative, keys unique —
+/// exactly as std::sort with sim::itemBefore would (see the header
+/// comment). `buffer` is scratch; the two vectors may trade storage.
+void orderArrivals(std::vector<sim::RunItem>& items,
+                   std::vector<sim::RunItem>& buffer);
 
 struct ChannelConfig {
   double rangeMeters = 250.0;     ///< paper §4 transmission range
@@ -125,8 +144,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Register a radio with a provider for its motion legs. The channel
   /// caches each radio's current leg and asks again only once the clock
   /// reaches the leg's end. Returns an attachment id; ids of detached
-  /// radios are recycled. The id is also stored on the radio so
-  /// transmitFrom can find the sender without scanning.
+  /// radios are recycled. The id and the channel are also stored on the
+  /// radio, so transmitFrom can find the sender without scanning and the
+  /// radio can keep its sleep byte current.
   std::size_t attach(Radio* radio, LegProvider legs);
 
   /// As above, for a provider of the radio's *current* position only: it
@@ -156,9 +176,15 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
                     sim::Time duration);
 
   /// Called by a radio leaving sleep (or powering back up): schedule its
-  /// deferred arrivals that would not yet have run, in their reserved
+  /// parked arrivals that would not yet have run, in their reserved
   /// places, and forget the rest.
   void replayDeferred(Radio& radio);
+
+  /// Called by the radio behind `attachmentId` on entering or leaving
+  /// sleep: the sleep byte transmitFrom reads.
+  void setAsleep(std::size_t attachmentId, bool asleep) {
+    asleep_[attachmentId] = asleep ? 1 : 0;
+  }
 
   /// Arm (or, with nullptr, disarm) the fault-injection slot after
   /// construction — the FaultInjector's hook point.
@@ -175,8 +201,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::uint64_t deliveriesCorrupted() const { return deliveriesCorrupted_; }
   /// Attachments currently live (attached and not yet detached).
   std::size_t liveAttachmentCount() const { return liveAttachments_; }
-  /// Arrivals parked for sleeping receivers and not yet pruned.
-  std::size_t deferredArrivals() const { return deferred_.size(); }
+  /// Arrivals parked for sleeping receivers and neither replayed nor
+  /// dropped yet.
+  std::size_t deferredArrivals() const;
 
  private:
   struct Attachment {
@@ -184,23 +211,30 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     LegProvider legs;
   };
 
-  /// One sleeping receiver's copy of a transmission, parked until it
-  /// wakes.
-  struct Arrival {
-    Radio* radio = nullptr;
-    sim::Time at = 0.0;      ///< absolute arrival time
-    sim::EventOrder order;   ///< the skipped event's reserved place
+  static constexpr std::uint32_t kNoInFlight = 0xffffffffu;
+
+  /// A transmission some sleeper heard: what its parked arrivals share.
+  struct InFlight {
     FrameRef frame;
+    sim::OrderBlock places;
+  };
+
+  /// One sleeping receiver's arrival, parked until it wakes.
+  struct Parked {
+    Radio* radio = nullptr;  ///< nullptr once replayed or dropped
+    sim::Time at = 0.0;      ///< absolute arrival time
+    std::uint32_t id = 0;    ///< attachment id: its place in the block
+    std::uint32_t tx = 0;    ///< the transmission, in inFlight_
     bool decodable = false;  ///< phy/deliver; else phy/interference
   };
 
   /// Attachment `id`'s position now, from its cached leg (refreshed
   /// through its provider once the leg has ended).
   geo::Vec2 positionOf(std::size_t id, sim::Time now);
-  void deliverTo(std::size_t id, const sim::EventOrder& place,
-                 net::NodeId senderId, const geo::Vec2& senderPos,
-                 sim::Time now, const FrameRef& frame);
-  void scheduleArrival(Arrival& arrival);
+  void deliverTo(std::size_t id, net::NodeId senderId,
+                 const geo::Vec2& senderPos, sim::Time now,
+                 const FrameRef& frame, const sim::OrderBlock& places);
+  void scheduleArrival(const Parked& arrival);
 
   sim::Simulator& sim_;
   ChannelConfig config_;
@@ -210,10 +244,20 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<geo::Segment> legs_;
   std::vector<std::size_t> freeSlots_;
   std::optional<SpatialIndex> index_;
+  /// Each attachment's sleep byte, by id: 1 while its radio sleeps.
+  std::vector<std::uint8_t> asleep_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
-  std::vector<sim::RunItem> awake_;   ///< listeners' arrivals, reused per tx
+  std::vector<sim::RunItem> awake_;  ///< listeners' arrivals, reused per tx
+  std::vector<sim::RunItem> radixBuffer_;  ///< orderArrivals' scratch
   FramePool::Handle frames_ = FramePool::create();
-  std::vector<Arrival> deferred_;  ///< sleepers', in reservation order
+  std::vector<InFlight> inFlight_;
+  std::vector<Parked> parked_;  ///< sleepers', in transmission order
+  /// Latest arrival time among parked_; once it has passed, every record
+  /// can go.
+  sim::Time latestParked_ = 0.0;
+  /// inFlight_ index of the current transmission (kNoInFlight until its
+  /// first sleeper is parked).
+  std::uint32_t currentInFlight_ = kNoInFlight;
   std::size_t liveAttachments_ = 0;
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t deliveriesScheduled_ = 0;

@@ -84,6 +84,10 @@ void Radio::setDeathCallback(std::function<void()> cb) {
 
 void Radio::setState(RadioState next) {
   if (state_ == next) return;
+  if ((next == RadioState::kSleep || state_ == RadioState::kSleep) &&
+      channelAttachmentId_ != kNoAttachment) {
+    channel_->setAsleep(channelAttachmentId_, next == RadioState::kSleep);
+  }
   state_ = next;
   battery_.setPowerW(profile_.totalPowerW(toPowerState(next)), sim_.now());
   rearmDepletion();
@@ -97,8 +101,14 @@ void Radio::rearmDepletion() {
     depletion_.cancel();
     return;
   }
-  // Re-armed on every state change: move the queued event, don't churn it.
-  sim_.reschedule(depletion_, horizon, [this] { die(); }, "phy/battery");
+  // Re-armed on every state change, so the event is a parked timer. No
+  // state draws more than the profile's maximum, so short of an outside
+  // drain no later re-arm is due before the battery would empty at that
+  // draw; the entry waits there (an earlier re-arm just moves it).
+  const double maxDrawW = profile_.maxPowerW();
+  const double floor =
+      maxDrawW > 0.0 ? battery_.remainingJ(sim_.now()) / maxDrawW : 0.0;
+  sim_.rearm(depletion_, horizon, floor, [this] { die(); }, "phy/battery");
 }
 
 void Radio::die() {

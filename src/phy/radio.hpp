@@ -4,6 +4,9 @@
 // still alive), Off (host dead). Every state change re-prices the battery
 // draw using the paper's power table and re-arms the depletion timer, so
 // hosts die at the exact instant their integral of power hits capacity.
+// The timer is a parked queue entry (Simulator::rearm): it waits where the
+// battery would empty at the profile's maximum draw, which no state can
+// beat, so the flips of a busy radio rarely move it in the heap.
 //
 // Reception models collisions: any two transmissions overlapping in time
 // at a receiver corrupt each other (no capture). Frames are decoded and
@@ -17,7 +20,9 @@
 // sleep, powerDown, death) cancels its item like any event.
 //
 // A sleeping radio hears nothing, so the channel does not schedule
-// arrivals at it at all; it parks them instead (phy/channel.hpp). Leaving
+// arrivals at it at all; it parks them instead (phy/channel.hpp). The
+// channel reads sleep from its own per-attachment byte, which setState
+// keeps current on every transition into or out of sleep. Leaving
 // sleep — wake(), or powerUp() after a crash — hands the radio back to
 // the channel to replay the arrivals still in flight, so a radio that
 // wakes while a frame is on the air receives it exactly as it did when
@@ -68,7 +73,7 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   /// True while a sleep() is deferred behind an in-flight transmission.
   bool sleepPending() const { return sleepPending_; }
 
-  /// Wired once by the Node / network builder.
+  /// Wired by Channel::attach; callers may also wire it directly.
   void attachChannel(Channel* channel) { channel_ = channel; }
 
   /// Sentinel for "not attached to a channel".

@@ -570,7 +570,7 @@ void GridProtocolBase::flushAppQueue() {
     std::deque<std::shared_ptr<const net::Header>> pending;
     pending.swap(appPending_);
     for (auto& header : pending) {
-      const auto* data = dynamic_cast<const DataHeader*>(header.get());
+      const auto* data = net::headerAs<DataHeader>(header.get());
       ECGRID_CHECK(data != nullptr, "app queue held a non-data header");
       net::Packet frame;
       frame.macSrc = env_.id();

@@ -32,7 +32,7 @@ inline bool seqFresher(SeqNo a, SeqNo b) {
 /// plus the sender's GPS position, which every location-aware beacon in
 /// this protocol family carries (GRID's beacons do; receivers need it to
 /// judge whether an advertised gateway is actually within radio reach).
-class HelloHeader final : public net::Header {
+class HelloHeader final : public net::HeaderOf<HelloHeader> {
  public:
   HelloHeader(net::NodeId id, geo::GridCoord grid, bool gatewayFlag,
               energy::BatteryLevel level, double distToCenter,
@@ -83,7 +83,7 @@ inline constexpr int kRouteRecordBytes = 24;
 
 /// RETIRE(grid, rtab) — a departing/exhausted gateway hands its routing
 /// table to the grid it is leaving (paper §3.2).
-class RetireHeader final : public net::Header {
+class RetireHeader final : public net::HeaderOf<RetireHeader> {
  public:
   RetireHeader(geo::GridCoord grid, std::vector<RouteRecord> table)
       : grid_(grid), table_(std::move(table)) {}
@@ -104,7 +104,7 @@ class RetireHeader final : public net::Header {
 /// HANDOFF — unicast routing-table transfer when a newcomer replaces the
 /// gateway in place (paper §3.2 case 1: "the original gateway ... will
 /// transmit the routing and host tables to the new gateway").
-class HandoffHeader final : public net::Header {
+class HandoffHeader final : public net::HeaderOf<HandoffHeader> {
  public:
   HandoffHeader(geo::GridCoord grid, std::vector<RouteRecord> table,
                 std::vector<std::pair<net::NodeId, bool>> hostTable)
@@ -132,7 +132,7 @@ class HandoffHeader final : public net::Header {
 /// LEAVE — a non-gateway host notifies its gateway that it is departing
 /// the grid (paper §3.2 "it must notify the gateway about its departure by
 /// sending a unicast message").
-class LeaveHeader final : public net::Header {
+class LeaveHeader final : public net::HeaderOf<LeaveHeader> {
  public:
   LeaveHeader(net::NodeId host, geo::GridCoord grid)
       : host_(host), grid_(grid) {}
@@ -151,7 +151,7 @@ class LeaveHeader final : public net::Header {
 /// SLEEP — a member tells its gateway it is turning its transceiver off,
 /// keeping the host table's transmit/sleep status column (paper §3)
 /// accurate so the gateway pages instead of unicasting into a dead ear.
-class SleepNoticeHeader final : public net::Header {
+class SleepNoticeHeader final : public net::HeaderOf<SleepNoticeHeader> {
  public:
   SleepNoticeHeader(net::NodeId host, geo::GridCoord grid)
       : host_(host), grid_(grid) {}
@@ -169,7 +169,7 @@ class SleepNoticeHeader final : public net::Header {
 
 /// ACQ(gid, D) — a sleeping host that woke to transmit informs its
 /// gateway (paper §3.3); the gateway answers with a HELLO.
-class AcqHeader final : public net::Header {
+class AcqHeader final : public net::HeaderOf<AcqHeader> {
  public:
   AcqHeader(net::NodeId host, geo::GridCoord grid, net::NodeId destination)
       : host_(host), grid_(grid), destination_(destination) {}
@@ -189,7 +189,7 @@ class AcqHeader final : public net::Header {
 
 /// RREQ(S, s_seq, D, d_seq, id, range) — grid-confined route request
 /// (paper §3.3). `originGrid` lets receivers build the reverse path.
-class RreqHeader final : public net::Header {
+class RreqHeader final : public net::HeaderOf<RreqHeader> {
  public:
   RreqHeader(net::NodeId source, SeqNo sourceSeq, net::NodeId destination,
              SeqNo destSeqKnown, std::uint32_t requestId, geo::GridRect range,
@@ -240,7 +240,7 @@ class RreqHeader final : public net::Header {
 };
 
 /// RREP(S, D, d_seq) — unicast back along the reverse path (paper §3.3).
-class RrepHeader final : public net::Header {
+class RrepHeader final : public net::HeaderOf<RrepHeader> {
  public:
   RrepHeader(net::NodeId source, net::NodeId destination, SeqNo destSeq,
              geo::GridCoord destGrid, geo::GridCoord senderGrid,
@@ -278,7 +278,7 @@ class RrepHeader final : public net::Header {
 
 /// RERR — a gateway on the path could not forward towards `destination`;
 /// propagated back so stale routes are purged and sources re-discover.
-class RerrHeader final : public net::Header {
+class RerrHeader final : public net::HeaderOf<RerrHeader> {
  public:
   RerrHeader(net::NodeId source, net::NodeId destination, SeqNo destSeq,
              geo::GridCoord senderGrid)
@@ -304,7 +304,7 @@ class RerrHeader final : public net::Header {
 
 /// Application data riding the grid route. `payloadBytes` is the CBR
 /// payload (512 B in the paper); the grid header adds 20 B.
-class DataHeader final : public net::Header {
+class DataHeader final : public net::HeaderOf<DataHeader> {
  public:
   DataHeader(net::NodeId appSrc, net::NodeId appDst, int payloadBytes,
              net::DataTag tag)

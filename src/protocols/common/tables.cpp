@@ -27,46 +27,53 @@ void RreqCache::sweep(sim::Time now) {
   }
 }
 
+const NeighbourGatewayTable::Entry* NeighbourGatewayTable::find(
+    const geo::GridCoord& grid) const {
+  for (const Entry& entry : entries_) {
+    if (entry.grid == grid) return &entry;
+  }
+  return nullptr;
+}
+
 void NeighbourGatewayTable::observe(const geo::GridCoord& grid,
                                     net::NodeId gateway,
                                     const geo::Vec2& position, sim::Time now) {
-  entries_[grid] = Entry{gateway, position, now};
+  const Entry fresh{grid, gateway, position, now};
+  if (const Entry* entry = find(grid)) {
+    entries_[static_cast<std::size_t>(entry - entries_.data())] = fresh;
+  } else {
+    entries_.push_back(fresh);
+  }
 }
 
 void NeighbourGatewayTable::forget(const geo::GridCoord& grid,
                                    net::NodeId gateway) {
-  auto it = entries_.find(grid);
-  if (it != entries_.end() && it->second.gateway == gateway) {
-    entries_.erase(it);
-  }
+  std::erase_if(entries_, [&](const Entry& entry) {
+    return entry.grid == grid && entry.gateway == gateway;
+  });
 }
 
 void NeighbourGatewayTable::forgetById(net::NodeId gateway) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.gateway == gateway) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_,
+                [&](const Entry& entry) { return entry.gateway == gateway; });
 }
 
 std::optional<net::NodeId> NeighbourGatewayTable::gatewayOf(
     const geo::GridCoord& grid, sim::Time now) const {
-  auto it = entries_.find(grid);
-  if (it == entries_.end()) return std::nullopt;
-  if (now - it->second.lastHeard > staleAfter_) return std::nullopt;
-  return it->second.gateway;
+  const Entry* entry = find(grid);
+  if (entry == nullptr) return std::nullopt;
+  if (now - entry->lastHeard > staleAfter_) return std::nullopt;
+  return entry->gateway;
 }
 
 std::optional<net::NodeId> NeighbourGatewayTable::gatewayOf(
     const geo::GridCoord& grid, sim::Time now, const geo::Vec2& from,
     double maxDistance) const {
-  auto it = entries_.find(grid);
-  if (it == entries_.end()) return std::nullopt;
-  if (now - it->second.lastHeard > staleAfter_) return std::nullopt;
-  if (from.distanceTo(it->second.position) > maxDistance) return std::nullopt;
-  return it->second.gateway;
+  const Entry* entry = find(grid);
+  if (entry == nullptr) return std::nullopt;
+  if (now - entry->lastHeard > staleAfter_) return std::nullopt;
+  if (from.distanceTo(entry->position) > maxDistance) return std::nullopt;
+  return entry->gateway;
 }
 
 void HostTable::markActive(net::NodeId host, sim::Time now) {

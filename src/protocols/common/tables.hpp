@@ -41,7 +41,8 @@ class ECGRID_DOMAIN_PER_HOST RreqCache {
 /// gateway-flagged HELLOs (which carry the sender's GPS position).
 /// Entries age out when the gateway goes quiet; lookups are range-checked
 /// so a gateway that has drifted out of radio reach is not offered as a
-/// next hop.
+/// next hop. A host hears the gateways of a handful of grids, so the table
+/// is a flat vector searched linearly, in no particular order.
 class ECGRID_DOMAIN_PER_HOST NeighbourGatewayTable {
  public:
   explicit NeighbourGatewayTable(sim::Time staleAfter)
@@ -68,13 +69,16 @@ class ECGRID_DOMAIN_PER_HOST NeighbourGatewayTable {
 
  private:
   struct Entry {
+    geo::GridCoord grid;
     net::NodeId gateway = net::kBroadcastId;
     geo::Vec2 position;
     sim::Time lastHeard = sim::kTimeZero;
   };
-  ECGRID_LAYOUT_BUDGET(Entry, 32);
+  ECGRID_LAYOUT_BUDGET(Entry, 40);
+  /// The entry for `grid`, or nullptr.
+  const Entry* find(const geo::GridCoord& grid) const;
   sim::Time staleAfter_;
-  std::map<geo::GridCoord, Entry> entries_;
+  std::vector<Entry> entries_;
 };
 
 /// The gateway's table of hosts in its grid with their mode (paper §3:

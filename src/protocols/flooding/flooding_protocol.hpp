@@ -20,7 +20,7 @@
 namespace ecgrid::protocols {
 
 /// Data wrapped with flood bookkeeping (origin + sequence + TTL).
-class FloodHeader final : public net::Header {
+class FloodHeader final : public net::HeaderOf<FloodHeader> {
  public:
   FloodHeader(net::NodeId origin, std::uint32_t floodSeq, int ttl,
               DataHeader data)

@@ -37,7 +37,7 @@ namespace ecgrid::protocols {
 
 /// GAF discovery beacon: node id, grid, state, rank, and the announced
 /// remaining active time (enat) sleepers base Ts on.
-class GafDiscoveryHeader final : public net::Header {
+class GafDiscoveryHeader final : public net::HeaderOf<GafDiscoveryHeader> {
  public:
   enum class NodeState : std::uint8_t { kDiscovery, kActive, kEndpoint };
 

@@ -17,6 +17,9 @@ constexpr std::size_t kInitialRuns = 64;
 /// First capacity of a run's items; it doubles as needed and is kept when
 /// the run is recycled.
 constexpr std::size_t kInitialRunItems = 16;
+/// Parked timers at once: one per radio of a paper-baseline run (100
+/// hosts).
+constexpr std::size_t kInitialDue = 128;
 }  // namespace
 
 EventQueue::EventQueue() {
@@ -25,6 +28,8 @@ EventQueue::EventQueue() {
   heap_.reserve(kInitialSlots);
   runs_.reserve(kInitialRuns);
   freeRuns_.reserve(kInitialRuns);
+  due_.reserve(kInitialDue);
+  freeDue_.reserve(kInitialDue);
 }
 
 EventQueue::~EventQueue() {
@@ -64,6 +69,10 @@ ECGRID_HOT_PATH void EventQueue::freeSlot(std::uint32_t index) {
   slot.label = nullptr;
   slot.action.reset();
   slot.run = kNoRun;
+  if (slot.due != kNoDue) {
+    freeDue_.push_back(slot.due);
+    slot.due = kNoDue;
+  }
   // Bump the generation on free so stale handles can never alias a record
   // that reuses this slot.
   ++slot.generation;
@@ -75,18 +84,55 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
                                              InlineTask action,
                                              const char* label) {
   ECGRID_HOT_SCOPE();
+  const std::uint32_t index =
+      insert(time, order, std::move(action), label, kNoDue);
+  return makeHandle(this, index, slots_[index].generation);
+}
+
+ECGRID_HOT_PATH std::uint32_t EventQueue::insert(Time time, EventOrder order,
+                                                 InlineTask action,
+                                                 const char* label,
+                                                 std::uint32_t due) {
   ECGRID_REQUIRE(static_cast<bool>(action), "event action must be callable");
   ECGRID_REQUIRE(order.sequence < nextSequence_,
                  "event order was never reserved");
   std::uint32_t index = allocSlot();
   Slot& slot = slots_[index];
-  slot.time = time;
   slot.live = true;
   slot.label = label;
   slot.action = std::move(action);
+  slot.due = due;
   if (++queued_ > peakDepth_) peakDepth_ = queued_;
-  heapPush(HeapEntry{time, order.tieKey, order.sequence, index});
-  return makeHandle(this, index, slot.generation);
+  heapPush(HeapEntry{time, order.tieKey, order.sequence, index,
+                     due != kNoDue && time < due_[due].time});
+  return index;
+}
+
+ECGRID_HOT_PATH EventHandle EventQueue::pushParked(Time due, Time floor,
+                                                   InlineTask action,
+                                                   const char* label) {
+  ECGRID_HOT_SCOPE();
+  if (!(floor < due)) floor = due;
+  std::uint32_t record = 0;
+  if (freeDue_.empty()) {
+    if (due_.size() == due_.capacity()) {
+      // High-water growth, same argument as the slab in allocSlot(); the
+      // free list grows in step, so freeSlot() never allocates.
+      ECGRID_ALLOC_EXEMPT();
+      due_.reserve(due_.capacity() * 2);
+      freeDue_.reserve(due_.capacity());
+    }
+    record = static_cast<std::uint32_t>(due_.size());
+    due_.emplace_back();
+  } else {
+    record = freeDue_.back();
+    freeDue_.pop_back();
+  }
+  const EventOrder order = reserveOrder();
+  due_[record] = DueKey{due, order};
+  const std::uint32_t index =
+      insert(floor, order, std::move(action), label, record);
+  return makeHandle(this, index, slots_[index].generation);
 }
 
 ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
@@ -187,28 +233,40 @@ ECGRID_HOT_PATH std::uint32_t EventQueue::queuedSlot(
   return slot;
 }
 
-ECGRID_HOT_PATH EventHandle EventQueue::rekey(EventHandle handle, Time time,
-                                              EventOrder order,
-                                              InlineTask action,
-                                              const char* label) {
+ECGRID_HOT_PATH bool EventQueue::rearm(EventHandle& handle, Time due,
+                                       Time floor) {
   ECGRID_HOT_SCOPE();
   const std::uint32_t index = queuedSlot(handle);
-  if (index == kNoSlot) {
-    handle.cancel();
-    return push(time, order, std::move(action), label);
-  }
-  ECGRID_REQUIRE(static_cast<bool>(action), "event action must be callable");
-  ECGRID_REQUIRE(order.sequence < nextSequence_,
-                 "event order was never reserved");
+  if (index == kNoSlot || slots_[index].due == kNoDue) return false;
+  if (!(floor < due)) floor = due;
   // Cancel + push would retire this record (generation bump) and fill a
-  // fresh one with the same fields; do that to the record in place.
+  // fresh one with the same action in the next place; do that in place.
+  const EventOrder order = reserveOrder();
   Slot& slot = slots_[index];
   ++slot.generation;
-  slot.time = time;
-  slot.label = label;
-  slot.action = std::move(action);
-  sift(heapPos_[index], HeapEntry{time, order.tieKey, order.sequence, index});
-  return makeHandle(this, index, slot.generation);
+  due_[slot.due] = DueKey{due, order};
+  const std::size_t at = heapPos_[index];
+  if (earlier(HeapEntry{due, order.tieKey, order.sequence, index},
+              heap_[at])) {
+    // The entry waits past the new due key: bring it up to the floor.
+    siftUp(at, HeapEntry{floor, order.tieKey, order.sequence, index,
+                         floor < due});
+  } else {
+    // It already waits earlier (sequences are unique, so strictly).
+    heap_[at].parked = true;
+  }
+  handle = makeHandle(this, index, slot.generation);
+  return true;
+}
+
+ECGRID_HOT_PATH void EventQueue::surfaceTop() {
+  while (!heap_.empty() && heap_.front().parked) {
+    const std::uint32_t index = heap_.front().slot;
+    const DueKey& key = due_[slots_[index].due];
+    ++parkedSurfaced_;
+    siftDown(0, HeapEntry{key.time, key.order.tieKey, key.order.sequence,
+                          index});
+  }
 }
 
 ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i, const HeapEntry& entry) {
@@ -281,6 +339,7 @@ ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
   // The previous event's record outlived its execution (see header); now
   // that the caller is back for the next event, retire it.
   retireExecuting();
+  surfaceTop();
   if (heap_.empty()) return false;
   const HeapEntry& top = heap_.front();
   out.time = top.time;

@@ -19,9 +19,19 @@
 //
 // Cancellation is eager: cancel() removes the entry from the heap in
 // O(log n) and recycles its slot at once, so the heap holds only live
-// events. rekey() moves a queued entry to a new key in place — observably
-// the same as cancel + push, minus the slot churn; Radio's battery-
-// depletion timer, re-armed on every radio state change, is the reason.
+// events.
+//
+// Parked timers. pushParked() and rearm() are push and cancel + push for a
+// timer re-armed far more often than it fires — Radio's battery-depletion
+// event, re-armed on every radio state change — whose re-arms keep its
+// action. Its heap entry need not sit at the event's due key,
+// only no later than it: it waits at a *floor* the caller gives (ideally a
+// time before which no re-arm will be due), and the due key itself waits in a
+// small side table, one record per parked timer. A re-arm whose due key
+// is no earlier than the entry leaves the heap alone; only an earlier one
+// moves it. An entry that reaches the top before its due key is re-keyed
+// to that key inside pop()/peekTime() — silently: nothing executes and no
+// sequence is taken, so the executed order is exactly cancel + push's.
 // A popped record's slot is not recycled until the *next* pop, so a handle
 // to the currently-executing event still reports pending() — the same
 // observable semantics the previous shared_ptr-based queue had while
@@ -288,14 +298,23 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   EventHandle push(Time time, EventOrder order, InlineTask action,
                    const char* label = nullptr);
 
-  /// Exactly `handle.cancel(); return push(time, order, action, label);`.
-  /// When the handle's event is queued, its heap entry is moved to the new
-  /// key in place and its slot keeps serving (under a new generation, so
-  /// other copies of the old handle go dead just as after a cancel);
-  /// otherwise (inert, fired, cancelled, executing, or another queue's
-  /// handle) it falls back to cancel + push.
-  EventHandle rekey(EventHandle handle, Time time, EventOrder order,
-                    InlineTask action, const char* label = nullptr);
+  /// A parked timer (see the header comment): push(due, action, label) in
+  /// every observable — pop order, pending(), size(), sequences taken —
+  /// but its heap entry may wait earlier, at `floor` (clamped to `due`).
+  /// Move it with rearm().
+  EventHandle pushParked(Time due, Time floor, InlineTask action,
+                         const char* label = nullptr);
+
+  /// Move the queued parked timer `handle` names to `due`, in the place a
+  /// push right now would take, keeping its action and label: exactly
+  /// `handle.cancel(); handle = pushParked(due, floor, itsAction,
+  /// itsLabel);` in every observable. Its slot keeps serving under a new
+  /// generation (other copies of the old handle go dead, as after a
+  /// cancel), and its entry moves only if the new due key sorts before
+  /// where it waits. Returns false, taking nothing, when `handle` names no
+  /// queued parked timer (inert, fired, cancelled, executing, a plain
+  /// event, or another queue's handle).
+  bool rearm(EventHandle& handle, Time due, Time floor);
 
   /// Queue `item` (its order taken with reserveOrder()) as the new tail of
   /// the run `cursor` names. When there is no such run any more, or it has
@@ -327,8 +346,10 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// As above, with a run item's call packed into `action`.
   bool pop(Time& time, InlineTask& action);
 
-  /// Time of the next event, or kTimeNever if empty.
-  Time peekTime() const {
+  /// Time of the next event, or kTimeNever if empty. Not const: a parked
+  /// entry on top is first re-keyed to its due key.
+  Time peekTime() {
+    surfaceTop();
     return heap_.empty() ? kTimeNever : heap_.front().time;
   }
 
@@ -351,6 +372,9 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// Runs ever opened at once (the run pool's high-water mark).
   std::size_t runPoolSize() const { return runs_.size(); }
 
+  /// Parked entries re-keyed to their due key on reaching the top.
+  std::uint64_t parkedSurfaced() const { return parkedSurfaced_; }
+
  protected:
   // EventTarget backends (EventHandle reaches them through the base).
   void cancelSlot(std::uint32_t slot, std::uint32_t generation) override;
@@ -362,6 +386,7 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// heapPos_ value of a slot with no heap entry (free or executing).
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
   static constexpr std::uint32_t kNoRun = 0xffffffffu;
+  static constexpr std::uint32_t kNoDue = 0xffffffffu;
 
   /// A run (see the header comment). Items before `head` have been popped
   /// (the executing one keeps its action until it retires) or cancelled;
@@ -397,13 +422,13 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   };
 
   struct Slot {
-    Time time = kTimeZero;
     std::uint32_t generation = 0;
     bool live = false;       ///< allocated: queued or currently executing
     const char* label = nullptr;  ///< schedule-site tag (static storage)
     InlineTask action;
     std::uint32_t nextFree = kNoSlot;
     std::uint32_t run = kNoRun;  ///< the run whose heap entry this holds
+    std::uint32_t due = kNoDue;  ///< a parked timer's record in due_
   };
   /// The slab holds one Slot per in-flight event; at city scale that is
   /// hundreds of thousands. InlineTask (96B inline + 3 fn ptrs, padded to
@@ -417,8 +442,17 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
     std::uint64_t tieKey = 0;
     std::uint64_t sequence = 0;
     std::uint32_t slot = 0;
+    /// A parked timer's entry waiting before its due key (in the padding,
+    /// so the flag costs nothing).
+    bool parked = false;
   };
   ECGRID_LAYOUT_BUDGET(HeapEntry, 32);
+
+  /// Where a parked timer's event really runs.
+  struct DueKey {
+    Time time = kTimeZero;
+    EventOrder order;
+  };
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -432,6 +466,13 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t index);
   void heapPush(const HeapEntry& entry);
+  /// Fill a fresh slot and queue its entry at (time, order); `due` names
+  /// its due key when it is a parked timer (kNoDue otherwise).
+  std::uint32_t insert(Time time, EventOrder order, InlineTask action,
+                       const char* label, std::uint32_t due);
+  /// Re-key parked entries that have reached the top to their due keys,
+  /// until the top is an entry at its own key.
+  void surfaceTop();
   void removeHeapAt(std::size_t i);
   /// Retire the event popped last: recycle its slot, or clear its run
   /// item and recycle the run if nothing of it is left.
@@ -470,6 +511,11 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// never moves.
   std::vector<std::unique_ptr<Run>> runs_;
   std::vector<std::uint32_t> freeRuns_;
+  /// Due keys of parked timers, by Slot::due; recycled ones wait on
+  /// freeDue_.
+  std::vector<DueKey> due_;
+  std::vector<std::uint32_t> freeDue_;
+  std::uint64_t parkedSurfaced_ = 0;
   TieBreak tieBreak_;
   std::uint32_t freeHead_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  ///< slot recycled on next pop

@@ -26,14 +26,22 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskAt(Time when,
   return queue_.push(when, std::move(action), label);
 }
 
-ECGRID_HOT_PATH void Simulator::rescheduleTask(EventHandle& handle,
-                                               Time delay, InlineTask action,
-                                               const char* label) {
+ECGRID_HOT_PATH bool Simulator::rearmQueued(EventHandle& handle, Time delay,
+                                            Time floorDelay) {
   ECGRID_HOT_SCOPE();
-  ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
-  // The place a push right now would take: cancel consumes no order.
-  const EventOrder order = queue_.reserveOrder();
-  handle = queue_.rekey(handle, now_ + delay, order, std::move(action), label);
+  ECGRID_REQUIRE(delay >= 0.0 && floorDelay >= 0.0,
+                 "cannot schedule into the past");
+  return queue_.rearm(handle, now_ + delay, now_ + floorDelay);
+}
+
+ECGRID_HOT_PATH void Simulator::armParked(EventHandle& handle, Time delay,
+                                          Time floorDelay, InlineTask action,
+                                          const char* label) {
+  ECGRID_HOT_SCOPE();
+  // Cancel consumes no place: the push takes the one a re-arm would have.
+  handle.cancel();
+  handle = queue_.pushParked(now_ + delay, now_ + floorDelay,
+                             std::move(action), label);
 }
 
 ECGRID_HOT_PATH EventHandle Simulator::scheduleInRun(RunCursor& run,

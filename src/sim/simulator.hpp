@@ -70,16 +70,23 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   }
 
   /// Exactly `handle.cancel(); handle = schedule(delay, action, label);`
-  /// — same execution order, same reserved sequences — but when the
-  /// handle's event is still queued, it is moved to its new key in place
-  /// (EventQueue::rekey) instead of being freed and re-pushed. For timers
-  /// re-armed far more often than they fire (Radio's battery-depletion
-  /// event).
+  /// — same execution order, same reserved sequences — for a timer re-armed
+  /// far more often than it fires, always with the same action and label
+  /// (Radio's battery-depletion event). The timer is parked
+  /// (EventQueue::pushParked): its heap entry waits at `floorDelay` from
+  /// now (at most `delay`) and moves only when a re-arm is due before
+  /// where it waits. A timer still queued is re-armed in place and keeps
+  /// the action it was armed with, so `action` is only packed when the
+  /// timer is armed afresh. The nearer the floor is to the earliest a
+  /// later re-arm can be due, the fewer moves; any floor gives the same
+  /// run.
   template <class F>
-  ECGRID_HOT_PATH void reschedule(EventHandle& handle, Time delay,
-                                  F&& action, const char* label = nullptr) {
+  ECGRID_HOT_PATH void rearm(EventHandle& handle, Time delay, Time floorDelay,
+                             F&& action, const char* label = nullptr) {
     ECGRID_HOT_SCOPE();
-    rescheduleTask(handle, delay, InlineTask(std::forward<F>(action)), label);
+    if (rearmQueued(handle, delay, floorDelay)) return;
+    armParked(handle, delay, floorDelay, InlineTask(std::forward<F>(action)),
+              label);
   }
 
   /// Take the place in the same-time order that an event scheduled right
@@ -134,8 +141,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
   EventHandle scheduleTaskReserved(Time when, EventOrder order,
                                    InlineTask action, const char* label);
-  void rescheduleTask(EventHandle& handle, Time delay, InlineTask action,
-                      const char* label);
+  bool rearmQueued(EventHandle& handle, Time delay, Time floorDelay);
+  void armParked(EventHandle& handle, Time delay, Time floorDelay,
+                 InlineTask action, const char* label);
 
   /// Run events until the queue drains or the clock passes `until`.
   /// Events scheduled exactly at `until` are executed.
@@ -172,6 +180,10 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// (slots recycle; slabs never shrink). A run takes one slot however
   /// many items it holds.
   std::size_t slabSlotsTotal() const { return queue_.slabSlots(); }
+
+  /// Parked timer entries re-keyed on reaching the top of the queue
+  /// (EventQueue::parkedSurfaced); none of them is an executed event.
+  std::uint64_t parkedSurfaced() const { return queue_.parkedSurfaced(); }
 
   /// Determinism-analysis debug mode: randomise the tie-break among
   /// equal-time events using the dedicated "check/tiebreak" stream (see

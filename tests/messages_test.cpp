@@ -2,8 +2,13 @@
 // typed header access, sequence freshness.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "mac/csma.hpp"
 #include "protocols/common/messages.hpp"
+#include "protocols/flooding/flooding_protocol.hpp"
 #include "protocols/gaf/gaf_protocol.hpp"
 
 namespace ecgrid::protocols {
@@ -60,6 +65,79 @@ TEST(Messages, TypedHeaderAccess) {
   EXPECT_EQ(frame.headerAs<AcqHeader>()->destination(), 9);
   EXPECT_EQ(frame.headerAs<HelloHeader>(), nullptr);
   EXPECT_EQ(frame.headerAs<DataHeader>(), nullptr);
+}
+
+/// A header class deriving from net::Header directly: it has no tag, so
+/// no typed view matches it.
+class UntaggedHeader final : public net::Header {
+ public:
+  int bytes() const override { return 1; }
+  const char* name() const override { return "UNTAGGED"; }
+};
+
+/// Typed view of `frame` as H, as an untyped pointer.
+template <typename H>
+const void* viewAs(const net::Packet& frame) {
+  return frame.headerAs<H>();
+}
+
+// Every header class against every other: a typed view is the header's
+// own address for its class and null for every other one.
+TEST(Messages, TypedViewMatchesExactlyItsOwnClass) {
+  const std::vector<std::shared_ptr<const net::Header>> samples = {
+      std::make_shared<mac::AckHeader>(1),
+      std::make_shared<HelloHeader>(1, geo::GridCoord{0, 0}, false,
+                                    energy::BatteryLevel::kUpper, 0.0,
+                                    geo::Vec2{}),
+      std::make_shared<RetireHeader>(geo::GridCoord{1, 1},
+                                     std::vector<RouteRecord>{}),
+      std::make_shared<HandoffHeader>(
+          geo::GridCoord{1, 1}, std::vector<RouteRecord>{},
+          std::vector<std::pair<net::NodeId, bool>>{}),
+      std::make_shared<LeaveHeader>(1, geo::GridCoord{0, 0}),
+      std::make_shared<SleepNoticeHeader>(1, geo::GridCoord{0, 0}),
+      std::make_shared<AcqHeader>(1, geo::GridCoord{0, 0}, 9),
+      std::make_shared<RreqHeader>(1, 2, 3, 4, 5,
+                                   geo::GridRect::everywhere(),
+                                   geo::GridCoord{0, 0}, geo::Vec2{}, 0),
+      std::make_shared<RrepHeader>(1, 3, 7, geo::GridCoord{5, 5},
+                                   geo::GridCoord{4, 5}, geo::Vec2{}, 2),
+      std::make_shared<RerrHeader>(1, 3, 7, geo::GridCoord{4, 5}),
+      std::make_shared<DataHeader>(1, 3, 512, net::DataTag{}),
+      std::make_shared<GafDiscoveryHeader>(
+          1, geo::GridCoord{0, 0},
+          GafDiscoveryHeader::NodeState::kActive, 1.0, 2.0, geo::Vec2{}),
+      std::make_shared<FloodHeader>(1, 2, 3,
+                                    DataHeader(1, 3, 512, net::DataTag{})),
+  };
+  // One view per class, in the order of `samples`.
+  const std::vector<const void* (*)(const net::Packet&)> views = {
+      &viewAs<mac::AckHeader>,    &viewAs<HelloHeader>,
+      &viewAs<RetireHeader>,      &viewAs<HandoffHeader>,
+      &viewAs<LeaveHeader>,       &viewAs<SleepNoticeHeader>,
+      &viewAs<AcqHeader>,         &viewAs<RreqHeader>,
+      &viewAs<RrepHeader>,        &viewAs<RerrHeader>,
+      &viewAs<DataHeader>,        &viewAs<GafDiscoveryHeader>,
+      &viewAs<FloodHeader>,
+  };
+  ASSERT_EQ(samples.size(), views.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    net::Packet frame;
+    frame.header = samples[i];
+    for (std::size_t j = 0; j < views.size(); ++j) {
+      EXPECT_EQ(views[j](frame), i == j ? samples[i].get() : nullptr)
+          << samples[i]->name() << " viewed as class " << j;
+    }
+    EXPECT_EQ(net::headerAs<DataHeader>(samples[i].get()),
+              i == 10 ? samples[i].get() : nullptr);
+  }
+  net::Packet untagged;
+  untagged.header = std::make_shared<UntaggedHeader>();
+  net::Packet empty;
+  for (const auto& view : views) {
+    EXPECT_EQ(view(untagged), nullptr);
+    EXPECT_EQ(view(empty), nullptr);
+  }
 }
 
 TEST(Messages, HeadersAreImmutableShared) {

@@ -3,6 +3,7 @@
 // replay, shared frames, and the RAS paging channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <tuple>
@@ -201,6 +202,47 @@ TEST(Radio, DiesExactlyAtDepletion) {
   EXPECT_TRUE(radio.dead());
   // Dead radios hear nothing and transmit nothing.
   EXPECT_EQ(radio.state(), RadioState::kOff);
+}
+
+// The depletion timer is a parked queue entry (sim::EventQueue::rearm):
+// it waits at the battery's floor and surfaces to its due key. A radio
+// flipping Idle/Rx/Tx for seconds, with a quiet spell long enough for the
+// entry to surface, still dies at the very instant recorded before the
+// timer was parked (printed with %.17g, so the literal is exact).
+TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
+  sim::Simulator simulator;
+  Channel channel(simulator, ChannelConfig{});
+  energy::Battery small(5.0);
+  energy::Battery big(500.0);
+  Radio subject(simulator, small, energy::PowerProfile{}, 0);
+  Radio partner(simulator, big, energy::PowerProfile{}, 1);
+  channel.attach(&subject, [] { return geo::Vec2{0.0, 0.0}; });
+  channel.attach(&partner, [] { return geo::Vec2{100.0, 0.0}; });
+  sim::Time died = -1.0;
+  std::uint64_t surfacedBeforeDeath = 0;
+  subject.setDeathCallback([&] {
+    died = simulator.now();
+    surfacedBeforeDeath = simulator.parkedSurfaced();
+  });
+  // The partner's frames flip the subject Idle -> Rx -> Idle; its own
+  // frames flip it to Tx. Nothing happens in [1, 4).
+  for (int k = 0; k < 600; ++k) {
+    const sim::Time at = 0.037 * k;
+    if (at >= 1.0 && at < 4.0) continue;
+    simulator.scheduleAt(
+        at, [&] { partner.transmit(makeFrame(1, net::kBroadcastId), 1e-3); });
+  }
+  for (int k = 1; k < 200; ++k) {
+    const sim::Time at = 0.101 * k;
+    if (at >= 1.0 && at < 4.0) continue;
+    simulator.scheduleAt(
+        at, [&] { subject.transmit(makeFrame(0, net::kBroadcastId), 2e-3); });
+  }
+  simulator.run(20.0);
+  EXPECT_EQ(died, 5.7446234723831653);
+  EXPECT_EQ(simulator.eventsExecuted(), 1700u);
+  EXPECT_GE(surfacedBeforeDeath, 1u);
+  EXPECT_TRUE(subject.dead());
 }
 
 TEST(Radio, MediumIdleAtCoversReceptionsAndNav) {
@@ -587,6 +629,120 @@ struct Line {
     return xs;
   }
 };
+
+// Two transmissions in flight towards one sleeper at once: it wakes after
+// the first arrival has landed and before the second, and hears exactly
+// the second — whichever was transmitted first.
+TEST(Channel, SleeperWakesBetweenTwoOverlappingArrivals) {
+  for (const bool earlierLandsFirst : {true, false}) {
+    // Sleeper at the origin; senders 10 m (33 ns of flight) and 200 m
+    // (667 ns) away, transmitting 20 ns apart.
+    Line line({0.0, earlierLandsFirst ? 10.0 : 200.0,
+               earlierLandsFirst ? -200.0 : -10.0});
+    Radio& sleeper = *line.radios[0];
+    std::vector<std::pair<sim::Time, net::NodeId>> heard;
+    sleeper.setFrameCallback([&](const net::Packet& frame) {
+      heard.emplace_back(line.simulator.now(), frame.macSrc);
+    });
+    sleeper.sleep();
+    line.radios[1]->transmit(makeFrame(1, net::kBroadcastId), 1e-3);
+    line.simulator.scheduleAt(20e-9, [&] {
+      line.radios[2]->transmit(makeFrame(2, net::kBroadcastId), 1e-3);
+      EXPECT_EQ(line.channel.deferredArrivals(), 2u);
+    });
+    line.simulator.scheduleAt(300e-9, [&] { sleeper.wake(); });
+    line.simulator.run(1.0);
+    // The far sender's frame: sent at its transmit instant, 200 m away.
+    const net::NodeId far = earlierLandsFirst ? 2 : 1;
+    const sim::Time sentAt = earlierLandsFirst ? 20e-9 : 0.0;
+    ASSERT_EQ(heard.size(), 1u) << "earlierLandsFirst " << earlierLandsFirst;
+    EXPECT_EQ(heard[0].second, far);
+    EXPECT_EQ(heard[0].first, (sentAt + 200.0 / 3e8) + 1e-3);
+    EXPECT_EQ(line.channel.deferredArrivals(), 0u);
+  }
+}
+
+// The channel's sleep byte follows the radio: seeded at attach for a radio
+// already asleep, cleared by powerDown (an Off radio is not a sleeper: its
+// arrivals are scheduled and discarded, as ever), set again by sleep.
+TEST(Channel, SleepByteFollowsAttachAndPowerCycles) {
+  sim::Simulator simulator;
+  Channel channel(simulator, ChannelConfig{});
+  energy::Battery batteryTx(500.0);
+  energy::Battery batteryRx(500.0);
+  Radio tx(simulator, batteryTx, energy::PowerProfile{}, 0);
+  Radio rx(simulator, batteryRx, energy::PowerProfile{}, 1);
+  rx.sleep();  // before attach
+  channel.attach(&tx, [] { return geo::Vec2{0.0, 0.0}; });
+  channel.attach(&rx, [] { return geo::Vec2{100.0, 0.0}; });
+  int heard = 0;
+  rx.setFrameCallback([&](const net::Packet&) { ++heard; });
+  auto broadcast = [&] {
+    const std::uint64_t before = simulator.eventsExecuted();
+    tx.transmit(makeFrame(0, net::kBroadcastId), 1e-3);
+    const std::size_t parked = channel.deferredArrivals();
+    simulator.run(simulator.now() + 1.0);
+    return std::make_pair(parked, simulator.eventsExecuted() - before);
+  };
+  // Asleep since before attach: parked, and only tx_end runs.
+  EXPECT_EQ(broadcast(), std::make_pair(std::size_t{1}, std::uint64_t{1}));
+  rx.powerDown();  // sleep -> off
+  // Off: scheduled (phy/deliver) and discarded, nothing parked.
+  EXPECT_EQ(broadcast(), std::make_pair(std::size_t{0}, std::uint64_t{2}));
+  rx.powerUp();
+  // Listening: phy/deliver and phy/rx_end.
+  EXPECT_EQ(broadcast(), std::make_pair(std::size_t{0}, std::uint64_t{3}));
+  EXPECT_EQ(heard, 1);
+  rx.sleep();
+  EXPECT_EQ(broadcast(), std::make_pair(std::size_t{1}, std::uint64_t{1}));
+  rx.wake();
+  EXPECT_EQ(broadcast(), std::make_pair(std::size_t{0}, std::uint64_t{3}));
+  EXPECT_EQ(heard, 2);
+}
+
+// orderArrivals is exactly std::sort with sim::itemBefore: random arrival
+// sets, small and large (insertion pass alone, radix then insertion), with
+// repeated times, across an exponent boundary, in either tie-break mode,
+// in any visiting order.
+TEST(Channel, RadixOrderMatchesComparisonSort) {
+  sim::RngStream rng(2024);
+  std::vector<sim::RunItem> buffer;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool perturbed = trial % 2 == 1;
+    const sim::OrderBlock places(sim::TieBreak{perturbed, rng.raw()},
+                                 static_cast<std::uint64_t>(trial) * 1000);
+    const auto n = static_cast<std::size_t>(rng.uniformInt(0, 300));
+    // Now and then the arrivals straddle a power of two, so their bit
+    // patterns differ in the exponent too.
+    const sim::Time now =
+        trial % 10 == 0 ? 8.0 - 0.4e-6 : rng.uniform(0.0, 2000.0);
+    std::vector<sim::RunItem> items;
+    for (std::size_t id = 0; id < n; ++id) {
+      if (!rng.chance(0.8)) continue;
+      sim::Time at = now + rng.uniform(0.0, 250.0) / 3e8;
+      // Repeat an earlier time now and then: ties settle by place.
+      if (!items.empty() && rng.chance(0.2)) {
+        at = items[static_cast<std::size_t>(rng.uniformInt(
+                       0, static_cast<std::int64_t>(items.size()) - 1))]
+                 .time;
+      }
+      items.push_back(sim::RunItem{at, places[id]});
+    }
+    for (std::size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[static_cast<std::size_t>(rng.uniformInt(
+                                  0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    std::vector<sim::RunItem> expected = items;
+    std::sort(expected.begin(), expected.end(), sim::itemBefore);
+    orderArrivals(items, buffer);
+    ASSERT_EQ(items.size(), expected.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(items[i].time, expected[i].time) << "trial " << trial;
+      ASSERT_EQ(items[i].order.sequence, expected[i].order.sequence)
+          << "trial " << trial << " item " << i;
+    }
+  }
+}
 
 // One transmission to N listeners queues N arrivals but one run: the slab
 // does not grow with N. The reception ends of the frame share a second run.

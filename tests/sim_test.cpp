@@ -240,7 +240,7 @@ TEST(Simulator, SchedulingIntoADispatchedPlaceThrows) {
                std::invalid_argument);
 }
 
-// --- reschedule (Radio's depletion re-arm) ---------------------------------
+// --- rearm (Radio's depletion timer) ---------------------------------------
 
 /// How a script's simulator orders same-instant events. The explicit
 /// values name the parameterised test cases.
@@ -249,14 +249,15 @@ enum class Engine { kSerial = 0, kPerturbed = 2 };
 /// A run of re-armed timers: every firing re-arms itself, then re-arms,
 /// cancels or spawns timers at random (coarse delays, so plenty of
 /// same-instant ties) and cancels stale copies of handles re-armed
-/// earlier. Spelled either with Simulator::reschedule or
-/// with cancel + schedule; the two must be indistinguishable.
+/// earlier. Spelled either with Simulator::rearm — parking each entry
+/// at none, half or all of its delay, so entries surface, wait and move —
+/// or with cancel + schedule; the two must be indistinguishable.
 class RearmScript {
  public:
   static constexpr int kTimers = 16;
 
-  RearmScript(Engine engine, bool useReschedule)
-      : simulator_(11), rng_(7), useReschedule_(useReschedule) {
+  RearmScript(Engine engine, bool useRearm)
+      : simulator_(11), rng_(7), useRearm_(useRearm) {
     if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
     for (int id = 0; id < kTimers; ++id) arm(id, 0.25 * (id % 4));
     simulator_.run(300.0);
@@ -269,8 +270,9 @@ class RearmScript {
   void arm(int id, Time delay) {
     stale_.push_back(timers_[id]);
     auto fire = [this, id] { onFire(id); };
-    if (useReschedule_) {
-      simulator_.reschedule(timers_[id], delay, fire, "test/timer");
+    if (useRearm_) {
+      const Time floor = delay * 0.5 * static_cast<Time>(id % 3);
+      simulator_.rearm(timers_[id], delay, floor, fire, "test/timer");
     } else {
       timers_[id].cancel();
       timers_[id] = simulator_.schedule(delay, fire, "test/timer");
@@ -306,7 +308,7 @@ class RearmScript {
 
   Simulator simulator_;
   RngStream rng_;
-  bool useReschedule_;
+  bool useRearm_;
   EventHandle timers_[kTimers];
   std::vector<EventHandle> stale_;
   std::vector<int> trace_;
@@ -315,16 +317,21 @@ class RearmScript {
 class RescheduleParity : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(RescheduleParity, MatchesCancelPlusSchedule) {
-  RearmScript rescheduled(GetParam(), true);
+  RearmScript rearmed(GetParam(), true);
   RearmScript spelledOut(GetParam(), false);
-  EXPECT_GT(rescheduled.simulator().eventsExecuted(), 2000u);
-  EXPECT_EQ(rescheduled.trace(), spelledOut.trace());
-  EXPECT_EQ(rescheduled.simulator().eventsExecuted(),
+  EXPECT_GT(rearmed.simulator().eventsExecuted(), 2000u);
+  // Parked entries did surface, and not as executed events.
+  EXPECT_GT(rearmed.simulator().parkedSurfaced(), 100u);
+  EXPECT_EQ(spelledOut.simulator().parkedSurfaced(), 0u);
+  EXPECT_EQ(rearmed.trace(), spelledOut.trace());
+  EXPECT_EQ(rearmed.simulator().eventsExecuted(),
             spelledOut.simulator().eventsExecuted());
-  EXPECT_EQ(rescheduled.simulator().reservedSequences(),
+  EXPECT_EQ(rearmed.simulator().reservedSequences(),
             spelledOut.simulator().reservedSequences());
-  EXPECT_EQ(rescheduled.simulator().queueDepth(),
+  EXPECT_EQ(rearmed.simulator().queueDepth(),
             spelledOut.simulator().queueDepth());
+  EXPECT_EQ(rearmed.simulator().peakQueueDepth(),
+            spelledOut.simulator().peakQueueDepth());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, RescheduleParity,

@@ -221,6 +221,54 @@ TEST_P(FanoutDifferential, FaultArmedIndexedMatchesBruteForce) {
   EXPECT_GT(indexed.deliveries.size(), 0u);
 }
 
+// Bursts of transmissions a few hundred nanoseconds apart, so several are
+// in flight towards the same sleepers at once, with sleepers waking at
+// random instants inside the flight windows: the parked arrivals replay
+// identically in both modes.
+TEST_P(FanoutDifferential, OverlappingFlightsWithWakesMatchBruteForce) {
+  const std::uint64_t seed = GetParam();
+  const int radioCount = 60;
+  FanoutWorld indexed(radioCount, true, 450.0, seed);
+  FanoutWorld brute(radioCount, false, 450.0, seed);
+  sim::RngStream script(seed * 31 + 7);
+  for (int burst = 0; burst < 20; ++burst) {
+    std::vector<int> senders;
+    std::vector<std::pair<int, sim::Time>> wakes;
+    for (int i = 0; i < radioCount; ++i) {
+      const double dice = script.uniform(0.0, 1.0);
+      if (dice < 0.06) {
+        senders.push_back(i);
+      } else if (dice < 0.5) {
+        wakes.emplace_back(i, script.uniform(0.0, 2e-6));
+      }
+    }
+    for (FanoutWorld* world : {&indexed, &brute}) {
+      const sim::Time t0 = world->simulator.now();
+      for (const auto& [i, wakeAt] : wakes) {
+        Radio& radio = *world->radios[static_cast<std::size_t>(i)];
+        radio.sleep();
+        world->simulator.scheduleAt(t0 + wakeAt, [&radio] { radio.wake(); });
+      }
+      for (std::size_t k = 0; k < senders.size(); ++k) {
+        const int src = senders[k];
+        world->simulator.scheduleAt(t0 + 150e-9 * static_cast<double>(k), [=] {
+          world->radios[static_cast<std::size_t>(src)]->transmit(
+              broadcastFrame(src), 1e-4);
+        });
+      }
+      world->simulator.run(t0 + 1.0);
+    }
+    ASSERT_EQ(indexed.deliveries, brute.deliveries) << "after burst " << burst;
+    ASSERT_EQ(indexed.simulator.eventsExecuted(),
+              brute.simulator.eventsExecuted());
+  }
+  EXPECT_EQ(indexed.simulator.reservedSequences(),
+            brute.simulator.reservedSequences());
+  EXPECT_EQ(indexed.channel->deliveriesScheduled(),
+            brute.channel->deliveriesScheduled());
+  EXPECT_GT(indexed.deliveries.size(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FanoutDifferential,
                          ::testing::Values(3u, 17u, 2026u));
 
