@@ -1,10 +1,10 @@
 // Shared scaffolding for the figure-reproduction benches.
 //
-// Every bench binary reproduces one figure of the paper: it sweeps the
-// figure's parameter(s), prints the same series the paper plots as an
-// aligned text table, and writes a CSV next to the binary (bench_out/)
-// for plotting, plus a machine-readable BENCH_<figure>.json perf record
-// (see BenchReport below). Benches honour these environment variables:
+// A bench sweeps one or more figures' parameters, prints the series each
+// figure plots as an aligned text table, and writes CSVs (bench_out/) for
+// plotting plus one machine-readable BENCH_<figure>.json perf record per
+// figure (see BenchReport below). Benches honour these environment
+// variables:
 //   ECGRID_BENCH_QUICK=1    — shrink horizons/sweeps for smoke runs
 //   ECGRID_BENCH_SEEDS=N    — number of seeds averaged where applicable
 //   ECGRID_BENCH_JOBS=N     — worker threads for independent runs (default
@@ -15,16 +15,19 @@
 //                             (CI scratch runs; keeps committed records
 //                             untouched)
 // An empty knob counts as unset. A malformed numeric knob
-// (ECGRID_BENCH_JOBS=two, ECGRID_BENCH_SEEDS=3abc) ends the bench with exit
-// code 2 and a message naming the variable, rather than silently running a
-// different experiment.
+// (ECGRID_BENCH_JOBS=two, ECGRID_BENCH_SEEDS=3abc), a horizon cap that
+// leaves no traffic, or an output directory that cannot be created ends the
+// bench with exit code 2 and a message naming the variable (checkKnobs),
+// before any scenario runs.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -91,6 +94,17 @@ inline double horizonCap() {
 inline void applyHorizonCap(harness::ScenarioConfig& config) {
   double cap = horizonCap();
   if (cap > 0.0 && config.duration > cap) config.duration = cap;
+}
+
+/// printf into a std::string, for labels and metric names.
+[[gnu::format(printf, 1, 2)]] inline std::string format(const char* fmt,
+                                                        ...) {
+  char buffer[128];
+  std::va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buffer, sizeof buffer, fmt, args);
+  va_end(args);
+  return buffer;
 }
 
 /// Wall-clock stopwatch for the whole bench. Wall time never feeds the
@@ -168,11 +182,65 @@ inline std::vector<stats::TimeSeries> downsampleEnvelope(
 /// never collides with the committed BENCH_*.json reference records —
 /// refreshing those is a deliberate local run into the default dir.
 inline std::string outputDir() {
-  const char* env = std::getenv("ECGRID_BENCH_OUT");
-  std::filesystem::path dir =
-      (env != nullptr && *env != '\0') ? env : "bench_out";
-  std::filesystem::create_directories(dir);
+  const char* env = envKnob("ECGRID_BENCH_OUT");
+  const std::filesystem::path dir = env != nullptr ? env : "bench_out";
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    std::fprintf(stderr,
+                 "ECGRID_BENCH_OUT: cannot create directory '%s': %s\n",
+                 dir.c_str(), error.message().c_str());
+    std::exit(2);
+  }
   return dir.string();
+}
+
+/// Parse and validate every knob before any config is built or run, so a
+/// bad value ends the bench at once rather than crashing a scenario or
+/// losing a finished sweep's output. The numeric knobs parse in the order
+/// SEEDS, HORIZON, JOBS; then a horizon cap at or below the baseline's
+/// traffic start (an empty flow window) and an output directory that
+/// cannot be created are rejected. Call first in main().
+inline void checkKnobs() {
+  (void)seedCount(1);
+  const double cap = horizonCap();
+  (void)benchJobs();
+  const double trafficStart = paperBaseline().trafficStart;
+  if (cap > 0.0 && cap <= trafficStart) {
+    char expected[64];
+    std::snprintf(expected, sizeof expected,
+                  "0 or seconds > %g (the traffic start)", trafficStart);
+    rejectEnv("ECGRID_BENCH_HORIZON", envKnob("ECGRID_BENCH_HORIZON"),
+              expected);
+  }
+  (void)outputDir();
+}
+
+/// Run `configs` on ECGRID_BENCH_JOBS workers; results come back in input
+/// order. A scenario that throws ends the bench with exit code 1 once
+/// every run has finished, naming each failed scenario by its `labels`
+/// entry.
+inline std::vector<harness::ScenarioResult> runLabelled(
+    const std::vector<harness::ScenarioConfig>& configs,
+    const std::vector<std::string>& labels) {
+  std::vector<std::exception_ptr> failures;
+  std::vector<harness::ScenarioResult> results =
+      harness::runScenariosParallel(configs, benchJobs(), failures);
+  bool failed = false;
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    if (failures[i] == nullptr) continue;
+    failed = true;
+    try {
+      std::rethrow_exception(failures[i]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scenario %s failed: %s\n", labels[i].c_str(),
+                   e.what());
+    } catch (...) {
+      std::fprintf(stderr, "scenario %s failed\n", labels[i].c_str());
+    }
+  }
+  if (failed) std::exit(1);
+  return results;
 }
 
 inline void writeSeries(const std::string& figure,
@@ -253,7 +321,7 @@ class BenchReport {
     std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
+      std::exit(1);
     }
     std::fprintf(out, "{\n  \"figure\": \"%s\",\n", figure_.c_str());
     std::fprintf(out, "  \"quick\": %s,\n", quickMode() ? "true" : "false");
@@ -302,7 +370,10 @@ class BenchReport {
       std::fprintf(out, "%s}", scenarios_[i].second.empty() ? "" : "\n    ");
     }
     std::fprintf(out, "%s}\n}\n", scenarios_.empty() ? "" : "\n  ");
-    std::fclose(out);
+    if (std::ferror(out) != 0 || std::fclose(out) != 0) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
     std::printf("  [json] %s (%.2fs wall, %u job(s), %llu events)\n",
                 path.c_str(), wallSeconds, benchJobs(),
                 static_cast<unsigned long long>(eventsExecuted_));

@@ -20,6 +20,7 @@
 int main() {
   using namespace ecgrid;
   using harness::ProtocolKind;
+  bench::checkKnobs();
 
   const std::vector<double> lossRates =
       bench::quickMode() ? std::vector<double>{0.0, 0.2}

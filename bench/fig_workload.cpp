@@ -38,6 +38,7 @@ double sloPct(const ecgrid::obs::MetricsSnapshot& metrics,
 int main() {
   using namespace ecgrid;
   using harness::ProtocolKind;
+  bench::checkKnobs();
 
   const std::vector<double> loadScales =
       bench::quickMode() ? std::vector<double>{1.0}

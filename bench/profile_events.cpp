@@ -118,6 +118,7 @@ double serialStdFunctionDispatchEventsPerSecond(std::uint64_t events) {
 int main() {
   using namespace ecgrid;
   using harness::ProtocolKind;
+  bench::checkKnobs();
 
   const std::vector<ProtocolKind> protocols = {
       ProtocolKind::kGrid, ProtocolKind::kEcgrid, ProtocolKind::kGaf};

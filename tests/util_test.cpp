@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
 
@@ -191,13 +192,18 @@ TEST(Cli, MalformedValueExitsTwoWithUsage) {
   }
 }
 
-// A bench's numeric environment knobs parse like flag values: garbage is
-// an error naming the variable (exit 2), never a partial read or a quiet
-// fallback. Quick mode, a 1 s horizon and a scratch output directory
-// keep a regression from running the full figure.
+// A bench's environment knobs are checked before any scenario runs:
+// garbage is an error naming the variable (exit 2), never a partial read,
+// a quiet fallback, a crash inside a scenario or a crash after the sweep.
+// Numeric knobs parse like flag values; a horizon cap must leave traffic
+// (it starts at 1 s) and the output directory must be creatable. Quick
+// mode, a short horizon and a scratch output directory keep a regression
+// from running the full figure set.
 TEST(Cli, MalformedBenchKnobExitsTwo) {
-  const std::string bench = "ECGRID_BENCH_QUICK=1 ECGRID_BENCH_OUT=" +
-                            ::testing::TempDir() + " " + ECGRID_FIG6_BIN;
+  const std::string notADirectory = ::testing::TempDir() + "bench_knob_file";
+  std::ofstream(notADirectory) << "a regular file\n";
+  const std::string defaults =
+      "ECGRID_BENCH_QUICK=1 ECGRID_BENCH_OUT=" + ::testing::TempDir();
   const struct {
     std::string env;
     const char* error;
@@ -208,10 +214,19 @@ TEST(Cli, MalformedBenchKnobExitsTwo) {
        "ECGRID_BENCH_SEEDS: expected a positive integer, got '3abc'"},
       {"ECGRID_BENCH_HORIZON=1e",
        "ECGRID_BENCH_HORIZON: expected seconds >= 0, got '1e'"},
+      {"ECGRID_BENCH_HORIZON=1",
+       "ECGRID_BENCH_HORIZON: expected 0 or seconds > 1 (the traffic "
+       "start), got '1'"},
+      {"ECGRID_BENCH_HORIZON=2 ECGRID_BENCH_OUT=" + notADirectory + "/x",
+       "ECGRID_BENCH_OUT: cannot create directory"},
   };
   for (const auto& c : cases) {
     std::string output;
-    EXPECT_EQ(runCommand(c.env + " " + bench, output), 2) << c.env << output;
+    EXPECT_EQ(runCommand(defaults + " " + c.env + " " +
+                             ECGRID_PAPER_FIGURES_BIN,
+                         output),
+              2)
+        << c.env << output;
     EXPECT_NE(output.find(c.error), std::string::npos) << output;
   }
 }

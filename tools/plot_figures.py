@@ -2,7 +2,7 @@
 """Plot the paper's figures from the CSVs the bench binaries write.
 
 Usage:
-    for b in build/bench/fig*; do $b; done   # writes bench_out/*.csv
+    build/bench/paper_figures                # writes bench_out/fig*.csv
     python3 tools/plot_figures.py            # writes bench_out/*.png
 
 Requires matplotlib. Each CSV has a shared `time` (or x) column followed
