@@ -1,5 +1,7 @@
 #include "net/node.hpp"
 
+#include <algorithm>
+
 #include "obs/observability.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -8,6 +10,19 @@ namespace ecgrid::net {
 
 namespace {
 constexpr const char* kTag = "node";
+
+/// How close (metres) the believed position may come to a wall of its cell
+/// before cell() recomputes: far above the rounding error of one leg
+/// evaluation, so the end-of-interval check below practically never fails.
+constexpr double kCellWallGuard = 1e-6;
+
+/// Time from `p` moving at `v` until it comes within the guard of the wall
+/// of [lo, lo + side] it heads for; kTimeNever when it does not move.
+sim::Time timeToWallGuard(double p, double v, double lo, double side) {
+  if (v > 0.0) return (lo + side - kCellWallGuard - p) / v;
+  if (v < 0.0) return (lo + kCellWallGuard - p) / v;
+  return sim::kTimeNever;
+}
 
 /// Span id correlating a packet's originate with its delivery: flows are
 /// globally unique, sequences unique within a flow.
@@ -94,6 +109,29 @@ void Node::attachToMedia() {
         wakeRadio();
         if (protocol_) protocol_->onPaged(signal);
       });
+}
+
+geo::GridCoord Node::refreshCell(sim::Time now) {
+  const geo::Segment leg = mobility_->legAt(now);
+  const geo::Vec2 believed = leg.at(now) + gpsError_;
+  const geo::GridCoord here = grid_.cellOf(believed);
+  const geo::Vec2 lo = grid_.originOf(here);
+  const double side = grid_.cellSide();
+  sim::Time until = leg.end;
+  until = std::min(until, now + timeToWallGuard(believed.x, leg.velocity.x,
+                                                lo.x, side));
+  until = std::min(until, now + timeToWallGuard(believed.y, leg.velocity.y,
+                                                lo.y, side));
+  // Exact, not approximate: every coordinate of leg.at(t) + gpsError_ —
+  // and so of cellOf() of it — is monotone in t over the leg (each
+  // floating-point step is monotone in its operand). So if the cell at
+  // `until` is still `here`, the cell is `here` all through [now, until],
+  // whatever the rounding; the guard only makes that check succeed.
+  if (grid_.cellOf(leg.at(until) + gpsError_) != here) until = now;
+  cachedCell_ = here;
+  cellFrom_ = now;
+  cellUntil_ = until;
+  return here;
 }
 
 void Node::notifyCellMaybeChanged() {
@@ -214,6 +252,7 @@ void Node::restart() {
 
 void Node::setGpsError(const geo::Vec2& error) {
   gpsError_ = error;
+  cellUntil_ = cellFrom_;  // the cached cell was for the old error
   // refresh() both re-tests the believed cell now (firing onCellChanged
   // through the tracker callback if it moved) and re-arms the boundary
   // timer against the shifted geometry; notifyCellMaybeChanged alone

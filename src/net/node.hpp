@@ -93,6 +93,7 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   /// *believes* (HostEnv::position()/cell()). Physical propagation — the
   /// channel and pager range checks — always uses truePosition(). If the
   /// new error moves the believed cell, the protocol sees onCellChanged.
+  /// Drops the cached believed cell.
   void setGpsError(const geo::Vec2& error);
   const geo::Vec2& gpsError() const { return gpsError_; }
 
@@ -105,7 +106,13 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   const geo::GridMap& gridMap() const override { return grid_; }
   geo::Vec2 position() override { return truePosition() + gpsError_; }
   geo::Vec2 velocity() override { return mobility_->velocityAt(sim_.now()); }
-  geo::GridCoord cell() override { return grid_.cellOf(position()); }
+  /// grid_.cellOf(position()), answered from a cache while the believed
+  /// position provably stays in the cell (refreshCell).
+  geo::GridCoord cell() override {
+    const sim::Time now = sim_.now();
+    if (now >= cellFrom_ && now < cellUntil_) return cachedCell_;
+    return refreshCell(now);
+  }
   sim::Time nextPossibleCellExit() override {
     // Sleep timers are planned around the cell the host *believes* it is
     // in, consistent with position()/cell() above.
@@ -136,6 +143,8 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   void onDeath();
   void attachToMedia();
   void notifyCellMaybeChanged();
+  /// Recompute the believed cell at `now` and how long it holds.
+  geo::GridCoord refreshCell(sim::Time now);
 
   sim::Simulator& sim_;
   geo::GridMap grid_;
@@ -157,6 +166,11 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
 
   geo::Vec2 gpsError_{0.0, 0.0};
   geo::GridCoord believedCell_{0, 0};
+  /// cell()'s cache: `cachedCell_` is the believed cell at every time in
+  /// [cellFrom_, cellUntil_); an empty interval means nothing is cached.
+  geo::GridCoord cachedCell_{0, 0};
+  sim::Time cellFrom_ = sim::kTimeZero;
+  sim::Time cellUntil_ = sim::kTimeZero;
   bool crashed_ = false;
   sim::Time crashedAt_ = 0.0;
 

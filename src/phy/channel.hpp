@@ -111,7 +111,8 @@ struct ChannelConfig {
   /// holds carrier sense busy. Values <= rangeMeters (the default 0)
   /// disable the extra ring — the pure unit-disk model the paper's
   /// d = √2·r/3 dimensioning assumes. Real 802.11 cards hear roughly
-  /// 1.8–2.2× their decode range; `ablation_interference` sweeps this.
+  /// 1.8–2.2× their decode range; the `interference` rows of
+  /// `bench/ablations` sweep this.
   double interferenceRangeMeters = 0.0;
   /// Bucket attachments spatially so broadcasts scan O(density) radios
   /// instead of all N. Off = the brute-force full scan (identical event

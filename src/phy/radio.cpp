@@ -104,11 +104,17 @@ void Radio::rearmDepletion() {
   // Re-armed on every state change, so the event is a parked timer. No
   // state draws more than the profile's maximum, so short of an outside
   // drain no later re-arm is due before the battery would empty at that
-  // draw; the entry waits there (an earlier re-arm just moves it).
-  const double maxDrawW = profile_.maxPowerW();
-  const double floor =
-      maxDrawW > 0.0 ? battery_.remainingJ(sim_.now()) / maxDrawW : 0.0;
-  sim_.rearm(depletion_, horizon, floor, [this] { die(); }, "phy/battery");
+  // draw; the entry waits there (an earlier re-arm just moves it). The
+  // queue asks for that floor only when the entry is armed or moved; the
+  // battery is already integrated to now, so asking is pure.
+  sim_.rearm(
+      depletion_, horizon,
+      [this] {
+        const double maxDrawW = profile_.maxPowerW();
+        return maxDrawW > 0.0 ? battery_.remainingJ(sim_.now()) / maxDrawW
+                              : 0.0;
+      },
+      [this] { die(); }, "phy/battery");
 }
 
 void Radio::die() {

@@ -6,7 +6,10 @@
 // hosts die at the exact instant their integral of power hits capacity.
 // The timer is a parked queue entry (Simulator::rearm): it waits where the
 // battery would empty at the profile's maximum draw, which no state can
-// beat, so the flips of a busy radio rarely move it in the heap.
+// beat, so a flip of a busy radio only rewrites the timer's due record —
+// it touches neither the queue's slot nor its heap, and the floor is not
+// even computed — unless an outside Battery::drain or a surfaced entry
+// puts the new due key before where the entry waits.
 //
 // Reception models collisions: any two transmissions overlapping in time
 // at a receiver corrupt each other (no capture). Frames are decoded and

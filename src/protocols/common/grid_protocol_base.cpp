@@ -193,14 +193,12 @@ void GridProtocolBase::noteGatewaySeen(net::NodeId gateway) {
 
 std::vector<Candidate> GridProtocolBase::freshCandidates(sim::Time window) {
   sim::Time now = env_.simulator().now();
-  geo::GridCoord myGrid = env_.cell();
   std::vector<Candidate> field;
   for (auto it = candidates_.begin(); it != candidates_.end();) {
     if (now - it->second.lastHeard > window) {
       it = candidates_.erase(it);
       continue;
     }
-    (void)myGrid;
     field.push_back(it->second.candidate);
     ++it;
   }
@@ -456,7 +454,6 @@ ECGRID_HOT_PATH void GridProtocolBase::handleHello(const net::Packet& frame,
 
 void GridProtocolBase::handleRetire(const net::Packet& frame,
                                     const RetireHeader& retire) {
-  sim::Time now = env_.simulator().now();
   neighbours_.forget(retire.grid(), frame.macSrc);
   if (retire.grid() != env_.cell()) return;
   if (role_ == Role::kGateway) return;  // stale duplicate; ignore
@@ -464,7 +461,6 @@ void GridProtocolBase::handleRetire(const net::Packet& frame,
 
   storedRetireTable_ = retire.table();
   if (currentGateway_ == frame.macSrc) currentGateway_.reset();
-  (void)now;
   startElection();
 }
 

@@ -123,7 +123,7 @@ void GafProtocol::enterDiscovery() {
   stateTimer_.cancel();
   stateTimer_ = env_.simulator().schedule(
       config_.discoveryWindow * (1.0 + rng_.uniform(0.0, 0.5)),
-      [this] { endDiscovery(); });
+      [this] { endDiscovery(); }, "gaf/discovery_end");
 }
 
 void GafProtocol::endDiscovery() {
@@ -168,11 +168,14 @@ void GafProtocol::becomeActive() {
   beacon();
   flushAppQueue();
   stateTimer_.cancel();
-  stateTimer_ = env_.simulator().schedule(ta, [this] {
-    if (state_ != State::kActive) return;
-    engine_.stopRouting();
-    enterDiscovery();  // hand the grid over (GAF load balancing)
-  });
+  stateTimer_ = env_.simulator().schedule(
+      ta,
+      [this] {
+        if (state_ != State::kActive) return;
+        engine_.stopRouting();
+        enterDiscovery();  // hand the grid over (GAF load balancing)
+      },
+      "gaf/active_expiry");
 }
 
 void GafProtocol::sleepFor(sim::Time duration) {
@@ -185,12 +188,15 @@ void GafProtocol::sleepFor(sim::Time duration) {
   engine_.stopRouting();
   env_.sleepRadio();
   stateTimer_.cancel();
-  stateTimer_ = env_.simulator().schedule(duration, [this] {
-    if (state_ != State::kSleep) return;
-    // Ts expired: wake and re-run discovery (the periodic wakeup the
-    // paper contrasts ECGRID's paging against).
-    enterDiscovery();
-  });
+  stateTimer_ = env_.simulator().schedule(
+      duration,
+      [this] {
+        if (state_ != State::kSleep) return;
+        // Ts expired: wake and re-run discovery (the periodic wakeup the
+        // paper contrasts ECGRID's paging against).
+        enterDiscovery();
+      },
+      "gaf/sleep_expiry");
 }
 
 // --------------------------------------------------------------------------
@@ -221,7 +227,7 @@ ECGRID_HOT_PATH void GafProtocol::beaconTick() {
   beaconTimer_ = env_.simulator().schedule(
       config_.beaconInterval *
           (1.0 + rng_.uniform(0.0, config_.beaconJitterFrac)),
-      [this] { beaconTick(); });
+      [this] { beaconTick(); }, "gaf/beacon");
 }
 
 // --------------------------------------------------------------------------

@@ -70,6 +70,9 @@ ECGRID_HOT_PATH void EventQueue::freeSlot(std::uint32_t index) {
   slot.action.reset();
   slot.run = kNoRun;
   if (slot.due != kNoDue) {
+    DueRecord& timer = due_[slot.due];
+    timer.slot = kNoSlot;
+    ++timer.generation;
     freeDue_.push_back(slot.due);
     slot.due = kNoDue;
   }
@@ -103,8 +106,7 @@ ECGRID_HOT_PATH std::uint32_t EventQueue::insert(Time time, EventOrder order,
   slot.action = std::move(action);
   slot.due = due;
   if (++queued_ > peakDepth_) peakDepth_ = queued_;
-  heapPush(HeapEntry{time, order.tieKey, order.sequence, index,
-                     due != kNoDue && time < due_[due].time});
+  heapPush(HeapEntry{time, order.tieKey, order.sequence, index, due});
   return index;
 }
 
@@ -129,10 +131,13 @@ ECGRID_HOT_PATH EventHandle EventQueue::pushParked(Time due, Time floor,
     freeDue_.pop_back();
   }
   const EventOrder order = reserveOrder();
-  due_[record] = DueKey{due, order};
-  const std::uint32_t index =
-      insert(floor, order, std::move(action), label, record);
-  return makeHandle(this, index, slots_[index].generation);
+  DueRecord& timer = due_[record];
+  timer.time = due;
+  timer.sequence = order.sequence;
+  timer.waitTime = floor;
+  timer.waitTieKey = order.tieKey;
+  timer.slot = insert(floor, order, std::move(action), label, record);
+  return makeHandle(&parked_, record, timer.generation);
 }
 
 ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
@@ -218,55 +223,36 @@ ECGRID_HOT_PATH EventHandle EventQueue::append(RunCursor& cursor,
   return makeHandle(run, itemIndex, run->generation);
 }
 
-ECGRID_HOT_PATH std::uint32_t EventQueue::queuedSlot(
-    const EventHandle& handle) const {
-  std::uint32_t slot = 0;
-  std::uint32_t generation = 0;
-  if (!ownsHandle(handle, slot, generation) || slot >= slots_.size()) {
-    return kNoSlot;
-  }
-  const Slot& record = slots_[slot];
-  if (!record.live || record.generation != generation ||
-      heapPos_[slot] == kNotQueued) {
-    return kNoSlot;
-  }
-  return slot;
-}
-
-ECGRID_HOT_PATH bool EventQueue::rearm(EventHandle& handle, Time due,
-                                       Time floor) {
-  ECGRID_HOT_SCOPE();
-  const std::uint32_t index = queuedSlot(handle);
-  if (index == kNoSlot || slots_[index].due == kNoDue) return false;
-  if (!(floor < due)) floor = due;
-  // Cancel + push would retire this record (generation bump) and fill a
-  // fresh one with the same action in the next place; do that in place.
-  const EventOrder order = reserveOrder();
-  Slot& slot = slots_[index];
-  ++slot.generation;
-  due_[slot.due] = DueKey{due, order};
-  const std::size_t at = heapPos_[index];
-  if (earlier(HeapEntry{due, order.tieKey, order.sequence, index},
-              heap_[at])) {
-    // The entry waits past the new due key: bring it up to the floor.
-    siftUp(at, HeapEntry{floor, order.tieKey, order.sequence, index,
-                         floor < due});
-  } else {
-    // It already waits earlier (sequences are unique, so strictly).
-    heap_[at].parked = true;
-  }
-  handle = makeHandle(this, index, slot.generation);
-  return true;
-}
-
 ECGRID_HOT_PATH void EventQueue::surfaceTop() {
-  while (!heap_.empty() && heap_.front().parked) {
-    const std::uint32_t index = heap_.front().slot;
-    const DueKey& key = due_[slots_[index].due];
+  while (!heap_.empty() && heap_.front().due != kNoDue) {
+    const HeapEntry& top = heap_.front();
+    DueRecord& timer = due_[top.due];
+    // Sequences are unique, so the entry sits at its due key iff it
+    // carries the due sequence at the due time.
+    if (top.time == timer.time && top.sequence == timer.sequence) return;
     ++parkedSurfaced_;
-    siftDown(0, HeapEntry{key.time, key.order.tieKey, key.order.sequence,
-                          index});
+    timer.waitTime = timer.time;
+    timer.waitTieKey = tieBreak_.keyOf(timer.sequence);
+    siftDown(0, HeapEntry{timer.time, timer.waitTieKey, timer.sequence,
+                          top.slot, top.due});
   }
+}
+
+void EventQueue::moveParked(std::uint32_t record, std::uint64_t tieKey,
+                            Time floor) {
+  DueRecord& timer = due_[record];
+  if (!(floor < timer.time)) floor = timer.time;
+  timer.waitTime = floor;
+  timer.waitTieKey = tieKey;
+  // The new waiting key sorts before the old one, so the entry sifts up.
+  siftUp(heapPos_[timer.slot],
+         HeapEntry{floor, tieKey, timer.sequence, timer.slot, record});
+}
+
+void EventQueue::cancelParked(std::uint32_t record, std::uint32_t generation) {
+  const DueRecord& timer = due_[record];
+  if (timer.generation != generation || timer.slot == kNoSlot) return;
+  cancelSlot(timer.slot, slots_[timer.slot].generation);
 }
 
 ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i, const HeapEntry& entry) {

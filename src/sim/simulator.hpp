@@ -22,6 +22,7 @@
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 #include "util/hot_path.hpp"
 #include "util/log.hpp"
 #include "util/ownership.hpp"
@@ -73,20 +74,36 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// — same execution order, same reserved sequences — for a timer re-armed
   /// far more often than it fires, always with the same action and label
   /// (Radio's battery-depletion event). The timer is parked
-  /// (EventQueue::pushParked): its heap entry waits at `floorDelay` from
-  /// now (at most `delay`) and moves only when a re-arm is due before
-  /// where it waits. A timer still queued is re-armed in place and keeps
-  /// the action it was armed with, so `action` is only packed when the
-  /// timer is armed afresh. The nearer the floor is to the earliest a
-  /// later re-arm can be due, the fewer moves; any floor gives the same
-  /// run.
-  template <class F>
-  ECGRID_HOT_PATH void rearm(EventHandle& handle, Time delay, Time floorDelay,
-                             F&& action, const char* label = nullptr) {
+  /// (EventQueue::pushParked): its heap entry waits at `floorDelay()`
+  /// from now (at most `delay`) and moves only when a re-arm is due before
+  /// where it waits. `floorDelay` is a callable, called only when the
+  /// entry is armed afresh or has to move. A timer still queued is
+  /// re-armed in place and keeps the action it was armed with, so `action`
+  /// is only packed when the timer is armed afresh. The nearer the floor
+  /// is to the earliest a later re-arm can be due, the fewer moves; any
+  /// floor gives the same run.
+  template <class Floor, class F>
+  ECGRID_HOT_PATH void rearm(EventHandle& handle, Time delay,
+                             Floor&& floorDelay, F&& action,
+                             const char* label = nullptr) {
     ECGRID_HOT_SCOPE();
     if (rearmQueued(handle, delay, floorDelay)) return;
-    armParked(handle, delay, floorDelay, InlineTask(std::forward<F>(action)),
-              label);
+    armParked(handle, delay, floorDelay(),
+              InlineTask(std::forward<F>(action)), label);
+  }
+
+  /// The in-place half of rearm(): re-arms the queued parked timer
+  /// `handle` names (EventQueue::rearm) and returns true, or returns false,
+  /// taking nothing, when there is none.
+  template <class Floor>
+  ECGRID_HOT_PATH bool rearmQueued(EventHandle& handle, Time delay,
+                                   Floor&& floorDelay) {
+    checkDelay(delay);
+    return queue_.rearm(handle, now_ + delay, [&] {
+      const Time floor = floorDelay();
+      checkDelay(floor);
+      return now_ + floor;
+    });
   }
 
   /// Take the place in the same-time order that an event scheduled right
@@ -141,7 +158,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
   EventHandle scheduleTaskReserved(Time when, EventOrder order,
                                    InlineTask action, const char* label);
-  bool rearmQueued(EventHandle& handle, Time delay, Time floorDelay);
+  static void checkDelay(Time delay) {
+    ECGRID_REQUIRE(delay >= 0.0, "cannot schedule into the past");
+  }
   void armParked(EventHandle& handle, Time delay, Time floorDelay,
                  InlineTask action, const char* label);
 

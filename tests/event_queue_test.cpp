@@ -21,6 +21,11 @@
 namespace ecgrid::sim {
 namespace {
 
+/// A rearm() floor that is always `t`.
+auto floorAt(Time t) {
+  return [t] { return t; };
+}
+
 // The pre-slab design, kept as an executable specification.
 struct RefRecord {
   Time time = 0.0;
@@ -180,7 +185,7 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
           static_cast<Time>(rng.uniformInt(0, static_cast<std::int64_t>(t)));
       EventHandle stale = handles[victim];
       int tag = refs[victim]->tag;
-      if (!queue.rearm(handles[victim], t, floor)) {
+      if (!queue.rearm(handles[victim], t, floorAt(floor))) {
         tag = nextTag++;
         handles[victim].cancel();
         handles[victim] = queue.pushParked(
@@ -308,7 +313,7 @@ TEST(EventQueueRekey, MovesAQueuedEventInPlace) {
   queue.push(3.0, [&ran] { ran.push_back(3); });
   const EventHandle copy = a;
   EventHandle moved = a;
-  ASSERT_TRUE(queue.rearm(moved, 2.0, 2.0));
+  ASSERT_TRUE(queue.rearm(moved, 2.0, floorAt(2.0)));
   EXPECT_FALSE(a.pending());
   EXPECT_FALSE(copy.pending());
   EXPECT_TRUE(moved.pending());
@@ -317,7 +322,7 @@ TEST(EventQueueRekey, MovesAQueuedEventInPlace) {
   EXPECT_EQ(queue.reservedSequences(), 4u);
   // The stale copy re-arms nothing and takes no place.
   EventHandle dead = copy;
-  EXPECT_FALSE(queue.rearm(dead, 0.5, 0.0));
+  EXPECT_FALSE(queue.rearm(dead, 0.5, floorAt(0.0)));
   EXPECT_EQ(queue.reservedSequences(), 4u);
   // Ties at 2.0 break by the reserved sequence: the re-armed timer is last.
   EXPECT_DOUBLE_EQ(queue.peekTime(), 2.0);
@@ -335,14 +340,15 @@ TEST(EventQueueRekey, ExecutingEventFallsBackToPush) {
   Simulator simulator;
   std::vector<Time> ran;
   EventHandle self;
-  simulator.rearm(self, 1.0, 0.5, [&] {
+  simulator.rearm(self, 1.0, floorAt(0.5), [&] {
     ran.push_back(simulator.now());
     EXPECT_TRUE(self.pending());
     const EventHandle executing = self;
     EventHandle probe = self;
-    EXPECT_FALSE(simulator.rearmQueued(probe, 4.0, 1.0));
+    EXPECT_FALSE(simulator.rearmQueued(probe, 4.0, floorAt(1.0)));
     // Armed afresh, so with the action given here.
-    simulator.rearm(self, 4.0, 1.0, [&] { ran.push_back(-simulator.now()); });
+    simulator.rearm(self, 4.0, floorAt(1.0),
+                    [&] { ran.push_back(-simulator.now()); });
     EXPECT_FALSE(executing.pending());
     EXPECT_TRUE(self.pending());
   });
@@ -365,11 +371,11 @@ TEST(EventQueueRekey, StaleHandleFallsBackToPush) {
   EventHandle occupant = queue.push(2.0, [&ran] { ran.push_back(2); });
   ASSERT_EQ(queue.slabSlots(), 1u);  // same slot as the stale handle
   const std::uint64_t reserved = queue.reservedSequences();
-  EXPECT_FALSE(queue.rearm(stale, 3.0, 1.0));
+  EXPECT_FALSE(queue.rearm(stale, 3.0, floorAt(1.0)));
   EventHandle inert;
-  EXPECT_FALSE(queue.rearm(inert, 4.0, 0.0));
+  EXPECT_FALSE(queue.rearm(inert, 4.0, floorAt(0.0)));
   EventHandle plain = occupant;
-  EXPECT_FALSE(queue.rearm(plain, 2.5, 0.0));
+  EXPECT_FALSE(queue.rearm(plain, 2.5, floorAt(0.0)));
   EXPECT_EQ(queue.reservedSequences(), reserved);
   EXPECT_TRUE(occupant.pending());
   EXPECT_EQ(queue.size(), 1u);
@@ -413,7 +419,7 @@ TEST(EventQueueParked, PeekAndRunUntilSeeOnlyDueKeys) {
   Simulator simulator;
   int fired = 0;
   EventHandle timer;
-  simulator.rearm(timer, 9.0, 1.0, [&fired] { ++fired; });
+  simulator.rearm(timer, 9.0, floorAt(1.0), [&fired] { ++fired; });
   simulator.run(5.0);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(simulator.eventsExecuted(), 0u);
@@ -447,17 +453,26 @@ TEST(EventQueueParked, CancellingAParkedEntry) {
   EXPECT_EQ(ran, (std::vector<int>{3}));
 }
 
-// A re-arm due no earlier than where the entry waits leaves the heap alone;
-// an earlier one moves it. Either way the timer runs at its last due key.
+// A re-arm due no earlier than where the entry waits leaves the heap alone
+// and never asks for a floor; an earlier one moves it to the floor. Either
+// way the timer runs at its last due key.
 TEST(EventQueueParked, EntryMovesOnlyForAnEarlierDueKey) {
   EventQueue queue;
   std::vector<int> ran;
   EventHandle timer =
       queue.pushParked(6.0, 2.0, [&ran] { ran.push_back(6); });
   queue.push(3.0, [&ran] { ran.push_back(3); });
-  ASSERT_TRUE(queue.rearm(timer, 7.0, 4.0));   // waits at 2.0 still
-  ASSERT_TRUE(queue.rearm(timer, 1.5, 1.0));   // moves up to 1.0
-  ASSERT_TRUE(queue.rearm(timer, 3.0, 3.0));   // ties after the push at 3.0
+  std::vector<Time> asked;
+  auto floor = [&asked](Time t) {
+    return [&asked, t] {
+      asked.push_back(t);
+      return t;
+    };
+  };
+  ASSERT_TRUE(queue.rearm(timer, 7.0, floor(4.0)));  // waits at 2.0 still
+  ASSERT_TRUE(queue.rearm(timer, 1.5, floor(1.0)));  // moves up to 1.0
+  ASSERT_TRUE(queue.rearm(timer, 3.0, floor(3.0)));  // ties after the push
+  EXPECT_EQ(asked, (std::vector<Time>{1.0}));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.parkedSurfaced(), 0u);
   drain(queue);
@@ -482,7 +497,7 @@ TEST(EventQueueParked, PerturbedTiesMatchCancelPlusPush) {
         if (!useRearm) {
           timer.cancel();
           timer = queue.push(2.0, fire);
-        } else if (!queue.rearm(timer, 2.0, 0.5 * i)) {
+        } else if (!queue.rearm(timer, 2.0, floorAt(0.5 * i))) {
           timer = queue.pushParked(2.0, 0.5 * i, fire);
         }
       }
@@ -732,7 +747,7 @@ std::vector<int> scriptedPops(std::uint64_t seed, bool useBlocks,
       const auto victim = static_cast<std::size_t>(script.uniformInt(
           0, static_cast<std::int64_t>(handles.size()) - 1));
       const Time t = coarseTime();
-      if (!queue.rearm(handles[victim], t, 0.0)) {
+      if (!queue.rearm(handles[victim], t, floorAt(0.0))) {
         handles[victim].cancel();
         handles[victim] = queue.pushParked(t, 0.0, action(nextTag++));
       }

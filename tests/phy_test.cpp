@@ -245,6 +245,69 @@ TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
   EXPECT_TRUE(subject.dead());
 }
 
+/// What the drained-radio script below observed.
+struct DrainedRun {
+  sim::Time died = -1.0;
+  std::uint64_t eventsExecuted = 0;
+  std::uint64_t surfacedBeforeDeath = 0;
+};
+
+/// The re-arms the parked depletion timer cannot do in place: the partner's
+/// frames flip the subject Idle -> Rx -> Idle and its own frames flip it to
+/// Tx, as in FlippingRadioDiesAtThePinnedInstant, but an outside
+/// Battery::drain at t = 0.5 and t = 3.2 puts the next flip's due key
+/// before the floor its entry waits at, and the quiet spell [0.6, 3.0) lets
+/// the entry surface, so the flips at 3.0 land right after it has.
+DrainedRun runDrainedRadio(bool perturbed) {
+  sim::Simulator simulator;
+  if (perturbed) simulator.perturbTieBreaks();
+  Channel channel(simulator, ChannelConfig{});
+  energy::Battery small(5.0);
+  energy::Battery big(500.0);
+  Radio subject(simulator, small, energy::PowerProfile{}, 0);
+  Radio partner(simulator, big, energy::PowerProfile{}, 1);
+  channel.attach(&subject, [] { return geo::Vec2{0.0, 0.0}; });
+  channel.attach(&partner, [] { return geo::Vec2{100.0, 0.0}; });
+  DrainedRun run;
+  subject.setDeathCallback([&] {
+    run.died = simulator.now();
+    run.surfacedBeforeDeath = simulator.parkedSurfaced();
+  });
+  for (int k = 0; k < 400; ++k) {
+    const sim::Time at = 0.037 * k;
+    if (at >= 0.6 && at < 3.0) continue;
+    simulator.scheduleAt(
+        at, [&] { partner.transmit(makeFrame(1, net::kBroadcastId), 1e-3); });
+  }
+  for (int k = 1; k < 100; ++k) {
+    const sim::Time at = 0.101 * k;
+    if (at >= 0.6 && at < 3.0) continue;
+    simulator.scheduleAt(
+        at, [&] { subject.transmit(makeFrame(0, net::kBroadcastId), 2e-3); });
+  }
+  simulator.scheduleAt(3.0, [&] {
+    subject.transmit(makeFrame(0, net::kBroadcastId), 2e-3);
+  });
+  simulator.scheduleAt(0.5, [&] { small.drain(1.2, simulator.now()); });
+  simulator.scheduleAt(3.2, [&] { small.drain(0.3, simulator.now()); });
+  simulator.run(20.0);
+  run.eventsExecuted = simulator.eventsExecuted();
+  return run;
+}
+
+// The death instants and event counts were recorded by running this script
+// against the queue whose re-arm always read the slot and the heap entry
+// (printed with %.17g, so the literals are exact).
+TEST(Radio, DrainedAndSurfacedTimerDiesAtThePinnedInstant) {
+  for (const bool perturbed : {false, true}) {
+    SCOPED_TRACE(perturbed ? "perturbed tie-breaks" : "default tie-breaks");
+    const DrainedRun run = runDrainedRadio(perturbed);
+    EXPECT_EQ(run.died, 4.0260139049826238);
+    EXPECT_EQ(run.eventsExecuted, 1174u);
+    EXPECT_GE(run.surfacedBeforeDeath, 1u);
+  }
+}
+
 TEST(Radio, MediumIdleAtCoversReceptionsAndNav) {
   Rig rig(100.0);
   rig.b.setNavGuard(400e-6);

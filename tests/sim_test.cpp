@@ -272,7 +272,8 @@ class RearmScript {
     auto fire = [this, id] { onFire(id); };
     if (useRearm_) {
       const Time floor = delay * 0.5 * static_cast<Time>(id % 3);
-      simulator_.rearm(timers_[id], delay, floor, fire, "test/timer");
+      simulator_.rearm(timers_[id], delay, [floor] { return floor; }, fire,
+                       "test/timer");
     } else {
       timers_[id].cancel();
       timers_[id] = simulator_.schedule(delay, fire, "test/timer");

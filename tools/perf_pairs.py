@@ -20,6 +20,12 @@ Metrics that repeat exactly in every run of both sides are reported as
 identical. Quartiles use the inclusive method (linear interpolation
 between order statistics).
 
+Each record keeps the run's `provenance:` line (compiler, optimized,
+ndebug, nproc, git sha, seconds, ...). The summary names both sides' git
+shas, and refuses (exit 1) to compare runs that differ in compiler,
+optimized, ndebug, nproc or seconds: such pairs measure the build or the
+machine, not the change.
+
 Only the Python standard library is used.
 
 Usage:
@@ -40,17 +46,27 @@ import sys
 SIDES = ("parent", "change")
 
 
+PROVENANCE_PREFIX = "provenance: "
+# Provenance fields both sides of every compared run must share.
+MATCHED_PROVENANCE = ("compiler", "optimized", "ndebug", "nproc", "seconds")
+
+
 def run_bench(checkout, args):
     """Runs perfbench in `checkout`; returns its result object (the last
-    stdout line, JSON)."""
+    stdout line, JSON) and its provenance object (None when the run printed
+    no provenance line)."""
     command = [sys.executable, "perfbench/run.py"] + args
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True, check=False)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    provenance = None
+    for line in lines:
+        if line.startswith(PROVENANCE_PREFIX):
+            provenance = json.loads(line[len(PROVENANCE_PREFIX):])
     if proc.returncode != 0 or not lines:
-        return {"correct": False, "attempted": 1, "failed": 1, "metrics": {},
-                "error": proc.stderr[-2000:]}
-    return json.loads(lines[-1])
+        return ({"correct": False, "attempted": 1, "failed": 1, "metrics": {},
+                 "error": proc.stderr[-2000:]}, provenance)
+    return json.loads(lines[-1]), provenance
 
 
 def pair_order(index):
@@ -67,12 +83,38 @@ def run_pairs(checkouts, workload, seed, seconds, pairs, runner, log):
             str(seconds), "--trace", "0"]
     for index in range(pairs):
         for side in pair_order(index):
-            result = runner(checkouts[side], args)
+            result, provenance = runner(checkouts[side], args)
             record = {"pair": index, "side": side, "workload": workload,
-                      "seed": seed, "seconds": seconds, "result": result}
+                      "seed": seed, "seconds": seconds, "result": result,
+                      "provenance": provenance}
             records.append(record)
             log(json.dumps(record, sort_keys=True))
     return records
+
+
+def check_provenance(records):
+    """(shas, problems): each side's git shas, and why the records may not
+    be compared — a side with no provenance, or a MATCHED_PROVENANCE field
+    that takes more than one value across the runs (of either side)."""
+    shas = {side: sorted({(r.get("provenance") or {}).get("git_sha", "?")
+                          for r in records if r["side"] == side
+                          and r.get("provenance")}) for side in SIDES}
+    problems = []
+    for side in SIDES:
+        if not shas[side]:
+            problems.append(f"no {side} run recorded its provenance")
+    for field in MATCHED_PROVENANCE:
+        values = {}
+        for record in records:
+            provenance = record.get("provenance")
+            if provenance is not None:
+                values.setdefault(json.dumps(provenance.get(field)),
+                                  set()).add(record["side"])
+        if len(values) > 1:
+            problems.append(f"{field} differs: " + ", ".join(
+                f"{value} ({'/'.join(sorted(sides))})"
+                for value, sides in sorted(values.items())))
+    return shas, problems
 
 
 def quartiles(values):
@@ -138,8 +180,11 @@ def summarize(records, end_to_end):
     return rows, failed, attempted
 
 
-def format_rows(rows, failed, attempted, header=""):
+def format_rows(rows, failed, attempted, header="", shas=None):
     lines = [header] if header else []
+    if shas is not None:
+        lines.append("git sha: " + ", ".join(
+            f"{side} {' '.join(shas[side]) or '?'}" for side in SIDES))
     for row in rows:
         if row["pairs"] == 0:
             lines.append(f"{row['name']:<28} no complete pairs")
@@ -198,13 +243,17 @@ def selftest():
 
     calls = []
 
+    def provenance(side):
+        return {"compiler": "gcc 12.2.0", "optimized": True, "ndebug": True,
+                "nproc": 4, "git_sha": side[0] * 40, "seconds": 25}
+
     def runner(checkout, args):
         calls.append((checkout, args))
         if "--smoke" in args:
-            return {"correct": True, "attempted": 1, "failed": 0,
-                    "metrics": {}}
+            return ({"correct": True, "attempted": 1, "failed": 0,
+                     "metrics": {}}, provenance(checkout))
         pair = sum(1 for c in calls if "--smoke" not in c[1]) - 1
-        return canned(checkout, pair // 2)
+        return canned(checkout, pair // 2), provenance(checkout)
 
     records = run_pairs({"parent": "parent", "change": "change"},
                         "dense_grid", 1, 25, 10, runner, lambda line: None)
@@ -215,6 +264,30 @@ def selftest():
     check(timed[:4] == ["parent", "change", "change", "parent"],
           "pairs alternate which side runs first")
     check(len(records) == 20, "ten pairs make twenty records")
+    check(all(r["provenance"] == provenance(r["side"]) for r in records),
+          "every record keeps its run's provenance")
+    shas, problems = check_provenance(records)
+    check(shas == {"parent": ["p" * 40], "change": ["c" * 40]}
+          and not problems, "matching provenance: both shas, no problem")
+    none = {side: 0 for side in SIDES}
+    text = format_rows([], none, none, shas=shas)
+    check(f"parent {'p' * 40}" in text and f"change {'c' * 40}" in text,
+          "the report names both sides' git shas")
+    mismatched = [dict(r) for r in records]
+    for field, value in (("nproc", 8), ("optimized", False),
+                         ("compiler", "clang 15"), ("ndebug", False),
+                         ("seconds", 12)):
+        for r in mismatched:
+            if r["side"] == "change":
+                r["provenance"] = dict(provenance("change"), **{field: value})
+        problems = check_provenance(mismatched)[1]
+        check(len(problems) == 1 and problems[0].startswith(field),
+              f"sides differing in {field} are refused")
+    bare = [dict(r, provenance=None) if r["side"] == "parent" else r
+            for r in records]
+    check(check_provenance(bare)[1] == [
+        "no parent run recorded its provenance"],
+          "a side without provenance is refused")
     rows, failed, attempted = summarize(records, end_to_end)
     speed, setup_row, delivery = rows
     check(speed["wins"] == 9 and speed["pairs"] == 10,
@@ -316,8 +389,14 @@ def main():
                 out.close()
         header = (f"{args.workload} seed {args.seed}, --seconds "
                   f"{args.seconds:g}, {args.pairs} alternating pairs")
+    shas, problems = check_provenance(records)
+    if problems:
+        for problem in problems:
+            print(f"perf_pairs: refusing to compare: {problem}",
+                  file=sys.stderr)
+        return 1
     rows, failed, attempted = summarize(records, end_to_end)
-    print(format_rows(rows, failed, attempted, header))
+    print(format_rows(rows, failed, attempted, header, shas))
     return 0
 
 
