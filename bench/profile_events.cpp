@@ -3,11 +3,12 @@
 // Runs the paper's baseline scenario once per protocol with the simulator
 // profiler enabled (harness::ScenarioConfig::profileSimulator) and reports
 // per-event-label dispatch counts and wall-clock attribution, plus an
-// event-queue depth timeseries sampled every `profileQueueSampleEvents`
-// executed events. The profile.*.wall_s entries are wall-clock and thus
-// vary run to run; profile.*.count entries and the queue-depth series are
-// deterministic per (config, seed) — the profiler observes the schedule,
-// it never perturbs it (the PR's determinism gate proves this).
+// event-queue depth timeseries sampled every
+// obs::SimProfiler::kQueueSampleEveryEvents (1024) executed events. The
+// profile.*.wall_s entries are wall-clock and thus vary run to run;
+// profile.*.count entries and the queue-depth series are deterministic per
+// (config, seed) — the profiler observes the schedule, it never perturbs
+// it (the PR's determinism gate proves this).
 //
 // Output: BENCH_profile.json with one scenarios entry per protocol and
 // queue_depth_<protocol>_{min,mean,max} envelope series (x = sim time,
@@ -138,7 +139,6 @@ int main() {
     config.protocol = protocol;
     config.duration = duration;
     config.profileSimulator = true;
-    config.profileQueueSampleEvents = 1024;
     bench::applyHorizonCap(config);
     configs.push_back(config);
   }

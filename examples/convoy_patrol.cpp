@@ -73,7 +73,7 @@ int main(int argc, char** argv) try {
       "A convoy crossing the field with roaming patrols on one ECGRID mesh.");
   const int vehicles = flags.getInt("vehicles", 12);
   const int patrols = flags.getInt("patrols", 30);
-  const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 11));
+  const std::uint64_t seed = flags.getUnsigned("seed", 11);
 
   sim::Simulator simulator(seed);
   // The hub must exist before the network so the layers register their

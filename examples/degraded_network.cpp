@@ -45,8 +45,7 @@ int main(int argc, char** argv) try {
       "usage: degraded_network [flags]\n"
       "ECGRID under burst loss and gateway crashes.");
   const int hosts = flags.getInt("hosts", 60);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.getInt("seed", 7));
+  const std::uint64_t seed = flags.getUnsigned("seed", 7);
 
   sim::Simulator simulator(seed);
   net::NetworkConfig netConfig;  // paper radio: 2 Mbps, 250 m, d = 100 m

@@ -165,7 +165,7 @@ int main(int argc, char** argv) try {
       "Search-and-rescue teams reporting to a command post: ECGRID vs GRID "
       "lifetime.");
   int teams = flags.getInt("teams", 80);
-  std::uint64_t seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
+  std::uint64_t seed = flags.getUnsigned("seed", 3);
 
   std::printf("Disaster-relief mesh: %d field teams + command post, "
               "1 km^2, 13 min mission\n\n", teams);

@@ -18,7 +18,7 @@ int main(int argc, char** argv) try {
   base.hostCount = flags.getInt("hosts", 100);
   base.maxSpeed = flags.getDouble("speed", 1.0);
   base.duration = flags.getDouble("duration", 900.0);
-  base.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
+  base.seed = flags.getUnsigned("seed", 1);
   base.flowCount = flags.getInt("flows", 1);
   base.packetsPerSecondPerFlow = flags.getDouble("pps", 10.0);
 

@@ -2,21 +2,19 @@
 //
 //   $ ./quickstart [--protocol ECGRID|GRID|GAF|FLOOD] [--hosts N]
 //                  [--speed M/S] [--duration S] [--seed N]
-//                  [--trace-events PATH] [--telemetry PATH] [--profile]
-//                  [--log SPEC]
+//                  [--trace-events PATH] [--profile] [--log SPEC]
 //
 // This is the smallest complete use of the library: configure a scenario,
 // run it, read the result. The observability flags:
-//   --trace-events=ev.jsonl  write protocol event spans (convert with
+//   --trace-events=ev.jsonl  write protocol event spans and run-health
+//                            counter records (convert with
 //                            tools/trace_chrome.py, open in Perfetto)
-//   --telemetry=tm.jsonl     stream run-health samples (ecgrid-telemetry
-//                            v1; validate with tools/trace_check.py)
-//   --telemetry-every=N      telemetry cadence in committed events
 //   --profile                per-event-label dispatch counts + wall time
 //   --log=info,mac=debug     per-component log levels with sim-time stamps
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <string>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -29,30 +27,25 @@ int main(int argc, char** argv) try {
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv,
       {"protocol", "hosts", "speed", "duration", "seed", "flows", "pps",
-       "latency-percentiles", "trace-events", "telemetry", "telemetry-every",
-       "profile", "log"},
+       "latency-percentiles", "trace-events", "profile", "log"},
       "usage: quickstart [flags]\n"
       "Run one scenario (default ECGRID, 100 hosts, 600 s) and print the "
       "headline numbers.");
 
   harness::ScenarioConfig config;
-  auto protocol =
-      harness::protocolFromString(flags.getString("protocol", "ECGRID"));
+  const std::string protocolName = flags.getString("protocol", "ECGRID");
+  const auto protocol = harness::protocolFromString(protocolName);
   if (!protocol.has_value()) {
-    std::fprintf(stderr, "unknown protocol\n");
-    return 1;
+    flags.reject("protocol", protocolName, "ECGRID, GRID, GAF or FLOOD");
   }
   config.protocol = *protocol;
   config.hostCount = flags.getInt("hosts", 100);
   config.maxSpeed = flags.getDouble("speed", 1.0);
   config.duration = flags.getDouble("duration", 600.0);
-  config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
+  config.seed = flags.getUnsigned("seed", 1);
   config.flowCount = flags.getInt("flows", 10);
   config.packetsPerSecondPerFlow = flags.getDouble("pps", 1.0);
   config.eventTracePath = flags.getString("trace-events", "");
-  config.telemetryPath = flags.getString("telemetry", "");
-  config.telemetryEveryEvents =
-      static_cast<std::uint64_t>(flags.getInt("telemetry-every", 16384));
   config.profileSimulator = flags.getBool("profile", false);
   if (flags.has("log")) {
     util::Logger::configure(flags.getString("log", "info"));
@@ -130,14 +123,6 @@ int main(int argc, char** argv) try {
                 "tools/trace_chrome.py)\n",
                 config.eventTracePath.c_str(),
                 static_cast<unsigned long long>(result.traceEventsWritten));
-  }
-  if (!config.telemetryPath.empty()) {
-    std::printf("  telemetry            : %s (%llu samples; peak queue %llu, "
-                "slab %llu slots; validate with tools/trace_check.py)\n",
-                config.telemetryPath.c_str(),
-                static_cast<unsigned long long>(result.telemetrySamples),
-                static_cast<unsigned long long>(result.peakQueueDepth),
-                static_cast<unsigned long long>(result.slabSlotsTotal));
   }
   if (config.profileSimulator) {
     std::printf("  profile (top event labels by wall time):\n");

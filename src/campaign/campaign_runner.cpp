@@ -112,23 +112,6 @@ void writeStatus(const CampaignOptions& options, const std::string& name,
   std::rename(tmpPath.c_str(), options.statusPath.c_str());
 }
 
-/// Deterministic telemetry roll-up for one record. Every field is a pure
-/// function of (overrides, seed) — peak depths, slab size, events per
-/// SIM second — never of wall time, preserving the
-/// byte-exact resume-equality contract. Wall-side health (events per
-/// wall second, ETA, stragglers) lives in the ephemeral status file.
-util::JsonObject telemetryToJson(const harness::ScenarioResult& result,
-                                 double simDuration) {
-  util::JsonObject telemetry;
-  telemetry["peakQueueDepth"] = static_cast<double>(result.peakQueueDepth);
-  telemetry["slabSlots"] = static_cast<double>(result.slabSlotsTotal);
-  telemetry["eventsPerSimSecond"] =
-      simDuration > 0.0
-          ? static_cast<double>(result.eventsExecuted) / simDuration
-          : 0.0;
-  return telemetry;
-}
-
 util::JsonObject resultToJson(const harness::ScenarioResult& result) {
   util::JsonObject out;
   out["packetsSent"] = static_cast<double>(result.packetsSent);
@@ -140,6 +123,8 @@ util::JsonObject resultToJson(const harness::ScenarioResult& result) {
   out["p95LatencySeconds"] = result.p95LatencySeconds;
   out["p99LatencySeconds"] = result.p99LatencySeconds;
   out["eventsExecuted"] = static_cast<double>(result.eventsExecuted);
+  out["peakQueueDepth"] = static_cast<double>(result.peakQueueDepth);
+  out["slabSlots"] = static_cast<double>(result.slabSlotsTotal);
   out["firstDeath"] = result.firstDeath;
   out["networkDown"] = result.networkDown;
   util::JsonObject metrics;
@@ -194,16 +179,6 @@ std::string recordToJson(const std::string& campaignName, const RunSpec& run,
   record["error"] = error;
   if (result != nullptr) {
     record["result"] = resultToJson(*result);
-    // Sim duration for the events-per-sim-second roll-up: re-resolve the
-    // config (cheap — no simulation). This already succeeded for any run
-    // that produced a result; the fallback covers hand-built records.
-    double simDuration = 0.0;
-    try {
-      simDuration = resolveConfig(run.overrides, run.seed).duration;
-    } catch (const std::exception&) {
-      simDuration = 0.0;
-    }
-    record["telemetry"] = telemetryToJson(*result, simDuration);
   }
   return util::JsonValue(std::move(record)).dump();
 }

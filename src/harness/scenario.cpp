@@ -120,38 +120,9 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   }
   obs::SimProfiler* profiler = nullptr;
   if (config.profileSimulator) {
-    profiler = &observability.enableProfiler(config.profileQueueSampleEvents);
+    profiler = &observability.enableProfiler();
   }
-  obs::RunTelemetry* telemetry = nullptr;
-  if (!config.telemetryPath.empty()) {
-    ECGRID_REQUIRE(config.telemetryEveryEvents > 0,
-                   "telemetry needs a positive sample period");
-    telemetry = &observability.openTelemetry(
-        config.telemetryPath, config.telemetryEveryEvents,
-        {{"protocol", toString(config.protocol)},
-         {"seed", std::to_string(config.seed)}});
-    // obs/ may not include src/check (layer DAG), so the harness injects
-    // the alloc-audit counters the samples report.
-    telemetry->setAllocSampler([] {
-      obs::AllocSample sample;
-      const check::AllocPhase phase = check::allocAuditPhase();
-      switch (phase) {
-        case check::AllocPhase::kSetup:
-          sample.phase = "setup";
-          break;
-        case check::AllocPhase::kWarmup:
-          sample.phase = "warmup";
-          break;
-        case check::AllocPhase::kSteady:
-          sample.phase = "steady";
-          break;
-      }
-      const check::AllocAuditCounts counts = check::allocAuditCounts(phase);
-      sample.allocations = counts.allocations;
-      sample.hotAllocations = counts.hotAllocations;
-      return sample;
-    });
-  }
+  obs::EventTracer* tracer = observability.tracer();
 
   net::NetworkConfig netConfig;
   netConfig.gridCellSide = config.gridCellSide;
@@ -246,22 +217,21 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   }
 
   // The Simulator has a single periodic hook; the auditor, the digest
-  // recorder, and the telemetry sampler share it at the gcd of their
+  // recorder, and the trace's health record share it at the gcd of their
   // periods (std::gcd(0, n) == n, so a lone subscriber keeps its exact
-  // cadence). Telemetry samples by committed-event count, not wall time,
-  // so which samples exist is machine-independent.
+  // cadence).
   check::DigestTrace digestTrace;
   const std::uint64_t auditEvery =
       config.auditInvariants ? config.auditPeriodEvents : 0;
   const std::uint64_t digestEvery = config.digestEveryEvents;
-  const std::uint64_t telemetryEvery =
-      telemetry != nullptr ? config.telemetryEveryEvents : 0;
+  const std::uint64_t healthEvery =
+      tracer != nullptr ? kHealthSampleEvents : 0;
   const bool hookInstalled =
-      auditEvery > 0 || digestEvery > 0 || telemetryEvery > 0;
+      auditEvery > 0 || digestEvery > 0 || healthEvery > 0;
   if (hookInstalled) {
     simulator.setPeriodicHook(
-        std::gcd(std::gcd(auditEvery, digestEvery), telemetryEvery),
-        [&, auditEvery, digestEvery, telemetryEvery] {
+        std::gcd(std::gcd(auditEvery, digestEvery), healthEvery),
+        [&, auditEvery, digestEvery, healthEvery] {
           const std::uint64_t n = simulator.eventsExecuted();
           if (auditEvery > 0 && n % auditEvery == 0) {
             auditor.run(simulator.now());
@@ -270,8 +240,12 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
             digestTrace.push_back(
                 {n, simulator.now(), check::stateDigest(network)});
           }
-          if (telemetryEvery > 0 && n % telemetryEvery == 0) {
-            telemetry->sample();
+          if (healthEvery > 0 && n % healthEvery == 0) {
+            tracer->counter("sim", "health",
+                            {{"events", n},
+                             {"queue_depth", simulator.queueDepth()},
+                             {"peak_queue_depth", simulator.peakQueueDepth()},
+                             {"slab_slots", simulator.slabSlotsTotal()}});
           }
         });
   }
@@ -333,11 +307,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   if (hookInstalled) {
     simulator.setPeriodicHook(0, nullptr);
   }
-  if (telemetry != nullptr) {
-    // Closing summary record at the horizon, after the closing audit and
-    // digest samples so its event count matches the final digest's.
-    telemetry->finish();
-  }
 
   ScenarioResult result;
   // ecgrid-lint: allow(banned-random)
@@ -372,9 +341,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
   result.digestTrace = std::move(digestTrace);
   result.peakQueueDepth = static_cast<std::uint64_t>(simulator.peakQueueDepth());
   result.slabSlotsTotal = static_cast<std::uint64_t>(simulator.slabSlotsTotal());
-  if (telemetry != nullptr) {
-    result.telemetrySamples = telemetry->samplesWritten();
-  }
 
   // Post-run aggregates: traffic accounting and the end-to-end latency
   // distribution folded into a fixed-bin histogram (satellite of the
@@ -399,7 +365,7 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     result.queueDepthSamples = profiler->queueDepthSamples();
   }
   result.metrics = registry.snapshot();
-  if (obs::EventTracer* tracer = observability.tracer()) {
+  if (tracer != nullptr) {
     result.traceEventsWritten = tracer->eventsWritten();
   }
   return result;

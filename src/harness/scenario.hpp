@@ -36,6 +36,12 @@ enum class ProtocolKind : std::uint8_t {
 const char* toString(ProtocolKind kind);
 std::optional<ProtocolKind> protocolFromString(const std::string& name);
 
+/// Committed events between two run-health counter records in an event
+/// trace ("sim"/"health": events, queue_depth, peak_queue_depth,
+/// slab_slots). Counted in events, not wall time, so which records exist
+/// is the same on every machine.
+inline constexpr std::uint64_t kHealthSampleEvents = 16384;
+
 struct ScenarioConfig {
   ProtocolKind protocol = ProtocolKind::kEcgrid;
 
@@ -127,22 +133,12 @@ struct ScenarioConfig {
 
   /// Observability (src/obs): when non-empty, protocol events are traced
   /// into this JSONL file (see obs::EventTracer; convert with
-  /// tools/trace_chrome.py, validate with tools/trace_check.py). Tracing
-  /// draws no RNG and schedules nothing, so the run's digest trace is
-  /// byte-identical with tracing on or off (gated in tests/obs_test.cpp).
+  /// tools/trace_chrome.py, validate with tools/trace_check.py), together
+  /// with a "sim"/"health" counter record every kHealthSampleEvents
+  /// committed events. Tracing draws no RNG and schedules nothing, so the
+  /// run's digest trace is byte-identical with tracing on or off (gated in
+  /// tests/obs_test.cpp).
   std::string eventTracePath;
-
-  /// Run-health telemetry (obs::RunTelemetry): when non-empty, stream
-  /// "ecgrid-telemetry" v1 JSONL health samples — sim-time progress vs
-  /// wall time, events/s, queue depth and slab high-water, alloc-audit
-  /// phase counters — into this file,
-  /// sampled every `telemetryEveryEvents` committed events (shares the
-  /// periodic hook with the auditor and digest sampler). Sampling reads
-  /// state only — no RNG, no scheduling — so replay digests stay
-  /// byte-identical with telemetry armed (gated in
-  /// tests/telemetry_test.cpp). Validate output with tools/trace_check.py.
-  std::string telemetryPath;
-  std::uint64_t telemetryEveryEvents = 16384;
 
   /// Profile the simulator: per-event-type dispatch counts, wall-clock
   /// attribution, and event-queue depth samples, folded into
@@ -150,8 +146,6 @@ struct ScenarioConfig {
   /// wall clocks, so profiled numbers vary run-to-run — but the simulation
   /// itself stays bit-identical (the probe only observes).
   bool profileSimulator = false;
-  /// Queue-depth sampling cadence while profiling, in executed events.
-  std::uint64_t profileQueueSampleEvents = 1024;
 
   /// Production-traffic workload (src/traffic/workload): open-loop
   /// session arrivals with heavy-tailed sizes and request/response
@@ -202,13 +196,11 @@ struct ScenarioResult {
   std::uint64_t auditRuns = 0;  ///< invariant-audit sweeps completed
 
   // Run-health roll-ups: deterministic engine-state high-water marks,
-  // populated for every run whether or not a telemetry file was
-  // requested. Plain fields rather than `metrics` entries: they describe
-  // the event queue, not the simulated network.
+  // populated for every run whether or not a trace was requested. Plain
+  // fields rather than `metrics` entries: they describe the event queue,
+  // not the simulated network.
   std::uint64_t peakQueueDepth = 0;  ///< event-queue depth high-water mark
   std::uint64_t slabSlotsTotal = 0;  ///< pooled event slots ever allocated
-  /// Samples written to config.telemetryPath (0 when telemetry was off).
-  std::uint64_t telemetrySamples = 0;
 
   /// Wall-clock seconds the run loop took. Reporting-only: feeds the
   /// campaign status heartbeat and straggler detection, and must NEVER be

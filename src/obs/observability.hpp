@@ -26,7 +26,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/ownership.hpp"
@@ -57,31 +56,18 @@ class ECGRID_DOMAIN_PER_SCENARIO Observability {
   [[nodiscard]] EventTracer* tracer() { return tracer_.get(); }
 
   /// Install a SimProfiler as the simulator's execution probe.
-  SimProfiler& enableProfiler(std::uint64_t queueSampleEveryEvents = 1024) {
-    profiler_ = std::make_unique<SimProfiler>(queueSampleEveryEvents);
+  SimProfiler& enableProfiler() {
+    profiler_ = std::make_unique<SimProfiler>();
     sim_.setExecutionProbe(profiler_.get());
     return *profiler_;
   }
   [[nodiscard]] SimProfiler* profiler() { return profiler_.get(); }
-
-  /// Start run-health telemetry into `path` (see RunTelemetry). The
-  /// caller drives sampling — the harness folds telemetry->sample() into
-  /// its periodic event-count hook at `sampleEveryEvents`.
-  RunTelemetry& openTelemetry(
-      const std::string& path, std::uint64_t sampleEveryEvents,
-      const std::map<std::string, std::string>& meta = {}) {
-    telemetry_ =
-        std::make_unique<RunTelemetry>(sim_, path, sampleEveryEvents, meta);
-    return *telemetry_;
-  }
-  [[nodiscard]] RunTelemetry* telemetry() { return telemetry_.get(); }
 
  private:
   sim::Simulator& sim_;
   MetricsRegistry metrics_;
   std::unique_ptr<EventTracer> tracer_;
   std::unique_ptr<SimProfiler> profiler_;
-  std::unique_ptr<RunTelemetry> telemetry_;
 };
 
 // --- null-safe component helpers -------------------------------------------

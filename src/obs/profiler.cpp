@@ -24,7 +24,7 @@ void SimProfiler::onEvent(const char* label, double wallSeconds,
   LabelStats& stats = byPointer_[label == nullptr ? kUnlabeled : label];
   ++stats.count;
   stats.wallSeconds += wallSeconds;
-  if (queueSampleEvery_ > 0 && eventsExecuted % queueSampleEvery_ == 0) {
+  if (eventsExecuted % kQueueSampleEveryEvents == 0) {
     queueDepth_.emplace_back(simTime, static_cast<double>(queueSize));
   }
 }

@@ -31,10 +31,8 @@ namespace ecgrid::obs {
 
 class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe {
  public:
-  /// Sample the queue size every `queueSampleEveryEvents` executed events
-  /// (0 disables queue-depth sampling).
-  explicit SimProfiler(std::uint64_t queueSampleEveryEvents = 1024)
-      : queueSampleEvery_(queueSampleEveryEvents) {}
+  /// The queue size is sampled every this many executed events.
+  static constexpr std::uint64_t kQueueSampleEveryEvents = 1024;
 
   void onEvent(const char* label, double wallSeconds, sim::Time simTime,
                std::uint64_t eventsExecuted,
@@ -48,7 +46,7 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
   /// Attribution merged by label string, in lexicographic order.
   [[nodiscard]] std::map<std::string, LabelStats> byLabel() const;
 
-  /// (sim time, queue size) samples on the configured event cadence.
+  /// (sim time, queue size) samples every kQueueSampleEveryEvents events.
   [[nodiscard]] const std::vector<std::pair<double, double>>&
   queueDepthSamples() const {
     return queueDepth_;
@@ -63,7 +61,6 @@ class ECGRID_DOMAIN_PER_SCENARIO SimProfiler final : public sim::ExecutionProbe 
   void mergeInto(MetricsRegistry& metrics) const;
 
  private:
-  std::uint64_t queueSampleEvery_;
   std::uint64_t events_ = 0;
   double totalWall_ = 0.0;
   std::map<const char*, LabelStats> byPointer_;

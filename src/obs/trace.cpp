@@ -107,4 +107,9 @@ void EventTracer::instant(const char* cat, const char* ev, int node,
   writeLine(cat, ev, "i", nullptr, node, args);
 }
 
+void EventTracer::counter(const char* cat, const char* ev,
+                          std::initializer_list<TraceField> args) {
+  writeLine(cat, ev, "C", nullptr, -1, args);
+}
+
 }  // namespace ecgrid::obs

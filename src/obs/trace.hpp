@@ -9,11 +9,23 @@
 //    "args":{"hdr":"DATA","dst":17,"attempt":1}}
 //
 // ph follows the Chrome trace-event phase alphabet: "b"/"e" open and close
-// an async span correlated by (cat, id); "i" is an instant. Spans may be
-// left open (a packet that never arrives has no "e" — that *is* the
-// signal), but every "e" must match an open "b": tools/trace_check.py
-// validates exactly that, and tools/trace_chrome.py converts the file to
-// the Chrome trace-event JSON that Perfetto / chrome://tracing render.
+// an async span correlated by (cat, id); "i" is an instant; "C" is a
+// counter sample, whose args are the values of named series and whose
+// node is -1 (it describes the run, not a host). Spans may be left open
+// (a packet that never arrives has no "e" — that *is* the signal), but
+// every "e" must match an open "b": tools/trace_check.py validates exactly
+// that, and tools/trace_chrome.py converts the file to the Chrome
+// trace-event JSON that Perfetto / chrome://tracing render.
+//
+// The harness writes one counter record, the run-health sample, every
+// harness::kHealthSampleEvents committed events:
+//
+//   {"t":4.012345000,"cat":"sim","ev":"health","ph":"C","node":-1,
+//    "args":{"events":16384,"queue_depth":412,"peak_queue_depth":498,
+//    "slab_slots":512}}
+//
+// Every field is engine state, none is wall time, so the health records
+// replay byte-identically like the rest of the trace.
 //
 // Determinism: emission only formats and writes — no RNG, no scheduling,
 // no clock reads beyond Simulator::now() — so tracing-on and tracing-off
@@ -87,6 +99,9 @@ class ECGRID_DOMAIN_PER_SCENARIO EventTracer {
   /// Point event.
   void instant(const char* cat, const char* ev, int node,
                std::initializer_list<TraceField> args = {});
+  /// Counter sample: each arg is one series' value at now().
+  void counter(const char* cat, const char* ev,
+               std::initializer_list<TraceField> args);
 
   /// Events written so far (header line excluded).
   [[nodiscard]] std::uint64_t eventsWritten() const { return events_; }

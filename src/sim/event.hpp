@@ -389,9 +389,10 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// executing one has already left).
   std::size_t size() const { return queued_; }
 
-  /// Largest size() ever observed — the queue-depth high-water mark run
-  /// telemetry reports. Tracked at push and append, so it is exact: depth
-  /// only grows when an event is inserted.
+  /// Largest size() ever observed — the queue-depth high-water mark the
+  /// trace's health records and ScenarioResult::peakQueueDepth report.
+  /// Tracked at push and append, so it is exact: depth only grows when an
+  /// event is inserted.
   std::size_t peakDepth() const { return peakDepth_; }
 
   /// Pooled slot records ever allocated (the slab high-water mark; slots

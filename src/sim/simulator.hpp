@@ -186,7 +186,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// Time of the next live event, or kTimeNever when the queue is empty.
   Time nextEventTime() { return queue_.peekTime(); }
 
-  // ---- Telemetry surface (src/obs/telemetry.hpp reads these) -----------
+  // ---- Run-health surface (sim/health trace records read these) --------
 
   /// Events queued right now: every live event, run items one by one
   /// (cancel removes at once).

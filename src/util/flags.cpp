@@ -100,7 +100,7 @@ int Flags::exitCodeFor(const char* argv0, const std::exception& error) {
 }
 
 void Flags::reject(const std::string& name, const std::string& value,
-                   const char* expected) const {
+                   const std::string& expected) const {
   throw FlagError("--" + name + ": expected " + expected + ", got '" +
                       value + "'",
                   usage_);
@@ -145,6 +145,17 @@ int Flags::getInt(const std::string& name, int fallback) const {
   const std::optional<int> value = parseInt(it->second);
   if (!value) reject(name, it->second, "an integer");
   return *value;
+}
+
+std::uint64_t Flags::getUnsigned(const std::string& name,
+                                 std::uint64_t fallback) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  std::uint64_t value = 0;
+  if (!parseWhole(it->second, value)) {
+    reject(name, it->second, "a non-negative integer");
+  }
+  return value;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

@@ -10,6 +10,7 @@
 // errors thrown later in main().
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <map>
 #include <optional>
@@ -72,6 +73,10 @@ class Flags {
                                  double fallback) const;
   /// The value as an int; throws FlagError unless the whole value is one.
   [[nodiscard]] int getInt(const std::string& name, int fallback) const;
+  /// The value as a non-negative 64-bit integer (a seed); throws FlagError
+  /// unless the whole value is one, so "-1" is rejected, not wrapped.
+  [[nodiscard]] std::uint64_t getUnsigned(const std::string& name,
+                                          std::uint64_t fallback) const;
   /// true/1/yes or false/0/no (a bare "--name" is true); throws FlagError
   /// for anything else.
   [[nodiscard]] bool getBool(const std::string& name, bool fallback) const;
@@ -81,9 +86,13 @@ class Flags {
     return positional_;
   }
 
- private:
+  /// Throws the FlagError every malformed value raises: the flag's name,
+  /// what it expected, the value given, and the usage text. For values
+  /// whose domain only main() knows (`--protocol FOO`).
   [[noreturn]] void reject(const std::string& name, const std::string& value,
-                           const char* expected) const;
+                           const std::string& expected) const;
+
+ private:
 
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

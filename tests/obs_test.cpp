@@ -5,6 +5,7 @@
 // digest trace byte-identical to a bare run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +33,14 @@ std::vector<std::string> readLines(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+std::size_t countHealthRecords(const std::vector<std::string>& lines) {
+  return static_cast<std::size_t>(
+      std::count_if(lines.begin(), lines.end(), [](const std::string& line) {
+        return line.find("\"ev\":\"health\",\"ph\":\"C\"") !=
+               std::string::npos;
+      }));
 }
 
 // ---------------------------------------------------------------------------
@@ -187,6 +196,8 @@ TEST(EventTracer, ThrowsWhenFileCannotOpen) {
 // Every "e" in a full scenario trace must close an open (cat, id) span —
 // the invariant tools/trace_check.py enforces, checked here natively so
 // the C++ suite catches a pairing regression without Python in the loop.
+// The run-health counter records land exactly every kHealthSampleEvents
+// committed events and stay within the run's high-water marks.
 TEST(EventTracer, ScenarioTraceKeepsSpansPaired) {
   std::string path = tempPath("ecgrid_obs_pairing.jsonl");
   harness::ScenarioConfig config;
@@ -204,6 +215,8 @@ TEST(EventTracer, ScenarioTraceKeepsSpansPaired) {
   std::map<std::pair<std::string, std::string>, int> open;
   int begins = 0;
   int ends = 0;
+  std::uint64_t healthRecords = 0;
+  std::uint64_t lastSlabSlots = 0;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const std::string& line = lines[i];
     auto field = [&line](const char* key) {
@@ -212,9 +225,30 @@ TEST(EventTracer, ScenarioTraceKeepsSpansPaired) {
       at += std::string(key).size();
       return line.substr(at, line.find_first_of(",}", at) - at);
     };
+    auto number = [&field](const char* key) {
+      return std::stoull(field(key));
+    };
     std::string phase = field("\"ph\":\"");
     phase = phase.substr(0, phase.find('"'));
     if (phase == "i") continue;
+    if (phase == "C") {
+      ++healthRecords;
+      EXPECT_NE(line.find("\"cat\":\"sim\",\"ev\":\"health\""),
+                std::string::npos)
+          << line;
+      EXPECT_EQ(field("\"node\":"), "-1") << line;
+      EXPECT_EQ(number("\"events\":"),
+                healthRecords * harness::kHealthSampleEvents)
+          << line;
+      const std::uint64_t depth = number("\"queue_depth\":");
+      const std::uint64_t peak = number("\"peak_queue_depth\":");
+      const std::uint64_t slab = number("\"slab_slots\":");
+      EXPECT_LE(depth, peak) << line;
+      EXPECT_LE(peak, result.peakQueueDepth) << line;
+      EXPECT_GE(slab, lastSlabSlots) << line;
+      lastSlabSlots = slab;
+      continue;
+    }
     auto key = std::make_pair(field("\"cat\":\""), field("\"id\":"));
     if (phase == "b") {
       ++begins;
@@ -229,6 +263,9 @@ TEST(EventTracer, ScenarioTraceKeepsSpansPaired) {
   EXPECT_GT(begins, 0);
   EXPECT_GT(ends, 0);
   EXPECT_GE(begins, ends);  // open spans at the horizon are legal
+  EXPECT_GT(healthRecords, 0u);
+  EXPECT_EQ(healthRecords,
+            result.eventsExecuted / harness::kHealthSampleEvents);
   std::filesystem::remove(path);
 }
 
@@ -239,9 +276,13 @@ TEST(EventTracer, ScenarioTraceKeepsSpansPaired) {
 TEST(SimProfiler, AttributesEventsToScheduleLabels) {
   sim::Simulator simulator(1);
   obs::Observability hub(simulator);
-  hub.enableProfiler(/*queueSampleEveryEvents=*/2);
-  for (int i = 0; i < 6; ++i) {
-    simulator.schedule(1.0 + i, [] {}, "test/tick");
+  hub.enableProfiler();
+  // Four sampling periods: ticks fill all but the last two events.
+  constexpr std::uint64_t kEvents =
+      4 * obs::SimProfiler::kQueueSampleEveryEvents;
+  for (std::uint64_t i = 0; i + 2 < kEvents; ++i) {
+    simulator.schedule(1.0 + static_cast<double>(i) * 1e-3, [] {},
+                       "test/tick");
   }
   simulator.schedule(10.0, [] {}, "test/other");
   simulator.schedule(11.0, [] {});  // unlabeled
@@ -249,21 +290,23 @@ TEST(SimProfiler, AttributesEventsToScheduleLabels) {
 
   obs::SimProfiler* profiler = hub.profiler();
   ASSERT_NE(profiler, nullptr);
-  EXPECT_EQ(profiler->eventsObserved(), 8u);
+  EXPECT_EQ(profiler->eventsObserved(), kEvents);
   auto byLabel = profiler->byLabel();
-  EXPECT_EQ(byLabel.at("test/tick").count, 6u);
+  EXPECT_EQ(byLabel.at("test/tick").count, kEvents - 2);
   EXPECT_EQ(byLabel.at("test/other").count, 1u);
   ASSERT_TRUE(byLabel.count("unlabeled"));
   EXPECT_EQ(byLabel.at("unlabeled").count, 1u);
   EXPECT_GE(profiler->totalWallSeconds(), 0.0);
-  // Cadence 2 over 8 events -> 4 queue-depth samples.
+  // One queue-depth sample per kQueueSampleEveryEvents events.
   EXPECT_EQ(profiler->queueDepthSamples().size(), 4u);
 
   obs::MetricsRegistry registry;
   profiler->mergeInto(registry);
   obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("profile.events.test.tick.count"), 6.0);
-  EXPECT_DOUBLE_EQ(snap.at("profile.events_total"), 8.0);
+  EXPECT_DOUBLE_EQ(snap.at("profile.events.test.tick.count"),
+                   static_cast<double>(kEvents - 2));
+  EXPECT_DOUBLE_EQ(snap.at("profile.events_total"),
+                   static_cast<double>(kEvents));
   EXPECT_GE(snap.at("profile.wall_s_total"), 0.0);
 }
 
@@ -315,12 +358,12 @@ TEST(ScenarioMetrics, ProfiledRunReportsDispatchAndQueueDepth) {
   config.digestEveryEvents = 0;
   config.duration = 30.0;
   config.profileSimulator = true;
-  config.profileQueueSampleEvents = 512;
   harness::ScenarioResult result = harness::runScenario(config);
   EXPECT_DOUBLE_EQ(result.metrics.at("profile.events_total"),
                    static_cast<double>(result.eventsExecuted));
   EXPECT_GT(result.metrics.at("profile.events.mac.access.count"), 0.0);
-  EXPECT_FALSE(result.queueDepthSamples.empty());
+  EXPECT_EQ(result.queueDepthSamples.size(),
+            result.eventsExecuted / obs::SimProfiler::kQueueSampleEveryEvents);
 }
 
 // The gate: metrics + tracing + profiling enabled must replay to the
@@ -334,6 +377,7 @@ TEST(ObservabilityDeterminismGate, TracingAndProfilingLeaveDigestsIdentical) {
   instrumented.profileSimulator = true;
   harness::ScenarioResult traced = harness::runScenario(instrumented);
   EXPECT_GT(traced.traceEventsWritten, 0u);
+  EXPECT_GT(countHealthRecords(readLines(instrumented.eventTracePath)), 0u);
 
   ASSERT_FALSE(plain.digestTrace.empty());
   ASSERT_EQ(plain.digestTrace.size(), traced.digestTrace.size());
@@ -364,6 +408,7 @@ TEST(ObservabilityDeterminismGate, TraceFilesReplayByteIdentical) {
   std::vector<std::string> a = readLines(pathA);
   std::vector<std::string> b = readLines(config.eventTracePath);
   ASSERT_FALSE(a.empty());
+  EXPECT_GT(countHealthRecords(a), 0u);  // health records replay too
   EXPECT_EQ(a, b);
   std::filesystem::remove(pathA);
   std::filesystem::remove(config.eventTracePath);

@@ -117,9 +117,10 @@ TEST(Flags, BoolParsing) {
 TEST(Flags, MalformedValuesThrowNamingTheFlag) {
   Flags flags = parse({"--hosts=abc", "--seed=12abc", "--speed=1.5x",
                        "--duration=", "--profile=flase", "--big=99999999999",
-                       "--pps=nan"},
+                       "--pps=nan", "--neg=-1",
+                       "--over=18446744073709551616"},
                       {"hosts", "seed", "speed", "duration", "profile", "big",
-                       "pps"});
+                       "pps", "neg", "over"});
   auto message = [](auto&& read) -> std::string {
     try {
       read();
@@ -142,11 +143,20 @@ TEST(Flags, MalformedValuesThrowNamingTheFlag) {
             "--pps: expected a number, got 'nan'");
   EXPECT_EQ(message([&] { (void)flags.getBool("profile", false); }),
             "--profile: expected true/false, 1/0 or yes/no, got 'flase'");
+  // A seed is never a wrapped negative or a truncated overflow.
+  EXPECT_EQ(message([&] { (void)flags.getUnsigned("neg", 0); }),
+            "--neg: expected a non-negative integer, got '-1'");
+  EXPECT_EQ(message([&] { (void)flags.getUnsigned("over", 0); }),
+            "--over: expected a non-negative integer, got "
+            "'18446744073709551616'");
   // Well-formed values of every kind still read.
-  Flags good = parse({"--n=-3", "--x=2e-3", "--b=false"}, {"n", "x", "b"});
+  Flags good = parse({"--n=-3", "--x=2e-3", "--b=false",
+                      "--u=18446744073709551615"},
+                     {"n", "x", "b", "u"});
   EXPECT_EQ(good.getInt("n", 0), -3);
   EXPECT_DOUBLE_EQ(good.getDouble("x", 0.0), 2e-3);
   EXPECT_FALSE(good.getBool("b", true));
+  EXPECT_EQ(good.getUnsigned("u", 0), 18446744073709551615ULL);
 }
 
 // parseInt / parseNumber take the whole text or nothing: the rule behind
@@ -181,6 +191,10 @@ TEST(Cli, MalformedValueExitsTwoWithUsage) {
       {quickstart + " --profile=flase",
        "--profile: expected true/false, 1/0 or yes/no, got 'flase'"},
       {quickstart + " --shards 4", "unknown flag: --shards"},
+      {quickstart + " --seed -1",
+       "--seed: expected a non-negative integer, got '-1'"},
+      {quickstart + " --protocol FOO",
+       "--protocol: expected ECGRID, GRID, GAF or FLOOD, got 'FOO'"},
       {campaign + " --spec=x.json --results=y.jsonl --jobs=two",
        "--jobs: expected an integer, got 'two'"},
   };

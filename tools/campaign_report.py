@@ -7,12 +7,9 @@ Record schema:
 
   {"campaign": str, "fingerprint": 16-hex str, "seed": int,
    "config": {axis-key: value, ...}, "ok": bool, "error": str,
-   "result": {scalar metrics..., "metrics": {name: value, ...}},
-   "telemetry": {"peakQueueDepth": n, "slabSlots": n,
-                 "eventsPerSimSecond": x}}
+   "result": {scalar metrics..., "metrics": {name: value, ...}}}
 
-`result` (and the deterministic `telemetry` roll-up) is present
-iff `ok` is true; `error` is non-empty iff `ok` is false. Torn trailing
+`result` is present iff `ok` is true; `error` is non-empty iff `ok` is false. Torn trailing
 lines (the process died mid-write) are tolerated by the runner's resume
 scan, so the default report tolerates them too and counts them;
 `--check` treats any malformed line as a failure.
@@ -24,10 +21,7 @@ Modes:
   --check   — strict schema validation for CI: every line parses, every
               record carries the required keys with the right types,
               fingerprints are 16 lowercase hex chars and unique,
-              ok/error/result agree, and any telemetry roll-up is
-              complete (all three keys, numeric, counts >= 0, never
-              on a failed record). Exit 0 = valid,
-              1 = violations.
+              and ok/error/result agree. Exit 0 = valid, 1 = violations.
   --db PATH — read records from an ecgrid_query.py SQLite store instead
               of JSONL files and print the same grouped report
               (report mode only; --check needs the raw JSONL).
@@ -64,32 +58,9 @@ RESULT_SCALARS = (
     "abortedFlows",
     "deliveryRate",
     "eventsExecuted",
-)
-
-# The deterministic per-run roll-up recordToJson attaches to ok records.
-# Keys must match campaign_runner.cpp's telemetryToJson exactly: a missing
-# or extra key means the record writer and this checker have diverged.
-TELEMETRY_KEYS = (
     "peakQueueDepth",
     "slabSlots",
-    "eventsPerSimSecond",
 )
-
-
-def check_telemetry(telemetry):
-    """Yield violation strings for one record's telemetry roll-up."""
-    if not isinstance(telemetry, dict):
-        yield "telemetry is %s, not an object" % type(telemetry).__name__
-        return
-    for key in TELEMETRY_KEYS:
-        if not isinstance(telemetry.get(key), (int, float)):
-            yield "telemetry key %r missing or non-numeric" % key
-    for key in sorted(set(telemetry) - set(TELEMETRY_KEYS)):
-        yield "unexpected telemetry key %r" % key
-    for key in TELEMETRY_KEYS:
-        value = telemetry.get(key)
-        if isinstance(value, (int, float)) and value < 0:
-            yield "telemetry key %r is negative" % key
 
 
 def load_lines(path):
@@ -124,15 +95,11 @@ def check_record(record):
                     yield "result key %r missing or non-numeric" % key
             if not isinstance(result.get("metrics"), dict):
                 yield "result has no metrics object"
-        if "telemetry" in record:
-            yield from check_telemetry(record["telemetry"])
     elif ok is False:
         if not record.get("error"):
             yield "failed record has empty error"
         if "result" in record:
             yield "failed record carries a result object"
-        if "telemetry" in record:
-            yield "failed record carries a telemetry roll-up"
 
 
 def run_check(paths):
@@ -202,8 +169,8 @@ def records_from_db(path):
             "SELECT key, value FROM run_config WHERE fingerprint = ?",
             (fingerprint,)))
         result = dict(db.execute(
-            "SELECT name, value FROM run_metric WHERE fingerprint = ? "
-            "AND name NOT LIKE 'telemetry.%'", (fingerprint,)))
+            "SELECT name, value FROM run_metric WHERE fingerprint = ?",
+            (fingerprint,)))
         yield {
             "campaign": campaign,
             "fingerprint": fingerprint,

@@ -5,8 +5,9 @@ Ingests the two result formats the repo produces into one SQLite file,
 then answers questions about them without re-parsing JSON by hand:
 
   * campaign JSONL — one record per run from tools/ecgrid-campaign
-    (src/campaign/campaign_runner.cpp), including the deterministic
-    `telemetry` roll-up block added in PR 10.
+    (src/campaign/campaign_runner.cpp); its `result` object carries the
+    scalars (deliveryRate, eventsExecuted, peakQueueDepth, slabSlots, ...)
+    and the `metrics` snapshot.
   * bench JSON — bench_out/BENCH_<figure>.json from tools/ecgrid-bench
     figure runs. BENCH_micro.json (Google-Benchmark-style microbench
     output) has a different schema and is skipped with a note.
@@ -23,8 +24,8 @@ place):
   bench_scenario_metric(figure, scenario, metric, value)
   run(fingerprint PK, campaign, seed, ok, error, source)
   run_config(fingerprint, key, value)          -- sweep-axis overrides
-  run_metric(fingerprint, name, value)         -- result scalars,
-        result.metrics.*, and telemetry.* (prefixed)
+  run_metric(fingerprint, name, value)         -- result scalars and
+        result.metrics.*
 
 Subcommands:
   ingest  --db FILE paths...   build/refresh the store
@@ -34,8 +35,9 @@ Subcommands:
   top     --db FILE --metric M [--figure F] [-n N] [--asc]
                                         top-N scenarios by a metric
   campaign --db FILE [--campaign C] [--where k=v ...]
-                                        per-config aggregates incl.
-                                        telemetry roll-up means
+                                        per-config means of delivery,
+                                        p95 latency, aborted flows, peak
+                                        queue depth and events executed
   sql     --db FILE "SELECT ..."        raw read-only SQL
 
 Only the Python standard library is used.
@@ -175,12 +177,6 @@ def ingest_campaign(db, path, lines):
                 "REPLACE INTO run_metric VALUES (?,?,?)",
                 (fingerprint, name, value),
             )
-        for name, value in (record.get("telemetry", {}) or {}).items():
-            if isinstance(value, (int, float)):
-                db.execute(
-                    "REPLACE INTO run_metric VALUES (?,?,?)",
-                    (fingerprint, "telemetry." + name, float(value)),
-                )
         records += 1
     return records, torn
 
@@ -311,8 +307,8 @@ CAMPAIGN_MEANS = (
     ("deliveryRate", "delivery"),
     ("p95LatencySeconds", "p95_s"),
     ("abortedFlows", "aborted"),
-    ("telemetry.peakQueueDepth", "peak_q"),
-    ("telemetry.eventsPerSimSecond", "ev_per_sim"),
+    ("peakQueueDepth", "peak_q"),
+    ("eventsExecuted", "events"),
 )
 
 

@@ -1,51 +1,40 @@
 #!/usr/bin/env python3
 """Validate ecgrid trace artifacts.
 
-Auto-detects and checks the three trace formats the simulator and its
+Auto-detects and checks the two trace formats the simulator and its
 tooling produce:
 
-  * ecgrid-events    — protocol event JSONL from obs::EventTracer
-                       (header {"schema":"ecgrid-events","version":1,...})
-  * ecgrid-telemetry — run-health samples from obs::RunTelemetry
-                       (header {"schema":"ecgrid-telemetry","version":1,
-                       ...}); checked for required keys, monotone wall_s
-                       and sim_t, monotone event counts, and exactly one
-                       final {"kind":"summary"} record after the samples.
-  * chrome-trace     — {"traceEvents":[...]} JSON from tools/trace_chrome.py
+  * ecgrid-events — protocol event JSONL from obs::EventTracer
+                    (header {"schema":"ecgrid-events","version":1,...})
+  * chrome-trace  — {"traceEvents":[...]} JSON from tools/trace_chrome.py
 
-Checks applied to every format: each record parses as JSON, required keys
+Checks applied to both formats: each record parses as JSON, required keys
 are present, and timestamps never decrease. Event traces additionally get
 span-pairing checks: every "e" must close an open (cat, id) span ("b"
 without "e" is legal — an open span at end-of-sim is a signal, e.g. a
 page that never woke its target) — and state samples ("state"/"host"
 instants) must carry served_x/served_y together and only on a gateway.
+Counter records ("C", the sim/health run-health samples) must carry the
+numeric args events, queue_depth, peak_queue_depth and slab_slots, and
+their events count never decreases.
 
 Only the Python standard library is used. Exit 0 = valid; exit 1 prints
-every violation (capped) to stderr.
+every violation (capped) to stderr. --selftest runs the checks on inline
+fixtures and exits 0 when each is judged as expected.
 
 Usage:
     tools/trace_check.py trace.jsonl [more files...]
+    tools/trace_check.py --selftest
 """
 
 import json
+import os
 import sys
+import tempfile
 
 MAX_REPORTED = 20
 
-TELEMETRY_REQUIRED = (
-    "kind",
-    "events",
-    "sim_t",
-    "wall_s",
-    "queue_depth",
-    "peak_queue_depth",
-    "slab_slots",
-    "alloc_phase",
-    "alloc_count",
-    "alloc_hot",
-    "events_per_wall_s",
-    "sim_per_wall",
-)
+HEALTH_KEYS = ("events", "queue_depth", "peak_queue_depth", "slab_slots")
 
 
 class Checker:
@@ -72,6 +61,7 @@ class Checker:
 def check_events(checker, records):
     """ecgrid-events JSONL: schema, monotone time, span pairing."""
     last_t = None
+    last_events = None
     open_spans = {}  # (cat, id) -> begin lineno
     for lineno, record in records:
         for key in ("t", "cat", "ev", "ph"):
@@ -111,6 +101,10 @@ def check_events(checker, records):
             elif phase == "i":
                 if record["cat"] == "state" and record["ev"] == "host":
                     check_state_sample(checker, lineno, record.get("args", {}))
+            elif phase == "C":
+                last_events = check_counter(
+                    checker, lineno, record.get("args"), last_events
+                )
             else:
                 checker.error(lineno, f"unknown phase '{phase}'")
     # Open spans at EOF are legal (a page that never woke its target, an
@@ -127,54 +121,26 @@ def check_state_sample(checker, lineno, args):
         checker.error(lineno, "served_x/served_y must appear together")
 
 
-def check_telemetry(checker, records):
-    """ecgrid-telemetry JSONL: monotone health samples + one summary."""
-    last = {"events": None, "sim_t": None, "wall_s": None, "seq": 0}
-    samples = 0
-    summary_line = None
-    for lineno, record in records:
-        kind = record.get("kind")
-        if summary_line is not None:
-            checker.error(
-                lineno, f"record after summary (line {summary_line})"
-            )
-            continue
-        if kind not in ("sample", "summary"):
-            checker.error(lineno, f"unknown kind {kind!r}")
-            continue
-        missing = [k for k in TELEMETRY_REQUIRED if k not in record]
-        if missing:
-            checker.error(lineno, f"missing keys: {', '.join(missing)}")
-            continue
-        for key in ("events", "sim_t", "wall_s"):
-            value = record[key]
-            if not isinstance(value, (int, float)):
-                checker.error(lineno, f"{key} is not a number")
-                break
-            if last[key] is not None and value < last[key]:
-                checker.error(
-                    lineno,
-                    f"{key} went backwards ({value} < {last[key]})",
-                )
-            last[key] = value
-        if kind == "sample":
-            samples += 1
-            if record.get("seq") != samples:
-                checker.error(
-                    lineno,
-                    f"sample seq {record.get('seq')} != expected {samples}",
-                )
-        else:
-            summary_line = lineno
-            if record.get("samples") != samples:
-                checker.error(
-                    lineno,
-                    f"summary says {record.get('samples')} samples, "
-                    f"counted {samples}",
-                )
-    if summary_line is None:
-        checker.error("eof", "no summary record (run did not finish?)")
-    return samples
+def check_counter(checker, where, args, last_events):
+    """A "C" record: the health keys, numeric, and a monotone event count.
+    Returns the record's events value (or last_events when unusable)."""
+    if not isinstance(args, dict):
+        checker.error(where, "counter without an args object")
+        return last_events
+    missing = [k for k in HEALTH_KEYS if k not in args]
+    if missing:
+        checker.error(where, f"counter missing keys: {', '.join(missing)}")
+        return last_events
+    for key in HEALTH_KEYS:
+        if not isinstance(args[key], (int, float)):
+            checker.error(where, f"counter key '{key}' is not a number")
+            return last_events
+    events = args["events"]
+    if last_events is not None and events < last_events:
+        checker.error(
+            where, f"counter events went backwards ({events} < {last_events})"
+        )
+    return events
 
 
 def check_chrome(checker, trace):
@@ -184,6 +150,7 @@ def check_chrome(checker, trace):
         checker.error(0, "traceEvents missing or not a list")
         return
     open_spans = {}
+    last_events = None
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         for key in ("name", "ph", "pid"):
@@ -211,6 +178,10 @@ def check_chrome(checker, trace):
             elif phase == "i":
                 if event.get("s") not in ("t", "p", "g"):
                     checker.error(where, "instant without a valid scope 's'")
+            elif phase == "C":
+                last_events = check_counter(
+                    checker, where, event.get("args"), last_events
+                )
             else:
                 checker.error(where, f"unexpected phase '{phase}'")
 
@@ -240,7 +211,7 @@ def check_file(path):
             return checker, "chrome-trace", len(trace.get("traceEvents", []))
 
         schema = header.get("schema") if isinstance(header, dict) else None
-        if schema not in ("ecgrid-events", "ecgrid-telemetry"):
+        if schema != "ecgrid-events":
             checker.error(1, f"unknown schema {schema!r}")
             return checker, "unknown", 0
 
@@ -262,24 +233,90 @@ def check_file(path):
                 count += 1
                 yield item
 
-        if schema == "ecgrid-events":
-            open_count = check_events(checker, counted())
-            label = f"ecgrid-events v{header.get('version')}"
-            if open_count:
-                label += f" ({open_count} span(s) left open)"
-            return checker, label, count
-        samples = check_telemetry(checker, counted())
-        label = (
-            f"ecgrid-telemetry v{header.get('version')} "
-            f"({samples} sample(s))"
-        )
+        open_count = check_events(checker, counted())
+        label = f"ecgrid-events v{header.get('version')}"
+        if open_count:
+            label += f" ({open_count} span(s) left open)"
         return checker, label, count
+
+
+def selftest():
+    """Judges inline fixtures; each must pass or fail as labelled."""
+    import trace_chrome  # same directory; converts fixtures to Chrome form
+
+    header = '{"schema":"ecgrid-events","version":1,"seed":"1"}'
+
+    def health(t, events, depth=3, peak=5, slab=8):
+        return json.dumps({
+            "t": t, "cat": "sim", "ev": "health", "ph": "C", "node": -1,
+            "args": {"events": events, "queue_depth": depth,
+                     "peak_queue_depth": peak, "slab_slots": slab}})
+
+    good = [
+        header,
+        '{"t":1.0,"cat":"pkt","ev":"flow","ph":"b","id":4,"node":1}',
+        '{"t":1.5,"cat":"state","ev":"host","ph":"i","node":1,'
+        '"args":{"gateway":true,"served_x":2,"served_y":3}}',
+        health(2.0, 16384),
+        '{"t":2.5,"cat":"pkt","ev":"flow","ph":"e","id":4,"node":2}',
+        health(3.0, 32768),
+    ]
+    _, chrome_good = trace_chrome.convert(good)  # None (invalid) on error
+    chrome_health = {"name": "sim/health", "cat": "sim", "ph": "C",
+                     "ts": 1.0, "pid": 1,
+                     "args": {"events": 16384, "queue_depth": 1,
+                              "peak_queue_depth": 2, "slab_slots": 4}}
+    chrome_back = dict(chrome_health, ts=2.0,
+                       args=dict(chrome_health["args"], events=1))
+    chrome_missing = dict(chrome_health,
+                          args={"events": 16384, "queue_depth": 1})
+    fixtures = [
+        ("paired span, gateway state, health counters", good, True),
+        ("unmatched span end",
+         [header, '{"t":1.0,"cat":"pkt","ev":"flow","ph":"e","id":9,'
+          '"node":1}'], False),
+        ("served grid on a non-gateway record",
+         [header, '{"t":1.0,"cat":"state","ev":"host","ph":"i","node":1,'
+          '"args":{"gateway":false,"served_x":2,"served_y":3}}'], False),
+        ("counter missing a health key",
+         [header, '{"t":1.0,"cat":"sim","ev":"health","ph":"C","node":-1,'
+          '"args":{"events":16384,"queue_depth":3,"peak_queue_depth":5}}'],
+         False),
+        ("counter events going backwards",
+         [header, health(1.0, 32768), health(2.0, 16384)], False),
+        ("chrome conversion of the good fixture", [json.dumps(chrome_good)],
+         True),
+        ("chrome counter missing a health key",
+         [json.dumps({"traceEvents": [chrome_missing]})], False),
+        ("chrome counter events going backwards",
+         [json.dumps({"traceEvents": [chrome_health, chrome_back]})], False),
+        ("retired run-health schema header",
+         ['{"schema":"ecgrid-telemetry","version":1}',
+          '{"kind":"summary","samples":0,"events":0}'], False),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, (what, lines, valid) in enumerate(fixtures):
+            path = os.path.join(scratch, f"fixture{index}.jsonl")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            checker, _, _ = check_file(path)
+            judged_valid = not checker.errors
+            ok = judged_valid == valid
+            failures += 0 if ok else 1
+            verdict = "valid" if judged_valid else "invalid"
+            print(f"{'ok  ' if ok else 'FAIL'} {what}: {verdict}")
+    print(f"trace_check selftest: {len(fixtures) - failures}/"
+          f"{len(fixtures)} checks passed")
+    return 0 if failures == 0 else 1
 
 
 def main(argv):
     if len(argv) < 2 or argv[1] in ("-h", "--help"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    if argv[1:] == ["--selftest"]:
+        return selftest()
     failures = 0
     for path in argv[1:]:
         checker, kind, records = check_file(path)

@@ -15,6 +15,10 @@ Open it at https://ui.perfetto.dev (or chrome://tracing). The mapping:
                    render as horizontal bars per category; nesting within
                    an id is preserved by the viewer.
   * ph "i"      -> instant ("i"), thread-scoped.
+  * ph "C"      -> counter ("C"), one track per series: args holds the
+                   series values (the sim/health run-health samples:
+                   events, queue_depth, peak_queue_depth, slab_slots).
+                   Counters belong to the process, so they get no tid.
   * sim time    -> ts in microseconds (Chrome's native unit), so one
                    simulated second reads as one second in the viewer.
   * node        -> tid, with pid 1 for everything. One lane per host.
@@ -59,23 +63,23 @@ def convert(lines):
             if key not in record:
                 return (lineno, f"missing required key '{key}'"), None
         phase = record["ph"]
-        if phase not in ("b", "e", "i"):
+        if phase not in ("b", "e", "i", "C"):
             return (lineno, f"unknown phase '{phase}'"), None
-        tid = record.get("node", 0)
-        nodes.add(tid)
         out = {
             "name": f"{record['cat']}/{record['ev']}",
             "cat": record["cat"],
             "ph": phase,
             "ts": record["t"] * 1e6,
             "pid": 1,
-            "tid": tid,
         }
+        if phase != "C":
+            out["tid"] = record.get("node", 0)
+            nodes.add(out["tid"])
         if phase in ("b", "e"):
             if "id" not in record:
                 return (lineno, "span event without an id"), None
             out["id"] = record["id"]
-        else:
+        elif phase == "i":
             out["s"] = "t"  # thread-scoped instant
         if "args" in record:
             out["args"] = record["args"]
@@ -135,7 +139,9 @@ def main():
         handle.write("\n")
     spans = sum(1 for e in trace["traceEvents"] if e["ph"] == "b")
     instants = sum(1 for e in trace["traceEvents"] if e["ph"] == "i")
-    print(f"{output}: {spans} spans, {instants} instants")
+    counters = sum(1 for e in trace["traceEvents"] if e["ph"] == "C")
+    print(f"{output}: {spans} spans, {instants} instants, "
+          f"{counters} counters")
     return 0
 
 
