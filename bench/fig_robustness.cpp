@@ -13,6 +13,7 @@
 // while re-election converges; ECGRID should track GRID closely since
 // both re-elect via the same HELLO machinery.
 #include <cstdio>
+#include <string>
 
 #include "bench_support.hpp"
 #include "fault/fault_plan.hpp"
@@ -45,6 +46,7 @@ int main() {
   bench::BenchReport report("fig_robustness");
 
   std::vector<harness::ScenarioConfig> configs;
+  std::vector<std::string> labels;
   for (ProtocolKind protocol : protocols) {
     for (double crashRate : crashRates) {
       for (double loss : lossRates) {
@@ -65,12 +67,17 @@ int main() {
           }
           bench::applyHorizonCap(config);
           configs.push_back(config);
+          labels.push_back(bench::format("%s_crash%g_loss%g_seed%llu",
+                                         harness::toString(protocol),
+                                         crashRate, loss,
+                                         static_cast<unsigned long long>(
+                                             config.seed)));
         }
       }
     }
   }
   std::vector<harness::ScenarioResult> results =
-      harness::runScenariosParallel(configs, bench::benchJobs());
+      bench::runLabelled(configs, labels);
   report.addRuns(results);
 
   std::size_t run = 0;

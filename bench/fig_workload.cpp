@@ -16,6 +16,7 @@
 // the protocols that funnel traffic through a single awake gateway per
 // grid (ECGRID/GAF) — the gateway's queue is where the burst lands.
 #include <cstdio>
+#include <string>
 
 #include "bench_support.hpp"
 #include "traffic/workload/workload_plan.hpp"
@@ -58,6 +59,7 @@ int main() {
   bench::BenchReport report("workload");
 
   std::vector<harness::ScenarioConfig> configs;
+  std::vector<std::string> labels;
   for (ProtocolKind protocol : protocols) {
     for (double scale : loadScales) {
       for (int seed = 0; seed < seeds; ++seed) {
@@ -103,11 +105,14 @@ int main() {
         config.workload.sinkCount = 2;
         bench::applyHorizonCap(config);
         configs.push_back(config);
+        labels.push_back(bench::format(
+            "%s_load%g_seed%llu", harness::toString(protocol), scale,
+            static_cast<unsigned long long>(config.seed)));
       }
     }
   }
   std::vector<harness::ScenarioResult> results =
-      harness::runScenariosParallel(configs, bench::benchJobs());
+      bench::runLabelled(configs, labels);
   report.addRuns(results);
 
   std::size_t run = 0;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "bench_support.hpp"
@@ -134,6 +135,7 @@ int main() {
   bench::BenchReport report("profile");
 
   std::vector<harness::ScenarioConfig> configs;
+  std::vector<std::string> labels;
   for (ProtocolKind protocol : protocols) {
     harness::ScenarioConfig config = bench::paperBaseline();
     config.protocol = protocol;
@@ -141,9 +143,10 @@ int main() {
     config.profileSimulator = true;
     bench::applyHorizonCap(config);
     configs.push_back(config);
+    labels.emplace_back(harness::toString(protocol));
   }
   std::vector<harness::ScenarioResult> results =
-      harness::runScenariosParallel(configs, bench::benchJobs());
+      bench::runLabelled(configs, labels);
   report.addRuns(results);
 
   std::size_t run = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <vector>
 
 #include "harness/parallel_runner.hpp"
 #include "util/error.hpp"
@@ -57,16 +58,13 @@ void writeStatus(const CampaignOptions& options, const std::string& name,
 
   util::JsonObject status;
   status["campaign"] = name;
-  status["worker_index"] = static_cast<double>(options.workerIndex);
-  status["worker_count"] = static_cast<double>(options.workerCount);
   status["total_runs"] = static_cast<double>(outcome.totalRuns);
-  status["stripe_runs"] = static_cast<double>(outcome.stripeRuns);
   status["skipped"] = static_cast<double>(outcome.skipped);
   status["executed"] = static_cast<double>(outcome.executed);
   status["failed"] = static_cast<double>(outcome.failed);
   const std::size_t accounted =
-      std::min(outcome.stripeRuns, outcome.skipped + outcome.executed);
-  const std::size_t remaining = outcome.stripeRuns - accounted;
+      std::min(outcome.totalRuns, outcome.skipped + outcome.executed);
+  const std::size_t remaining = outcome.totalRuns - accounted;
   status["remaining"] = static_cast<double>(remaining);
   util::JsonArray inFlightJson;
   for (const std::string& fingerprint : inFlight) {
@@ -145,23 +143,20 @@ std::string describeException(const std::exception_ptr& error) {
 
 }  // namespace
 
-std::set<std::string> completedFingerprints(
-    const std::vector<std::string>& paths) {
+std::set<std::string> completedFingerprints(const std::string& path) {
   std::set<std::string> done;
-  for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) continue;  // fresh campaign: nothing recorded yet
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const util::JsonValue record = util::parseJson(line);
-        const util::JsonValue* fingerprint = record.find("fingerprint");
-        if (fingerprint != nullptr) done.insert(fingerprint->asString());
-      } catch (const std::invalid_argument&) {
-        // Torn line (the process died mid-write): that run simply does
-        // not count as completed and will execute again.
-      }
+  std::ifstream in(path);
+  if (!in) return done;  // fresh campaign: nothing recorded yet
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    try {
+      const util::JsonValue record = util::parseJson(line);
+      const util::JsonValue* fingerprint = record.find("fingerprint");
+      if (fingerprint != nullptr) done.insert(fingerprint->asString());
+    } catch (const std::invalid_argument&) {
+      // Torn line (the process died mid-write): that run simply does
+      // not count as completed and will execute again.
     }
   }
   return done;
@@ -186,32 +181,20 @@ std::string recordToJson(const std::string& campaignName, const RunSpec& run,
 CampaignOutcome runCampaign(const CampaignSpec& spec,
                             const CampaignOptions& options) {
   ECGRID_REQUIRE(!options.resultsPath.empty(), "campaign needs a results path");
-  ECGRID_REQUIRE(options.workerCount >= 1, "workerCount must be >= 1");
-  ECGRID_REQUIRE(options.workerIndex >= 0 &&
-                     options.workerIndex < options.workerCount,
-                 "workerIndex out of range");
 
   const std::vector<RunSpec> runs = expandCampaign(spec);
-  std::vector<std::string> resumePaths = options.resumeFrom;
-  resumePaths.push_back(options.resultsPath);
-  const std::set<std::string> done = completedFingerprints(resumePaths);
+  const std::set<std::string> done =
+      completedFingerprints(options.resultsPath);
 
   CampaignOutcome outcome;
   outcome.totalRuns = runs.size();
   std::vector<const RunSpec*> pending;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Stripe over the FULL expansion: worker ownership is independent of
-    // what happens to be completed, so two workers never share a run.
-    if (static_cast<int>(i % static_cast<std::size_t>(options.workerCount)) !=
-        options.workerIndex) {
-      continue;
-    }
-    ++outcome.stripeRuns;
-    if (done.count(runs[i].fingerprint) > 0) {
+  for (const RunSpec& run : runs) {
+    if (done.count(run.fingerprint) > 0) {
       ++outcome.skipped;
       continue;
     }
-    pending.push_back(&runs[i]);
+    pending.push_back(&run);
   }
 
   std::ofstream out(options.resultsPath, std::ios::app);
@@ -286,18 +269,18 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
     if (options.progress) {
       options.progress("campaign " + spec.name + ": " +
                        std::to_string(outcome.skipped + outcome.executed) +
-                       "/" + std::to_string(outcome.stripeRuns) +
+                       "/" + std::to_string(outcome.totalRuns) +
                        " runs done (" + std::to_string(outcome.failed) +
                        " failed)");
     }
     writeStatus(options, spec.name, outcome, ledger, {}, false);
     cursor = batchEnd;
   }
-  // done=true only when the stripe is fully accounted for — a maxRuns
+  // done=true only when the expansion is fully accounted for — a maxRuns
   // cut (the simulated kill) leaves done=false, and the resumed
   // invocation's status picks the counts back up from the results file.
   writeStatus(options, spec.name, outcome, ledger, {},
-              outcome.skipped + outcome.executed >= outcome.stripeRuns);
+              outcome.skipped + outcome.executed >= outcome.totalRuns);
   return outcome;
 }
 

@@ -1,7 +1,7 @@
 // Resumable campaign execution: sweep spec in, JSONL results out.
 //
 // runCampaign() expands a CampaignSpec (sweep_spec.hpp), subtracts every
-// run whose fingerprint already appears in the results file(s), and
+// run whose fingerprint already appears in the results file, and
 // executes the remainder in batches through the failure-collecting
 // runScenariosParallel — one poisoned config produces a failure record
 // and cannot perturb its neighbours. Each completed scenario appends ONE
@@ -17,19 +17,13 @@
 // makes the resume-equality gate byte-exact rather than merely
 // approximate.
 //
-// Multi-process campaigns stripe the expansion: worker w of N owns runs
-// with index % N == w (index over the *post-resume* remainder is NOT
-// used — striping is over the full expansion, so workers never race on a
-// fingerprint). Each worker appends to its own file; the CLI
-// (tools/ecgrid-campaign) merges worker files back into the main results
-// file and passes every file to the resume scan.
+// Parallelism is in-process only: `jobs` scenario threads per batch.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "campaign/sweep_spec.hpp"
 #include "harness/scenario.hpp"
@@ -39,15 +33,8 @@ namespace ecgrid::campaign {
 struct CampaignOptions {
   /// JSONL output, appended to (created if absent). Required.
   std::string resultsPath;
-  /// Extra JSONL files consulted (read-only) by the resume scan — the
-  /// main file of a multi-process run, or leftover worker files.
-  std::vector<std::string> resumeFrom;
   /// In-process scenario threads per batch.
   unsigned jobs = 1;
-  /// Stripe: this process owns expansion indices with
-  /// index % workerCount == workerIndex.
-  int workerIndex = 0;
-  int workerCount = 1;
   /// Stop (cleanly, after flushing) once this many scenarios have been
   /// executed in this invocation; < 0 = no cap. The campaign smoke test
   /// uses this to simulate a mid-campaign kill.
@@ -55,8 +42,8 @@ struct CampaignOptions {
   /// Optional progress sink (one human-readable line per batch).
   std::function<void(const std::string&)> progress;
 
-  /// Live status heartbeat (PR 10): when non-empty, a JSON snapshot of
-  /// this worker's progress — counts, in-flight fingerprints, wall-time
+  /// Live status heartbeat: when non-empty, a JSON snapshot of
+  /// the campaign's progress — counts, in-flight fingerprints, wall-time
   /// percentiles of completed runs, ETA, stragglers flagged at
   /// `stragglerFactor`× the median wall time — is rewritten (atomically,
   /// via rename) before and after every batch and once more with
@@ -70,19 +57,18 @@ struct CampaignOptions {
 };
 
 struct CampaignOutcome {
-  std::size_t totalRuns = 0;   ///< full expansion size
-  std::size_t stripeRuns = 0;  ///< owned by this worker stripe
-  std::size_t skipped = 0;     ///< already present in the results file(s)
-  std::size_t executed = 0;    ///< scenarios actually run this invocation
-  std::size_t failed = 0;      ///< of executed, how many threw
+  std::size_t totalRuns = 0;  ///< full expansion size
+  std::size_t skipped = 0;    ///< already present in the results file
+  std::size_t executed = 0;   ///< scenarios actually run this invocation
+  std::size_t failed = 0;     ///< of executed, how many threw
 };
 
-/// Fingerprints of every parseable record in `paths` (missing files are
+/// Fingerprints of every parseable record in `path` (a missing file is
 /// fine — a fresh campaign has no results yet). Malformed lines (e.g. a
 /// torn final line after a kill) are skipped, not fatal: the run they
 /// would have recorded simply executes again.
 [[nodiscard]] std::set<std::string> completedFingerprints(
-    const std::vector<std::string>& paths);
+    const std::string& path);
 
 /// One JSONL record (no trailing newline). `result` may be null for a
 /// failed run; `error` carries the exception text then.

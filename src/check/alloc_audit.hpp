@@ -1,7 +1,7 @@
 // alloc_audit — runtime verification gate for hot-path memory discipline.
 //
-// The lint side of PR 9 (tools/ecgrid_lint: hot-path-allocation,
-// hot-path-container-growth, layout-budget) proves by inspection that
+// The lint rules (tools/ecgrid_lint: hot-path-allocation,
+// hot-path-container-growth, layout-budget) prove by inspection that
 // annotated regions do not allocate; this gate proves it by execution.
 // Built with -DECGRID_ALLOC_AUDIT=ON (the `alloc-audit` preset), this TU
 // replaces the global operator new/delete with counting versions that

@@ -52,15 +52,4 @@ std::vector<ScenarioResult> runScenariosParallel(
   return results;
 }
 
-std::vector<ScenarioResult> runScenariosParallel(
-    const std::vector<ScenarioConfig>& configs, unsigned jobs) {
-  std::vector<std::exception_ptr> failures;
-  std::vector<ScenarioResult> results =
-      runScenariosParallel(configs, jobs, failures);
-  for (const std::exception_ptr& failure : failures) {
-    if (failure) std::rethrow_exception(failure);
-  }
-  return results;
-}
-
 }  // namespace ecgrid::harness

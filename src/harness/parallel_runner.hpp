@@ -6,9 +6,8 @@
 // the thread-safe Logger. Runs are therefore embarrassingly parallel,
 // and executing them on a thread pool yields results bit-identical to
 // the serial loop — results come back in input order, so callers'
-// output (tables, CSVs) cannot tell the difference. The benches use
-// this to spread a figure's (protocol × speed × seed) sweep across
-// ECGRID_BENCH_JOBS worker threads.
+// output (tables, CSVs) cannot tell the difference. The benches (through
+// bench::runLabelled) and the campaign runner are its only callers.
 //
 // Shared state inside the pool is written at disjoint indices only:
 // workers claim input slots through one atomic counter and each writes
@@ -26,19 +25,12 @@ namespace ecgrid::harness {
 /// Run every config through runScenario on up to `jobs` worker threads
 /// and return the results in input order. `jobs <= 1` (or a single
 /// config) degenerates to the plain serial loop on the calling thread.
-/// If any run throws, the first failure in *input order* is rethrown
-/// after all workers have drained.
-std::vector<ScenarioResult> runScenariosParallel(
-    const std::vector<ScenarioConfig>& configs, unsigned jobs);
-
-/// Failure-collecting variant: never rethrows scenario errors. Every
-/// config is attempted; `failures` is resized to the input size and
-/// failures[i] holds the exception thrown by config i (or nullptr), with
-/// results[i] left default-constructed on failure. Surviving results are
-/// byte-identical to what a fully-successful sweep produces for the same
-/// configs — one poisoned config cannot perturb its neighbours. This is
-/// the entry point for campaign-style runners that tolerate partial
-/// failure (ROADMAP item 3).
+/// Never rethrows scenario errors: every config is attempted, `failures`
+/// is resized to the input size and failures[i] holds the exception
+/// thrown by config i (or nullptr), with results[i] left
+/// default-constructed on failure. Surviving results are byte-identical
+/// to what a fully-successful sweep produces for the same configs — one
+/// poisoned config cannot perturb its neighbours.
 std::vector<ScenarioResult> runScenariosParallel(
     const std::vector<ScenarioConfig>& configs, unsigned jobs,
     std::vector<std::exception_ptr>& failures);

@@ -69,14 +69,15 @@ Node::Node(sim::Simulator& sim, const geo::GridMap& grid,
   // of the believed grid are still exact events, firing when the host's
   // own notion of its cell changes — which may be well before or after
   // the ground-truth crossing. With zero GPS error the offset vanishes
-  // and the protocol sees the classic ground-truth crossing stream.
+  // and the protocol sees the classic ground-truth crossing stream. The
+  // tracker's cell is cellOf(positionAt(now) + gpsError_), the same value
+  // cell() computes, so its (from, to) is the believed-cell change.
   tracker_ = std::make_unique<mobility::GridTracker>(
       sim_, grid_, *mobility_,
-      [this](const geo::GridCoord&, const geo::GridCoord&) {
-        notifyCellMaybeChanged();
+      [this](const geo::GridCoord& from, const geo::GridCoord& to) {
+        if (protocol_ && alive()) protocol_->onCellChanged(from, to);
       },
       [this] { return gpsError_; });
-  believedCell_ = cell();
 
   // Keep the channel's spatial index current: re-bucket this radio every
   // time it crosses an index-bucket boundary. Static hosts never arm a
@@ -132,14 +133,6 @@ geo::GridCoord Node::refreshCell(sim::Time now) {
   cellFrom_ = now;
   cellUntil_ = until;
   return here;
-}
-
-void Node::notifyCellMaybeChanged() {
-  geo::GridCoord now = cell();
-  if (now == believedCell_) return;
-  geo::GridCoord old = believedCell_;
-  believedCell_ = now;
-  if (protocol_ && alive()) protocol_->onCellChanged(old, now);
 }
 
 void Node::setProtocol(std::unique_ptr<RoutingProtocol> protocol) {
@@ -243,9 +236,8 @@ void Node::restart() {
   }
   radio_->powerUp();
   attachToMedia();
-  tracker_->restart();
+  tracker_->restart();  // no event: the fresh protocol reads cell()
   if (phyTracker_) phyTracker_->restart();
-  believedCell_ = cell();  // no event: the fresh protocol reads cell()
   protocol_ = protocolFactory_();
   protocol_->start();
 }
@@ -255,8 +247,7 @@ void Node::setGpsError(const geo::Vec2& error) {
   cellUntil_ = cellFrom_;  // the cached cell was for the old error
   // refresh() both re-tests the believed cell now (firing onCellChanged
   // through the tracker callback if it moved) and re-arms the boundary
-  // timer against the shifted geometry; notifyCellMaybeChanged alone
-  // would leave the timer aimed at the old boundaries.
+  // timer against the shifted geometry.
   if (alive()) tracker_->refresh();
 }
 

@@ -142,7 +142,6 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
  private:
   void onDeath();
   void attachToMedia();
-  void notifyCellMaybeChanged();
   /// Recompute the believed cell at `now` and how long it holds.
   geo::GridCoord refreshCell(sim::Time now);
 
@@ -165,7 +164,6 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   std::size_t pagingAttachment_ = 0;
 
   geo::Vec2 gpsError_{0.0, 0.0};
-  geo::GridCoord believedCell_{0, 0};
   /// cell()'s cache: `cachedCell_` is the believed cell at every time in
   /// [cellFrom_, cellUntil_); an empty interval means nothing is cached.
   geo::GridCoord cachedCell_{0, 0};

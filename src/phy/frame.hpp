@@ -1,10 +1,7 @@
 // One immutable frame per transmission, shared by every reception of it.
 //
-// A broadcast reaches every radio in range; before frames were shared,
-// each phy/deliver closure and each Radio::Reception carried its own copy
-// of the 48-byte net::Packet (and with it an atomic shared_ptr increment
-// and decrement on the header). The channel now stamps the packet once
-// into a pooled Frame and hands out FrameRefs: a pointer with an
+// A broadcast reaches every radio in range. The channel stamps the packet
+// once into a pooled Frame and hands out FrameRefs: a pointer with an
 // intrusive, non-atomic reference count (a channel and everything holding
 // its frames belong to one scenario, run on one thread).
 //

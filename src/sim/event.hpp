@@ -8,12 +8,10 @@
 // Storage is a slab: event records live in a pooled free-list and are
 // addressed by (index, generation) handles, so steady-state scheduling
 // performs no heap allocation at all — closures are stored as InlineTask
-// (sim/task.hpp), which keeps hot-path captures in the slot itself (the
-// pre-PR-9 design paid one std::function heap box per event whose capture
-// exceeded 16 bytes, and the design before that a shared_ptr control
-// block per event). The heap is an inlined binary heap of plain
-// (time, sequence, slot) entries, indexed: a compact per-slot position
-// array follows every sift move, so any queued entry can be found in O(1).
+// (sim/task.hpp), which keeps hot-path captures in the slot itself. The
+// heap is an inlined binary heap of plain (time, sequence, slot) entries,
+// indexed: a compact per-slot position array follows every sift move, so
+// any queued entry can be found in O(1).
 // The `alloc-audit` preset proves the zero-allocation property at runtime
 // (src/check/alloc_audit.hpp).
 //
@@ -38,9 +36,8 @@
 // executes and no sequence is taken, so the executed order is exactly
 // cancel + push's.
 // A popped record's slot is not recycled until the *next* pop, so a handle
-// to the currently-executing event still reports pending() — the same
-// observable semantics the previous shared_ptr-based queue had while
-// Simulator::step kept the record alive through the callback.
+// to the currently-executing event still reports pending() while its
+// callback runs.
 //
 // Runs. Most events of a dense run are receptions: one transmission's
 // arrivals at every listening radio, then each reception's end. Those come

@@ -51,8 +51,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// other storage outliving the simulator) — nullptr is fine and costs
   /// nothing. Accepts any callable; it is packed into an InlineTask at
   /// the call site (sim/task.hpp), so captures up to
-  /// InlineTask::kInlineBytes never touch the heap — the pre-PR-9
-  /// std::function signature boxed every capture over 16 bytes.
+  /// InlineTask::kInlineBytes never touch the heap.
   template <class F>
   ECGRID_HOT_PATH EventHandle schedule(Time delay, F&& action,
                                        const char* label = nullptr) {

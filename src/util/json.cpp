@@ -75,9 +75,10 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return it == object_->end() ? nullptr : &it->second;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// Appends `s`, escaped for a JSON string literal, to `out`.
+void appendEscaped(std::string& out, const std::string& s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -105,42 +106,66 @@ std::string jsonEscape(const std::string& s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string jsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  appendEscaped(out, s);
   return out;
 }
 
 std::string JsonValue::dump() const {
+  std::string out;
+  dumpTo(out);
+  return out;
+}
+
+void JsonValue::dumpTo(std::string& out) const {
   switch (kind_) {
     case JsonKind::kNull:
-      return "null";
+      out += "null";
+      return;
     case JsonKind::kBool:
-      return bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
+      return;
     case JsonKind::kNumber: {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.17g", number_);
-      return buf;
+      out += buf;
+      return;
     }
     case JsonKind::kString:
-      return "\"" + jsonEscape(string_) + "\"";
-    case JsonKind::kArray: {
-      std::string out = "[";
+      out += '"';
+      appendEscaped(out, string_);
+      out += '"';
+      return;
+    case JsonKind::kArray:
+      out += '[';
       for (std::size_t i = 0; i < array_->size(); ++i) {
-        if (i > 0) out += ",";
-        out += (*array_)[i].dump();
+        if (i > 0) out += ',';
+        (*array_)[i].dumpTo(out);
       }
-      return out + "]";
-    }
+      out += ']';
+      return;
     case JsonKind::kObject: {
-      std::string out = "{";
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : *object_) {
-        if (!first) out += ",";
+        if (!first) out += ',';
         first = false;
-        out += "\"" + jsonEscape(key) + "\":" + value.dump();
+        out += '"';
+        appendEscaped(out, key);
+        out += "\":";
+        value.dumpTo(out);
       }
-      return out + "}";
+      out += '}';
+      return;
     }
   }
-  return "null";
+  out += "null";
 }
 
 namespace {

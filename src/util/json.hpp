@@ -64,6 +64,9 @@ class JsonValue {
   [[nodiscard]] std::string dump() const;
 
  private:
+  /// Appends dump()'s text to `out`, recursing in place.
+  void dumpTo(std::string& out) const;
+
   JsonKind kind_;
   bool bool_ = false;
   double number_ = 0.0;

@@ -226,14 +226,14 @@ TEST(CampaignRecords, ResumeScanSkipsTornLines) {
     out << R"({"fingerprint":"bbbb","ok":true})" << '\n';
     out << R"({"fingerprint":"cccc","o)";  // killed mid-write
   }
-  const std::set<std::string> done = campaign::completedFingerprints({path});
+  const std::set<std::string> done = campaign::completedFingerprints(path);
   EXPECT_EQ(done, (std::set<std::string>{"aaaa", "bbbb"}));
   std::remove(path.c_str());
 }
 
 TEST(CampaignRecords, MissingResultsFileMeansNothingCompleted) {
   EXPECT_TRUE(
-      campaign::completedFingerprints({tempPath("never-written.jsonl")})
+      campaign::completedFingerprints(tempPath("never-written.jsonl"))
           .empty());
 }
 
@@ -281,38 +281,6 @@ TEST(CampaignRunner, InterruptedPlusResumedEqualsUninterrupted) {
 
   std::remove(uninterrupted.c_str());
   std::remove(interrupted.c_str());
-}
-
-TEST(CampaignRunner, WorkerStripesPartitionTheExpansion) {
-  const CampaignSpec spec = parseCampaignSpec(kSmallSpec);
-  const std::string w0 = tempPath("w0.jsonl");
-  const std::string w1 = tempPath("w1.jsonl");
-  std::remove(w0.c_str());
-  std::remove(w1.c_str());
-
-  CampaignOptions options;
-  options.jobs = 2;
-  options.workerCount = 2;
-  options.workerIndex = 0;
-  options.resultsPath = w0;
-  const CampaignOutcome a = campaign::runCampaign(spec, options);
-  options.workerIndex = 1;
-  options.resultsPath = w1;
-  const CampaignOutcome b = campaign::runCampaign(spec, options);
-
-  EXPECT_EQ(a.stripeRuns + b.stripeRuns, spec.runCount());
-  EXPECT_EQ(a.executed + b.executed, spec.runCount());
-
-  // The stripes are disjoint: no fingerprint appears in both files.
-  const std::set<std::string> doneA = campaign::completedFingerprints({w0});
-  const std::set<std::string> doneB = campaign::completedFingerprints({w1});
-  for (const std::string& fingerprint : doneA) {
-    EXPECT_EQ(doneB.count(fingerprint), 0u);
-  }
-  EXPECT_EQ(doneA.size() + doneB.size(), spec.runCount());
-
-  std::remove(w0.c_str());
-  std::remove(w1.c_str());
 }
 
 TEST(CampaignRunner, ValueErrorsBecomeFailureRecordsNotCrashes) {

@@ -1,7 +1,7 @@
 // ecgrid-lint-fixture-path: src/traffic/workload/census_ok.cpp
 // ecgrid-lint-fixture: expect-clean
-// The workload layer's dedicated streams are census entries, so drawing
-// from them under src/ passes.
+// The workload layer's dedicated streams and the fault injector's crash
+// stream are census entries, so drawing from them under src/ passes.
 
 struct RngFactory {
   int stream(const char* name, int salt = 0);
@@ -11,6 +11,6 @@ int workloadStreams(RngFactory& factory) {
   int a = factory.stream("traffic/arrivals");
   int b = factory.stream("traffic/clients");
   int c = factory.stream("traffic/sizes");
-  int d = factory.stream("campaign/subsample", 3);
+  int d = factory.stream("fault/crash", 3);
   return a + b + c + d;
 }

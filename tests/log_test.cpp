@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,16 +182,18 @@ TEST_F(LogTest, ConfigureWhileParallelScenariosLogIsRaceFree) {
     }
   });
 
+  std::vector<std::exception_ptr> failures;
   std::vector<harness::ScenarioResult> results =
-      harness::runScenariosParallel(configs, 4);
+      harness::runScenariosParallel(configs, 4, failures);
 
   stop.store(true, std::memory_order_relaxed);
   reconfigurer.join();
   ::testing::internal::GetCapturedStderr();  // swallow the log output
 
   ASSERT_EQ(results.size(), configs.size());
-  for (const harness::ScenarioResult& result : results) {
-    EXPECT_GT(result.eventsExecuted, 0u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(failures[i] == nullptr);
+    EXPECT_GT(results[i].eventsExecuted, 0u);
   }
 }
 

@@ -1,12 +1,17 @@
 // Tests for the parallel scenario runner: results identical to the
-// serial loop (order and content), exception propagation, and degenerate
-// job counts. The thread-safety of concurrent runScenario calls is also
-// exercised under TSan by the CI tsan preset.
+// serial loop (order and content), per-index failure collection,
+// degenerate job counts, and the benches' exit on a failed run. The
+// thread-safety of concurrent runScenario calls is also exercised under
+// TSan by the CI tsan preset.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <exception>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bench_support.hpp"
 #include "harness/parallel_runner.hpp"
 #include "harness/scenario.hpp"
 
@@ -31,6 +36,19 @@ std::vector<ScenarioConfig> smallSweep() {
   return configs;
 }
 
+/// Runs `configs` and requires every run to succeed.
+std::vector<ScenarioResult> runAll(const std::vector<ScenarioConfig>& configs,
+                                   unsigned jobs) {
+  std::vector<std::exception_ptr> failures;
+  std::vector<ScenarioResult> results =
+      runScenariosParallel(configs, jobs, failures);
+  EXPECT_EQ(failures.size(), configs.size());
+  for (const std::exception_ptr& failure : failures) {
+    EXPECT_TRUE(failure == nullptr);
+  }
+  return results;
+}
+
 void expectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
   EXPECT_EQ(obs::metricOr(a.metrics, "phy.frames_transmitted"),
@@ -45,8 +63,8 @@ void expectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
 
 TEST(ParallelRunner, MatchesSerialRunInOrderAndContent) {
   std::vector<ScenarioConfig> configs = smallSweep();
-  std::vector<ScenarioResult> serial = runScenariosParallel(configs, 1);
-  std::vector<ScenarioResult> parallel = runScenariosParallel(configs, 4);
+  std::vector<ScenarioResult> serial = runAll(configs, 1);
+  std::vector<ScenarioResult> parallel = runAll(configs, 4);
   ASSERT_EQ(serial.size(), configs.size());
   ASSERT_EQ(parallel.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -61,31 +79,19 @@ TEST(ParallelRunner, MatchesSerialRunInOrderAndContent) {
 TEST(ParallelRunner, MoreJobsThanWorkIsFine) {
   std::vector<ScenarioConfig> configs = smallSweep();
   configs.resize(2);
-  std::vector<ScenarioResult> results = runScenariosParallel(configs, 16);
+  std::vector<ScenarioResult> results = runAll(configs, 16);
   EXPECT_EQ(results.size(), 2u);
   EXPECT_GT(results[0].eventsExecuted, 0u);
 }
 
 TEST(ParallelRunner, EmptyInputYieldsEmptyOutput) {
-  EXPECT_TRUE(runScenariosParallel({}, 4).empty());
-}
-
-TEST(ParallelRunner, FirstFailureInInputOrderPropagates) {
-  std::vector<ScenarioConfig> configs = smallSweep();
-  configs[1].duration = -1.0;  // invalid: runScenario rejects it
-  configs[3].hostCount = 0;    // also invalid, but later in input order
-  try {
-    runScenariosParallel(configs, 4);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("duration"), std::string::npos);
-  }
+  EXPECT_TRUE(runAll({}, 4).empty());
 }
 
 TEST(ParallelRunner, SingleJobTakesTheSerialPathWithIdenticalResults) {
   std::vector<ScenarioConfig> configs = smallSweep();
-  std::vector<ScenarioResult> one = runScenariosParallel(configs, 1);
-  std::vector<ScenarioResult> many = runScenariosParallel(configs, 3);
+  std::vector<ScenarioResult> one = runAll(configs, 1);
+  std::vector<ScenarioResult> many = runAll(configs, 3);
   ASSERT_EQ(one.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(i);
@@ -96,28 +102,9 @@ TEST(ParallelRunner, SingleJobTakesTheSerialPathWithIdenticalResults) {
 TEST(ParallelRunner, SingleConfigRunsOnTheCallingThread) {
   std::vector<ScenarioConfig> configs = smallSweep();
   configs.resize(1);
-  std::vector<ScenarioResult> results = runScenariosParallel(configs, 8);
+  std::vector<ScenarioResult> results = runAll(configs, 8);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_GT(results[0].eventsExecuted, 0u);
-}
-
-// The propagated failure is a deterministic function of the input, not
-// of worker scheduling: every job count surfaces the same (first in
-// input order) exception.
-TEST(ParallelRunner, PropagatedFailureIsStableAcrossJobCounts) {
-  std::vector<ScenarioConfig> configs = smallSweep();
-  configs[2].hostCount = 0;
-  configs[4].duration = -1.0;
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    SCOPED_TRACE(jobs);
-    try {
-      runScenariosParallel(configs, jobs);
-      FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      // configs[2] (hostCount) precedes configs[4] (duration).
-      EXPECT_NE(std::string(e.what()).find("host"), std::string::npos);
-    }
-  }
 }
 
 // Collecting mode: a scenario that throws mid-sweep is reported at its
@@ -125,7 +112,7 @@ TEST(ParallelRunner, PropagatedFailureIsStableAcrossJobCounts) {
 // are bit-identical to a sweep that never contained the poisoned config.
 TEST(ParallelRunner, CollectingModeKeepsLaterResultsDeterministic) {
   std::vector<ScenarioConfig> configs = smallSweep();
-  std::vector<ScenarioResult> clean = runScenariosParallel(configs, 1);
+  std::vector<ScenarioResult> clean = runAll(configs, 1);
 
   configs[1].duration = -1.0;
   std::vector<std::exception_ptr> failures;
@@ -151,6 +138,23 @@ TEST(ParallelRunner, CollectingModeOnEmptyInput) {
   std::vector<std::exception_ptr> failures{std::exception_ptr{}};
   EXPECT_TRUE(runScenariosParallel({}, 4, failures).empty());
   EXPECT_TRUE(failures.empty());  // resized to the input size
+}
+
+// The benches' one batch entry point: a scenario that throws ends the
+// bench with exit 1 after the pool drains, naming the failed run by its
+// label and its error — never std::terminate.
+TEST(ParallelRunner, RunLabelledExitsOneNamingTheFailedRun) {
+  std::vector<ScenarioConfig> configs = smallSweep();
+  configs.resize(2);
+  configs[1].hostCount = 0;
+  const std::vector<std::string> labels = {"good_run", "hostless_run"};
+  EXPECT_EXIT(
+      {
+        setenv("ECGRID_BENCH_JOBS", "2", 1);
+        (void)bench::runLabelled(configs, labels);
+      },
+      ::testing::ExitedWithCode(1),
+      "scenario hostless_run failed: .*need at least one host");
 }
 
 }  // namespace

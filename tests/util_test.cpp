@@ -197,6 +197,10 @@ TEST(Cli, MalformedValueExitsTwoWithUsage) {
        "--protocol: expected ECGRID, GRID, GAF or FLOOD, got 'FOO'"},
       {campaign + " --spec=x.json --results=y.jsonl --jobs=two",
        "--jobs: expected an integer, got 'two'"},
+      {campaign + " --spec=x.json --results=y.jsonl --jobs=0",
+       "--jobs: expected a positive integer, got '0'"},
+      {campaign + " --spec=x.json --results=y.jsonl --workers=2",
+       "unknown flag: --workers"},
   };
   for (const auto& c : cases) {
     std::string output;

@@ -37,7 +37,9 @@ Subcommands:
   campaign --db FILE [--campaign C] [--where k=v ...]
                                         per-config means of delivery,
                                         p95 latency, aborted flows, peak
-                                        queue depth and events executed
+                                        queue depth and events executed;
+                                        a row is labelled by the config
+                                        keys that vary across the runs
   sql     --db FILE "SELECT ..."        raw read-only SQL
 
 Only the Python standard library is used.
@@ -330,15 +332,23 @@ def cmd_campaign(args):
     sql = "SELECT fingerprint, ok FROM run"
     if where:
         sql += " WHERE " + " AND ".join(where)
-    groups = {}
+    runs = []
     for fingerprint, ok in db.execute(sql, params):
         if fingerprints is not None and fingerprint not in fingerprints:
             continue
         config = dict(db.execute(
             "SELECT key, value FROM run_config WHERE fingerprint = ?",
             (fingerprint,)))
+        runs.append((fingerprint, ok, config))
+    # Label each config by the keys that vary across the selected runs
+    # (the sweep's axes); keys every run shares would only pad the label.
+    keys = sorted({key for _, _, config in runs for key in config})
+    varying = [key for key in keys
+               if len({config.get(key) for _, _, config in runs}) > 1]
+    groups = {}
+    for fingerprint, ok, config in runs:
         label = ",".join(
-            "%s=%s" % kv for kv in sorted(config.items())) or "(base)"
+            "%s=%s" % (key, config.get(key)) for key in varying) or "(base)"
         group = groups.setdefault(
             label, {"seeds": 0, "failed": 0,
                     "sums": {m: [0.0, 0] for m, _ in CAMPAIGN_MEANS}})
@@ -357,12 +367,13 @@ def cmd_campaign(args):
     if not groups:
         print("no matching runs", file=sys.stderr)
         return 1
-    header = ["config".ljust(44), "seeds", "failed"]
+    width = max(len("config"), max(len(label) for label in groups))
+    header = ["config".ljust(width), "seeds", "failed"]
     header += [short.rjust(10) for _, short in CAMPAIGN_MEANS]
     print("  ".join(header))
     for label in sorted(groups):
         group = groups[label]
-        cells = [label[:44].ljust(44), "%5d" % group["seeds"],
+        cells = [label.ljust(width), "%5d" % group["seeds"],
                  "%6d" % group["failed"]]
         for metric, _ in CAMPAIGN_MEANS:
             total, count = group["sums"][metric]
