@@ -302,6 +302,13 @@ std::vector<ExactnessPin> exactnessPins() {
   dense.duration = 12.0;
   pins.push_back({"ecgrid_dense_1000", dense, 10182045804973366301ull,
                   14649394560566217280ull, 64, 15800});
+
+  // perfbench's dense_grid scenario: every radio awake, so nearly every
+  // event is a reception.
+  harness::ScenarioConfig denseGrid = dense;
+  denseGrid.protocol = harness::ProtocolKind::kGrid;
+  pins.push_back({"grid_dense_1000", denseGrid, 2621785410779618936ull,
+                  5542609952712885153ull, 109, 14715});
   return pins;
 }
 
