@@ -125,15 +125,19 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   void pageHost(NodeId target) override;
   void pageGrid(const geo::GridCoord& gridCoord) override;
   energy::BatteryLevel batteryLevel() override {
-    return battery_.level(sim_.now());
+    return radio_->battery().level(sim_.now());
   }
-  double batteryRatio() override { return battery_.remainingRatio(sim_.now()); }
+  double batteryRatio() override {
+    return radio_->battery().remainingRatio(sim_.now());
+  }
   bool alive() const override { return !radio_->dead(); }
   void deliverToApp(NodeId appSrc, const DataTag& tag,
                     int payloadBytes) override;
 
   // --- introspection for stats/tests --------------------------------------
-  energy::Battery& batteryRef() { return battery_; }
+  /// The battery as Radio::battery() gives it: with every reception
+  /// start that has landed applied.
+  energy::Battery& batteryRef() { return radio_->battery(); }
   phy::Radio& radio() { return *radio_; }
   mac::CsmaMac& mac() { return *mac_; }
   mobility::MobilityModel& mobilityModel() { return *mobility_; }

@@ -18,9 +18,9 @@
 //
 //   * One block of queue places per transmission. The transmission takes
 //     as many consecutive places as there are attachment slots, at once
-//     (Simulator::reserveBlock), and receiver `id` gets place `id` of the
-//     block. No other event's sequence falls inside the block, so same-
-//     instant arrivals run in ascending attachment order however the
+//     (Simulator::reserveBlock), and receiver `id`'s start gets place `id`
+//     of the block. No other event's sequence falls inside the block, so
+//     same-instant starts sort in ascending attachment order however the
 //     candidates were visited: the hash-ordered bucket scan needs no sort.
 //     The one exception is the fault slot, which may draw from a stateful
 //     stream; while it is armed the candidates are sorted so it is
@@ -33,12 +33,18 @@
 //   * One frame per transmission. The stamped packet and its airtime go
 //     into one pooled, immutable Frame (phy/frame.hpp); every reception
 //     holds a FrameRef to it instead of its own packet copy.
-//   * One queue entry per transmission. The listening receivers' arrivals
-//     (phy/deliver, or phy/interference from the outer ring) are queued in
-//     key order as one event-queue run (sim/event.hpp) holding the frame.
-//     Each arrival is still its own event with its own key — it just costs
-//     a 56-byte run item instead of a slot, a closure and a heap push.
-//   * Arrivals ordered by radix, not by comparison sort. A non-negative
+//   * One queue item per reception, and one queue entry per transmission.
+//     A start is no event: each listening receiver records its arrival —
+//     start key, frame, decodable or not — and applies it when next read
+//     (Radio::noteArrival; phy/radio.hpp). Only the decodable ones' ends,
+//     phy/rx_end, are queued, in key order as one event-queue run
+//     (sim/event.hpp) holding the frame; each is still its own event with
+//     its own key, for a 56-byte run item instead of a slot, a closure and
+//     a heap push. Their places are a second block taken after the
+//     sender's tx end, one per end in start order — where the start's own
+//     event would have taken them. An arrival from the interference ring
+//     queues nothing at all.
+//   * Starts ordered by radix, not by comparison sort. A non-negative
 //     double orders as its bit pattern, and one transmission's arrival
 //     times differ only in their low bits (they lie within reach /
 //     propagationSpeed of each other), so an LSD radix sort over the top
@@ -48,33 +54,31 @@
 //     place, in either tie-break mode (and alone sorts a set too small
 //     for the radix passes to pay). Keys are unique (places are), so the
 //     result is exactly a comparison sort's.
-//   * Sleepers cost no events. A sleeping transceiver discards whatever
-//     arrives, so scheduling its phy/deliver (or phy/interference) would
-//     only make an event that does nothing. The channel keeps a dense
-//     sleep byte per attachment (Radio::setState sets and clears it; attach
-//     seeds it), so a candidate's sleep is read without touching its Radio.
-//     For a receiver asleep at transmit time the channel parks a compact
-//     record instead — receiver, attachment id, arrival time, decodable or
-//     not, and the index of the transmission's one in-flight record, which
+//   * Sleepers cost nothing. A sleeping transceiver discards whatever
+//     arrives, so recording an arrival at it would only make work that
+//     does nothing. The channel keeps a dense sleep byte per attachment
+//     (Radio::setState sets and clears it; attach seeds it), so a
+//     candidate's sleep is read without touching its Radio. For a
+//     receiver asleep at transmit time the channel parks a compact record
+//     instead — receiver, attachment id, arrival time, decodable or not,
+//     and the index of the transmission's one in-flight record, which
 //     holds the frame and the block of places. Sleep has only two exits
 //     back to hearing — Radio::wake and, after a crash, Radio::powerUp —
 //     and both ask the channel to replay the receiver's parked arrivals.
-//     Each one that would not yet have run (Simulator::wouldHaveRun) is
-//     scheduled as a single event — the only arrivals that are one — with
-//     the label, host key, absolute time and block place it would have had
-//     at transmit time, so it runs exactly where the skipped event would
-//     have; the rest would have been discarded and are dropped. Frames are
-//     in flight for at most reach / propagationSpeed (≈0.83 µs at 250 m),
-//     so once the latest parked arrival has passed, a transmission drops
-//     every record at once.
+//     Each one whose start would not yet have run (Simulator::wouldHaveRun)
+//     is recorded on the radio with the start key it had at transmit
+//     time, and a decodable one's end queued as a single event; the rest
+//     would have been discarded and are dropped. Frames are in flight for
+//     at most reach / propagationSpeed (≈0.83 µs at 250 m), so once the
+//     latest parked arrival has passed, a transmission drops every record
+//     at once.
 //
-// The skip is exact, not approximate: every other event keeps its
+// Skipping sleepers is exact, not approximate: every other event keeps its
 // (time, tie key, sequence) key, deliveryFault is still consulted for
 // sleepers in ascending attachment order, and phy.deliveries_scheduled
 // keeps counting every in-range potential receiver. What changes is only
-// how many events the run executes: profile counts of phy/deliver and
-// phy/interference now count arrivals at listening radios, so the
-// profiler's rx_end-per-deliver ratio tracks useful deliveries.
+// how many events the run executes: profile counts of phy/rx_end count
+// decodable arrivals at listening radios.
 #pragma once
 
 #include <cstdint>
@@ -169,16 +173,18 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Stable for the channel's lifetime.
   const geo::GridMap* indexGrid() const;
 
-  /// Called by a transmitting radio. Schedules beginReceive on every other
-  /// attached radio within range (beginInterference inside the
-  /// interference ring) as one run; arrivals at sleeping radios are
-  /// deferred instead (see the header comment).
-  void transmitFrom(Radio& sender, const net::Packet& packet,
-                    sim::Time duration);
+  /// Called by a transmitting radio. Records the arrival on every other
+  /// attached radio within range (undecodable energy inside the
+  /// interference ring) and queues the decodable ones' reception ends as
+  /// one run; arrivals at sleeping radios are parked instead (see the
+  /// header comment). Returns the place right after the starts' block,
+  /// taken for the sender's tx end.
+  sim::EventOrder transmitFrom(Radio& sender, const net::Packet& packet,
+                               sim::Time duration);
 
-  /// Called by a radio leaving sleep (or powering back up): schedule its
-  /// parked arrivals that would not yet have run, in their reserved
-  /// places, and forget the rest.
+  /// Called by a radio leaving sleep (or powering back up): record its
+  /// parked arrivals whose starts would not yet have run, with their
+  /// reserved start keys, and forget the rest.
   void replayDeferred(Radio& radio);
 
   /// Called by the radio behind `attachmentId` on entering or leaving
@@ -226,7 +232,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     sim::Time at = 0.0;      ///< absolute arrival time
     std::uint32_t id = 0;    ///< attachment id: its place in the block
     std::uint32_t tx = 0;    ///< the transmission, in inFlight_
-    bool decodable = false;  ///< phy/deliver; else phy/interference
+    bool decodable = false;  ///< else interference-ring energy
   };
 
   /// Attachment `id`'s position now, from its cached leg (refreshed
@@ -235,7 +241,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   void deliverTo(std::size_t id, net::NodeId senderId,
                  const geo::Vec2& senderPos, sim::Time now,
                  const FrameRef& frame, const sim::OrderBlock& places);
-  void scheduleArrival(const Parked& arrival);
 
   sim::Simulator& sim_;
   ChannelConfig config_;
@@ -248,7 +253,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Each attachment's sleep byte, by id: 1 while its radio sleeps.
   std::vector<std::uint8_t> asleep_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
-  std::vector<sim::RunItem> awake_;  ///< listeners' arrivals, reused per tx
+  /// Listeners' starts (receiver in `object`, decodable in `arg`), reused
+  /// per transmission.
+  std::vector<sim::RunItem> awake_;
   std::vector<sim::RunItem> radixBuffer_;  ///< orderArrivals' scratch
   FramePool::Handle frames_ = FramePool::create();
   std::vector<InFlight> inFlight_;

@@ -39,7 +39,6 @@ ECGRID_HOT_PATH FrameRef FramePool::acquire(const net::Packet& packet,
   frame->packet = packet;
   frame->packet.uid = uid;
   frame->airtime = airtime;
-  frame->endRun = sim::RunCursor{};
   ++outstanding_;
   return FrameRef(frame);
 }

@@ -13,9 +13,8 @@
 // simulator — lives on until the last of them is released.
 //
 // A frame is also the payload of the event-queue run that carries its
-// arrivals (sim::RunPayload; see phy/channel.hpp): the run holds one
-// reference until its last arrival has run. And it names the run its
-// reception ends go into (endRun; see phy/radio.hpp).
+// reception ends (sim::RunPayload; see phy/channel.hpp): the run holds one
+// reference until its last end has run.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +35,6 @@ class FramePool;
 struct Frame final : sim::RunPayload {
   net::Packet packet;  ///< as stamped by the channel (uid assigned)
   sim::Time airtime = 0.0;
-  /// The run the receptions of this frame append their phy/rx_end to.
-  /// Queue bookkeeping, not frame content, hence mutable through the
-  /// const view every FrameRef gives.
-  mutable sim::RunCursor endRun;
 
  private:
   friend class FrameRef;

@@ -360,7 +360,7 @@ TEST(StandardAudits, HealthyEcgridRunStaysViolationFree) {
   installStandardAudits(auditor, net.network);
   EXPECT_EQ(auditor.auditCount(), 6u);
   net.simulator.setPeriodicHook(
-      200, [&] { auditor.run(net.simulator.now()); });
+      100, [&] { auditor.run(net.simulator.now()); });
   net.start(60.0);
   EXPECT_GT(auditor.runs(), 10u);
   EXPECT_TRUE(auditor.violations().empty());
