@@ -2,7 +2,7 @@
 //
 // Implements sim::ExecutionProbe: once installed on a Simulator
 // (Observability::enableProfiler does both), every executed event is
-// attributed to its schedule-site label ("mac/access", "phy/deliver",
+// attributed to its schedule-site label ("mac/access", "phy/rx_end",
 // "proto/hello", ...) with a dispatch count and summed wall-clock cost,
 // and the event-queue size is sampled on a fixed event cadence as a
 // (sim-time, size) series — the data the perf trajectory needs to see

@@ -27,11 +27,10 @@ namespace ecgrid::sim {
 
 class ECGRID_DOMAIN_PER_SCENARIO InlineTask {
  public:
-  /// Sized when the per-receiver phy/deliver closure carried its own
-  /// net::Packet copy (receiver pointer + packet + duration). Arrivals
-  /// are run items now; the largest hot closures left are a
-  /// std::function plus a small payload (paging/deliver). Anything
-  /// bigger transparently boxes on the heap.
+  /// Sized for a closure carrying a net::Packet copy plus a pointer and
+  /// a duration. Receptions queue run items, not closures; the largest
+  /// hot closures are a std::function plus a small payload
+  /// (paging/deliver). Anything bigger transparently boxes on the heap.
   static constexpr std::size_t kInlineBytes = 96;
 
   InlineTask() = default;
