@@ -335,20 +335,18 @@ TEST(EventQueueRekey, MovesAQueuedEventInPlace) {
 }
 
 // The timer that is executing right now cannot be re-armed: its slot has
-// no heap entry to move. Simulator::rearm then arms a fresh one.
+// no heap entry to move. Simulator::rearmAt then arms a fresh one.
 TEST(EventQueueRekey, ExecutingEventFallsBackToPush) {
   Simulator simulator;
   std::vector<Time> ran;
   EventHandle self;
-  simulator.rearm(self, 1.0, floorAt(0.5), [&] {
+  simulator.rearmAt(self, 1.0, floorAt(0.5), [&] {
     ran.push_back(simulator.now());
     EXPECT_TRUE(self.pending());
     const EventHandle executing = self;
-    EventHandle probe = self;
-    EXPECT_FALSE(simulator.rearmQueued(probe, 4.0, floorAt(1.0)));
     // Armed afresh, so with the action given here.
-    simulator.rearm(self, 4.0, floorAt(1.0),
-                    [&] { ran.push_back(-simulator.now()); });
+    simulator.rearmAt(self, 5.0, floorAt(2.0),
+                      [&] { ran.push_back(-simulator.now()); });
     EXPECT_FALSE(executing.pending());
     EXPECT_TRUE(self.pending());
   });
@@ -419,7 +417,7 @@ TEST(EventQueueParked, PeekAndRunUntilSeeOnlyDueKeys) {
   Simulator simulator;
   int fired = 0;
   EventHandle timer;
-  simulator.rearm(timer, 9.0, floorAt(1.0), [&fired] { ++fired; });
+  simulator.rearmAt(timer, 9.0, floorAt(1.0), [&fired] { ++fired; });
   simulator.run(5.0);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(simulator.eventsExecuted(), 0u);
