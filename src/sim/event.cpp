@@ -359,6 +359,9 @@ ECGRID_HOT_PATH void EventQueue::popRunItem(Run& run, Dispatch& out) {
   --run.live;
   ++run.head;
   advanceRun(run);
+  // A run's items mostly run back to back (one frame's reception ends):
+  // start loading the next one's object while this one runs.
+  if (run.live != 0) __builtin_prefetch(run.items[run.head].object);
 }
 
 ECGRID_HOT_PATH void EventQueue::advanceRun(Run& run) {
