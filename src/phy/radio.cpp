@@ -101,21 +101,46 @@ void Radio::rearmDepletion(sim::Time at) {
                              : battery_.timeToEmpty(at);
   if (horizon == std::numeric_limits<double>::infinity()) {
     depletion_.cancel();
+    waitTime_ = sim::kTimeNever;
     return;
   }
-  // Re-armed on every state change, so the event is a parked timer. No
-  // state draws more than the profile's maximum, so short of an outside
+  // Times are absolute, so a re-arm computed at an instant already past —
+  // a reception start settled after the fact — gets the very sum that
+  // instant would have.
+  const sim::Time due = at + horizon;
+  ECGRID_REQUIRE(due >= sim_.now(), "cannot schedule into the past");
+  // The death's key is the one cancel + schedule would give it now: the
+  // next place in the order, taken whether or not the entry moves.
+  const bool wakeUpQueued = waitTime_ < dueTime_;
+  dueTime_ = due;
+  dueOrder_ = sim_.reserveOrder();
+  // Re-armed on every state change: a wake-up still due before the new
+  // due time stays where it is.
+  if (wakeUpQueued && waitTime_ < due) return;
+  // No state draws more than the profile's maximum, so short of an outside
   // drain no later re-arm is due before the battery would empty at that
-  // draw; the entry waits there (an earlier re-arm just moves it). The
-  // queue asks for that floor only when the entry is armed or moved.
-  sim_.rearmAt(
-      depletion_, at + horizon,
-      [this, at] {
-        const double maxDrawW = profile_.maxPowerW();
-        return maxDrawW > 0.0 ? at + battery_.peekRemainingJ(at) / maxDrawW
-                              : at;
-      },
-      [this] { die(); }, "phy/battery");
+  // draw; the entry waits there, or at the due key when that is no later.
+  const double maxDrawW = profile_.maxPowerW();
+  const sim::Time floor =
+      maxDrawW > 0.0 ? at + battery_.peekRemainingJ(at) / maxDrawW : at;
+  waitTime_ = std::clamp(floor, sim_.now(), due);
+  depletion_.cancel();
+  depletion_ = sim_.scheduleReserved(
+      waitTime_, dueOrder_, [this] { onDepletionEntry(); },
+      waitTime_ < due ? "phy/battery_wake" : "phy/battery");
+}
+
+void Radio::onDepletionEntry() {
+  if (waitTime_ == dueTime_) {
+    // A death entry sits at the due key itself.
+    waitTime_ = sim::kTimeNever;
+    die();
+    return;
+  }
+  // A wake-up: the due key, taken at the last re-arm, lies later still.
+  waitTime_ = dueTime_;
+  depletion_ = sim_.scheduleReserved(
+      dueTime_, dueOrder_, [this] { onDepletionEntry(); }, "phy/battery");
 }
 
 void Radio::die() {
@@ -247,7 +272,7 @@ ECGRID_HOT_PATH void Radio::guardStart(sim::Time at, sim::EventOrder order,
       battery_.chargeLastsUntil(sim_.now(), pastW, profile_.maxPowerW());
   if (end < chargeLastsUntil_) return;
   // The battery may run out inside this reception: an event at the start's
-  // own key applies it, and re-arms the depletion timer, on time.
+  // own key applies it, and re-arms the depletion deadline, on time.
   sim_.scheduleReserved(at, order, [this] { settle(); }, "phy/rx_settle");
 }
 
@@ -354,15 +379,6 @@ ECGRID_HOT_PATH void Radio::onReceptionEnd(std::uint64_t token) {
   const net::Packet& pkt = frame->packet;
   bool forUs = net::isBroadcast(pkt.macDst) || pkt.macDst == id_;
   if (forUs && onFrame_) onFrame_(pkt);
-}
-
-void Radio::beginInterference(sim::Time duration) {
-  settle();
-  if (state_ == RadioState::kOff || state_ == RadioState::kSleep ||
-      state_ == RadioState::kTx) {
-    return;
-  }
-  applyInterference(sim_.now() + duration);
 }
 
 ECGRID_HOT_PATH void Radio::applyInterference(sim::Time until) {

@@ -2,14 +2,18 @@
 //
 // States: Idle (listening), Tx, Rx, Sleep (transceiver off, RAS pager
 // still alive), Off (host dead). Every state change re-prices the battery
-// draw using the paper's power table and re-arms the depletion timer, so
+// draw using the paper's power table and re-arms the depletion deadline, so
 // hosts die at the exact instant their integral of power hits capacity.
-// The timer is a parked queue entry (Simulator::rearmAt): it waits where the
-// battery would empty at the profile's maximum draw, which no state can
-// beat, so a flip of a busy radio only rewrites the timer's due record —
-// it touches neither the queue's slot nor its heap, and the floor is not
-// even computed — unless an outside Battery::drain or a surfaced entry
-// puts the new due key before where the entry waits.
+// The radio keeps the deadline itself: its due key is the time the battery
+// empties and the place one reserveOrder() per re-arm takes, exactly the
+// key cancel + schedule at that re-arm would give the death. Its one queue
+// entry waits no later than that key: at the due key itself (phy/battery,
+// the death), or earlier, where the battery would empty at the profile's
+// maximum draw, which no state can beat (phy/battery_wake). A re-arm while
+// a wake-up waits before the new due time only writes the radio's fields;
+// a wake-up that finds the due key elsewhere re-queues the entry there.
+// Only an outside Battery::drain, a due time at or before the wait, or a
+// re-arm of the death entry itself moves the entry.
 //
 // Reception models collisions: any two transmissions overlapping in time
 // at a receiver corrupt each other (no capture). Frames are decoded and
@@ -37,10 +41,10 @@
 // start from one that ran at its key. (sleeping() and dead() need no
 // settle: a start never changes either.)
 //
-// A flip re-arms the depletion timer from the flip's time. When the flip
-// is settled by the reception's own end item and that end flips the radio
-// back to Idle, the start's re-arm is skipped: the end's rewrites the due
-// record anyway. A start whose reception could outlast the battery's
+// A flip re-arms the depletion deadline from the flip's time. When the
+// flip is settled by the reception's own end item and that end flips the
+// radio back to Idle, the start's re-arm is skipped: the end's rewrites the
+// due key anyway. A start whose reception could outlast the battery's
 // charge (Battery::chargeLastsUntil, at the profile's maximum draw) is
 // settled by an event at its own key instead (phy/rx_settle), so death
 // is never noticed late. Aborting a reception (transmit, sleep,
@@ -194,12 +198,6 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   static void endReception(void* radio, std::uint64_t token,
                            sim::RunPayload* payload);
 
-  /// Undecodable energy arrives now (a transmitter inside the interference
-  /// ring but outside decode range): it corrupts any reception in progress
-  /// or starting while it lasts, and holds carrier sense busy, but is never
-  /// delivered. The channel records such arrivals with noteArrival.
-  void beginInterference(sim::Time duration);
-
   /// The battery, with every start that has landed applied, for committed
   /// reads. Drain it only through here, and never inside an arrival's
   /// flight (noteArrival judges a start's risk of death by the charge it
@@ -241,14 +239,18 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   /// now a reception in progress; `flippedAt` gets `at` when it flipped
   /// the radio to Rx.
   bool applyStart(Arrival& start, bool rearm, sim::Time& flippedAt);
-  /// Undecodable energy lasting until `until`.
+  /// Undecodable energy lasting until `until`: it corrupts any reception
+  /// in progress or starting while it lasts, and holds carrier sense busy.
   void applyInterference(sim::Time until);
   bool receiving() const;
   void setState(RadioState next) { setStateAt(next, sim_.now(), true); }
   /// setState as of `at` (<= now): the battery is charged up to `at`, and
-  /// with `rearm` the depletion timer re-armed from there.
+  /// with `rearm` the depletion deadline re-armed from there.
   void setStateAt(RadioState next, sim::Time at, bool rearm);
   void rearmDepletion(sim::Time at);
+  /// The depletion entry's action: the death at the due key, a wake-up
+  /// that re-queues the entry there anywhere else.
+  void onDepletionEntry();
   void die();
   void onReceptionEnd(std::uint64_t token);
   void abortAllReceptions();
@@ -276,6 +278,14 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   sim::Time navUntil_ = 0.0;
   sim::Time interferenceUntil_ = 0.0;
 
+  /// The depletion deadline: the due key of the last re-arm, and where
+  /// its one queue entry waits (kTimeNever while none is queued). A
+  /// waiting time before dueTime_ marks a wake-up; a death entry waits at
+  /// exactly the due key.
+  sim::Time dueTime_ = sim::kTimeNever;
+  sim::EventOrder dueOrder_;
+  sim::Time waitTime_ = sim::kTimeNever;
+
   sim::EventHandle txEnd_;
   sim::EventHandle depletion_;
 
@@ -286,7 +296,8 @@ class ECGRID_DOMAIN_PER_HOST Radio {
 
 /// One Radio per host at city scale: three std::function callbacks
 /// (96 B) plus the power profile dominate; the budget keeps incidental
-/// state from creeping in.
-ECGRID_LAYOUT_BUDGET(Radio, 280);
+/// state from creeping in. It includes the depletion deadline (due key and
+/// wait time, 32 B), which the event queue does not hold.
+ECGRID_LAYOUT_BUDGET(Radio, 304);
 
 }  // namespace ecgrid::phy

@@ -17,9 +17,6 @@ constexpr std::size_t kInitialRuns = 64;
 /// First capacity of a run's items; it doubles as needed and is kept when
 /// the run is recycled.
 constexpr std::size_t kInitialRunItems = 16;
-/// Parked timers at once: one per radio of a paper-baseline run (100
-/// hosts).
-constexpr std::size_t kInitialDue = 128;
 }  // namespace
 
 EventQueue::EventQueue() {
@@ -28,8 +25,6 @@ EventQueue::EventQueue() {
   heap_.reserve(kInitialSlots);
   runs_.reserve(kInitialRuns);
   freeRuns_.reserve(kInitialRuns);
-  due_.reserve(kInitialDue);
-  freeDue_.reserve(kInitialDue);
 }
 
 EventQueue::~EventQueue() {
@@ -69,13 +64,6 @@ ECGRID_HOT_PATH void EventQueue::freeSlot(std::uint32_t index) {
   slot.label = nullptr;
   slot.action.reset();
   slot.run = kNoRun;
-  if (slot.due != kNoDue) {
-    DueRecord& timer = due_[slot.due];
-    timer.slot = kNoSlot;
-    ++timer.generation;
-    freeDue_.push_back(slot.due);
-    slot.due = kNoDue;
-  }
   // Bump the generation on free so stale handles can never alias a record
   // that reuses this slot.
   ++slot.generation;
@@ -87,15 +75,6 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
                                              InlineTask action,
                                              const char* label) {
   ECGRID_HOT_SCOPE();
-  const std::uint32_t index =
-      insert(time, order, std::move(action), label, kNoDue);
-  return makeHandle(this, index, slots_[index].generation);
-}
-
-ECGRID_HOT_PATH std::uint32_t EventQueue::insert(Time time, EventOrder order,
-                                                 InlineTask action,
-                                                 const char* label,
-                                                 std::uint32_t due) {
   ECGRID_REQUIRE(static_cast<bool>(action), "event action must be callable");
   ECGRID_REQUIRE(order.sequence < nextSequence_,
                  "event order was never reserved");
@@ -104,40 +83,9 @@ ECGRID_HOT_PATH std::uint32_t EventQueue::insert(Time time, EventOrder order,
   slot.live = true;
   slot.label = label;
   slot.action = std::move(action);
-  slot.due = due;
   if (++queued_ > peakDepth_) peakDepth_ = queued_;
-  heapPush(HeapEntry{time, order.tieKey, order.sequence, index, due});
-  return index;
-}
-
-ECGRID_HOT_PATH EventHandle EventQueue::pushParked(Time due, Time floor,
-                                                   InlineTask action,
-                                                   const char* label) {
-  ECGRID_HOT_SCOPE();
-  if (!(floor < due)) floor = due;
-  std::uint32_t record = 0;
-  if (freeDue_.empty()) {
-    if (due_.size() == due_.capacity()) {
-      // High-water growth, same argument as the slab in allocSlot(); the
-      // free list grows in step, so freeSlot() never allocates.
-      ECGRID_ALLOC_EXEMPT();
-      due_.reserve(due_.capacity() * 2);
-      freeDue_.reserve(due_.capacity());
-    }
-    record = static_cast<std::uint32_t>(due_.size());
-    due_.emplace_back();
-  } else {
-    record = freeDue_.back();
-    freeDue_.pop_back();
-  }
-  const EventOrder order = reserveOrder();
-  DueRecord& timer = due_[record];
-  timer.time = due;
-  timer.sequence = order.sequence;
-  timer.waitTime = floor;
-  timer.waitTieKey = order.tieKey;
-  timer.slot = insert(floor, order, std::move(action), label, record);
-  return makeHandle(&parked_, record, timer.generation);
+  heapPush(HeapEntry{time, order.tieKey, order.sequence, index});
+  return makeHandle(this, index, slot.generation);
 }
 
 ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
@@ -223,38 +171,6 @@ ECGRID_HOT_PATH EventHandle EventQueue::append(RunCursor& cursor,
   return makeHandle(run, itemIndex, run->generation);
 }
 
-ECGRID_HOT_PATH void EventQueue::surfaceTop() {
-  while (!heap_.empty() && heap_.front().due != kNoDue) {
-    const HeapEntry& top = heap_.front();
-    DueRecord& timer = due_[top.due];
-    // Sequences are unique, so the entry sits at its due key iff it
-    // carries the due sequence at the due time.
-    if (top.time == timer.time && top.sequence == timer.sequence) return;
-    ++parkedSurfaced_;
-    timer.waitTime = timer.time;
-    timer.waitTieKey = tieBreak_.keyOf(timer.sequence);
-    siftDown(0, HeapEntry{timer.time, timer.waitTieKey, timer.sequence,
-                          top.slot, top.due});
-  }
-}
-
-void EventQueue::moveParked(std::uint32_t record, std::uint64_t tieKey,
-                            Time floor) {
-  DueRecord& timer = due_[record];
-  if (!(floor < timer.time)) floor = timer.time;
-  timer.waitTime = floor;
-  timer.waitTieKey = tieKey;
-  // The new waiting key sorts before the old one, so the entry sifts up.
-  siftUp(heapPos_[timer.slot],
-         HeapEntry{floor, tieKey, timer.sequence, timer.slot, record});
-}
-
-void EventQueue::cancelParked(std::uint32_t record, std::uint32_t generation) {
-  const DueRecord& timer = due_[record];
-  if (timer.generation != generation || timer.slot == kNoSlot) return;
-  cancelSlot(timer.slot, slots_[timer.slot].generation);
-}
-
 ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i, const HeapEntry& entry) {
   while (i > 0) {
     std::size_t parent = (i - 1) / 2;
@@ -325,7 +241,6 @@ ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
   // The previous event's record outlived its execution (see header); now
   // that the caller is back for the next event, retire it.
   retireExecuting();
-  surfaceTop();
   if (heap_.empty()) return false;
   const HeapEntry& top = heap_.front();
   out.time = top.time;

@@ -17,24 +17,8 @@
 //
 // Cancellation is eager: cancel() removes the entry from the heap in
 // O(log n) and recycles its slot at once, so the heap holds only live
-// events.
-//
-// Parked timers. pushParked() and rearm() are push and cancel + push for a
-// timer re-armed far more often than it fires — Radio's battery-depletion
-// event, re-armed on every radio state change — whose re-arms keep its
-// action. Its heap entry need not sit at the event's due key, only no
-// later than it: it waits at a *floor* the caller gives (ideally a time
-// before which no re-arm will be due). The timer's due record — one per
-// parked timer, in a small dense table — holds its due key, the key its
-// entry waits at, its slot and the generation its handles carry (a
-// parked timer's handle names the record, not the slot). A re-arm whose
-// due key sorts no earlier than the waiting key writes the record and
-// nothing else: no slot, no heap entry, and the floor is not even asked
-// for. Only an earlier one moves the entry up to the floor. An entry
-// that reaches the top at a key other than its record's due key is
-// re-keyed to the due key inside pop()/peekTime() — silently: nothing
-// executes and no sequence is taken, so the executed order is exactly
-// cancel + push's.
+// events. Every entry sits at its own key, so the top is always the next
+// event.
 // A popped record's slot is not recycled until the *next* pop, so a handle
 // to the currently-executing event still reports pending() while its
 // callback runs.
@@ -71,8 +55,8 @@ class EventHandle;
 
 /// Backend interface behind EventHandle: anything owning pooled event
 /// slots addressed by (index, generation). The EventQueue implements it
-/// for its slots, its run items and its parked timers, so a handle is
-/// oblivious to which kind of entry it names.
+/// for its slots and its run items, so a handle is oblivious to which kind
+/// of entry it names.
 class EventTarget {
  public:
   virtual ~EventTarget() = default;
@@ -86,9 +70,6 @@ class EventTarget {
   /// private to keep (slot, generation) pairs unforgeable).
   static EventHandle makeHandle(EventTarget* target, std::uint32_t slot,
                                 std::uint32_t generation);
-  /// The (slot, generation) `handle` names, if `this` minted it.
-  bool ownsHandle(const EventHandle& handle, std::uint32_t& slot,
-                  std::uint32_t& generation) const;
 };
 
 /// Handle to a scheduled event. Default-constructed handles are inert.
@@ -121,15 +102,6 @@ inline EventHandle EventTarget::makeHandle(EventTarget* target,
                                            std::uint32_t slot,
                                            std::uint32_t generation) {
   return EventHandle(target, slot, generation);
-}
-
-inline bool EventTarget::ownsHandle(const EventHandle& handle,
-                                    std::uint32_t& slot,
-                                    std::uint32_t& generation) const {
-  if (handle.target_ != this) return false;
-  slot = handle.slot_;
-  generation = handle.generation_;
-  return true;
 }
 
 /// An event's place among events at the same time: the (tieKey, sequence)
@@ -300,49 +272,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   EventHandle push(Time time, EventOrder order, InlineTask action,
                    const char* label = nullptr);
 
-  /// A parked timer (see the header comment): push(due, action, label) in
-  /// every observable — pop order, pending(), size(), sequences taken —
-  /// but its heap entry may wait earlier, at `floor` (clamped to `due`).
-  /// Move it with rearm().
-  EventHandle pushParked(Time due, Time floor, InlineTask action,
-                         const char* label = nullptr);
-
-  /// Move the queued parked timer `handle` names to `due`, in the place a
-  /// push right now would take, keeping its action and label: exactly
-  /// `handle.cancel(); handle = pushParked(due, floor(), itsAction,
-  /// itsLabel);` in every observable. Its due record keeps serving under a
-  /// new generation (other copies of the old handle go dead, as after a
-  /// cancel). `floor` is a callable returning the floor; it is called, and
-  /// the entry moved, only when the new due key sorts before where the
-  /// entry waits. Returns false, taking nothing, when `handle` names no
-  /// queued parked timer (inert, fired, cancelled, executing, a plain
-  /// event, or another queue's handle).
-  template <class Floor>
-  ECGRID_HOT_PATH bool rearm(EventHandle& handle, Time due, Floor&& floor) {
-    std::uint32_t record = 0;
-    std::uint32_t generation = 0;
-    if (!parked_.owns(handle, record, generation)) return false;
-    DueRecord& timer = due_[record];
-    if (timer.generation != generation || timer.slot == kNoSlot ||
-        timer.slot == executing_) {
-      return false;
-    }
-    // Cancel + push would retire the timer and queue its action afresh in
-    // the next place; do that in the record.
-    const EventOrder order = reserveOrder();
-    timer.time = due;
-    timer.sequence = order.sequence;
-    ++timer.generation;
-    handle = makeHandle(&parked_, record, timer.generation);
-    // Sequences only grow, so on equal (time, tie key) the new key is the
-    // later one: the entry may stay where it waits.
-    if (due < timer.waitTime ||
-        (due == timer.waitTime && order.tieKey < timer.waitTieKey)) {
-      moveParked(record, order.tieKey, floor());
-    }
-    return true;
-  }
-
   /// Queue `item` (its order taken with reserveOrder()) as the new tail of
   /// the run `cursor` names. When there is no such run any more, or it has
   /// started draining, or `item` sorts before its tail, a fresh run is
@@ -373,10 +302,8 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// As above, with a run item's call packed into `action`.
   bool pop(Time& time, InlineTask& action);
 
-  /// Time of the next event, or kTimeNever if empty. Not const: a parked
-  /// entry on top is first re-keyed to its due key.
-  Time peekTime() {
-    surfaceTop();
+  /// Time of the next event, or kTimeNever if empty.
+  Time peekTime() const {
     return heap_.empty() ? kTimeNever : heap_.front().time;
   }
 
@@ -400,9 +327,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// Runs ever opened at once (the run pool's high-water mark).
   std::size_t runPoolSize() const { return runs_.size(); }
 
-  /// Parked entries re-keyed to their due key on reaching the top.
-  std::uint64_t parkedSurfaced() const { return parkedSurfaced_; }
-
  protected:
   // EventTarget backends (EventHandle reaches them through the base).
   void cancelSlot(std::uint32_t slot, std::uint32_t generation) override;
@@ -414,7 +338,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// heapPos_ value of a slot with no heap entry (free or executing).
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
   static constexpr std::uint32_t kNoRun = 0xffffffffu;
-  static constexpr std::uint32_t kNoDue = 0xffffffffu;
 
   /// A run (see the header comment). Items before `head` have been popped
   /// (the executing one keeps its action until it retires) or cancelled;
@@ -456,7 +379,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
     InlineTask action;
     std::uint32_t nextFree = kNoSlot;
     std::uint32_t run = kNoRun;  ///< the run whose heap entry this holds
-    std::uint32_t due = kNoDue;  ///< a parked timer's record in due_
   };
   /// The slab holds one Slot per in-flight event; at city scale that is
   /// hundreds of thousands. InlineTask (96B inline + 3 fn ptrs, padded to
@@ -470,56 +392,8 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
     std::uint64_t tieKey = 0;
     std::uint64_t sequence = 0;
     std::uint32_t slot = 0;
-    /// A parked timer's due record (kNoDue for every other entry); set when
-    /// the entry is queued and never changed by a re-arm. In the padding,
-    /// so it costs nothing.
-    std::uint32_t due = kNoDue;
   };
   ECGRID_LAYOUT_BUDGET(HeapEntry, 32);
-
-  /// A parked timer (see the header comment): where its event really runs
-  /// — the due key, whose tie key is tieBreak_.keyOf(sequence) — and the
-  /// key its heap entry waits at, which sorts no later. A re-arm reads and
-  /// writes only this record unless the entry has to move.
-  struct DueRecord {
-    Time time = kTimeZero;
-    std::uint64_t sequence = 0;
-    Time waitTime = kTimeZero;
-    std::uint64_t waitTieKey = 0;
-    std::uint32_t slot = kNoSlot;  ///< kNoSlot while the record is free
-    /// The generation its handles carry; bumped by every re-arm and when
-    /// the record is freed.
-    std::uint32_t generation = 0;
-  };
-  /// One per parked timer (one per radio), touched by every re-arm.
-  ECGRID_LAYOUT_BUDGET(DueRecord, 40);
-
-  /// The EventTarget of parked timers' handles: slot = due record index,
-  /// generation = the record's.
-  class ParkedTarget final : public EventTarget {
-   public:
-    explicit ParkedTarget(EventQueue& owner) : queue(owner) {}
-    ParkedTarget(const ParkedTarget&) = delete;
-    ParkedTarget& operator=(const ParkedTarget&) = delete;
-
-    bool owns(const EventHandle& handle, std::uint32_t& record,
-              std::uint32_t& generation) const {
-      return ownsHandle(handle, record, generation);
-    }
-
-    EventQueue& queue;
-
-   protected:
-    void cancelSlot(std::uint32_t record,
-                    std::uint32_t generation) override {
-      queue.cancelParked(record, generation);
-    }
-    bool slotPending(std::uint32_t record,
-                     std::uint32_t generation) const override {
-      const DueRecord& timer = queue.due_[record];
-      return timer.generation == generation && timer.slot != kNoSlot;
-    }
-  };
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -530,18 +404,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t index);
   void heapPush(const HeapEntry& entry);
-  /// Fill a fresh slot and queue its entry at (time, order); `due` names
-  /// its due key when it is a parked timer (kNoDue otherwise).
-  std::uint32_t insert(Time time, EventOrder order, InlineTask action,
-                       const char* label, std::uint32_t due);
-  /// Re-key parked entries that have reached the top to their due keys,
-  /// until the top is an entry at its own key.
-  void surfaceTop();
-  /// The re-armed timer's new due key (its record's; `tieKey` is its tie
-  /// key) sorts before where its entry waits: bring the entry up to
-  /// `floor`, clamped to the due key.
-  void moveParked(std::uint32_t record, std::uint64_t tieKey, Time floor);
-  void cancelParked(std::uint32_t record, std::uint32_t generation);
   void removeHeapAt(std::size_t i);
   /// Retire the event popped last: recycle its slot, or clear its run
   /// item and recycle the run if nothing of it is left.
@@ -580,12 +442,6 @@ class ECGRID_DOMAIN_PER_SCENARIO EventQueue : public EventTarget {
   /// never moves.
   std::vector<std::unique_ptr<Run>> runs_;
   std::vector<std::uint32_t> freeRuns_;
-  /// Due records of parked timers, by Slot::due; recycled ones wait on
-  /// freeDue_.
-  std::vector<DueRecord> due_;
-  std::vector<std::uint32_t> freeDue_;
-  ParkedTarget parked_{*this};
-  std::uint64_t parkedSurfaced_ = 0;
   TieBreak tieBreak_;
   std::uint32_t freeHead_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  ///< slot recycled on next pop

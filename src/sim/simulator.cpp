@@ -26,15 +26,6 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskAt(Time when,
   return queue_.push(when, std::move(action), label);
 }
 
-ECGRID_HOT_PATH void Simulator::armParked(EventHandle& handle, Time due,
-                                          Time floor, InlineTask action,
-                                          const char* label) {
-  ECGRID_HOT_SCOPE();
-  // Cancel consumes no place: the push takes the one a re-arm would have.
-  handle.cancel();
-  handle = queue_.pushParked(due, floor, std::move(action), label);
-}
-
 ECGRID_HOT_PATH EventHandle Simulator::scheduleReservedInRun(
     RunCursor& run, const RunItem& item, RunPayload* payload) {
   ECGRID_HOT_SCOPE();
@@ -101,9 +92,10 @@ void Simulator::run(Time until) {
   }
   // Advance the clock to the horizon so post-run queries (battery reads,
   // alive checks) observe the full interval even if the queue went quiet.
-  if (!stopRequested_ && until != kTimeNever && now_ < until) {
+  if (!stopRequested_ && until != kTimeNever && now_ <= until) {
     now_ = until;
-    // Everything due at `until` that was queued has run.
+    // Everything due at `until` that was queued has run, whichever event
+    // happened to run last.
     constexpr std::uint64_t kLast = ~std::uint64_t{0};
     lastDispatch_ = {until, EventOrder{kLast, kLast},
                      queue_.reservedSequences()};

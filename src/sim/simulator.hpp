@@ -69,35 +69,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
     return scheduleTaskAt(when, InlineTask(std::forward<F>(action)), label);
   }
 
-  /// Exactly `handle.cancel(); handle = scheduleAt(due, action, label);`
-  /// — same execution order, same reserved sequences — for a timer re-armed
-  /// far more often than it fires, always with the same action and label
-  /// (Radio's battery-depletion event). The timer is parked
-  /// (EventQueue::pushParked): its heap entry waits at `floorAt()` (at
-  /// most `due`, raised to now() when earlier) and moves only when a
-  /// re-arm is due before where it waits. `floorAt` is a callable, called
-  /// only when the entry is armed afresh or has to move. A timer still
-  /// queued is re-armed in place and keeps the action it was armed with,
-  /// so `action` is only packed when the timer is armed afresh. The nearer
-  /// the floor is to the earliest a later re-arm can be due, the fewer
-  /// moves; any floor gives the same run. Times are absolute, so a re-arm
-  /// computed at an instant already past — Radio settling a reception
-  /// start after the fact — gets the very sum that instant would have.
-  template <class Floor, class F>
-  ECGRID_HOT_PATH void rearmAt(EventHandle& handle, Time due,
-                               Floor&& floorAt, F&& action,
-                               const char* label = nullptr) {
-    ECGRID_HOT_SCOPE();
-    ECGRID_REQUIRE(due >= now_, "cannot schedule into the past");
-    const auto floor = [&] {
-      const Time at = floorAt();
-      return at > now_ ? at : now_;
-    };
-    if (queue_.rearm(handle, due, floor)) return;
-    armParked(handle, due, floor(), InlineTask(std::forward<F>(action)),
-              label);
-  }
-
   /// Take the place in the same-time order that an event scheduled right
   /// now would get, without scheduling anything (see sim::EventOrder).
   /// Every other event keeps the key it would have had, so skipping an
@@ -147,8 +118,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   EventHandle scheduleTaskAt(Time when, InlineTask action, const char* label);
   EventHandle scheduleTaskReserved(Time when, EventOrder order,
                                    InlineTask action, const char* label);
-  void armParked(EventHandle& handle, Time due, Time floor, InlineTask action,
-                 const char* label);
 
   /// Run events until the queue drains or the clock passes `until`.
   /// Events scheduled exactly at `until` are executed.
@@ -170,7 +139,7 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   }
 
   /// Time of the next live event, or kTimeNever when the queue is empty.
-  Time nextEventTime() { return queue_.peekTime(); }
+  Time nextEventTime() const { return queue_.peekTime(); }
 
   // ---- Run-health surface (sim/health trace records read these) --------
 
@@ -185,10 +154,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   /// (slots recycle; slabs never shrink). A run takes one slot however
   /// many items it holds.
   std::size_t slabSlotsTotal() const { return queue_.slabSlots(); }
-
-  /// Parked timer entries re-keyed on reaching the top of the queue
-  /// (EventQueue::parkedSurfaced); none of them is an executed event.
-  std::uint64_t parkedSurfaced() const { return queue_.parkedSurfaced(); }
 
   /// Determinism-analysis debug mode: randomise the tie-break among
   /// equal-time events using the dedicated "check/tiebreak" stream (see

@@ -1,8 +1,7 @@
 // Stress tests for the pooled event queue: randomized interleavings of
-// push/cancel/rearm/pop and run appends checked against a reference model
+// push/cancel/pop and run appends checked against a reference model
 // that reimplements the previous shared_ptr + std::priority_queue design,
-// where a rearm is spelled cancel + push and every run item is a
-// standalone push. The pooled queue's contract is that its observable
+// where every run item is a standalone push. The pooled queue's contract is that its observable
 // behaviour — pop order, pending(), size() — is indistinguishable from
 // that design while allocating far less.
 #include <gtest/gtest.h>
@@ -20,11 +19,6 @@
 
 namespace ecgrid::sim {
 namespace {
-
-/// A rearm() floor that is always `t`.
-auto floorAt(Time t) {
-  return [t] { return t; };
-}
 
 // The pre-slab design, kept as an executable specification.
 struct RefRecord {
@@ -171,30 +165,6 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
           rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) - 1));
       handles[victim].cancel();
       ref.cancel(*refs[victim]);
-    } else if (dice < 0.85 && !handles.empty()) {
-      // Re-arm a random handle, parked anywhere up to its due time: a
-      // queued timer moves in place and keeps its action; a single event
-      // or run item, an already popped one, the just-popped one (its slot
-      // is executing), or a cancelled one cannot be re-armed, and is
-      // cancelled and replaced by a fresh timer. The reference spells both
-      // cancel + push.
-      std::size_t victim = static_cast<std::size_t>(
-          rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) - 1));
-      Time t = static_cast<Time>(rng.uniformInt(0, 50));
-      const auto floor =
-          static_cast<Time>(rng.uniformInt(0, static_cast<std::int64_t>(t)));
-      EventHandle stale = handles[victim];
-      int tag = refs[victim]->tag;
-      if (!queue.rearm(handles[victim], t, floorAt(floor))) {
-        tag = nextTag++;
-        handles[victim].cancel();
-        handles[victim] = queue.pushParked(
-            t, floor, [tag, &popped] { popped.push_back(tag); });
-      }
-      ref.cancel(*refs[victim]);
-      refs[victim] = ref.push(t, tag);
-      // Copies of the old handle go dead, exactly as after a cancel.
-      EXPECT_FALSE(stale.pending()) << "stale copy at op " << op;
     } else {
       Time time = 0.0;
       InlineTask action;
@@ -301,208 +271,6 @@ void drain(EventQueue& queue) {
   Time time = 0.0;
   InlineTask action;
   while (queue.pop(time, action)) action();
-}
-
-// A queued timer re-armed in place: same slot and action, new place in the
-// order, and the old handle (and its copies) dead as after a cancel.
-TEST(EventQueueRekey, MovesAQueuedEventInPlace) {
-  EventQueue queue;
-  std::vector<int> ran;
-  EventHandle a = queue.pushParked(1.0, 1.0, [&ran] { ran.push_back(1); });
-  queue.push(2.0, [&ran] { ran.push_back(2); });
-  queue.push(3.0, [&ran] { ran.push_back(3); });
-  const EventHandle copy = a;
-  EventHandle moved = a;
-  ASSERT_TRUE(queue.rearm(moved, 2.0, floorAt(2.0)));
-  EXPECT_FALSE(a.pending());
-  EXPECT_FALSE(copy.pending());
-  EXPECT_TRUE(moved.pending());
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.slabSlots(), 3u);
-  EXPECT_EQ(queue.reservedSequences(), 4u);
-  // The stale copy re-arms nothing and takes no place.
-  EventHandle dead = copy;
-  EXPECT_FALSE(queue.rearm(dead, 0.5, floorAt(0.0)));
-  EXPECT_EQ(queue.reservedSequences(), 4u);
-  // Ties at 2.0 break by the reserved sequence: the re-armed timer is last.
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 2.0);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{2, 1, 3}));
-  // Cancelling a stale copy afterwards must not touch anything.
-  queue.push(5.0, [&ran] { ran.push_back(5); });
-  EventHandle(copy).cancel();
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-// The timer that is executing right now cannot be re-armed: its slot has
-// no heap entry to move. Simulator::rearmAt then arms a fresh one.
-TEST(EventQueueRekey, ExecutingEventFallsBackToPush) {
-  Simulator simulator;
-  std::vector<Time> ran;
-  EventHandle self;
-  simulator.rearmAt(self, 1.0, floorAt(0.5), [&] {
-    ran.push_back(simulator.now());
-    EXPECT_TRUE(self.pending());
-    const EventHandle executing = self;
-    // Armed afresh, so with the action given here.
-    simulator.rearmAt(self, 5.0, floorAt(2.0),
-                      [&] { ran.push_back(-simulator.now()); });
-    EXPECT_FALSE(executing.pending());
-    EXPECT_TRUE(self.pending());
-  });
-  simulator.run();
-  EXPECT_EQ(ran, (std::vector<Time>{1.0, -5.0}));
-  EXPECT_EQ(simulator.eventsExecuted(), 2u);
-}
-
-// A stale handle (its event fired, its slot since reused), an inert one or
-// a plain event's re-arms nothing: the slot's occupant keeps its place.
-TEST(EventQueueRekey, StaleHandleFallsBackToPush) {
-  EventQueue queue;
-  std::vector<int> ran;
-  EventHandle stale = queue.pushParked(1.0, 0.0, [&ran] { ran.push_back(1); });
-  Time time = 0.0;
-  InlineTask action;
-  ASSERT_TRUE(queue.pop(time, action));
-  action();
-  EXPECT_FALSE(queue.pop(time, action));  // recycles the executed slot
-  EventHandle occupant = queue.push(2.0, [&ran] { ran.push_back(2); });
-  ASSERT_EQ(queue.slabSlots(), 1u);  // same slot as the stale handle
-  const std::uint64_t reserved = queue.reservedSequences();
-  EXPECT_FALSE(queue.rearm(stale, 3.0, floorAt(1.0)));
-  EventHandle inert;
-  EXPECT_FALSE(queue.rearm(inert, 4.0, floorAt(0.0)));
-  EventHandle plain = occupant;
-  EXPECT_FALSE(queue.rearm(plain, 2.5, floorAt(0.0)));
-  EXPECT_EQ(queue.reservedSequences(), reserved);
-  EXPECT_TRUE(occupant.pending());
-  EXPECT_EQ(queue.size(), 1u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
-}
-
-// A parked entry that reaches the top before its due key is re-keyed there
-// silently: pop() returns the events due before it, in order, and nothing
-// is executed or reserved for the move itself.
-TEST(EventQueueParked, SurfacingRunsNothingAndTakesNoSequence) {
-  EventQueue queue;
-  std::vector<int> ran;
-  queue.pushParked(5.0, 1.0, [&ran] { ran.push_back(5); });
-  queue.push(2.0, [&ran] { ran.push_back(2); });
-  queue.push(5.0, [&ran] { ran.push_back(50); });  // ties after the timer
-  const std::uint64_t reserved = queue.reservedSequences();
-  EXPECT_EQ(queue.parkedSurfaced(), 0u);
-  Dispatch next;
-  ASSERT_TRUE(queue.pop(next));
-  EXPECT_DOUBLE_EQ(next.time, 2.0);
-  next();
-  EXPECT_EQ(queue.parkedSurfaced(), 1u);
-  EXPECT_EQ(queue.reservedSequences(), reserved);
-  EXPECT_EQ(queue.size(), 2u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{2, 5, 50}));
-  EXPECT_EQ(queue.parkedSurfaced(), 1u);
-}
-
-// peekTime() never reports a floor: with a parked entry on top it reports
-// the true next event, and Simulator::run(until) stops short of a timer
-// due after `until` even though its entry waited before it.
-TEST(EventQueueParked, PeekAndRunUntilSeeOnlyDueKeys) {
-  EventQueue queue;
-  queue.pushParked(9.0, 1.0, [] {});
-  queue.push(4.0, [] {});
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 4.0);
-  EXPECT_EQ(queue.parkedSurfaced(), 1u);
-
-  Simulator simulator;
-  int fired = 0;
-  EventHandle timer;
-  simulator.rearmAt(timer, 9.0, floorAt(1.0), [&fired] { ++fired; });
-  simulator.run(5.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(simulator.eventsExecuted(), 0u);
-  EXPECT_DOUBLE_EQ(simulator.now(), 5.0);
-  EXPECT_TRUE(timer.pending());
-  EXPECT_DOUBLE_EQ(simulator.nextEventTime(), 9.0);
-  EXPECT_EQ(simulator.parkedSurfaced(), 1u);
-  simulator.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(simulator.now(), 9.0);
-}
-
-// Cancelling a parked timer — waiting at its floor, or surfaced — removes
-// it at once; its due record is recycled by the next timer.
-TEST(EventQueueParked, CancellingAParkedEntry) {
-  EventQueue queue;
-  std::vector<int> ran;
-  EventHandle parked =
-      queue.pushParked(8.0, 1.0, [&ran] { ran.push_back(8); });
-  queue.push(3.0, [&ran] { ran.push_back(3); });
-  parked.cancel();
-  EXPECT_FALSE(parked.pending());
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 3.0);
-  EventHandle surfaced =
-      queue.pushParked(6.0, 0.0, [&ran] { ran.push_back(6); });
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 3.0);  // surfaces the new timer
-  surfaced.cancel();
-  EXPECT_EQ(queue.size(), 1u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{3}));
-}
-
-// A re-arm due no earlier than where the entry waits leaves the heap alone
-// and never asks for a floor; an earlier one moves it to the floor. Either
-// way the timer runs at its last due key.
-TEST(EventQueueParked, EntryMovesOnlyForAnEarlierDueKey) {
-  EventQueue queue;
-  std::vector<int> ran;
-  EventHandle timer =
-      queue.pushParked(6.0, 2.0, [&ran] { ran.push_back(6); });
-  queue.push(3.0, [&ran] { ran.push_back(3); });
-  std::vector<Time> asked;
-  auto floor = [&asked](Time t) {
-    return [&asked, t] {
-      asked.push_back(t);
-      return t;
-    };
-  };
-  ASSERT_TRUE(queue.rearm(timer, 7.0, floor(4.0)));  // waits at 2.0 still
-  ASSERT_TRUE(queue.rearm(timer, 1.5, floor(1.0)));  // moves up to 1.0
-  ASSERT_TRUE(queue.rearm(timer, 3.0, floor(3.0)));  // ties after the push
-  EXPECT_EQ(asked, (std::vector<Time>{1.0}));
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.parkedSurfaced(), 0u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{3, 6}));
-  EXPECT_EQ(queue.parkedSurfaced(), 1u);
-}
-
-// Under perturbed tie-breaks a surfaced timer takes the perturbed key of its
-// place, exactly as cancel + push would.
-TEST(EventQueueParked, PerturbedTiesMatchCancelPlusPush) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    std::vector<int> parked;
-    std::vector<int> spelled;
-    for (const bool useRearm : {true, false}) {
-      EventQueue queue;
-      queue.perturbTieBreak(RngStream(seed));
-      std::vector<int>& ran = useRearm ? parked : spelled;
-      auto fire = [&ran] { ran.push_back(100); };
-      EventHandle timer;
-      for (int i = 0; i < 8; ++i) {
-        queue.push(2.0, [&ran, i] { ran.push_back(i); });
-        if (!useRearm) {
-          timer.cancel();
-          timer = queue.push(2.0, fire);
-        } else if (!queue.rearm(timer, 2.0, floorAt(0.5 * i))) {
-          timer = queue.pushParked(2.0, 0.5 * i, fire);
-        }
-      }
-      drain(queue);
-    }
-    EXPECT_EQ(parked, spelled) << "seed " << seed;
-  }
 }
 
 // --- runs -----------------------------------------------------------------
@@ -692,12 +460,12 @@ TEST(EventQueueRun, RunHoldsItsPayloadUntilRecycled) {
 
 // --- Block reservation ------------------------------------------------------
 
-/// One scripted run: pushes, rearms and pops interleaved with batches of n
-/// places, taken with one reserveBlock(n) when `useBlocks`, else with n
-/// reserveOrder() calls. Each batch fills a random subset of its places in
-/// a random order, as a transmission fills its receivers' places in bucket
-/// order. The script draws the same in both modes. Returns the tags in pop
-/// order.
+/// One scripted run: pushes, re-schedules (cancel + push) and pops
+/// interleaved with batches of n places, taken with one reserveBlock(n)
+/// when `useBlocks`, else with n reserveOrder() calls. Each batch fills a
+/// random subset of its places in a random order, as a transmission fills
+/// its receivers' places in bucket order. The script draws the same in
+/// both modes. Returns the tags in pop order.
 std::vector<int> scriptedPops(std::uint64_t seed, bool useBlocks,
                               bool perturb) {
   RngStream script(seed);
@@ -745,10 +513,8 @@ std::vector<int> scriptedPops(std::uint64_t seed, bool useBlocks,
       const auto victim = static_cast<std::size_t>(script.uniformInt(
           0, static_cast<std::int64_t>(handles.size()) - 1));
       const Time t = coarseTime();
-      if (!queue.rearm(handles[victim], t, floorAt(0.0))) {
-        handles[victim].cancel();
-        handles[victim] = queue.pushParked(t, 0.0, action(nextTag++));
-      }
+      handles[victim].cancel();
+      handles[victim] = queue.push(t, action(nextTag++));
     } else {
       Dispatch next;
       if (queue.pop(next)) next();

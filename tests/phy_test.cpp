@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +20,7 @@
 #include "phy/frame.hpp"
 #include "phy/paging.hpp"
 #include "phy/radio.hpp"
+#include "sim/probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace ecgrid::phy {
@@ -207,11 +209,38 @@ TEST(Radio, DiesExactlyAtDepletion) {
   EXPECT_EQ(radio.state(), RadioState::kOff);
 }
 
-// The depletion timer is a parked queue entry (sim::EventQueue::rearm):
-// it waits at the battery's floor and surfaces to its due key. A radio
-// flipping Idle/Rx/Tx for seconds, with a quiet spell long enough for the
-// entry to surface, still dies at the very instant recorded before the
-// timer was parked (printed with %.17g, so the literal is exact).
+/// Counts executed events by schedule-site label.
+class LabelCounter final : public sim::ExecutionProbe {
+ public:
+  void onEvent(const char* label, double /*wallSeconds*/,
+               sim::Time /*simTime*/, std::uint64_t /*eventsExecuted*/,
+               std::size_t /*queueSize*/) override {
+    ++counts[label != nullptr ? label : ""];
+  }
+  /// The counts without the depletion wake-ups, which only the radio's
+  /// deadline bookkeeping adds.
+  std::map<std::string, std::uint64_t> withoutWakeUps() const {
+    std::map<std::string, std::uint64_t> rest = counts;
+    rest.erase(kWakeUp);
+    return rest;
+  }
+  std::uint64_t wakeUps() const {
+    const auto it = counts.find(kWakeUp);
+    return it == counts.end() ? 0 : it->second;
+  }
+
+  static constexpr const char* kWakeUp = "phy/battery_wake";
+  std::map<std::string, std::uint64_t> counts;
+};
+
+// The depletion entry waits where the battery would empty at the
+// profile's maximum draw and wakes up to re-queue itself at the due key
+// the radio keeps. A radio flipping Idle/Rx/Tx for seconds, with a quiet
+// spell long enough for the entry to wake, still dies at the very instant
+// recorded before any of this (printed with %.17g, so the literal is
+// exact). Every label but the wake-up keeps the count recorded when the
+// deadline lived in the event queue (the unlabelled events are the
+// script's own transmit calls).
 TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
   sim::Simulator simulator;
   Channel channel(simulator, ChannelConfig{});
@@ -221,11 +250,13 @@ TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
   Radio partner(simulator, big, energy::PowerProfile{}, 1);
   channel.attach(&subject, [] { return geo::Vec2{0.0, 0.0}; });
   channel.attach(&partner, [] { return geo::Vec2{100.0, 0.0}; });
+  LabelCounter counter;
+  simulator.setExecutionProbe(&counter);
   sim::Time died = -1.0;
-  std::uint64_t surfacedBeforeDeath = 0;
+  std::uint64_t wakeUpsBeforeDeath = 0;
   subject.setDeathCallback([&] {
     died = simulator.now();
-    surfacedBeforeDeath = simulator.parkedSurfaced();
+    wakeUpsBeforeDeath = counter.wakeUps();
   });
   // The partner's frames flip the subject Idle -> Rx -> Idle; its own
   // frames flip it to Tx. Nothing happens in [1, 4).
@@ -243,8 +274,13 @@ TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
   }
   simulator.run(20.0);
   EXPECT_EQ(died, 5.7446234723831653);
-  EXPECT_EQ(simulator.eventsExecuted(), 1601u);
-  EXPECT_GE(surfacedBeforeDeath, 1u);
+  EXPECT_GE(wakeUpsBeforeDeath, 1u);
+  EXPECT_EQ(counter.withoutWakeUps(),
+            (std::map<std::string, std::uint64_t>{{"", 628},
+                                                  {"phy/battery", 1},
+                                                  {"phy/rx_end", 486},
+                                                  {"phy/tx_end", 486}}));
+  EXPECT_EQ(simulator.eventsExecuted(), 1601u + counter.wakeUps());
   EXPECT_TRUE(subject.dead());
 }
 
@@ -252,15 +288,16 @@ TEST(Radio, FlippingRadioDiesAtThePinnedInstant) {
 struct DrainedRun {
   sim::Time died = -1.0;
   std::uint64_t eventsExecuted = 0;
-  std::uint64_t surfacedBeforeDeath = 0;
+  std::uint64_t wakeUpsBeforeDeath = 0;
+  LabelCounter counter;
 };
 
-/// The re-arms the parked depletion timer cannot do in place: the partner's
-/// frames flip the subject Idle -> Rx -> Idle and its own frames flip it to
-/// Tx, as in FlippingRadioDiesAtThePinnedInstant, but an outside
-/// Battery::drain at t = 0.5 and t = 3.2 puts the next flip's due key
-/// before the floor its entry waits at, and the quiet spell [0.6, 3.0) lets
-/// the entry surface, so the flips at 3.0 land right after it has.
+/// The re-arms that move the depletion entry: the partner's frames flip
+/// the subject Idle -> Rx -> Idle and its own frames flip it to Tx, as in
+/// FlippingRadioDiesAtThePinnedInstant, but an outside Battery::drain at
+/// t = 0.5 and t = 3.2 puts the next flip's due time before the floor its
+/// entry waits at, and the quiet spell [0.6, 3.0) lets the entry wake up,
+/// so the flips at 3.0 land right after it has.
 DrainedRun runDrainedRadio(bool perturbed) {
   sim::Simulator simulator;
   if (perturbed) simulator.perturbTieBreaks();
@@ -272,9 +309,10 @@ DrainedRun runDrainedRadio(bool perturbed) {
   channel.attach(&subject, [] { return geo::Vec2{0.0, 0.0}; });
   channel.attach(&partner, [] { return geo::Vec2{100.0, 0.0}; });
   DrainedRun run;
+  simulator.setExecutionProbe(&run.counter);
   subject.setDeathCallback([&] {
     run.died = simulator.now();
-    run.surfacedBeforeDeath = simulator.parkedSurfaced();
+    run.wakeUpsBeforeDeath = run.counter.wakeUps();
   });
   for (int k = 0; k < 400; ++k) {
     const sim::Time at = 0.037 * k;
@@ -303,15 +341,20 @@ DrainedRun runDrainedRadio(bool perturbed) {
 
 // The death instant was recorded by running this script against the queue
 // whose re-arm always read the slot and the heap entry (printed with %.17g,
-// so the literal is exact); the event count is that of reception starts
-// applied on read, one event per reception fewer.
+// so the literal is exact); the per-label counts are those of reception
+// starts applied on read with the deadline kept in the event queue.
 TEST(Radio, DrainedAndSurfacedTimerDiesAtThePinnedInstant) {
   for (const bool perturbed : {false, true}) {
     SCOPED_TRACE(perturbed ? "perturbed tie-breaks" : "default tie-breaks");
     const DrainedRun run = runDrainedRadio(perturbed);
     EXPECT_EQ(run.died, 4.0260139049826238);
-    EXPECT_EQ(run.eventsExecuted, 1115u);
-    EXPECT_GE(run.surfacedBeforeDeath, 1u);
+    EXPECT_GE(run.wakeUpsBeforeDeath, 1u);
+    EXPECT_EQ(run.counter.withoutWakeUps(),
+              (std::map<std::string, std::uint64_t>{{"", 413},
+                                                    {"phy/battery", 1},
+                                                    {"phy/rx_end", 350},
+                                                    {"phy/tx_end", 351}}));
+    EXPECT_EQ(run.eventsExecuted, 1115u + run.counter.wakeUps());
   }
 }
 
@@ -331,21 +374,47 @@ TEST(Radio, MediumIdleAtCoversReceptionsAndNav) {
 
 // --- interference ring --------------------------------------------------
 
+/// a and b 100 m apart, and c 300 m beyond b: inside the 500 m
+/// interference ring of both, outside their 250 m decode range, so c's
+/// frames reach b (and a) only as undecodable energy.
+struct RingRig {
+  sim::Simulator simulator;
+  phy::Channel channel{simulator, [] {
+                         ChannelConfig config;
+                         config.interferenceRangeMeters = 500.0;
+                         return config;
+                       }()};
+  energy::Battery batteryA{500.0};
+  energy::Battery batteryB{500.0};
+  energy::Battery batteryC{500.0};
+  Radio a{simulator, batteryA, energy::PowerProfile{}, 0};
+  Radio b{simulator, batteryB, energy::PowerProfile{}, 1};
+  Radio c{simulator, batteryC, energy::PowerProfile{}, 2};
+
+  RingRig() {
+    channel.attach(&a, [] { return geo::Vec2{0.0, 0.0}; });
+    channel.attach(&b, [] { return geo::Vec2{100.0, 0.0}; });
+    channel.attach(&c, [] { return geo::Vec2{400.0, 0.0}; });
+  }
+};
+
 TEST(Radio, InterferenceCorruptsOngoingReception) {
-  Rig rig(100.0);
+  RingRig rig;
   int delivered = 0;
   rig.b.setFrameCallback([&](const net::Packet&) { ++delivered; });
   rig.a.transmit(makeFrame(0, 1), 2e-3);
-  rig.simulator.schedule(0.5e-3, [&] { rig.b.beginInterference(1e-3); });
+  rig.simulator.schedule(0.5e-3, [&] {
+    rig.c.transmit(makeFrame(2, net::kBroadcastId), 1e-3);
+  });
   rig.simulator.run(1.0);
   EXPECT_EQ(delivered, 0);
 }
 
 TEST(Radio, InterferenceCorruptsLaterArrivalsWhileItLasts) {
-  Rig rig(100.0);
+  RingRig rig;
   int delivered = 0;
   rig.b.setFrameCallback([&](const net::Packet&) { ++delivered; });
-  rig.b.beginInterference(5e-3);
+  rig.c.transmit(makeFrame(2, net::kBroadcastId), 5e-3);
   rig.simulator.schedule(1e-3, [&] { rig.a.transmit(makeFrame(0, 1), 1e-3); });
   // A second frame after the interference ends decodes fine.
   rig.simulator.schedule(10e-3,
@@ -355,9 +424,12 @@ TEST(Radio, InterferenceCorruptsLaterArrivalsWhileItLasts) {
 }
 
 TEST(Radio, InterferenceHoldsCarrierSense) {
-  Rig rig(100.0);
-  rig.b.beginInterference(3e-3);
-  EXPECT_GE(rig.b.mediumIdleAt(), 3e-3);
+  RingRig rig;
+  rig.c.transmit(makeFrame(2, net::kBroadcastId), 3e-3);
+  // Read once the energy has arrived (c is 300 m away: ~1 us of flight).
+  rig.simulator.schedule(0.5e-3,
+                         [&] { EXPECT_GE(rig.b.mediumIdleAt(), 3e-3); });
+  rig.simulator.run(1.0);
 }
 
 TEST(Channel, InterferenceRingReachesPastDecodeRange) {

@@ -231,6 +231,18 @@ TEST(Simulator, WouldHaveRunCoversTheHorizonAdvance) {
   EXPECT_FALSE(simulator.wouldHaveRun(2.5, before));
 }
 
+// Whichever event ran last, even one at the horizon itself, every place at
+// the horizon reserved before run() returned has run by then.
+TEST(Simulator, WouldHaveRunCoversTheHorizonAfterAnEventAtIt) {
+  Simulator simulator;
+  simulator.schedule(2.0, [] {});
+  const EventOrder after = simulator.reserveOrder();
+  simulator.run(2.0);
+  EXPECT_EQ(simulator.eventsExecuted(), 1u);
+  EXPECT_TRUE(simulator.wouldHaveRun(2.0, after));
+  EXPECT_FALSE(simulator.wouldHaveRun(2.0, simulator.reserveOrder()));
+}
+
 TEST(Simulator, SchedulingIntoADispatchedPlaceThrows) {
   Simulator simulator;
   const EventOrder reserved = simulator.reserveOrder();
@@ -240,113 +252,9 @@ TEST(Simulator, SchedulingIntoADispatchedPlaceThrows) {
                std::invalid_argument);
 }
 
-// --- rearm (Radio's depletion timer) ---------------------------------------
-
 /// How a script's simulator orders same-instant events. The explicit
 /// values name the parameterised test cases.
 enum class Engine { kSerial = 0, kPerturbed = 2 };
-
-/// A run of re-armed timers: every firing re-arms itself, then re-arms,
-/// cancels or spawns timers at random (coarse delays, so plenty of
-/// same-instant ties) and cancels stale copies of handles re-armed
-/// earlier. Spelled either with Simulator::rearm — parking each entry
-/// at none, half or all of its delay, so entries surface, wait and move —
-/// or with cancel + schedule; the two must be indistinguishable.
-class RearmScript {
- public:
-  static constexpr int kTimers = 16;
-
-  RearmScript(Engine engine, bool useRearm)
-      : simulator_(11), rng_(7), useRearm_(useRearm) {
-    if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
-    for (int id = 0; id < kTimers; ++id) arm(id, 0.25 * (id % 4));
-    simulator_.run(300.0);
-  }
-
-  Simulator& simulator() { return simulator_; }
-  const std::vector<int>& trace() const { return trace_; }
-
- private:
-  void arm(int id, Time delay) {
-    stale_.push_back(timers_[id]);
-    auto fire = [this, id] { onFire(id); };
-    if (useRearm_) {
-      const Time now = simulator_.now();
-      const Time floor = now + delay * 0.5 * static_cast<Time>(id % 3);
-      simulator_.rearmAt(timers_[id], now + delay, [floor] { return floor; },
-                         fire, "test/timer");
-    } else {
-      timers_[id].cancel();
-      timers_[id] = simulator_.schedule(delay, fire, "test/timer");
-    }
-  }
-
-  void onFire(int id) {
-    trace_.push_back(id);
-    // Re-arm the executing timer (no heap entry to move), then maybe
-    // again once it is queued.
-    arm(id, 0.25 * static_cast<Time>(rng_.uniformInt(1, 8)));
-    const auto ops = rng_.uniformInt(0, 3);
-    for (std::int64_t k = 0; k < ops; ++k) {
-      const auto target = static_cast<int>(rng_.uniformInt(0, kTimers - 1));
-      const Time delay = 0.25 * static_cast<Time>(rng_.uniformInt(0, 8));
-      const double dice = rng_.uniform(0.0, 1.0);
-      if (dice < 0.5) {
-        arm(target, delay);
-      } else if (dice < 0.6) {
-        arm(id, delay);
-      } else if (dice < 0.75) {
-        timers_[target].cancel();
-      } else if (dice < 0.9 && !stale_.empty()) {
-        const auto pick = static_cast<std::size_t>(rng_.uniformInt(
-            0, static_cast<std::int64_t>(stale_.size()) - 1));
-        stale_[pick].cancel();  // must never hit a live re-armed timer
-      } else {
-        simulator_.schedule(delay, [this] { trace_.push_back(-1); });
-      }
-      trace_.push_back(timers_[target].pending() ? 100 + target : -100);
-    }
-  }
-
-  Simulator simulator_;
-  RngStream rng_;
-  bool useRearm_;
-  EventHandle timers_[kTimers];
-  std::vector<EventHandle> stale_;
-  std::vector<int> trace_;
-};
-
-class RescheduleParity : public ::testing::TestWithParam<Engine> {};
-
-TEST_P(RescheduleParity, MatchesCancelPlusSchedule) {
-  RearmScript rearmed(GetParam(), true);
-  RearmScript spelledOut(GetParam(), false);
-  EXPECT_GT(rearmed.simulator().eventsExecuted(), 2000u);
-  // Parked entries did surface, and not as executed events.
-  EXPECT_GT(rearmed.simulator().parkedSurfaced(), 100u);
-  EXPECT_EQ(spelledOut.simulator().parkedSurfaced(), 0u);
-  EXPECT_EQ(rearmed.trace(), spelledOut.trace());
-  EXPECT_EQ(rearmed.simulator().eventsExecuted(),
-            spelledOut.simulator().eventsExecuted());
-  EXPECT_EQ(rearmed.simulator().reservedSequences(),
-            spelledOut.simulator().reservedSequences());
-  EXPECT_EQ(rearmed.simulator().queueDepth(),
-            spelledOut.simulator().queueDepth());
-  EXPECT_EQ(rearmed.simulator().peakQueueDepth(),
-            spelledOut.simulator().peakQueueDepth());
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, RescheduleParity,
-                         ::testing::Values(Engine::kSerial,
-                                           Engine::kPerturbed));
-
-// The perturbed and unperturbed runs of the script differ (it is full of
-// same-instant ties), so the parity above is not vacuous under perturbation.
-TEST(RescheduleParity, PerturbedScriptTakesADifferentOrder) {
-  RearmScript plain(Engine::kSerial, true);
-  RearmScript perturbed(Engine::kPerturbed, true);
-  EXPECT_NE(plain.trace(), perturbed.trace());
-}
 
 // --- runs (phy::Channel reception ends, starts settled on read) ------------
 
