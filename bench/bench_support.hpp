@@ -29,8 +29,10 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -267,17 +269,62 @@ inline void printHeaderTimes(const char* what,
   std::printf("\n");
 }
 
+/// How the bench was built, for its records' provenance.
+#ifdef __clang__
+inline constexpr const char* kCompiler = "clang " __VERSION__;
+#else
+inline constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+#ifdef __OPTIMIZE__
+inline constexpr bool kOptimized = true;
+#else
+inline constexpr bool kOptimized = false;
+#endif
+#ifdef NDEBUG
+inline constexpr bool kNdebug = true;
+#else
+inline constexpr bool kNdebug = false;
+#endif
+
+/// HEAD's commit in the source tree this header was compiled from (the
+/// .git beside bench/), read when called; "unknown" when there is none.
+inline std::string sourceGitSha() {
+  const std::filesystem::path git =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / ".git";
+  std::ifstream headFile(git / "HEAD");
+  std::string head;
+  if (!std::getline(headFile, head) || head.empty()) return "unknown";
+  if (head.rfind("ref: ", 0) != 0) return head;  // detached
+  const std::string ref = head.substr(5);
+  std::ifstream looseFile(git / ref);
+  std::string sha;
+  if (std::getline(looseFile, sha) && !sha.empty()) return sha;
+  // A packed ref: "<40-hex sha> <ref>".
+  std::ifstream packed(git / "packed-refs");
+  for (std::string line; std::getline(packed, line);) {
+    if (line.size() == 41 + ref.size() &&
+        line.compare(41, ref.size(), ref) == 0) {
+      return line.substr(0, 40);
+    }
+  }
+  return "unknown";
+}
+
 /// Machine-readable perf record, written as bench_out/BENCH_<figure>.json:
 /// {
-///   "figure": "...", "quick": bool, "jobs": N, "runs": N,
+///   "figure": "...", "quick": bool, "jobs": N,
+///   "provenance": {"compiler": "...", "optimized": bool, "ndebug": bool,
+///                  "nproc": N, "git_sha": "..."},
+///   "runs": N,
 ///   "wall_seconds": s, "events_executed": N, "events_per_second": x,
 ///   "frames_transmitted": N, "frames_per_second": x,
 ///   "metrics": {"name": value, ...},
 ///   "series": {"label": {"t": [...], "v": [...]}, ...},
 ///   "scenarios": {"label": {"metric": value, ...}, ...}
 /// }
-/// Values are plain doubles/integers; names are [A-Za-z0-9_.-] so no JSON
-/// escaping is needed. CI and the perf trajectory tooling diff these.
+/// Values are plain doubles/integers; names are [A-Za-z0-9_.-] and the
+/// provenance strings hold no quote or backslash, so no JSON escaping is
+/// needed. CI and the perf trajectory tooling diff these.
 class BenchReport {
  public:
   explicit BenchReport(std::string figure) : figure_(std::move(figure)) {}
@@ -326,6 +373,15 @@ class BenchReport {
     std::fprintf(out, "{\n  \"figure\": \"%s\",\n", figure_.c_str());
     std::fprintf(out, "  \"quick\": %s,\n", quickMode() ? "true" : "false");
     std::fprintf(out, "  \"jobs\": %u,\n", benchJobs());
+    // How the record was made: wall-class fields compare only between
+    // records that agree on the build and the core count
+    // (tools/bench_diff.py).
+    std::fprintf(out,
+                 "  \"provenance\": {\"compiler\": \"%s\", \"optimized\": %s, "
+                 "\"ndebug\": %s, \"nproc\": %u, \"git_sha\": \"%s\"},\n",
+                 kCompiler, kOptimized ? "true" : "false",
+                 kNdebug ? "true" : "false",
+                 std::thread::hardware_concurrency(), sourceGitSha().c_str());
     std::fprintf(out, "  \"runs\": %llu,\n",
                  static_cast<unsigned long long>(runs_));
     std::fprintf(out, "  \"wall_seconds\": %.3f,\n", wallSeconds);

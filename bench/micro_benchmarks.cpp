@@ -273,17 +273,14 @@ int main(int argc, char** argv) {
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());
   // The context's library_build_type describes the benchmark library, not
-  // this binary; record how the simulator code under test was compiled.
-#if defined(__OPTIMIZE__)
-  benchmark::AddCustomContext("ecgrid_optimized", "true");
-#else
-  benchmark::AddCustomContext("ecgrid_optimized", "false");
-#endif
-#if defined(NDEBUG)
-  benchmark::AddCustomContext("ecgrid_ndebug", "true");
-#else
-  benchmark::AddCustomContext("ecgrid_ndebug", "false");
-#endif
+  // this binary; record how the simulator code under test was built, as
+  // BenchReport's provenance does (num_cpus is the library's own).
+  benchmark::AddCustomContext("ecgrid_compiler", bench::kCompiler);
+  benchmark::AddCustomContext("ecgrid_optimized",
+                              bench::kOptimized ? "true" : "false");
+  benchmark::AddCustomContext("ecgrid_ndebug",
+                              bench::kNdebug ? "true" : "false");
+  benchmark::AddCustomContext("ecgrid_git_sha", bench::sourceGitSha());
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

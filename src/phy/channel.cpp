@@ -36,51 +36,61 @@ constexpr std::size_t kRadixMinItems = 16;
 // buckets leave the insertion pass almost nothing to move, for half the
 // passes of the full span.
 constexpr int kRadixBits = 16;
+
+/// Insertion pass: sorts a set that is in order but for a few items close
+/// to their place in O(n) comparisons, and a small set outright.
+template <class Item, class Before>
+ECGRID_HOT_PATH void insertionPass(std::vector<Item>& items, Before before) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    for (std::size_t k = i; k > 0 && before(items[k], items[k - 1]); --k) {
+      std::swap(items[k], items[k - 1]);
+    }
+  }
+}
 }  // namespace
 
-ECGRID_HOT_PATH void orderArrivals(std::vector<sim::RunItem>& items,
-                                   std::vector<sim::RunItem>& buffer) {
-  const std::size_t n = items.size();
+ECGRID_HOT_PATH void orderArrivals(std::vector<ArrivalStart>& starts,
+                                   const sim::OrderBlock& places,
+                                   std::vector<ArrivalStart>& buffer) {
+  const std::size_t n = starts.size();
   if (n >= kRadixMinItems) {
     // Times are non-negative, so their bit patterns order as they do, and
     // bits in which every time agrees cannot reorder anything. LSD passes
     // of 8-bit digits over the top of the span in which they differ order
-    // the items up to ties in the bits below it.
-    const auto bits = [](const sim::RunItem& item) {
-      return std::bit_cast<std::uint64_t>(item.time);
+    // the starts up to ties in the bits below it.
+    const auto bits = [](const ArrivalStart& start) {
+      return std::bit_cast<std::uint64_t>(start.at);
     };
-    const std::uint64_t first = bits(items.front());
+    const std::uint64_t first = bits(starts.front());
     std::uint64_t differ = 0;
-    for (const sim::RunItem& item : items) differ |= bits(item) ^ first;
+    for (const ArrivalStart& start : starts) differ |= bits(start) ^ first;
     if (differ != 0) {
       const int high = 64 - std::countl_zero(differ);
       const int low = std::max(std::countr_zero(differ), high - kRadixBits);
       buffer.resize(n);
       for (int shift = low; shift < high; shift += 8) {
         std::array<std::uint32_t, 257> start{};
-        for (const sim::RunItem& item : items) {
-          ++start[((bits(item) >> shift) & 0xffu) + 1];
+        for (const ArrivalStart& arrival : starts) {
+          ++start[((bits(arrival) >> shift) & 0xffu) + 1];
         }
         for (std::size_t digit = 0; digit < 256; ++digit) {
           start[digit + 1] += start[digit];
         }
-        for (const sim::RunItem& item : items) {
-          buffer[start[(bits(item) >> shift) & 0xffu]++] = item;
+        for (const ArrivalStart& arrival : starts) {
+          buffer[start[(bits(arrival) >> shift) & 0xffu]++] = arrival;
         }
-        items.swap(buffer);
+        starts.swap(buffer);
       }
     }
   }
-  // Insertion pass: finishes what the radix passes left (items sharing
-  // their window, and equal times, which it settles by place) and sorts a
-  // small set outright. It compares whole keys, so the result is exact
-  // whatever the passes did.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t k = i; k > 0 && sim::itemBefore(items[k], items[k - 1]);
-         --k) {
-      std::swap(items[k], items[k - 1]);
-    }
-  }
+  // Finishes what the radix passes left (starts sharing their window, and
+  // equal times, which it settles by place). It compares whole keys, so
+  // the result is exact whatever the passes did.
+  insertionPass(starts, [&places](const ArrivalStart& a,
+                                  const ArrivalStart& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return sim::orderedBefore(places[a.id], places[b.id]);
+  });
 }
 
 Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
@@ -99,6 +109,7 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
   scratch_.reserve(kInitialScratch);
   radixBuffer_.reserve(kInitialScratch);
   awake_.reserve(kInitialScratch);
+  ends_.reserve(kInitialScratch);
   inFlight_.reserve(kInitialScratch);
   parked_.reserve(kInitialScratch);
 }
@@ -215,9 +226,9 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId senderId,
     if (at > latestParked_) latestParked_ = at;
     return;
   }
-  // Ordered with the other listeners' below; `arg` says decodable.
-  awake_.push_back(sim::RunItem{at, places[id], nullptr, nullptr,
-                                attachments_[id].radio, decodable ? 1u : 0u});
+  // Ordered with the other listeners' below.
+  awake_.push_back(ArrivalStart{at, attachments_[id].radio,
+                                static_cast<std::uint32_t>(id), decodable});
 }
 
 ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
@@ -238,7 +249,7 @@ ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
         sim_.scheduleReserved(
             arrival.at + tx.frame->airtime, endPlace,
             [receiver = &radio, token] {
-              Radio::endReception(receiver, token, nullptr);
+              Radio::endReception(receiver, token);
             },
             "phy/rx_end");
       }
@@ -302,35 +313,40 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
   // each, in start order: a start's own event, dispatched after this one,
   // took its end's place after the tx end and after every earlier start's.
   const sim::EventOrder txEndPlace = sim_.reserveOrder();
-  orderArrivals(awake_, radixBuffer_);
+  orderArrivals(awake_, places, radixBuffer_);
   std::size_t decodable = 0;
-  for (const sim::RunItem& start : awake_) decodable += start.arg;
-  const sim::OrderBlock ends = sim_.reserveBlock(decodable);
-  // Record each start on its receiver; queue the ends of the decodable
-  // ones it can hear in key order, as one run sharing the frame (end =
-  // start + airtime keeps the starts' order).
-  sim::RunCursor run;
+  for (const ArrivalStart& start : awake_) {
+    if (start.decodable) ++decodable;
+  }
+  const sim::OrderBlock endPlaces = sim_.reserveBlock(decodable);
+  // Record each start on its receiver, and gather the ends of the
+  // decodable ones it can hear; they are queued at once as one run.
+  ends_.clear();
   std::uint64_t next = 0;
   constexpr std::size_t kPrefetchAhead = 4;
   for (std::size_t i = 0; i < awake_.size(); ++i) {
     // Each receiver is a cold object of its own: fetch a few ahead so
     // the misses overlap.
     if (i + kPrefetchAhead < awake_.size()) {
-      Radio::prefetch(awake_[i + kPrefetchAhead].object);
+      Radio::prefetch(awake_[i + kPrefetchAhead].receiver);
     }
-    const sim::RunItem& start = awake_[i];
-    auto* receiver = static_cast<Radio*>(start.object);
-    const bool decodes = start.arg != 0;
-    const sim::EventOrder place = decodes ? ends[next++] : sim::EventOrder{};
-    if (!receiver->noteArrival(start.time, start.order, frame, decodes,
-                               place.sequence) ||
-        !decodes) {
+    const ArrivalStart& start = awake_[i];
+    const sim::EventOrder place =
+        start.decodable ? endPlaces[next++] : sim::EventOrder{};
+    if (!start.receiver->noteArrival(start.at, places[start.id], frame,
+                                     start.decodable, place.sequence) ||
+        !start.decodable) {
       continue;
     }
-    const sim::RunItem end{start.time + duration, place, "phy/rx_end",
-                           &Radio::endReception, receiver, place.sequence};
-    sim_.scheduleReservedInRun(run, end, frame.payload());
+    ends_.push_back(sim::RunItem{start.at + duration, place, "phy/rx_end",
+                                 &Radio::endReception, start.receiver,
+                                 place.sequence});
   }
+  // End = start + airtime keeps the starts' order, and end places follow
+  // it too, except that perturbed tie keys can invert two ends at one
+  // instant: the pass settles those.
+  insertionPass(ends_, sim::itemBefore);
+  sim_.scheduleReservedRun(ends_);
   return txEndPlace;
 }
 

@@ -37,23 +37,28 @@
 //     A start is no event: each listening receiver records its arrival —
 //     start key, frame, decodable or not — and applies it when next read
 //     (Radio::noteArrival; phy/radio.hpp). Only the decodable ones' ends,
-//     phy/rx_end, are queued, in key order as one event-queue run
-//     (sim/event.hpp) holding the frame; each is still its own event with
-//     its own key, for a 56-byte run item instead of a slot, a closure and
-//     a heap push. Their places are a second block taken after the
-//     sender's tx end, one per end in start order — where the start's own
-//     event would have taken them. An arrival from the interference ring
-//     queues nothing at all.
-//   * Starts ordered by radix, not by comparison sort. A non-negative
-//     double orders as its bit pattern, and one transmission's arrival
-//     times differ only in their low bits (they lie within reach /
-//     propagationSpeed of each other), so an LSD radix sort over the top
-//     16 of the bits in which they differ orders them by time, up to the
-//     rare items that share those 16 bits. An insertion pass with
-//     sim::itemBefore then finishes the order and settles equal times by
-//     place, in either tie-break mode (and alone sorts a set too small
-//     for the radix passes to pay). Keys are unique (places are), so the
-//     result is exactly a comparison sort's.
+//     phy/rx_end, are queued: gathered in a reused scratch vector and
+//     handed over at once, in key order, as one event-queue run
+//     (sim/event.hpp). Each is still its own event with its own key, for
+//     a 56-byte run item instead of a slot, a closure and a heap push.
+//     Their places are a second block taken after the sender's tx end,
+//     one per end in start order — where the start's own event would have
+//     taken them. The run holds no frame and no item is ever cancelled:
+//     the radio's recorded arrival holds the frame, and an aborted
+//     reception's end finds nothing under its token. An arrival from the
+//     interference ring queues nothing at all.
+//   * Starts ordered by radix, not by comparison sort. Each listener's
+//     start is a 24-byte ArrivalStart (time, receiver, attachment id,
+//     decodable). A non-negative double orders as its bit pattern, and
+//     one transmission's arrival times differ only in their low bits
+//     (they lie within reach / propagationSpeed of each other), so an LSD
+//     radix sort over the top 16 of the bits in which they differ orders
+//     them by time, up to the rare starts that share those 16 bits. An
+//     insertion pass then finishes the order and settles equal times by
+//     the attachment id's place in the block, in either tie-break mode
+//     (and alone sorts a set too small for the radix passes to pay).
+//     Keys are unique (places are), so the result is exactly a comparison
+//     sort's.
 //   * Sleepers cost nothing. A sleeping transceiver discards whatever
 //     arrives, so recording an arrival at it would only make work that
 //     does nothing. The channel keeps a dense sleep byte per attachment
@@ -93,17 +98,32 @@
 #include "phy/frame.hpp"
 #include "phy/spatial_index.hpp"
 #include "sim/simulator.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::phy {
 
 class Radio;
 
-/// Order one transmission's arrivals — times non-negative, keys unique —
-/// exactly as std::sort with sim::itemBefore would (see the header
-/// comment). `buffer` is scratch; the two vectors may trade storage.
-void orderArrivals(std::vector<sim::RunItem>& items,
-                   std::vector<sim::RunItem>& buffer);
+/// A listening receiver's arrival, as transmitFrom orders them: its time,
+/// its receiver, its attachment id (its place in the transmission's block
+/// of starts) and whether it can decode. A dense transmission has a few
+/// hundred.
+struct ArrivalStart {
+  sim::Time at = 0.0;
+  Radio* receiver = nullptr;
+  std::uint32_t id = 0;
+  bool decodable = false;
+};
+ECGRID_LAYOUT_BUDGET(ArrivalStart, 24);
+
+/// Order one transmission's arrivals — times non-negative, ids unique — by
+/// time, then by place `places[id]`, exactly as a comparison sort would
+/// (see the header comment). `buffer` is scratch; the two vectors may
+/// trade storage.
+void orderArrivals(std::vector<ArrivalStart>& starts,
+                   const sim::OrderBlock& places,
+                   std::vector<ArrivalStart>& buffer);
 
 struct ChannelConfig {
   double rangeMeters = 250.0;     ///< paper §4 transmission range
@@ -175,8 +195,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
 
   /// Called by a transmitting radio. Records the arrival on every other
   /// attached radio within range (undecodable energy inside the
-  /// interference ring) and queues the decodable ones' reception ends as
-  /// one run; arrivals at sleeping radios are parked instead (see the
+  /// interference ring) and queues the decodable ones' reception ends at
+  /// once, as one run; arrivals at sleeping radios are parked instead (see the
   /// header comment). Returns the place right after the starts' block,
   /// taken for the sender's tx end.
   sim::EventOrder transmitFrom(Radio& sender, const net::Packet& packet,
@@ -253,10 +273,10 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Each attachment's sleep byte, by id: 1 while its radio sleeps.
   std::vector<std::uint8_t> asleep_;
   std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
-  /// Listeners' starts (receiver in `object`, decodable in `arg`), reused
-  /// per transmission.
-  std::vector<sim::RunItem> awake_;
-  std::vector<sim::RunItem> radixBuffer_;  ///< orderArrivals' scratch
+  std::vector<ArrivalStart> awake_;  ///< listeners' starts, reused per tx
+  std::vector<ArrivalStart> radixBuffer_;  ///< orderArrivals' scratch
+  /// Listeners' reception ends, queued as one run; reused per tx.
+  std::vector<sim::RunItem> ends_;
   FramePool::Handle frames_ = FramePool::create();
   std::vector<InFlight> inFlight_;
   std::vector<Parked> parked_;  ///< sleepers', in transmission order

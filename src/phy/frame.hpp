@@ -11,10 +11,6 @@
 // (the Channel) goes away while frames are still referenced — closures
 // left in the event queue when a scenario is torn down before its
 // simulator — lives on until the last of them is released.
-//
-// A frame is also the payload of the event-queue run that carries its
-// reception ends (sim::RunPayload; see phy/channel.hpp): the run holds one
-// reference until its last end has run.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +20,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/event.hpp"
 #include "sim/time.hpp"
 #include "util/ownership.hpp"
 
@@ -32,15 +27,15 @@ namespace ecgrid::phy {
 
 class FramePool;
 
-struct Frame final : sim::RunPayload {
+struct Frame {
   net::Packet packet;  ///< as stamped by the channel (uid assigned)
   sim::Time airtime = 0.0;
 
  private:
   friend class FrameRef;
   friend class FramePool;
-  void retainPayload() override { ++refs_; }
-  void releasePayload() override;
+  /// Drop one reference; the last returns the frame to its pool.
+  void release();
   std::uint32_t refs_ = 0;
   Frame* nextFree_ = nullptr;
   FramePool* pool_ = nullptr;
@@ -62,14 +57,6 @@ class FrameRef {
   ~FrameRef() { reset(); }
 
   void reset();
-
-  /// Another reference to a frame that is still referenced elsewhere (a
-  /// run's payload).
-  static FrameRef share(Frame& frame) { return FrameRef(&frame); }
-
-  /// The frame as a run payload (counting references is all a run does
-  /// with it).
-  sim::RunPayload* payload() const { return frame_; }
 
   const Frame& operator*() const { return *frame_; }
   const Frame* operator->() const { return frame_; }
@@ -120,12 +107,12 @@ class ECGRID_DOMAIN_PER_SCENARIO FramePool {
   bool orphaned_ = false;  ///< owner gone; delete at the last release
 };
 
-inline void Frame::releasePayload() {
+inline void Frame::release() {
   if (--refs_ == 0) pool_->release(this);
 }
 
 inline void FrameRef::reset() {
-  if (frame_ != nullptr) frame_->releasePayload();
+  if (frame_ != nullptr) frame_->release();
   frame_ = nullptr;
 }
 

@@ -347,8 +347,7 @@ ECGRID_HOT_PATH bool Radio::applyStart(Arrival& start, bool rearm,
   return true;
 }
 
-void Radio::endReception(void* radio, std::uint64_t token,
-                         sim::RunPayload* /*payload*/) {
+void Radio::endReception(void* radio, std::uint64_t token) {
   static_cast<Radio*>(radio)->onReceptionEnd(token);
 }
 

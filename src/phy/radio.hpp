@@ -194,9 +194,10 @@ class ECGRID_DOMAIN_PER_HOST Radio {
   }
 
   /// Channel-facing: the phy/rx_end run action (sim::RunAction); `token`
-  /// is noteArrival's.
-  static void endReception(void* radio, std::uint64_t token,
-                           sim::RunPayload* payload);
+  /// is noteArrival's. An aborted reception's end still runs, finds no
+  /// reception under its token and does nothing, so the item is never
+  /// cancelled.
+  static void endReception(void* radio, std::uint64_t token);
 
   /// The battery, with every start that has landed applied, for committed
   /// reads. Drain it only through here, and never inside an arrival's

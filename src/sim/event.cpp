@@ -1,5 +1,6 @@
 #include "sim/event.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -11,12 +12,9 @@ namespace {
 /// Slab capacity pre-sized at construction so paper-baseline runs never
 /// grow the vectors on the hot path (the audit gate would count it).
 constexpr std::size_t kInitialSlots = 256;
-/// Runs open at once: about two per transmission in flight (its arrivals
-/// and its reception ends).
+/// Runs open at once: about one per transmission in flight (its reception
+/// ends).
 constexpr std::size_t kInitialRuns = 64;
-/// First capacity of a run's items; it doubles as needed and is kept when
-/// the run is recycled.
-constexpr std::size_t kInitialRunItems = 16;
 }  // namespace
 
 EventQueue::EventQueue() {
@@ -25,14 +23,6 @@ EventQueue::EventQueue() {
   heap_.reserve(kInitialSlots);
   runs_.reserve(kInitialRuns);
   freeRuns_.reserve(kInitialRuns);
-}
-
-EventQueue::~EventQueue() {
-  // Runs still holding a payload drop it here, as closures left in the
-  // slab drop their captures.
-  for (const std::unique_ptr<Run>& run : runs_) {
-    if (run->payload != nullptr) run->payload->releasePayload();
-  }
 }
 
 ECGRID_HOT_PATH std::uint32_t EventQueue::allocSlot() {
@@ -85,7 +75,7 @@ ECGRID_HOT_PATH EventHandle EventQueue::push(Time time, EventOrder order,
   slot.action = std::move(action);
   if (++queued_ > peakDepth_) peakDepth_ = queued_;
   heapPush(HeapEntry{time, order.tieKey, order.sequence, index});
-  return makeHandle(this, index, slot.generation);
+  return EventHandle(this, index, slot.generation);
 }
 
 ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
@@ -98,77 +88,45 @@ ECGRID_HOT_PATH void EventQueue::heapPush(const HeapEntry& entry) {
   siftUp(heap_.size() - 1, entry);
 }
 
-EventQueue::Run& EventQueue::openRun(RunPayload* payload) {
+std::uint32_t EventQueue::openRun() {
   if (freeRuns_.empty()) {
     // Pool growth: a high-water mark (runs in flight at once), never
     // steady-state churn; same argument as the slab in allocSlot().
     ECGRID_ALLOC_EXEMPT();
     const auto index = static_cast<std::uint32_t>(runs_.size());
-    runs_.push_back(std::make_unique<Run>(*this, index));
+    runs_.emplace_back();
     freeRuns_.reserve(runs_.capacity());
     freeRuns_.push_back(index);
   }
-  Run& run = *runs_[freeRuns_.back()];
+  const std::uint32_t index = freeRuns_.back();
   freeRuns_.pop_back();
-  run.payload = payload;
-  if (payload != nullptr) payload->retainPayload();
-  return run;
+  return index;
 }
 
-ECGRID_HOT_PATH void EventQueue::recycleRun(Run& run) {
-  if (run.payload != nullptr) {
-    run.payload->releasePayload();
-    run.payload = nullptr;
-  }
-  // Keep the items' capacity: the pool's storage stays at its high-water
-  // mark. The generation bump kills every handle to the old items.
-  run.items.clear();
-  run.head = 0;
-  run.sealed = false;
-  ++run.generation;
-  freeRuns_.push_back(run.index);
-}
-
-ECGRID_HOT_PATH EventHandle EventQueue::append(RunCursor& cursor,
-                                               const RunItem& item,
-                                               RunPayload* payload) {
+ECGRID_HOT_PATH void EventQueue::appendRun(std::span<const RunItem> items) {
   ECGRID_HOT_SCOPE();
-  ECGRID_REQUIRE(item.action != nullptr, "run item action must be set");
-  ECGRID_REQUIRE(item.order.sequence < nextSequence_,
-                 "event order was never reserved");
-  Run* run = nullptr;
-  if (cursor.run_ != RunCursor::kNone) {
-    Run& named = *runs_[cursor.run_];
-    // Appending behind a popped item, or before the tail, would put the
-    // item out of order: open a new run instead.
-    if (named.generation == cursor.generation_ && !named.sealed &&
-        itemBefore(named.items.back(), item)) {
-      run = &named;
-    }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ECGRID_REQUIRE(items[i].action != nullptr, "run item action must be set");
+    ECGRID_REQUIRE(items[i].order.sequence < nextSequence_,
+                   "event order was never reserved");
+    ECGRID_REQUIRE(i == 0 || itemBefore(items[i - 1], items[i]),
+                   "run items must be in key order");
   }
-  if (run == nullptr) {
-    run = &openRun(payload);
-    cursor.run_ = run->index;
-    cursor.generation_ = run->generation;
-  }
-  std::vector<RunItem>& items = run->items;
-  if (items.size() == items.capacity()) {
+  if (items.empty()) return;
+  const std::uint32_t index = openRun();
+  Run& run = runs_[index];
+  if (items.size() > run.items.capacity()) {
     // A run's storage grows only past its own high-water mark; recycled
     // runs keep their capacity.
     ECGRID_ALLOC_EXEMPT();
-    items.reserve(items.empty() ? kInitialRunItems : items.capacity() * 2);
+    run.items.reserve(std::max(items.size(), 2 * run.items.capacity()));
   }
-  const auto itemIndex = static_cast<std::uint32_t>(items.size());
-  items.push_back(item);
-  ++run->live;
-  if (++queued_ > peakDepth_) peakDepth_ = queued_;
-  if (itemIndex == 0) {
-    // A fresh run: its head entry joins the heap.
-    run->slot = allocSlot();
-    slots_[run->slot].run = run->index;
-    heapPush(headEntry(*run));
-  }
-  return makeHandle(run, itemIndex, run->generation);
+  run.items.assign(items.begin(), items.end());
+  queued_ += items.size();
+  if (queued_ > peakDepth_) peakDepth_ = queued_;
+  run.slot = allocSlot();
+  slots_[run.slot].run = index;
+  heapPush(headEntry(run));
 }
 
 ECGRID_HOT_PATH void EventQueue::siftUp(std::size_t i, const HeapEntry& entry) {
@@ -215,32 +173,23 @@ bool EventQueue::pop(Time& time, InlineTask& action) {
   if (!pop(next)) return false;
   time = next.time;
   if (next.runAction != nullptr) {
-    action = [run = next.runAction, object = next.object, arg = next.arg,
-              payload = next.payload] { run(object, arg, payload); };
+    action = [run = next.runAction, object = next.object, arg = next.arg] {
+      run(object, arg);
+    };
   } else {
     action = std::move(next.task);
   }
   return true;
 }
 
-ECGRID_HOT_PATH void EventQueue::retireExecuting() {
+ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
+  ECGRID_HOT_SCOPE();
+  // The previous single event's record outlived its execution (see
+  // header); now that the caller is back for the next event, retire it.
   if (executing_ != kNoSlot) {
     freeSlot(executing_);
     executing_ = kNoSlot;
   }
-  if (executingRun_ != kNoRun) {
-    Run& run = *runs_[executingRun_];
-    executingRun_ = kNoRun;
-    run.items[executingItem_].action = nullptr;
-    if (run.live == 0) recycleRun(run);
-  }
-}
-
-ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
-  ECGRID_HOT_SCOPE();
-  // The previous event's record outlived its execution (see header); now
-  // that the caller is back for the next event, retire it.
-  retireExecuting();
   if (heap_.empty()) return false;
   const HeapEntry& top = heap_.front();
   out.time = top.time;
@@ -249,7 +198,7 @@ ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
   Slot& slot = slots_[index];
   --queued_;
   if (slot.run != kNoRun) {
-    popRunItem(*runs_[slot.run], out);
+    popRunItem(slot.run, out);
     return true;
   }
   out.task = std::move(slot.action);
@@ -259,52 +208,31 @@ ECGRID_HOT_PATH bool EventQueue::pop(Dispatch& out) {
   return true;
 }
 
-ECGRID_HOT_PATH void EventQueue::popRunItem(Run& run, Dispatch& out) {
+ECGRID_HOT_PATH void EventQueue::popRunItem(std::uint32_t index,
+                                            Dispatch& out) {
+  Run& run = runs_[index];
   const RunItem& item = run.items[run.head];
   out.label = item.label;
   out.runAction = item.action;
   out.object = item.object;
   out.arg = item.arg;
-  out.payload = run.payload;
-  // The item keeps its action until it retires, so its handle stays
-  // pending() through the callback.
-  executingRun_ = run.index;
-  executingItem_ = static_cast<std::uint32_t>(run.head);
-  run.sealed = true;
-  --run.live;
-  ++run.head;
-  advanceRun(run);
-  // A run's items mostly run back to back (one frame's reception ends):
-  // start loading the next one's object while this one runs.
-  if (run.live != 0) __builtin_prefetch(run.items[run.head].object);
-}
-
-ECGRID_HOT_PATH void EventQueue::advanceRun(Run& run) {
   const std::size_t at = heapPos_[run.slot];
-  if (run.live == 0) {
+  if (++run.head == run.items.size()) {
+    // The last item: `out` holds all its call needs, so the run goes back
+    // to the pool now (keeping its items' capacity).
     removeHeapAt(at);
     freeSlot(run.slot);
     run.slot = kNoSlot;
+    run.items.clear();
+    run.head = 0;
+    freeRuns_.push_back(index);
     return;
   }
-  while (run.items[run.head].action == nullptr) ++run.head;
   // The head only moves later in the order, so the entry sifts down.
   siftDown(at, headEntry(run));
-}
-
-ECGRID_HOT_PATH void EventQueue::cancelRunItem(Run& run, std::uint32_t item,
-                                               std::uint32_t generation) {
-  if (generation != run.generation || item >= run.items.size() ||
-      run.items[item].action == nullptr) {
-    return;
-  }
-  run.items[item].action = nullptr;
-  // The executing item has already left the order; it retires as usual.
-  if (run.index == executingRun_ && item == executingItem_) return;
-  --run.live;
-  --queued_;
-  if (item == run.head) advanceRun(run);
-  if (run.live == 0 && run.index != executingRun_) recycleRun(run);
+  // A run's items mostly run back to back (one frame's reception ends):
+  // start loading the next one's object while this one runs.
+  __builtin_prefetch(run.items[run.head].object);
 }
 
 ECGRID_HOT_PATH void EventQueue::cancelSlot(std::uint32_t slot,

@@ -26,12 +26,14 @@ ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskAt(Time when,
   return queue_.push(when, std::move(action), label);
 }
 
-ECGRID_HOT_PATH EventHandle Simulator::scheduleReservedInRun(
-    RunCursor& run, const RunItem& item, RunPayload* payload) {
+ECGRID_HOT_PATH void Simulator::scheduleReservedRun(
+    std::span<const RunItem> items) {
   ECGRID_HOT_SCOPE();
-  ECGRID_REQUIRE(!wouldHaveRun(item.time, item.order),
-                 "reserved event's place has already been dispatched");
-  return queue_.append(run, item, payload);
+  for (const RunItem& item : items) {
+    ECGRID_REQUIRE(!wouldHaveRun(item.time, item.order),
+                   "reserved event's place has already been dispatched");
+  }
+  queue_.appendRun(items);
 }
 
 ECGRID_HOT_PATH EventHandle Simulator::scheduleTaskReserved(Time when,

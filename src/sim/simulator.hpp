@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "sim/event.hpp"
@@ -105,12 +106,12 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
     return !orderedBefore(lastDispatch_.order, order);
   }
 
-  /// scheduleReserved() of `item` (its order taken with reserveOrder())
-  /// as the tail of the run `run` names; a run opened for it holds
-  /// `payload`. For batches scheduled in key order — phy::Channel's
-  /// reception ends of one transmission.
-  EventHandle scheduleReservedInRun(RunCursor& run, const RunItem& item,
-                                    RunPayload* payload);
+  /// scheduleReserved() of every item of `items` (their orders taken with
+  /// reserveOrder() or reserveBlock()) at once, as one run of the event
+  /// queue: items in itemBefore order, never cancelled (sim/event.hpp).
+  /// For batches known whole at one instant — phy::Channel's reception
+  /// ends of one transmission.
+  void scheduleReservedRun(std::span<const RunItem> items);
 
   /// Monomorphic backends behind the schedule templates (the templates
   /// only build the InlineTask; everything else stays out of line).
@@ -143,16 +144,16 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
 
   // ---- Run-health surface (sim/health trace records read these) --------
 
-  /// Events queued right now: every live event, run items one by one
-  /// (cancel removes at once).
+  /// Events queued right now: every single event and every run item, one
+  /// by one (a cancelled event leaves at once).
   std::size_t queueDepth() const { return queue_.size(); }
 
   /// High-water mark of queueDepth over the run.
   std::size_t peakQueueDepth() const { return queue_.peakDepth(); }
 
   /// Pooled event-slot records ever allocated — the slab high-water mark
-  /// (slots recycle; slabs never shrink). A run takes one slot however
-  /// many items it holds.
+  /// (slots recycle; slabs never shrink). A run of reception ends takes
+  /// one slot however many items it holds.
   std::size_t slabSlotsTotal() const { return queue_.slabSlots(); }
 
   /// Determinism-analysis debug mode: randomise the tie-break among

@@ -1,5 +1,5 @@
 // Stress tests for the pooled event queue: randomized interleavings of
-// push/cancel/pop and run appends checked against a reference model
+// push/cancel/pop and run batches checked against a reference model
 // that reimplements the previous shared_ptr + std::priority_queue design,
 // where every run item is a standalone push. The pooled queue's contract is that its observable
 // behaviour — pop order, pending(), size() — is indistinguishable from
@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,15 +86,9 @@ class RefQueue {
 };
 
 /// Run action of the stress items: record the item's tag.
-void recordTag(void* popped, std::uint64_t tag, RunPayload* /*payload*/) {
+void recordTag(void* popped, std::uint64_t tag) {
   static_cast<std::vector<int>*>(popped)->push_back(static_cast<int>(tag));
 }
-
-/// A run the stress test keeps appending to, and its last appended time.
-struct OpenRun {
-  RunCursor cursor;
-  Time tail = 0.0;
-};
 
 class QueueStress : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -102,55 +97,33 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
   EventQueue queue;
   RefQueue ref;
 
-  // Handles to every not-yet-popped event, kept in lockstep.
+  // Handles to every single event not yet popped, kept in lockstep (run
+  // items have none).
   std::vector<EventHandle> handles;
   std::vector<std::shared_ptr<RefRecord>> refs;
   std::vector<int> popped;
   std::vector<int> refPopped;
-  std::vector<OpenRun> runs;
   int nextTag = 0;
-  // Append one run item to `run` — in the reference, a standalone push
-  // into the same place.
-  auto appendItem = [&](OpenRun& run, Time t, EventOrder order) {
-    const int tag = nextTag++;
-    const RunItem item{t, order, nullptr, &recordTag, &popped,
-                       static_cast<std::uint64_t>(tag)};
-    handles.push_back(queue.append(run.cursor, item));
-    refs.push_back(ref.pushReserved(t, order.sequence, tag));
-    run.tail = t;
-  };
 
   for (int op = 0; op < 20000; ++op) {
     double dice = rng.uniform(0.0, 1.0);
-    if (dice < 0.08) {
+    if (dice < 0.12) {
       // A batch: orders reserved in one sequence, items sorted by key and
-      // queued as a fresh run (phy::Channel's arrivals).
+      // queued at once as a run (phy::Channel's reception ends) — in the
+      // reference, standalone pushes into the same places.
       const auto n = rng.uniformInt(1, 8);
       std::vector<RunItem> batch;
       for (std::int64_t k = 0; k < n; ++k) {
         const EventOrder order = queue.reserveOrder();
         EXPECT_EQ(ref.reserve(), order.sequence);
+        const int tag = nextTag++;
         batch.push_back(RunItem{static_cast<Time>(rng.uniformInt(0, 50)),
-                                order});
+                                order, nullptr, &recordTag, &popped,
+                                static_cast<std::uint64_t>(tag)});
+        ref.pushReserved(batch.back().time, order.sequence, tag);
       }
       std::sort(batch.begin(), batch.end(), itemBefore);
-      OpenRun run;
-      for (const RunItem& item : batch) appendItem(run, item.time, item.order);
-      runs.push_back(run);
-      if (runs.size() > 6) runs.erase(runs.begin());
-    } else if (dice < 0.16 && !runs.empty()) {
-      // A tail append (Radio's reception ends): usually in key order, so
-      // it joins the run unless the run has started draining or was
-      // recycled; sometimes before the tail, so it must open a new run.
-      OpenRun& run = runs[static_cast<std::size_t>(rng.uniformInt(
-          0, static_cast<std::int64_t>(runs.size()) - 1))];
-      const auto tail = static_cast<std::int64_t>(run.tail);
-      const bool inOrder = tail == 0 || rng.uniform(0.0, 1.0) < 0.8;
-      const Time t = static_cast<Time>(
-          inOrder ? rng.uniformInt(tail, 50) : rng.uniformInt(0, tail - 1));
-      const EventOrder order = queue.reserveOrder();
-      EXPECT_EQ(ref.reserve(), order.sequence);
-      appendItem(run, t, order);
+      queue.appendRun(batch);
     } else if (dice < 0.55) {
       // Coarse times force plenty of ties to exercise sequence ordering.
       Time t = static_cast<Time>(rng.uniformInt(0, 50));
@@ -158,9 +131,8 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
       handles.push_back(queue.push(t, [tag, &popped] { popped.push_back(tag); }));
       refs.push_back(ref.push(t, tag));
     } else if (dice < 0.70 && !handles.empty()) {
-      // Any handle: a queued single event or run item (head, middle or
-      // tail of its run), the executing one, or a stale one whose slot or
-      // run has been recycled since.
+      // Any handle: a queued single event, the executing one, or a stale
+      // one whose slot has been recycled since.
       std::size_t victim = static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(handles.size()) - 1));
       handles[victim].cancel();
@@ -197,7 +169,7 @@ TEST_P(QueueStress, InterleavedOpsMatchReferenceModel) {
             << "handle " << probe << " at op " << op;
       } else if (refs[probe]->tag != popped.back()) {
         // Popped before the last pop: retired, and stale for good even
-        // when its slot or run has been reused.
+        // when its slot has been reused.
         EXPECT_FALSE(handles[probe].pending())
             << "retired handle " << probe << " at op " << op;
       }
@@ -276,7 +248,7 @@ void drain(EventQueue& queue) {
 // --- runs -----------------------------------------------------------------
 
 /// Run action of the tests below: record the item's argument.
-void recordArg(void* ran, std::uint64_t arg, RunPayload* /*payload*/) {
+void recordArg(void* ran, std::uint64_t arg) {
   static_cast<std::vector<int>*>(ran)->push_back(static_cast<int>(arg));
 }
 
@@ -290,172 +262,75 @@ RunItem itemAt(EventQueue& queue, Time time, std::vector<int>& ran, int tag) {
 TEST(EventQueueRun, ItemsMergeWithSingleEventsByKey) {
   EventQueue queue;
   std::vector<int> ran;
-  RunCursor run;
-  for (int i = 0; i < 6; ++i) {
-    queue.append(run, itemAt(queue, 1.0 + i, ran, i));
-  }
+  std::vector<RunItem> batch;
+  for (int i = 0; i < 6; ++i) batch.push_back(itemAt(queue, 1.0 + i, ran, i));
+  queue.appendRun(batch);
   queue.push(2.5, [&ran] { ran.push_back(100); });
   queue.push(1.0, [&ran] { ran.push_back(101); });  // ties after item 0
   EXPECT_EQ(queue.size(), 8u);
   EXPECT_EQ(queue.peakDepth(), 8u);
   EXPECT_EQ(queue.slabSlots(), 3u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{0, 101, 1, 100, 2, 3, 4, 5}));
-}
-
-// Cancelling the head re-keys the run's entry at once.
-TEST(EventQueueRun, CancellingTheHeadMovesPeekTimeAtOnce) {
-  EventQueue queue;
-  std::vector<int> ran;
-  RunCursor run;
-  EventHandle first = queue.append(run, itemAt(queue, 1.0, ran, 1));
-  EventHandle second = queue.append(run, itemAt(queue, 2.0, ran, 2));
-  queue.append(run, itemAt(queue, 4.0, ran, 4));
-  queue.push(3.0, [&ran] { ran.push_back(3); });
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 1.0);
-  first.cancel();
-  EXPECT_FALSE(first.pending());
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 2.0);
-  EXPECT_EQ(queue.size(), 3u);
-  second.cancel();
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 3.0);
-  EXPECT_EQ(queue.size(), 2u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{3, 4}));
-}
-
-// Cancelling a run's last live item removes its heap entry; the run is
-// recycled, its handles stay dead, and the next run reuses its storage.
-TEST(EventQueueRun, CancellingTheLastLiveItemRemovesTheHeapEntry) {
-  EventQueue queue;
-  std::vector<int> ran;
-  RunCursor run;
-  EventHandle a = queue.append(run, itemAt(queue, 1.0, ran, 1));
-  EventHandle b = queue.append(run, itemAt(queue, 2.0, ran, 2));
-  b.cancel();  // the tail: the head keeps the entry
-  EXPECT_DOUBLE_EQ(queue.peekTime(), 1.0);
-  a.cancel();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
-  EXPECT_GE(queue.peekTime(), kTimeNever);
-  // The recycled run is reused; the stale handles never see its items.
-  RunCursor next;
-  EventHandle c = queue.append(next, itemAt(queue, 3.0, ran, 3));
-  EXPECT_EQ(queue.runPoolSize(), 1u);
-  EXPECT_EQ(queue.slabSlots(), 1u);
-  EXPECT_FALSE(a.pending());
-  a.cancel();
-  b.cancel();
-  EXPECT_TRUE(c.pending());
-  // The old cursor names a recycled run: appending through it opens a
-  // new one rather than joining the reused run.
-  queue.append(run, itemAt(queue, 5.0, ran, 5));
-  EXPECT_EQ(queue.runPoolSize(), 2u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{3, 5}));
-}
-
-// An append before the run's tail, or to a run that has started draining,
-// opens a new run instead of inserting out of order.
-TEST(EventQueueRun, OutOfOrderOrDrainingAppendStartsANewRun) {
-  EventQueue queue;
-  std::vector<int> ran;
-  RunCursor run;
-  queue.append(run, itemAt(queue, 2.0, ran, 2));
-  queue.append(run, itemAt(queue, 1.0, ran, 1));  // before the tail
-  EXPECT_EQ(queue.runPoolSize(), 2u);
-  queue.append(run, itemAt(queue, 3.0, ran, 3));  // joins the new run
-  EXPECT_EQ(queue.runPoolSize(), 2u);
-  Time time = 0.0;
-  InlineTask action;
-  ASSERT_TRUE(queue.pop(time, action));  // item 1: its run is draining
-  action();
-  queue.append(run, itemAt(queue, 4.0, ran, 4));
-  EXPECT_EQ(queue.runPoolSize(), 3u);
-  drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3, 4}));
-}
-
-// A run item's handle stays pending through its own callback; cancelling
-// it there, or a later item of its run, behaves as for single events.
-TEST(EventQueueRun, ExecutingItemIsPendingAndCancellable) {
-  EventQueue queue;
-  std::vector<int> ran;
-  RunCursor run;
-  EventHandle first = queue.append(run, itemAt(queue, 1.0, ran, 1));
-  EventHandle second = queue.append(run, itemAt(queue, 2.0, ran, 2));
   Dispatch event;
   ASSERT_TRUE(queue.pop(event));
   EXPECT_STREQ(event.label, "test/item");
   EXPECT_DOUBLE_EQ(event.time, 1.0);
-  EXPECT_TRUE(first.pending());  // executing
   event();
-  first.cancel();  // the executing item: nothing left to unqueue
-  EXPECT_FALSE(first.pending());
-  EXPECT_EQ(queue.size(), 1u);
-  second.cancel();  // the run's last queued item, while the run executes
-  EXPECT_TRUE(queue.empty());
-  Dispatch none;
-  EXPECT_FALSE(queue.pop(none));  // retires the executing item and the run
-  EXPECT_EQ(ran, (std::vector<int>{1}));
-  // A fresh run reuses the pooled one; the old handles stay dead.
-  RunCursor next;
-  EventHandle fresh = queue.append(next, itemAt(queue, 3.0, ran, 3));
-  EXPECT_EQ(queue.runPoolSize(), 1u);
-  second.cancel();
-  first.cancel();
-  EXPECT_TRUE(fresh.pending());
   drain(queue);
-  EXPECT_EQ(ran, (std::vector<int>{1, 3}));
-  EXPECT_FALSE(fresh.pending());
+  EXPECT_EQ(ran, (std::vector<int>{0, 101, 1, 100, 2, 3, 4, 5}));
 }
 
-/// A RunPayload that counts its references.
-class CountedPayload final : public RunPayload {
- public:
-  void retainPayload() override { ++refs; }
-  void releasePayload() override { --refs; }
-  int refs = 0;
+// A batch out of key order — by time, or by place at one instant — is
+// refused whole rather than queued as more than one run.
+TEST(EventQueueRun, OutOfOrderBatchIsRejected) {
+  EventQueue queue;
+  std::vector<int> ran;
+  const std::vector<RunItem> byTime{itemAt(queue, 2.0, ran, 2),
+                                    itemAt(queue, 1.0, ran, 1)};
+  EXPECT_THROW(queue.appendRun(byTime), std::invalid_argument);
+  const RunItem early = itemAt(queue, 3.0, ran, 3);
+  const RunItem late = itemAt(queue, 3.0, ran, 4);
+  EXPECT_THROW(queue.appendRun(std::vector<RunItem>{late, early}),
+               std::invalid_argument);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.peakDepth(), 0u);
+  EXPECT_EQ(queue.slabSlots(), 0u);
+  queue.appendRun(std::vector<RunItem>{early, late});
+  drain(queue);
+  EXPECT_EQ(ran, (std::vector<int>{3, 4}));
+}
+
+/// A run action that, for odd tags below 5, queues the next two tags as a
+/// new batch — as a reception end can lead to a transmission.
+struct Relay {
+  EventQueue* queue = nullptr;
+  std::vector<int> ran;
 };
 
-void readPayload(void* seen, std::uint64_t /*arg*/, RunPayload* payload) {
-  *static_cast<RunPayload**>(seen) = payload;
+void relay(void* object, std::uint64_t tag) {
+  auto* self = static_cast<Relay*>(object);
+  self->ran.push_back(static_cast<int>(tag));
+  if (tag % 2 == 0 || tag >= 5) return;
+  std::vector<RunItem> next;
+  for (std::uint64_t k = tag + 1; k <= tag + 2; ++k) {
+    next.push_back(RunItem{static_cast<Time>(k), self->queue->reserveOrder(),
+                           nullptr, &relay, self, k});
+  }
+  self->queue->appendRun(next);
 }
 
-// A run holds one payload reference from its first item until its last
-// one has retired — or until the queue goes away with it.
-TEST(EventQueueRun, RunHoldsItsPayloadUntilRecycled) {
-  CountedPayload payload;
-  RunPayload* seen = nullptr;
-  {
-    EventQueue queue;
-    RunCursor run;
-    for (int i = 0; i < 3; ++i) {
-      queue.append(run,
-                   RunItem{1.0 + i, queue.reserveOrder(), nullptr,
-                           &readPayload, &seen},
-                   &payload);
-    }
-    EXPECT_EQ(payload.refs, 1);
-    Dispatch event;
-    ASSERT_TRUE(queue.pop(event));
-    event();
-    EXPECT_EQ(seen, &payload);
-    RunCursor other;
-    queue.append(other,
-                 RunItem{9.0, queue.reserveOrder(), nullptr, &readPayload,
-                         &seen},
-                 &payload);
-    EXPECT_EQ(payload.refs, 2);
-    drain(queue);
-    EXPECT_EQ(payload.refs, 0);
-    queue.append(other,
-                 RunItem{10.0, queue.reserveOrder(), nullptr, &readPayload,
-                         &seen},
-                 &payload);
-    EXPECT_EQ(payload.refs, 1);
-  }
-  EXPECT_EQ(payload.refs, 0);  // released by the queue's destructor
+// A run goes back to the pool as its last item is popped, so that item's
+// own action can queue the next batch into it.
+TEST(EventQueueRun, LastPopRecyclesTheRunForTheNextBatch) {
+  EventQueue queue;
+  Relay self{&queue, {}};
+  queue.appendRun(std::vector<RunItem>{
+      RunItem{0.0, queue.reserveOrder(), nullptr, &relay, &self, 0},
+      RunItem{1.0, queue.reserveOrder(), nullptr, &relay, &self, 1}});
+  drain(queue);
+  EXPECT_EQ(self.ran, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(queue.runPoolSize(), 1u);
+  EXPECT_EQ(queue.slabSlots(), 1u);
+  EXPECT_EQ(queue.peakDepth(), 2u);
 }
 
 // --- Block reservation ------------------------------------------------------

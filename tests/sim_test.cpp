@@ -258,24 +258,16 @@ enum class Engine { kSerial = 0, kPerturbed = 2 };
 
 // --- runs (phy::Channel reception ends, starts settled on read) ------------
 
-/// A RunPayload that counts its references (a frame stand-in).
-class CountedPayload final : public RunPayload {
- public:
-  void retainPayload() override { ++refs; }
-  void releasePayload() override { --refs; }
-  int refs = 0;
-};
-
 /// Broadcast receptions as the PHY queues them: each transmission reserves
 /// its receivers' start places in receiver order and records the starts
-/// (no event), then queues their reception ends one airtime later, sorted
-/// by key, each in a place reserved after the starts'. A receiver applies
+/// (no event), then queues their reception ends one airtime later, each in
+/// a place reserved after the starts', in start order. A receiver applies
 /// its recorded starts when one of its ends runs: those that would have
-/// run by then (Simulator::wouldHaveRun), in key order. Starts cancel an
-/// end at random (the PHY's aborts), and callbacks test pending(). Spelled
-/// either with one run of ends per transmission
-/// (Simulator::scheduleReservedInRun) or with one closure per end; the two
-/// must be indistinguishable.
+/// run by then (Simulator::wouldHaveRun), in key order. Starts abort a
+/// reception at random (the PHY's aborts) by forgetting its token, as the
+/// radio does; an aborted end still runs and finds nothing. Spelled either
+/// with one run of ends per transmission (Simulator::scheduleReservedRun)
+/// or with one closure per end; the two must be indistinguishable.
 class ReceptionScript {
  public:
   static constexpr int kReceivers = 12;
@@ -283,7 +275,6 @@ class ReceptionScript {
   ReceptionScript(Engine engine, bool useRuns)
       : simulator_(13), rng_(5), useRuns_(useRuns) {
     if (engine == Engine::kPerturbed) simulator_.perturbTieBreaks();
-    frames_.reserve(kFrames);
     for (int k = 0; k < 8; ++k) {
       simulator_.schedule(0.25 * k, [this] { transmit(); }, "test/tx");
     }
@@ -292,67 +283,59 @@ class ReceptionScript {
 
   Simulator& simulator() { return simulator_; }
   const std::vector<int>& trace() const { return trace_; }
-  int outstandingPayloadRefs() const {
-    int refs = 0;
-    for (const Frame& frame : frames_) refs += frame.payload.refs;
-    return refs;
-  }
 
  private:
-  static constexpr std::size_t kFrames = 600;
+  static constexpr std::uint64_t kFrames = 600;
+  /// live_ entry of a receiver with no reception to end.
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  struct Frame {
-    CountedPayload payload;
-  };
-
-  /// A recorded start: its key and its (frame << 8 | receiver).
+  /// A recorded start: its key and its (frame << 8 | receiver), which is
+  /// also its reception's token.
   struct Start {
     Time at = 0.0;
     EventOrder order;
     std::uint64_t arg = 0;
   };
 
-  static void end(void* script, std::uint64_t arg, RunPayload* payload) {
-    auto* self = static_cast<ReceptionScript*>(script);
-    if (payload != nullptr) {
-      EXPECT_EQ(payload, &self->frames_[arg >> 8].payload);
-    }
-    self->onEnd(arg);
+  static void end(void* script, std::uint64_t arg) {
+    static_cast<ReceptionScript*>(script)->onEnd(arg);
   }
 
   void transmit() {
-    if (frames_.size() == kFrames) return;
-    const std::uint64_t frame = frames_.size();
-    frames_.emplace_back();
-    std::vector<RunItem> starts;
+    if (frames_ == kFrames) return;
+    const std::uint64_t frame = frames_++;
+    std::vector<Start> starts;
     for (int r = 0; r < kReceivers; ++r) {
       if (!rng_.chance(0.7)) continue;
       // Coarse propagation delays: plenty of same-instant starts.
       const Time at = simulator_.now() + 0.25 * rng_.uniformInt(0, 2);
-      starts.push_back(RunItem{at, simulator_.reserveOrder(), nullptr,
-                               nullptr, nullptr, (frame << 8) | r});
+      starts.push_back(Start{at, simulator_.reserveOrder(), (frame << 8) | r});
     }
-    std::sort(starts.begin(), starts.end(), itemBefore);
-    RunCursor run;
-    for (const RunItem& start : starts) {
+    const auto before = [](const Start& a, const Start& b) {
+      if (a.at != b.at) return a.at < b.at;
+      return orderedBefore(a.order, b.order);
+    };
+    std::sort(starts.begin(), starts.end(), before);
+    std::vector<RunItem> ends;
+    for (const Start& start : starts) {
       const auto r = static_cast<std::size_t>(start.arg & 0xff);
-      pending_[r].push_back(Start{start.time, start.order, start.arg});
-      std::sort(pending_[r].begin(), pending_[r].end(),
-                [](const Start& a, const Start& b) {
-                  if (a.at != b.at) return a.at < b.at;
-                  return orderedBefore(a.order, b.order);
-                });
-      const RunItem item{start.time + kAirtime, simulator_.reserveOrder(),
+      pending_[r].push_back(start);
+      std::sort(pending_[r].begin(), pending_[r].end(), before);
+      live_[r] = start.arg;
+      const RunItem item{start.at + kAirtime, simulator_.reserveOrder(),
                          "test/end", &end, this, start.arg};
       if (useRuns_) {
-        ends_[r] = simulator_.scheduleReservedInRun(run, item,
-                                                    &frames_[frame].payload);
+        ends.push_back(item);
       } else {
         const std::uint64_t arg = item.arg;
-        ends_[r] = simulator_.scheduleReserved(
+        simulator_.scheduleReserved(
             item.time, item.order, [this, arg] { onEnd(arg); }, "test/end");
       }
     }
+    // Under perturbed tie keys two ends at one instant may be out of
+    // order: a run takes its items in key order.
+    std::sort(ends.begin(), ends.end(), itemBefore);
+    simulator_.scheduleReservedRun(ends);
   }
 
   /// Apply receiver r's starts that would have run by now.
@@ -365,7 +348,7 @@ class ReceptionScript {
       }
       trace_.push_back(static_cast<int>(start.arg));
       // A new reception at r aborts one in progress, now and then.
-      if (rng_.chance(0.2)) ends_[r].cancel();
+      if (rng_.chance(0.2)) live_[r] = kNone;
     }
     pending_[r] = std::move(kept);
   }
@@ -374,16 +357,18 @@ class ReceptionScript {
     const auto r = static_cast<std::size_t>(arg & 0xff);
     settle(r);
     trace_.push_back(-static_cast<int>(arg));
-    trace_.push_back(ends_[r].pending() ? 1 : 0);  // true while it runs
+    // Found under its token, or aborted (or superseded) since.
+    trace_.push_back(live_[r] == arg ? 1 : 0);
+    if (live_[r] == arg) live_[r] = kNone;
     const auto other =
         static_cast<std::size_t>(rng_.uniformInt(0, kReceivers - 1));
     const double dice = rng_.uniform(0.0, 1.0);
     if (dice < 0.15) {
-      ends_[other].cancel();  // queued, executing, or already retired
+      live_[other] = kNone;  // queued, or ended already
     } else if (dice < 0.2) {
-      ends_[r].cancel();  // the executing item itself
+      live_[r] = kNone;  // a later reception at r, if any
     }
-    trace_.push_back(ends_[other].pending() ? 1 : 0);
+    trace_.push_back(live_[other] != kNone ? 1 : 0);
     if (dice > 0.6) {
       simulator_.schedule(0.25 * rng_.uniformInt(0, 4),
                           [this] { transmit(); }, "test/tx");
@@ -395,9 +380,13 @@ class ReceptionScript {
   Simulator simulator_;
   RngStream rng_;
   bool useRuns_;
-  std::vector<Frame> frames_;
+  std::uint64_t frames_ = 0;
   std::vector<Start> pending_[kReceivers];
-  EventHandle ends_[kReceivers];
+  /// Each receiver's latest reception not yet ended or aborted (its
+  /// token), or kNone.
+  std::uint64_t live_[kReceivers] = {kNone, kNone, kNone, kNone,
+                                     kNone, kNone, kNone, kNone,
+                                     kNone, kNone, kNone, kNone};
   std::vector<int> trace_;
 };
 
@@ -416,7 +405,6 @@ TEST_P(ReceptionRunParity, MatchesPerEventScheduling) {
             perEvent.simulator().queueDepth());
   EXPECT_EQ(runs.simulator().peakQueueDepth(),
             perEvent.simulator().peakQueueDepth());
-  EXPECT_EQ(runs.outstandingPayloadRefs(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ReceptionRunParity,

@@ -16,7 +16,18 @@ Metric classes:
   * wall-class    — wall_seconds, *_per_second, *_per_s, *.wall_s,
     *.wall_s_total, *speedup*, jobs: machine-load-dependent, so
     REPORT-ONLY by default (printed, never fatal). `--wall-rel-tol R`
-    opts them into enforcement.
+    opts them into enforcement, for the records whose builds match (see
+    Provenance).
+
+Provenance: every record carries a "provenance" object — compiler,
+optimized, ndebug, nproc and git_sha (bench/bench_support.hpp). Both
+sides' provenance is printed for every file compared. `--wall-rel-tol`
+is enforced on a file only when both sides carry provenance and agree on
+compiler, optimized, ndebug and nproc; otherwise its wall-class metrics
+stay report-only and the tool prints which field differs (or which side
+has no provenance). A wall-clock change between different builds or
+machines measures them, not the code. git_sha is printed, never
+compared.
 
 Structural drift is always fatal: a scenario, series, or metric present
 on one side only, series sampled at different x points, or a run-count
@@ -59,12 +70,45 @@ def is_wall_metric(name):
     return any(fnmatch.fnmatch(name, p) for p in WALL_PATTERNS)
 
 
+# Provenance fields both sides must share before wall-class metrics can be
+# enforced.
+MATCHED_PROVENANCE = ("compiler", "optimized", "ndebug", "nproc")
+
+
+def provenance_text(record):
+    """One record's provenance, printable; "none" without one."""
+    prov = record.get("provenance")
+    if not isinstance(prov, dict):
+        return "none"
+    return " ".join("%s=%s" % (key, json.dumps(prov.get(key)))
+                    for key in MATCHED_PROVENANCE + ("git_sha",))
+
+
+def wall_unenforceable(base, cand):
+    """Why wall-class metrics of this pair of records cannot be enforced,
+    or None when their builds and core counts match."""
+    a, b = base.get("provenance"), cand.get("provenance")
+    missing = [side for side, prov in (("baseline", a), ("candidate", b))
+               if not isinstance(prov, dict)]
+    if missing:
+        return "no provenance in " + " and ".join(missing)
+    differ = ["%s (%s vs %s)" % (key, json.dumps(a.get(key)),
+                                 json.dumps(b.get(key)))
+              for key in MATCHED_PROVENANCE if a.get(key) != b.get(key)]
+    if differ:
+        return "provenance differs in " + ", ".join(differ)
+    return None
+
+
 class Diff:
     def __init__(self, args):
         self.args = args
         self.failures = []
         self.wall_notes = []
         self.compared = 0
+        # Why the current file's wall-class metrics are not enforced
+        # despite --wall-rel-tol, or None.
+        self.wall_reason = None
 
     def fail(self, where, message):
         self.failures.append("%s: %s" % (where, message))
@@ -84,7 +128,7 @@ class Diff:
         rel = abs(a - b) / denom if denom else 0.0
         if is_wall_metric(name):
             tol = self.args.wall_rel_tol
-            if tol is None:
+            if tol is None or self.wall_reason is not None:
                 self.wall_notes.append(
                     "%s: %s %.6g -> %.6g (%+.1f%%, wall-class, not enforced)"
                     % (where, name, a, b, 100.0 * (b - a) / a if a else 0.0))
@@ -112,6 +156,14 @@ class Diff:
 
     def file(self, name, base, cand):
         where = name
+        print("%s: provenance baseline  %s" % (name, provenance_text(base)))
+        print("%s: provenance candidate %s" % (name, provenance_text(cand)))
+        self.wall_reason = None
+        if self.args.wall_rel_tol is not None:
+            self.wall_reason = wall_unenforceable(base, cand)
+            if self.wall_reason is not None:
+                print("%s: --wall-rel-tol not enforced: %s"
+                      % (name, self.wall_reason))
         if base.get("quick") != cand.get("quick") and \
                 not self.args.allow_mode_mismatch:
             self.fail(where, "quick-mode mismatch (baseline quick=%s, "
@@ -188,7 +240,8 @@ def main(argv):
                         help="per-metric tolerance band (first match wins)")
     parser.add_argument("--wall-rel-tol", type=float, default=None,
                         help="enforce wall-class metrics at this relative "
-                             "tolerance (default: report-only)")
+                             "tolerance where both sides' provenance "
+                             "matches (default: report-only)")
     parser.add_argument("--allow-mode-mismatch", action="store_true",
                         help="compare full vs --quick benches anyway")
     args = parser.parse_args(argv[1:])
