@@ -180,11 +180,12 @@ void BM_ChannelBroadcastFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelBroadcastFanout)->Arg(50)->Arg(200);
 
-// Spatial-index fan-out vs the brute-force scan at a fixed attachment
+// Bucket-grid fan-out vs the brute-force scan at a fixed attachment
 // count. Field side scales with the node count to hold the paper's
 // density (100 hosts per 1000 m square), so the broadcast's *delivery*
 // work is constant and the measured difference is the candidate scan:
-// all N attachments (brute) vs the 3x3 index buckets around the sender.
+// all N attachments (brute) vs the grid buckets that meet the sender's
+// reach disc.
 // Manual timing covers transmitFrom only — the scan plus delivery
 // scheduling; the scheduled receiver-side events drain untimed between
 // iterations because that work is identical in both modes and would only

@@ -57,17 +57,23 @@ void GatewayUniquenessAudit::observe(
 
 void SleepTransmitAudit::observe(const std::vector<SleepTxSighting>& hosts,
                                  AuditContext& context) {
-  std::map<net::NodeId, sim::Time> stillInconsistent;
+  std::map<net::NodeId, Episode> stillInconsistent;
   for (const SleepTxSighting& host : hosts) {
     if (!host.protocolSleeping) continue;
     const bool radioConsistent = host.radioState == phy::RadioState::kSleep ||
                                  host.radioState == phy::RadioState::kOff ||
                                  host.sleepPending;
     if (radioConsistent) continue;
+    // The episode seen last continues only if the host has neither
+    // re-entered sleep nor slept its radio since.
     auto it = inconsistentSince_.find(host.id);
-    sim::Time since = it != inconsistentSince_.end() ? it->second
-                                                     : context.now();
-    stillInconsistent[host.id] = since;
+    const bool continued =
+        it != inconsistentSince_.end() &&
+        it->second.protocolSleepEntries == host.protocolSleepEntries &&
+        it->second.radioSleeps == host.radioSleeps;
+    const sim::Time since = continued ? it->second.since : context.now();
+    stillInconsistent[host.id] =
+        Episode{since, host.protocolSleepEntries, host.radioSleeps};
     if (context.now() - since > settleGrace_) {
       std::ostringstream os;
       os << "host " << host.id << " has been protocol-sleeping for "

@@ -15,6 +15,7 @@
 // transient that the protocol itself resolves is not.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -70,13 +71,17 @@ class GatewayUniquenessAudit {
 //    ECGRID deliberately holds Role::kSleeping for a few milliseconds
 //    while the SLEEP notice clears the MAC before powering the radio
 //    down, so only inconsistency that *persists* past `settleGrace` is a
-//    violation.
+//    violation. Two such drains that no sample separates are two
+//    episodes, not one: an episode restarts when the host entered
+//    protocol sleep, or asked its radio to sleep, since the last sample.
 
 struct SleepTxSighting {
   net::NodeId id = net::kBroadcastId;
   bool protocolSleeping = false;  ///< routing layer says "I am asleep"
   phy::RadioState radioState = phy::RadioState::kIdle;
   bool sleepPending = false;  ///< radio sleep deferred behind a TX
+  std::uint64_t protocolSleepEntries = 0;  ///< protocol-sleep entries so far
+  std::uint64_t radioSleeps = 0;  ///< radio sleep requests so far
 };
 
 class SleepTransmitAudit {
@@ -88,9 +93,16 @@ class SleepTransmitAudit {
                AuditContext& context);
 
  private:
+  /// An inconsistency: when it started, and the host's entry counts then.
+  struct Episode {
+    sim::Time since = 0.0;
+    std::uint64_t protocolSleepEntries = 0;
+    std::uint64_t radioSleeps = 0;
+  };
+
   sim::Time settleGrace_;
-  /// Hosts currently inconsistent and when the inconsistency started.
-  std::map<net::NodeId, sim::Time> inconsistentSince_;
+  /// Hosts currently inconsistent, by id.
+  std::map<net::NodeId, Episode> inconsistentSince_;
 };
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include "check/network_audits.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/audits.hpp"
@@ -12,16 +15,20 @@ namespace ecgrid::check {
 
 namespace {
 
-bool protocolSleeping(net::Node& node) {
+/// Whether the host's protocol is asleep, and how often it has entered
+/// sleep (false and 0 for protocols that never sleep).
+std::pair<bool, std::uint64_t> protocolSleep(net::Node& node) {
   if (const auto* grid =
           dynamic_cast<const protocols::GridProtocolBase*>(&node.protocol())) {
-    return grid->role() == protocols::GridProtocolBase::Role::kSleeping;
+    return {grid->role() == protocols::GridProtocolBase::Role::kSleeping,
+            grid->sleepEntries()};
   }
   if (const auto* gaf =
           dynamic_cast<const protocols::GafProtocol*>(&node.protocol())) {
-    return gaf->state() == protocols::GafProtocol::State::kSleep;
+    return {gaf->state() == protocols::GafProtocol::State::kSleep,
+            gaf->sleepEntries()};
   }
-  return false;
+  return {false, 0};
 }
 
 /// Date a down host: injected crashes stamp Node::crashedAt(), battery
@@ -62,7 +69,9 @@ void installStandardAudits(InvariantAuditor& auditor, net::Network& network,
     for (auto& node : network.nodes()) {
       SleepTxSighting sighting;
       sighting.id = node->id();
-      sighting.protocolSleeping = protocolSleeping(*node);
+      std::tie(sighting.protocolSleeping, sighting.protocolSleepEntries) =
+          protocolSleep(*node);
+      sighting.radioSleeps = node->radioSleeps();
       sighting.radioState = node->radio().state();
       sighting.sleepPending = node->radio().sleepPending();
       sightings.push_back(sighting);

@@ -78,24 +78,15 @@ Node::Node(sim::Simulator& sim, const geo::GridMap& grid,
         if (protocol_ && alive()) protocol_->onCellChanged(from, to);
       },
       [this] { return gpsError_; });
-
-  // Keep the channel's spatial index current: re-bucket this radio every
-  // time it crosses an index-bucket boundary. Static hosts never arm a
-  // timer (nextPossibleCellExit = never), so this costs nothing for them.
-  if (const geo::GridMap* indexGrid = channel_.indexGrid()) {
-    phyTracker_ = std::make_unique<mobility::GridTracker>(
-        sim_, *indexGrid, *mobility_,
-        [this](const geo::GridCoord&, const geo::GridCoord&) {
-          channel_.notifyMoved(channelAttachment_);
-        });
-  }
 }
 
 Node::~Node() = default;
 
 void Node::attachToMedia() {
   // Physical media always see the ground-truth position: GPS error warps
-  // what the host believes, not where its antenna radiates.
+  // what the host believes, not where its antenna radiates. The channel
+  // keeps its fan-out buckets current from these legs on its own, so the
+  // host arms nothing for it.
   channelAttachment_ = channel_.attach(
       radio_.get(), [this](sim::Time t) { return mobility_->legAt(t); });
   pagingAttachment_ = paging_.attach(
@@ -180,6 +171,7 @@ void Node::setDeathCallback(std::function<void(NodeId, sim::Time)> cb) {
 }
 
 void Node::sleepRadio() {
+  ++radioSleeps_;
   mac_->clearQueue();
   radio_->sleep();
 }
@@ -213,7 +205,6 @@ void Node::crash() {
     tracer->instant("fault", "crash", config_.id);
   }
   tracker_->stop();
-  if (phyTracker_) phyTracker_->stop();
   mac_->clearQueue();
   channel_.detach(channelAttachment_);
   paging_.detach(pagingAttachment_);
@@ -237,7 +228,6 @@ void Node::restart() {
   radio_->powerUp();
   attachToMedia();
   tracker_->restart();  // no event: the fresh protocol reads cell()
-  if (phyTracker_) phyTracker_->restart();
   protocol_ = protocolFactory_();
   protocol_->start();
 }
@@ -258,7 +248,6 @@ void Node::onDeath() {
     tracer->instant("node", "death", config_.id);
   }
   tracker_->stop();
-  if (phyTracker_) phyTracker_->stop();
   mac_->clearQueue();
   channel_.detach(channelAttachment_);
   paging_.detach(pagingAttachment_);

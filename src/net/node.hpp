@@ -75,12 +75,12 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   // --- fault injection (src/fault) -----------------------------------------
   /// Hard host failure: radio forced Off (the battery freezes — a crash is
   /// not a battery death, so the death callback does NOT fire), channel and
-  /// pager detached, trackers stopped, protocol shut down. alive() reads
+  /// pager detached, cell tracker stopped, protocol shut down. alive() reads
   /// false until restart(). No-op on hosts already down.
   void crash();
 
   /// Bring a crashed host back: radio powered up, media re-attached,
-  /// trackers resumed, and a FRESH protocol built from the factory — the
+  /// cell tracker resumed, and a FRESH protocol built from the factory — the
   /// crash wiped all volatile routing state, as a reboot would.
   /// Requires crashed() and a protocol factory.
   void restart();
@@ -88,6 +88,8 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   bool crashed() const { return crashed_; }
   /// Time of the most recent crash (meaningful only while crashed()).
   sim::Time crashedAt() const { return crashedAt_; }
+  /// Times the protocol has asked this host's radio to sleep.
+  std::uint64_t radioSleeps() const { return radioSleeps_; }
 
   /// GPS error: world-frame offset added to the position this host
   /// *believes* (HostEnv::position()/cell()). Physical propagation — the
@@ -160,7 +162,6 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   std::unique_ptr<phy::Radio> radio_;
   std::unique_ptr<mac::CsmaMac> mac_;
   std::unique_ptr<mobility::GridTracker> tracker_;
-  std::unique_ptr<mobility::GridTracker> phyTracker_;  ///< spatial-index upkeep
   std::unique_ptr<RoutingProtocol> protocol_;
   std::function<std::unique_ptr<RoutingProtocol>()> protocolFactory_;
 
@@ -175,6 +176,7 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   sim::Time cellUntil_ = sim::kTimeZero;
   bool crashed_ = false;
   sim::Time crashedAt_ = 0.0;
+  std::uint64_t radioSleeps_ = 0;
 
   std::function<void(NodeId, const DataTag&, int)> onAppReceive_;
   std::function<void(NodeId, sim::Time)> onDeathCb_;

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "obs/observability.hpp"
 #include "phy/radio.hpp"
@@ -13,18 +14,19 @@
 namespace ecgrid::phy {
 
 namespace {
-// Index buckets must be strictly wider than the effective reach so that a
-// receiver whose bucket is stale by one boundary crossing (GridTracker
-// events at the same timestamp may not have fired yet) still falls inside
-// the sender's 3x3 neighbourhood. Any factor > 1 works; 1/16 extra keeps
-// the candidate blocks tight.
-constexpr double kIndexCellMargin = 1.0625;
+// Fan-out grid cells are half the effective reach wide: a reach disc meets
+// about five rows of about five cells. Finer cells fit the disc closer but
+// cost more per query, which sparse fields do not win back.
+constexpr double kCellsPerReach = 2.0;
+// How far (metres) an attachment may stray outside its bucket before it
+// must be re-bucketed: far above the rounding of one leg evaluation.
+constexpr double kGridMargin = 1.0;
+constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
-// Candidate scratch capacity: a 3x3 bucket neighbourhood at paper-baseline
-// densities holds a few dozen radios; 256 covers city-scale hotspots so
-// steady-state transmissions never grow the buffer. Awake and deferred
-// arrivals are about one transmission's receivers at a time, so the same
-// bound serves.
+// Arrival scratch capacity: awake and deferred arrivals are about one
+// transmission's receivers at a time, a few dozen at paper-baseline
+// densities; 256 covers city-scale hotspots so steady-state transmissions
+// never grow the buffers.
 constexpr std::size_t kInitialScratch = 256;
 
 // Arrival sets smaller than this are ordered by the insertion pass alone:
@@ -101,12 +103,8 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
       mDeliveriesCorrupted_(obs::counter(sim, "phy.deliveries_corrupted")) {
   ECGRID_REQUIRE(config.rangeMeters > 0.0, "range must be positive");
   ECGRID_REQUIRE(config.bitrateBps > 0.0, "bitrate must be positive");
-  if (config_.useSpatialIndex) {
-    double reach =
-        std::max(config_.rangeMeters, config_.interferenceRangeMeters);
-    index_.emplace(reach * kIndexCellMargin);
-  }
-  scratch_.reserve(kInitialScratch);
+  reach_ = std::max(config_.rangeMeters, config_.interferenceRangeMeters);
+  columns_.side = rows_.side = reach_ / kCellsPerReach;
   radixBuffer_.reserve(kInitialScratch);
   awake_.reserve(kInitialScratch);
   ends_.reserve(kInitialScratch);
@@ -139,7 +137,17 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
   radio->attachChannel(this);
   radio->setChannelAttachmentId(id);
   setAsleep(id, radio->sleeping());
-  if (index_) index_->insert(id, positionOf(id, sim_.now()));
+  if (config_.useSpatialIndex) {
+    // Every grid array is sized here, so refreshes and queries never grow
+    // one. The attachment is bucketed on the next refresh.
+    bucketOf_.resize(attachments_.size(), kNoBucket);
+    bucketUntil_.resize(attachments_.size());
+    members_.resize(attachments_.size());
+    scratch_.reserve(attachments_.size());
+    bucketUntil_[id] = -kInfinity;
+    refreshAt_ = -kInfinity;
+    fitGrid(positionOf(id, sim_.now()));
+  }
   ++liveAttachments_;
   return id;
 }
@@ -157,7 +165,11 @@ void Channel::detach(std::size_t attachmentId) {
   ECGRID_REQUIRE(attachmentId < attachments_.size(), "bad attachment id");
   Attachment& slot = attachments_[attachmentId];
   ECGRID_REQUIRE(slot.radio != nullptr, "attachment already detached");
-  if (index_) index_->remove(attachmentId);
+  if (config_.useSpatialIndex) {
+    bucketOf_[attachmentId] = kNoBucket;
+    bucketUntil_[attachmentId] = kInfinity;
+    refreshAt_ = -kInfinity;  // rebuild the offsets without it
+  }
   slot.radio->setChannelAttachmentId(Radio::kNoAttachment);
   slot.radio = nullptr;
   slot.legs = nullptr;
@@ -166,16 +178,100 @@ void Channel::detach(std::size_t attachmentId) {
   --liveAttachments_;
 }
 
-void Channel::notifyMoved(std::size_t attachmentId) {
-  ECGRID_REQUIRE(attachmentId < attachments_.size(), "bad attachment id");
-  if (!index_) return;
-  ECGRID_REQUIRE(attachments_[attachmentId].radio != nullptr,
-                 "attachment is detached");
-  index_->update(attachmentId, positionOf(attachmentId, sim_.now()));
+void Channel::fitGrid(const geo::Vec2& position) {
+  boxHigh_ = {std::max(boxHigh_.x, position.x),
+              std::max(boxHigh_.y, position.y)};
+  // At most 2 sqrt(N) + 8 cells a side, however far apart the positions.
+  const double limit =
+      std::sqrt(4.0 * static_cast<double>(attachments_.size())) + 8.0;
+  const auto fit = [limit](GridAxis& axis, double low, double high) {
+    const GridAxis was = axis;
+    axis.origin = std::min(axis.origin, low);
+    axis.cells = static_cast<std::uint32_t>(
+        std::min(std::floor((high - axis.origin) / axis.side) + 1.0, limit));
+    return axis.origin != was.origin || axis.cells != was.cells;
+  };
+  bool reshaped = fit(columns_, position.x, boxHigh_.x);
+  reshaped = fit(rows_, position.y, boxHigh_.y) || reshaped;
+  if (!reshaped) return;
+  bucketStart_.assign(std::size_t{columns_.cells} * rows_.cells + 2, 0);
+  for (std::size_t id = 0; id < bucketOf_.size(); ++id) {
+    if (bucketOf_[id] != kNoBucket) bucketUntil_[id] = -kInfinity;
+  }
 }
 
-const geo::GridMap* Channel::indexGrid() const {
-  return index_ ? &index_->grid() : nullptr;
+ECGRID_HOT_PATH void Channel::placeInGrid(std::size_t id, sim::Time now) {
+  const geo::Vec2 p = positionOf(id, now);
+  const geo::Segment& leg = legs_[id];
+  if (leg.end <= now) {
+    // A zero-length leg may move before any query: every query visits it.
+    bucketOf_[id] = columns_.cells * rows_.cells;
+    bucketUntil_[id] = kInfinity;
+    return;
+  }
+  const std::uint32_t column = columns_.cellOf(p.x);
+  const std::uint32_t row = rows_.cellOf(p.y);
+  bucketOf_[id] = row * columns_.cells + column;
+  // Each coordinate of leg.at(t) is monotone in t, so the position stays
+  // in the grown bucket until it reaches a grown wall or the leg ends.
+  bucketUntil_[id] = std::min(
+      {leg.end,
+       now + columns_.timeToLeave(column, p.x, leg.velocity.x, kGridMargin),
+       now + rows_.timeToLeave(row, p.y, leg.velocity.y, kGridMargin)});
+}
+
+ECGRID_HOT_PATH void Channel::refreshGrid(sim::Time now) {
+  sim::Time earliest = kInfinity;
+  for (std::size_t id = 0; id < attachments_.size(); ++id) {
+    if (bucketUntil_[id] <= now) placeInGrid(id, now);
+    earliest = std::min(earliest, bucketUntil_[id]);
+  }
+  refreshAt_ = earliest;
+  // Counting sort into the flat buckets: count each bucket's members one
+  // slot ahead, sum, then place ids in ascending order; placing advances
+  // every start to the next bucket's, and the shift restores them.
+  std::fill(bucketStart_.begin(), bucketStart_.end(), 0u);
+  for (std::uint32_t bucket : bucketOf_) {
+    if (bucket != kNoBucket) ++bucketStart_[bucket + 1];
+  }
+  for (std::size_t b = 1; b < bucketStart_.size(); ++b) {
+    bucketStart_[b] += bucketStart_[b - 1];
+  }
+  for (std::size_t id = 0; id < bucketOf_.size(); ++id) {
+    if (bucketOf_[id] != kNoBucket) {
+      members_[bucketStart_[bucketOf_[id]]++] = static_cast<std::uint32_t>(id);
+    }
+  }
+  for (std::size_t b = bucketStart_.size() - 1; b > 0; --b) {
+    bucketStart_[b] = bucketStart_[b - 1];
+  }
+  bucketStart_[0] = 0;
+}
+
+ECGRID_HOT_PATH void Channel::gatherNear(const geo::Vec2& center) {
+  scratch_.clear();
+  // An attachment lies within kGridMargin of its bucket on either axis,
+  // so within kGridMargin * sqrt(2) of it: a radio in reach of `center`
+  // sits in a bucket that meets this disc, with room to spare for
+  // rounding.
+  const double radius = reach_ + 2.0 * kGridMargin;
+  const auto copyBuckets = [this](std::size_t first, std::size_t last) {
+    scratch_.insert(scratch_.end(), members_.begin() + bucketStart_[first],
+                    members_.begin() + bucketStart_[last]);
+  };
+  const std::uint32_t lastRow = rows_.cellOf(center.y + radius);
+  for (std::uint32_t row = rows_.cellOf(center.y - radius); row <= lastRow;
+       ++row) {
+    // The disc's widest chord over the row; its cells are one span.
+    const double dy = std::max(
+        {0.0, rows_.low(row) - center.y, center.y - rows_.high(row)});
+    const double half = std::sqrt(std::max(0.0, radius * radius - dy * dy));
+    const std::size_t first = std::size_t{row} * columns_.cells;
+    copyBuckets(first + columns_.cellOf(center.x - half),
+                first + columns_.cellOf(center.x + half) + 1);
+  }
+  const std::size_t everywhere = std::size_t{columns_.cells} * rows_.cells;
+  copyBuckets(everywhere, everywhere + 1);
 }
 
 ECGRID_HOT_PATH geo::Vec2 Channel::positionOf(std::size_t id,
@@ -291,14 +387,14 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
   // order whatever order the candidates are visited in.
   const sim::OrderBlock places = sim_.reserveBlock(attachments_.size());
   awake_.clear();
-  if (index_) {
-    scratch_.clear();
-    index_->collectNear(senderPos, scratch_);
-    // Bucket iteration order is hash-dependent. Only the fault slot sees
-    // visiting order (it may draw from a stateful stream), so only then
-    // are candidates sorted into the brute-force scan's slot order.
+  if (config_.useSpatialIndex) {
+    if (now >= refreshAt_) refreshGrid(now);
+    gatherNear(senderPos);
+    // Candidates come bucket by bucket. Only the fault slot sees visiting
+    // order (it may draw from a stateful stream), so only then are they
+    // sorted into the brute-force scan's slot order.
     if (config_.deliveryFault) std::sort(scratch_.begin(), scratch_.end());
-    for (std::size_t id : scratch_) {
+    for (std::uint32_t id : scratch_) {
       if (id == senderId) continue;
       deliverTo(id, sender.id(), senderPos, now, frame, places);
     }

@@ -7,11 +7,14 @@
 // Collisions are decided per-receiver by the Radio (any temporal overlap
 // corrupts), so hidden-terminal losses emerge naturally.
 //
-// Fan-out uses a SpatialIndex by default: attachments are bucketed by a
-// grid of side strictly greater than the effective reach, and a broadcast
-// scans only the 3x3 buckets around the sender. The brute-force O(N) scan
-// is kept behind `ChannelConfig::useSpatialIndex = false` for differential
-// testing; both modes produce bit-identical simulations.
+// Fan-out uses a bucket grid by default: attachments are bucketed on a
+// dense grid of squares half the effective reach wide, and a broadcast
+// visits only the buckets that meet its sender's reach disc. The buckets
+// are refreshed lazily from the cached motion legs, with no events
+// (DESIGN.md §9 argues they always hold a superset of the radios in
+// reach). The brute-force O(N) scan is kept behind
+// `ChannelConfig::useSpatialIndex = false` for differential testing; both
+// modes produce bit-identical simulations.
 //
 // PHY work scales with the radios that can hear a frame, not with every
 // radio in range:
@@ -21,7 +24,7 @@
 //     (Simulator::reserveBlock), and receiver `id`'s start gets place `id`
 //     of the block. No other event's sequence falls inside the block, so
 //     same-instant starts sort in ascending attachment order however the
-//     candidates were visited: the hash-ordered bucket scan needs no sort.
+//     candidates were visited: the bucket-ordered scan needs no sort.
 //     The one exception is the fault slot, which may draw from a stateful
 //     stream; while it is armed the candidates are sorted so it is
 //     consulted in ascending attachment order in both modes.
@@ -86,9 +89,10 @@
 // decodable arrivals at listening radios.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <limits>
 #include <vector>
 
 #include "geo/segment.hpp"
@@ -96,7 +100,6 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "phy/frame.hpp"
-#include "phy/spatial_index.hpp"
 #include "sim/simulator.hpp"
 #include "util/hot_path.hpp"
 #include "util/ownership.hpp"
@@ -138,13 +141,13 @@ struct ChannelConfig {
   /// 1.8–2.2× their decode range; the `interference` rows of
   /// `bench/ablations` sweep this.
   double interferenceRangeMeters = 0.0;
-  /// Bucket attachments spatially so broadcasts scan O(density) radios
+  /// Bucket attachments spatially so broadcasts visit O(density) radios
   /// instead of all N. Off = the brute-force full scan (identical event
   /// schedule; kept for differential tests and as a paranoia escape hatch).
   bool useSpatialIndex = true;
   /// Fault-injection slot (src/fault): when set, consulted once per
   /// (transmission, in-range receiver) pair, in ascending attachment order
-  /// — identical in both fan-out modes, so the spatial-index fast path is
+  /// — identical in both fan-out modes, so the bucket-grid fast path is
   /// unaffected. Returning true corrupts that delivery: the energy still
   /// arrives (carrier sense, collisions) but the frame cannot decode.
   /// Null (the default) costs nothing. Also armable post-construction via
@@ -181,17 +184,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Detach (host death). The radio receives nothing afterwards and the
   /// attachment id becomes free for reuse.
   void detach(std::size_t attachmentId);
-
-  /// Spatial-index maintenance: the radio behind `attachmentId` may have
-  /// crossed an index-bucket boundary; re-bucket it from its current
-  /// position. Callers whose radios move MUST call this at least once per
-  /// bucket crossing (Node arms a GridTracker on indexGrid() for exactly
-  /// this). No-op in brute-force mode.
-  void notifyMoved(std::size_t attachmentId);
-
-  /// The spatial index's bucket grid, or nullptr in brute-force mode.
-  /// Stable for the channel's lifetime.
-  const geo::GridMap* indexGrid() const;
 
   /// Called by a transmitting radio. Records the arrival on every other
   /// attached radio within range (undecodable energy inside the
@@ -239,6 +231,34 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   };
 
   static constexpr std::uint32_t kNoInFlight = 0xffffffffu;
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+  /// One axis of the fan-out grid: `cells` cells of side `side` from
+  /// `origin`, the first and last open outwards, so every coordinate has
+  /// a cell.
+  struct GridAxis {
+    double origin = kInfinity;
+    double side = 0.0;
+    std::uint32_t cells = 0;
+    std::uint32_t cellOf(double v) const {
+      return static_cast<std::uint32_t>(
+          std::clamp((v - origin) / side, 0.0, cells - 1.0));
+    }
+    double low(std::uint32_t cell) const {
+      return cell == 0 ? -kInfinity : origin + cell * side;
+    }
+    double high(std::uint32_t cell) const {
+      return cell + 1 == cells ? kInfinity : origin + (cell + 1) * side;
+    }
+    /// Time until a coordinate at `p` moving at `v` leaves `cell` grown by
+    /// `margin`: infinite when it does not move or heads out of the grid.
+    double timeToLeave(std::uint32_t cell, double p, double v,
+                       double margin) const {
+      if (v > 0.0) return (high(cell) + margin - p) / v;
+      if (v < 0.0) return (low(cell) - margin - p) / v;
+      return kInfinity;
+    }
+  };
 
   /// A transmission some sleeper heard: what its parked arrivals share.
   struct InFlight {
@@ -258,6 +278,16 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Attachment `id`'s position now, from its cached leg (refreshed
   /// through its provider once the leg has ended).
   geo::Vec2 positionOf(std::size_t id, sim::Time now);
+  /// Grow the grid's box to hold `position` (seen at attach); a box that
+  /// changes shape re-buckets every attachment on the next refresh.
+  void fitGrid(const geo::Vec2& position);
+  /// Put attachment `id` in its bucket at `now` and date the bucket.
+  void placeInGrid(std::size_t id, sim::Time now);
+  /// Re-bucket every expired attachment and rebuild the buckets.
+  void refreshGrid(sim::Time now);
+  /// Gather into scratch_ every attachment whose bucket meets the disc of
+  /// radius reach + 2 * kGridMargin around `center`, plus the unbucketed.
+  void gatherNear(const geo::Vec2& center);
   void deliverTo(std::size_t id, net::NodeId senderId,
                  const geo::Vec2& senderPos, sim::Time now,
                  const FrameRef& frame, const sim::OrderBlock& places);
@@ -269,10 +299,24 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// is re-read on its next query.
   std::vector<geo::Segment> legs_;
   std::vector<std::size_t> freeSlots_;
-  std::optional<SpatialIndex> index_;
+  // The fan-out grid: columns_ x rows_ cells, row-major, and one extra
+  // bucket last for attachments every query visits (zero-length legs).
+  // Bucket b holds members_[bucketStart_[b] .. bucketStart_[b + 1]), ids
+  // ascending. Empty while useSpatialIndex is off.
+  double reach_ = 0.0;
+  GridAxis columns_;
+  GridAxis rows_;
+  geo::Vec2 boxHigh_{-kInfinity, -kInfinity};  ///< of attach positions
+  std::vector<std::uint32_t> bucketOf_;  ///< by id; kNoBucket if detached
+  /// By id: until when the attachment stays within its bucket grown by
+  /// kGridMargin; -inf = not yet placed, +inf = never leaves.
+  std::vector<sim::Time> bucketUntil_;
+  std::vector<std::uint32_t> bucketStart_;
+  std::vector<std::uint32_t> members_;
+  sim::Time refreshAt_ = 0.0;  ///< earliest bucketUntil_, or sooner
   /// Each attachment's sleep byte, by id: 1 while its radio sleeps.
   std::vector<std::uint8_t> asleep_;
-  std::vector<std::size_t> scratch_;  ///< candidate buffer, reused per tx
+  std::vector<std::uint32_t> scratch_;  ///< candidate buffer, reused per tx
   std::vector<ArrivalStart> awake_;  ///< listeners' starts, reused per tx
   std::vector<ArrivalStart> radixBuffer_;  ///< orderArrivals' scratch
   /// Listeners' reception ends, queued as one run; reused per tx.

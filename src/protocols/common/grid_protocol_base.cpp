@@ -120,6 +120,7 @@ void GridProtocolBase::setRole(Role role) {
   if (role_ == role) return;
   Role old = role_;
   role_ = role;
+  if (role == Role::kSleeping) ++sleepEntries_;
   if (old == Role::kGateway) servedGrid_.reset();
   ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " role "
                                  << static_cast<int>(old) << " -> "

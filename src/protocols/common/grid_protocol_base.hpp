@@ -76,6 +76,8 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   void onShutdown() override;
 
   Role role() const { return role_; }
+  /// Times this host has entered Role::kSleeping.
+  std::uint64_t sleepEntries() const { return sleepEntries_; }
   bool isGateway() const { return role_ == Role::kGateway; }
   std::optional<net::NodeId> currentGateway() const { return currentGateway_; }
   /// Grid this host is currently gateway of (set while Role::kGateway,
@@ -155,6 +157,7 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   sim::RngStream rng_;
 
   Role role_ = Role::kUndecided;
+  std::uint64_t sleepEntries_ = 0;
   std::optional<geo::GridCoord> servedGrid_;
   std::optional<net::NodeId> currentGateway_;
   sim::Time lastGatewayHello_ = sim::kTimeZero;

@@ -184,6 +184,7 @@ void GafProtocol::sleepFor(sim::Time duration) {
     // Data waiting for a leader: stay up in discovery instead.
     return;
   }
+  if (state_ != State::kSleep) ++sleepEntries_;
   state_ = State::kSleep;
   engine_.stopRouting();
   env_.sleepRadio();

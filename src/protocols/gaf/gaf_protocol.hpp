@@ -97,6 +97,8 @@ class ECGRID_DOMAIN_PER_HOST GafProtocol final : public net::RoutingProtocol {
   void onShutdown() override;
 
   State state() const { return state_; }
+  /// Times this host has entered State::kSleep.
+  std::uint64_t sleepEntries() const { return sleepEntries_; }
   bool isLeader() const { return state_ == State::kActive; }
   const RoutingStats& routingStats() const { return engine_.stats(); }
 
@@ -131,6 +133,7 @@ class ECGRID_DOMAIN_PER_HOST GafProtocol final : public net::RoutingProtocol {
   sim::RngStream rng_;
 
   State state_ = State::kDiscovery;
+  std::uint64_t sleepEntries_ = 0;
   sim::Time activeUntil_ = sim::kTimeZero;
   /// Instant discovery was last (re-)entered. Ta is bounded by the GPS
   /// dwell estimate, so the active-handover timer and the grid tracker's

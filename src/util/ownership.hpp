@@ -19,8 +19,8 @@
 //                               `cross-host-access` enforces this.
 //
 //   ECGRID_DOMAIN_PER_SCENARIO  Owned by one scenario run: Simulator,
-//                               EventQueue, Network, Channel,
-//                               SpatialIndex, Observability sinks, stats
+//                               EventQueue, Network, Channel (with
+//                               its fan-out grid), Observability sinks, stats
 //                               recorders, fault injector. One instance
 //                               per runScenario call; never shared
 //                               between concurrent runs, so needs no

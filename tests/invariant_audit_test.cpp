@@ -154,6 +154,40 @@ TEST(SleepTransmitAudit, FiresWhenSleepingHostKeepsTransmitting) {
   EXPECT_NE(probe.violations()[0].detail.find("host 5"), std::string::npos);
 }
 
+// One pre-sleep drain that outlasts the grace, sampled three times with
+// no sleep entered in between, is one episode and reports.
+TEST(SleepTransmitAudit, ReportsOneContinuousEpisodeLongerThanTheGrace) {
+  SleepTransmitAudit audit(/*settleGrace=*/1.0);
+  std::vector<SleepTxSighting> sightings = {
+      {6, true, phy::RadioState::kIdle, false, 3, 2}};
+  Probe probe([&](AuditContext& context) { audit.observe(sightings, context); });
+  EXPECT_EQ(probe.violationsAfter(10.0), 0u);
+  EXPECT_EQ(probe.violationsAfter(10.6), 0u);
+  ASSERT_EQ(probe.violationsAfter(11.2), 1u);
+  EXPECT_NE(probe.violations()[0].detail.find("host 6"), std::string::npos);
+}
+
+// Two short drains, each caught by one sample, with the host having
+// re-entered sleep (or slept its radio) between the samples: two
+// episodes, neither longer than the grace, so nothing reports. Only a
+// sample that sees the same counts again continues an episode.
+TEST(SleepTransmitAudit, DoesNotJoinTwoEpisodesThatNoSampleSeparates) {
+  SleepTransmitAudit audit(/*settleGrace=*/1.0);
+  std::vector<SleepTxSighting> sightings = {
+      {7, true, phy::RadioState::kIdle, false, 1, 0}};
+  Probe probe([&](AuditContext& context) { audit.observe(sightings, context); });
+  EXPECT_EQ(probe.violationsAfter(10.0), 0u);
+  // Re-entered protocol sleep since: a new episode from 11.1.
+  sightings = {{7, true, phy::RadioState::kIdle, false, 2, 0}};
+  EXPECT_EQ(probe.violationsAfter(11.1), 0u);
+  // Slept its radio since: a new episode from 12.2.
+  sightings = {{7, true, phy::RadioState::kIdle, false, 2, 1}};
+  EXPECT_EQ(probe.violationsAfter(12.2), 0u);
+  // Nothing since: the episode from 12.2 continues past the grace.
+  ASSERT_EQ(probe.violationsAfter(13.3), 1u);
+  EXPECT_NE(probe.violations()[0].detail.find("1.1"), std::string::npos);
+}
+
 // --------------------------------------------------------------------------
 // 3. battery monotonicity
 

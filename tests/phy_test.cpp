@@ -678,7 +678,9 @@ FanOutTrace runSleepyFanOut(bool useSpatialIndex) {
     Radio& radio = *radios.back();
     radio.attachChannel(&channel);
     const geo::Vec2 at{rng.uniform(0.0, 800.0), rng.uniform(0.0, 800.0)};
-    channel.attach(&radio, [at] { return at; });
+    channel.attach(&radio, [at](sim::Time) {
+      return geo::Segment{0.0, sim::kTimeNever, at, {}};
+    });
     radio.setFrameCallback([&trace, &simulator, i](const net::Packet& f) {
       trace.decoded.emplace_back(simulator.now(), i, f.uid);
     });
