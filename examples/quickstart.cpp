@@ -2,15 +2,18 @@
 //
 //   $ ./quickstart [--protocol ECGRID|GRID|GAF|FLOOD] [--hosts N]
 //                  [--speed M/S] [--duration S] [--seed N]
-//                  [--trace-events PATH] [--profile] [--log SPEC]
+//                  [--trace-events PATH] [--profile]
 //
 // This is the smallest complete use of the library: configure a scenario,
 // run it, read the result. The observability flags:
-//   --trace-events=ev.jsonl  write protocol event spans and run-health
-//                            counter records (convert with
-//                            tools/trace_chrome.py, open in Perfetto)
+//   --trace-events=ev.jsonl  write the run's one diagnostics stream:
+//                            protocol spans and instants (elections,
+//                            RETIRE, RAS pages and wakes, per-hop routing,
+//                            MAC drops, collisions, deaths) plus run-health
+//                            counter records; check it with
+//                            tools/trace_check.py, convert it with
+//                            tools/trace_chrome.py and open it in Perfetto
 //   --profile                per-event-label dispatch counts + wall time
-//   --log=info,mac=debug     per-component log levels with sim-time stamps
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -19,7 +22,6 @@
 
 #include "harness/scenario.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 
 int main(int argc, char** argv) try {
   using namespace ecgrid;
@@ -27,7 +29,7 @@ int main(int argc, char** argv) try {
   const util::Flags flags = util::Flags::parseOrExit(
       argc, argv,
       {"protocol", "hosts", "speed", "duration", "seed", "flows", "pps",
-       "latency-percentiles", "trace-events", "profile", "log"},
+       "latency-percentiles", "trace-events", "profile"},
       "usage: quickstart [flags]\n"
       "Run one scenario (default ECGRID, 100 hosts, 600 s) and print the "
       "headline numbers.");
@@ -47,9 +49,6 @@ int main(int argc, char** argv) try {
   config.packetsPerSecondPerFlow = flags.getDouble("pps", 1.0);
   config.eventTracePath = flags.getString("trace-events", "");
   config.profileSimulator = flags.getBool("profile", false);
-  if (flags.has("log")) {
-    util::Logger::configure(flags.getString("log", "info"));
-  }
 
   std::printf("ECGRID quickstart — protocol=%s hosts=%d speed=%.1f m/s "
               "duration=%.0f s\n",

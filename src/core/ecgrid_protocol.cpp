@@ -2,12 +2,10 @@
 
 #include "obs/observability.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::core {
 
 namespace {
-constexpr const char* kTag = "ecgrid";
 using protocols::AcqHeader;
 using protocols::DataHeader;
 /// RAS paging latency headroom used for optimistic post-page forwarding.
@@ -77,8 +75,6 @@ void EcgridProtocol::scheduleSleepCheck() {
 }
 
 void EcgridProtocol::goToSleep() {
-  ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " sleeps at t="
-                                 << env_.simulator().now());
   sleepTimer_.cancel();
   acqTimer_.cancel();
   // Tell the gateway our status column flips to "sleep" (paper §3 host
@@ -232,8 +228,6 @@ void EcgridProtocol::onPageTimeout(net::NodeId dst) {
   if (state.pagesSent >= ecgridConfig_.pageRetries) {
     // The sleeper is gone (moved away or died): purge it so routing stops
     // treating it as local.
-    ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " gives up paging "
-                                   << dst);
     if (auto* tracer = obs::tracer(env_.simulator())) {
       tracer->end("ras", "wake_chain", wakeChainSpanId(dst), env_.id(),
                   {{"delivered", 0}});
@@ -369,10 +363,8 @@ void EcgridProtocol::gatewayPeriodic() {
 }
 
 void EcgridProtocol::retireForLoadBalance() {
-  ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " retires (load balance) t="
-                                 << env_.simulator().now());
   geo::GridCoord grid = env_.cell();
-  beginRetire(grid);
+  beginRetire(grid, "load_balance");
   setRole(Role::kMember);
   enterGraceRouting();
   currentGateway_.reset();
@@ -382,7 +374,8 @@ void EcgridProtocol::retireForLoadBalance() {
   // paper's rule for lower-level gateways.
 }
 
-void EcgridProtocol::beginRetire(const geo::GridCoord& forGrid) {
+void EcgridProtocol::beginRetire(const geo::GridCoord& forGrid,
+                                 const char* cause) {
   // Paper §3.2: wake the whole grid with its broadcast sequence, wait τ
   // so transceivers are up, then broadcast RETIRE(grid, rtab).
   if (auto* tracer = obs::tracer(env_.simulator())) {
@@ -394,9 +387,9 @@ void EcgridProtocol::beginRetire(const geo::GridCoord& forGrid) {
   geo::GridCoord grid = forGrid;
   env_.simulator().schedule(
       config_.retireTau,
-      [this, grid, records]() mutable {
+      [this, grid, records, cause]() mutable {
         if (role() == Role::kDead) return;
-        broadcastRetire(grid, std::move(records));
+        broadcastRetire(grid, std::move(records), cause);
       },
       "ecgrid/retire_tau");
 }

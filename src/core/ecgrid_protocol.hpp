@@ -83,7 +83,7 @@ class ECGRID_DOMAIN_PER_HOST EcgridProtocol final : public protocols::GridProtoc
     return ecgridConfig_.enableSleep;
   }
   void deliverToLocalHost(net::NodeId dst, const net::Packet& frame) override;
-  void beginRetire(const geo::GridCoord& forGrid) override;
+  void beginRetire(const geo::GridCoord& forGrid, const char* cause) override;
   void onNoGateway() override;
   void onLocalHostActive(net::NodeId host) override;
   void onRoleChanged(Role from, Role to) override;

@@ -2,11 +2,11 @@
 //
 // runScenario() is a pure function of its config: every run builds its
 // own Simulator, Network, and RNG streams (ECGRID_DOMAIN_PER_SCENARIO —
-// see util/ownership.hpp), and touches no global mutable state beyond
-// the thread-safe Logger. Runs are therefore embarrassingly parallel,
-// and executing them on a thread pool yields results bit-identical to
-// the serial loop — results come back in input order, so callers'
-// output (tables, CSVs) cannot tell the difference. The benches (through
+// see util/ownership.hpp), and touches no global mutable state. Runs
+// are therefore embarrassingly parallel, and executing them on a thread
+// pool yields results bit-identical to the serial loop — results come
+// back in input order, so callers' output (tables, CSVs) cannot tell the
+// difference. The benches (through
 // bench::runLabelled) and the campaign runner are its only callers.
 //
 // Shared state inside the pool is written at disjoint indices only:

@@ -4,13 +4,8 @@
 
 #include "obs/observability.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::mac {
-
-namespace {
-constexpr const char* kTag = "mac";
-}
 
 CsmaMac::CsmaMac(sim::Simulator& sim, phy::Radio& radio, phy::Channel& channel,
                  const CsmaConfig& config, sim::RngStream rng)
@@ -130,8 +125,6 @@ ECGRID_HOT_PATH void CsmaMac::send(net::Packet packet) {
                       {{"reason", "queue_overflow"},
                        {"hdr", packet.header->name()}});
     }
-    ECGRID_LOG_DEBUG(kTag, "node " << radio_.id() << " queue overflow, drop "
-                                   << packet.header->name());
     return;
   }
   packet.macSeq = nextMacSeq_++;
@@ -189,9 +182,6 @@ ECGRID_HOT_PATH void CsmaMac::tryTransmit() {
   Pending& front = queue_.front();
   if (radio_.mediumBusy() || radio_.mediumIdleAt() > sim_.now()) {
     if (++front.busyRetries >= config_.maxAccessAttempts) {
-      ECGRID_LOG_DEBUG(kTag, "node " << radio_.id()
-                                     << " exceeded access attempts, drop "
-                                     << front.packet.header->name());
       if (auto* tracer = obs::tracer(sim_)) {
         tracer->instant("mac", "drop", radio_.id(),
                         {{"reason", "access_exhausted"},
@@ -257,14 +247,7 @@ ECGRID_HOT_PATH void CsmaMac::onAckTimeout() {
   awaitingAck_ = false;
   ECGRID_CHECK(!queue_.empty(), "ack timeout with empty queue");
   Pending& front = queue_.front();
-  ECGRID_LOG_TRACE(kTag, "node " << radio_.id() << " ack-timeout "
-                                 << front.packet.header->name() << " to "
-                                 << front.packet.macDst << " attempt "
-                                 << front.txAttempts);
   if (front.txAttempts > config_.retryLimit) {
-    ECGRID_LOG_DEBUG(kTag, "node " << radio_.id() << " retry limit, drop "
-                                   << front.packet.header->name() << " to "
-                                   << front.packet.macDst);
     if (auto* tracer = obs::tracer(sim_)) {
       tracer->instant("mac", "drop", radio_.id(),
                       {{"reason", "retry_limit"},

@@ -4,13 +4,10 @@
 
 #include "obs/observability.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::net {
 
 namespace {
-constexpr const char* kTag = "node";
-
 /// How close (metres) the believed position may come to a wall of its cell
 /// before cell() recomputes: far above the rounding error of one leg
 /// evaluation, so the end-of-interval check below practically never fails.
@@ -196,8 +193,6 @@ void Node::deliverToApp(NodeId appSrc, const DataTag& tag, int payloadBytes) {
 
 void Node::crash() {
   if (!alive() || crashed_) return;
-  ECGRID_LOG_INFO(kTag, "node " << config_.id << " crashed at t="
-                                << sim_.now());
   crashed_ = true;
   crashedAt_ = sim_.now();
   obs::counter(sim_, "fault.crashes").add();
@@ -218,8 +213,6 @@ void Node::restart() {
   ECGRID_REQUIRE(crashed_, "restart() requires a crashed host");
   ECGRID_REQUIRE(protocolFactory_ != nullptr,
                  "restart() needs a protocol factory to rebuild state");
-  ECGRID_LOG_INFO(kTag, "node " << config_.id << " restarted at t="
-                                << sim_.now());
   crashed_ = false;
   obs::counter(sim_, "fault.restarts").add();
   if (auto* tracer = obs::tracer(sim_)) {
@@ -242,7 +235,6 @@ void Node::setGpsError(const geo::Vec2& error) {
 }
 
 void Node::onDeath() {
-  ECGRID_LOG_INFO(kTag, "node " << config_.id << " died at t=" << sim_.now());
   obs::counter(sim_, "energy.deaths").add();
   if (auto* tracer = obs::tracer(sim_)) {
     tracer->instant("node", "death", config_.id);

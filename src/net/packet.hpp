@@ -46,10 +46,11 @@ class Header {
   /// excluding MAC framing.
   [[nodiscard]] virtual int bytes() const = 0;
 
-  /// Short name for logs ("HELLO", "RREQ", ...).
+  /// Short name for trace records ("HELLO", "RREQ", ...).
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// One-line human-readable rendering for trace logs.
+  /// One-line human-readable rendering, for reading a header in a
+  /// debugger or a test failure; trace records use name() and fields.
   [[nodiscard]] virtual std::string describe() const { return name(); }
 
   /// The concrete class's tag: the address of HeaderOf<H>::kTag, or

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <limits>
 
+#include "obs/observability.hpp"
 #include "phy/channel.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::phy {
 
 namespace {
-constexpr const char* kTag = "radio";
-
 // Concurrent arrivals at one receiver (decodable + interference energy),
 // recorded or in progress. CSMA keeps real overlap to a handful; 16
 // covers collision bursts so steady-state receptions never grow the
@@ -146,8 +144,6 @@ void Radio::onDepletionEntry() {
 void Radio::die() {
   settle();
   if (state_ == RadioState::kOff) return;
-  ECGRID_LOG_INFO(kTag, "host " << id_ << " battery exhausted at t="
-                                << sim_.now());
   txEnd_.cancel();
   abortAllReceptions();
   setState(RadioState::kOff);
@@ -303,18 +299,19 @@ bool Radio::receiving() const {
 
 ECGRID_HOT_PATH bool Radio::applyStart(Arrival& start, bool rearm,
                                        sim::Time& flippedAt) {
-  // Trace logging below allocates when enabled; the audit gate runs with
-  // logging at its default level, where both branches are dormant.
   ECGRID_HOT_SCOPE();
   const net::Packet& packet = start.frame->packet;
   const sim::Time at = start.at;
   if (state_ == RadioState::kOff || state_ == RadioState::kSleep ||
       state_ == RadioState::kTx) {
     if (start.decodable && packet.macDst == id_) {
-      ECGRID_LOG_TRACE(kTag, "t=" << at << " node " << id_ << " deaf("
-                                  << toString(state_) << ") to "
-                                  << packet.header->name() << " from "
-                                  << packet.macSrc);
+      if (auto* tracer = obs::tracer(sim_)) {
+        tracer->instant("phy", "deaf", id_,
+                        {{"src", packet.macSrc},
+                         {"hdr", packet.header->name()},
+                         {"state", toString(state_)},
+                         {"at", at}});
+      }
     }
     return false;  // transceiver cannot hear this arrival
   }
@@ -324,9 +321,12 @@ ECGRID_HOT_PATH bool Radio::applyStart(Arrival& start, bool rearm,
   }
   const bool collision = receiving() || at < interferenceUntil_;
   if (collision && packet.macDst == id_) {
-    ECGRID_LOG_TRACE(kTag, "t=" << at << " node " << id_ << " collision on "
-                                << packet.header->name() << " from "
-                                << packet.macSrc);
+    if (auto* tracer = obs::tracer(sim_)) {
+      tracer->instant("phy", "collision", id_,
+                      {{"src", packet.macSrc},
+                       {"hdr", packet.header->name()},
+                       {"at", at}});
+    }
   }
   if (!net::isBroadcast(packet.macDst) && packet.macDst != id_ &&
       navGuard_ > 0.0) {

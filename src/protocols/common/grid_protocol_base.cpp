@@ -3,13 +3,8 @@
 #include "obs/observability.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::protocols {
-
-namespace {
-constexpr const char* kTag = "gridproto";
-}
 
 GridProtocolBase::GridProtocolBase(net::HostEnv& env,
                                    const GridProtocolConfig& config)
@@ -122,9 +117,6 @@ void GridProtocolBase::setRole(Role role) {
   role_ = role;
   if (role == Role::kSleeping) ++sleepEntries_;
   if (old == Role::kGateway) servedGrid_.reset();
-  ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " role "
-                                 << static_cast<int>(old) << " -> "
-                                 << static_cast<int>(role));
   if (auto* tracer = obs::tracer(env_.simulator())) {
     tracer->instant("grid", "role", env_.id(),
                     {{"from", static_cast<int>(old)},
@@ -327,19 +319,23 @@ void GridProtocolBase::handOffTo(net::NodeId newGateway) {
 }
 
 void GridProtocolBase::broadcastRetire(const geo::GridCoord& forGrid,
-                                       std::vector<RouteRecord> table) {
+                                       std::vector<RouteRecord> table,
+                                       const char* cause) {
   mRetires_.add();
   if (auto* tracer = obs::tracer(env_.simulator())) {
     tracer->instant("grid", "retire", env_.id(),
-                    {{"gx", forGrid.x}, {"gy", forGrid.y}});
+                    {{"gx", forGrid.x}, {"gy", forGrid.y}, {"cause", cause}});
   }
   auto retire = std::make_shared<RetireHeader>(forGrid, std::move(table));
   broadcastFrameRaw(retire);
 }
 
-void GridProtocolBase::beginRetire(const geo::GridCoord& forGrid) {
+void GridProtocolBase::beginRetire(const geo::GridCoord& forGrid,
+                                   const char* cause) {
   // GRID baseline: everyone is awake, so the RETIRE can go out at once.
-  broadcastRetire(forGrid, engine_.routes().exportRecords(env_.simulator().now()));
+  broadcastRetire(forGrid,
+                  engine_.routes().exportRecords(env_.simulator().now()),
+                  cause);
 }
 
 void GridProtocolBase::onNoGateway() { startElection(); }
@@ -413,8 +409,6 @@ ECGRID_HOT_PATH void GridProtocolBase::handleHello(const net::Packet& frame,
       // Two gateways in one grid (merge or simultaneous declarations):
       // the weaker candidate yields and hands its tables over.
       if (beats(sighting.candidate, selfCandidate(), config_.election)) {
-        ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " yields gateway to "
-                                       << hello.id());
         handOffTo(hello.id());
       }
       return;
@@ -512,18 +506,25 @@ ECGRID_HOT_PATH void GridProtocolBase::handleData(const net::Packet& frame,
   // than dropping it on the floor.
   if (currentGateway_.has_value() && *currentGateway_ != env_.id() &&
       *currentGateway_ != frame.macSrc) {
-    ECGRID_LOG_TRACE(kTag, "node " << env_.id() << " member-relay "
-                                   << data.describe() << " -> "
-                                   << *currentGateway_);
+    if (auto* tracer = obs::tracer(env_.simulator())) {
+      tracer->instant("grid", "member_relay", env_.id(),
+                      {{"src", data.appSrc()},
+                       {"dst", data.appDst()},
+                       {"flow", data.tag().flowId},
+                       {"seq", data.tag().sequence},
+                       {"to", *currentGateway_}});
+    }
     unicastFrame(*currentGateway_, frame.header);
-  } else {
-    ECGRID_LOG_TRACE(kTag, "node " << env_.id() << " @" << env_.cell()
-                                   << " member-drop " << data.describe()
-                                   << " gw="
-                                   << (currentGateway_.has_value()
-                                           ? *currentGateway_
-                                           : -2)
-                                   << " from=" << frame.macSrc);
+  } else if (auto* tracer = obs::tracer(env_.simulator())) {
+    // gw is -1 when no gateway is known; otherwise it is this host or
+    // the very host the frame came from.
+    tracer->instant("grid", "member_drop", env_.id(),
+                    {{"src", data.appSrc()},
+                     {"dst", data.appDst()},
+                     {"flow", data.tag().flowId},
+                     {"seq", data.tag().sequence},
+                     {"gw", currentGateway_.value_or(net::kBroadcastId)},
+                     {"from", frame.macSrc}});
   }
 }
 
@@ -597,7 +598,7 @@ void GridProtocolBase::onCellChanged(const geo::GridCoord& from,
     // Paper §3.2 "hosts move out of a grid": a departing gateway hands its
     // routing table to the grid it left, and keeps forwarding in-flight
     // traffic until the successor is elected (grace routing).
-    beginRetire(from);
+    beginRetire(from, "cell_exit");
     setRole(Role::kMember);
     enterGraceRouting();
   } else if (role_ == Role::kMember || role_ == Role::kUndecided) {

@@ -101,8 +101,9 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
 
   /// Gateway leaves `forGrid` (or retires for load balance): run the
   /// paper's handover. Base/GRID: immediate RETIRE broadcast. ECGRID:
-  /// grid-page, wait τ, then RETIRE.
-  virtual void beginRetire(const geo::GridCoord& forGrid);
+  /// grid-page, wait τ, then RETIRE. `cause` ("cell_exit" or
+  /// "load_balance") is carried to the grid/retire trace record.
+  virtual void beginRetire(const geo::GridCoord& forGrid, const char* cause);
 
   /// No-gateway event detected (paper §3.2 lists the three detectors).
   /// Base: start a re-election among active hosts. ECGRID: page the grid
@@ -132,7 +133,7 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   void stepDownToMember(std::optional<net::NodeId> newGateway);
   void startElection();
   void broadcastRetire(const geo::GridCoord& forGrid,
-                       std::vector<RouteRecord> table);
+                       std::vector<RouteRecord> table, const char* cause);
   /// Queue app data while no gateway is reachable; flushed on discovery.
   void queueAppData(std::shared_ptr<const net::Header> header);
   void flushAppQueue();

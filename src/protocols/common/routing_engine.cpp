@@ -3,13 +3,10 @@
 #include "obs/observability.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::protocols {
 
 namespace {
-constexpr const char* kTag = "route";
-
 /// Span id correlating one router's discovery for one destination.
 std::uint64_t discoverySpanId(net::NodeId router, net::NodeId destination) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(router))
@@ -102,9 +99,13 @@ ECGRID_HOT_PATH void RoutingEngine::routeData(const net::Packet& frame,
   if (dst == env_.id() || hooks_.hostIsLocal(dst)) {
     ++stats_.dataDeliveredLocal;
     mDataDeliveredLocal_.add();
-    ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id() << " @"
-                                << env_.cell() << " local-deliver "
-                                << data.describe());
+    if (auto* tracer = obs::tracer(env_.simulator())) {
+      tracer->instant("route", "local", env_.id(),
+                      {{"src", data.appSrc()},
+                       {"dst", dst},
+                       {"flow", data.tag().flowId},
+                       {"seq", data.tag().sequence}});
+    }
     hooks_.deliverLocal(dst, frame);
     return;
   }
@@ -112,8 +113,13 @@ ECGRID_HOT_PATH void RoutingEngine::routeData(const net::Packet& frame,
     // Non-router hosts never carry transit traffic.
     ++stats_.dataDropped;
     mDataDropped_.add();
-    ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id()
-                                << " non-router drop " << data.describe());
+    if (auto* tracer = obs::tracer(env_.simulator())) {
+      tracer->instant("route", "non_router_drop", env_.id(),
+                      {{"src", data.appSrc()},
+                       {"dst", dst},
+                       {"flow", data.tag().flowId},
+                       {"seq", data.tag().sequence}});
+    }
     return;
   }
 
@@ -121,10 +127,15 @@ ECGRID_HOT_PATH void RoutingEngine::routeData(const net::Packet& frame,
   if (route.has_value()) {
     if (unicastToGridRouter(route->nextGrid, frame.header,
                             frame.routeRetries, route->nextHop)) {
-      ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id() << " @"
-                                  << env_.cell() << " fwd "
-                                  << data.describe() << " -> grid "
-                                  << route->nextGrid);
+      if (auto* tracer = obs::tracer(env_.simulator())) {
+        tracer->instant("route", "fwd", env_.id(),
+                        {{"src", data.appSrc()},
+                         {"dst", dst},
+                         {"flow", data.tag().flowId},
+                         {"seq", data.tag().sequence},
+                         {"gx", route->nextGrid.x},
+                         {"gy", route->nextGrid.y}});
+      }
       ++stats_.dataForwarded;
       mDataForwarded_.add();
       routes_.refresh(dst, now);
@@ -135,9 +146,13 @@ ECGRID_HOT_PATH void RoutingEngine::routeData(const net::Packet& frame,
     routes_.erase(dst);
   }
 
-  ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id() << " @"
-                              << env_.cell() << " no-route-buffer "
-                              << data.describe());
+  if (auto* tracer = obs::tracer(env_.simulator())) {
+    tracer->instant("route", "buffer", env_.id(),
+                    {{"src", data.appSrc()},
+                     {"dst", dst},
+                     {"flow", data.tag().flowId},
+                     {"seq", data.tag().sequence}});
+  }
   // Local repair: buffer the packet and (re)start discovery.
   auto it = discoveries_.find(dst);
   if (it != discoveries_.end()) {
@@ -197,8 +212,6 @@ void RoutingEngine::sendRreqAttempt(net::NodeId destination,
     tracer->instant("route", "rreq", env_.id(),
                     {{"dst", destination}, {"attempt", discovery.attempts}});
   }
-  ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " RREQ for " << destination
-                                 << " attempt " << discovery.attempts);
   broadcastFrame(rreq);
 
   discovery.timeout = env_.simulator().schedule(
@@ -250,8 +263,6 @@ void RoutingEngine::failDiscovery(net::NodeId destination) {
     mDataDropped_.add();
   }
   discoveries_.erase(it);
-  ECGRID_LOG_DEBUG(kTag, "node " << env_.id() << " discovery for "
-                                 << destination << " failed");
 }
 
 void RoutingEngine::onRreq(const net::Packet& frame, const RreqHeader& rreq) {
@@ -287,19 +298,18 @@ void RoutingEngine::onRreq(const net::Packet& frame, const RreqHeader& rreq) {
 
   if (rreq.destination() == env_.id() ||
       hooks_.hostIsLocal(rreq.destination())) {
-    ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id()
-                                << " answers RREQ for "
-                                << rreq.destination());
     replyAsDestinationSide(rreq);
     return;
   }
 
-  ECGRID_LOG_TRACE(kTag, "t=" << now << " node " << env_.id() << " @"
-                              << env_.cell() << " relay RREQ S="
-                              << rreq.source() << " D=" << rreq.destination()
-                              << " hop" << rreq.hopCount());
   if (rreq.hopCount() + 1 >= config_.maxHops) return;
   if (hooks_.mayRelayRreq && !hooks_.mayRelayRreq()) return;
+  if (auto* tracer = obs::tracer(env_.simulator())) {
+    tracer->instant("route", "rreq_relay", env_.id(),
+                    {{"src", rreq.source()},
+                     {"dst", rreq.destination()},
+                     {"hop", rreq.hopCount() + 1}});
+  }
   auto relay = std::make_shared<RreqHeader>(
       rreq.source(), rreq.sourceSeq(), rreq.destination(), rreq.destSeqKnown(),
       rreq.requestId(), rreq.range(), myGrid, env_.position(),
@@ -329,8 +339,13 @@ void RoutingEngine::replyAsDestinationSide(const RreqHeader& rreq) {
   auto reverse = reverse_.lookup(rreq.source(), now);
   if (!reverse.has_value()) return;  // reverse path already gone
   if (!unicastToGridRouter(reverse->nextGrid, rrep, 0, reverse->nextHop)) {
-    ECGRID_LOG_DEBUG(kTag, "node " << env_.id()
-                                   << " RREP reverse hop unknown");
+    if (auto* tracer = obs::tracer(env_.simulator())) {
+      tracer->instant("route", "rrep_no_reverse", env_.id(),
+                      {{"src", rreq.source()},
+                       {"dst", rreq.destination()},
+                       {"gx", reverse->nextGrid.x},
+                       {"gy", reverse->nextGrid.y}});
+    }
   }
 }
 

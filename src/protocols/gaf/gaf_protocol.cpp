@@ -4,12 +4,10 @@
 
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::protocols {
 
 namespace {
-constexpr const char* kTag = "gaf";
 using NodeState = GafDiscoveryHeader::NodeState;
 }  // namespace
 

@@ -25,7 +25,6 @@
 #include "sim/time.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
-#include "util/log.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::obs {
@@ -208,9 +207,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   RngFactory rngFactory_;
   obs::Observability* observability_ = nullptr;
   ExecutionProbe* probe_ = nullptr;
-  /// While this simulator exists, log lines on its thread are prefixed
-  /// with the current sim time (declared after now_; reads &now_).
-  util::LogSimClock logClock_{&now_};
 };
 
 }  // namespace ecgrid::sim

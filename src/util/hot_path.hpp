@@ -1,11 +1,11 @@
 // Hot-path memory-discipline vocabulary (allocation lint + alloc audit).
 //
-// Mirrors util/thread_annotations.hpp: a small macro vocabulary that
-// declares, at the source level, which code is on the per-event hot path
-// and which structs sit one-per-host (or one-per-event) in city-scale
-// runs. The static tier is consumed by tools/ecgrid_lint, which forbids
-// heap traffic inside annotated regions; the runtime tier is compiled
-// only under the `alloc-audit` preset (-DECGRID_ALLOC_AUDIT=ON), where
+// A small macro vocabulary that declares, at the source level, which
+// code is on the per-event hot path and which structs sit one-per-host
+// (or one-per-event) in city-scale runs. The static tier is consumed by
+// tools/ecgrid_lint, which forbids heap traffic inside annotated
+// regions; the runtime tier is compiled only under the `alloc-audit`
+// preset (-DECGRID_ALLOC_AUDIT=ON), where
 // src/check/alloc_audit.{hpp,cpp} counts every global operator new that
 // fires while a hot scope is open and the harness gate asserts the
 // steady-state count is zero.

@@ -1,12 +1,11 @@
 // Ownership-domain tags — which part of the system owns an object.
 //
-// Thread-safety annotations (util/thread_annotations.hpp) say which lock
-// guards a field; these macros say which *execution domain* owns a whole
-// class. The domains are what keep a run reproducible and scenarios safe
-// to run side by side on the parallel runner: a host learns about other
-// hosts only through the medium, and nothing per-scenario is reachable
-// from another scenario's thread. Three domains cover the repo
-// (DESIGN.md §13):
+// These macros say which *execution domain* owns a whole class. The
+// domains are what keep a run reproducible and scenarios safe to run side
+// by side on the parallel runner: a host learns about other hosts only
+// through the medium, and nothing per-scenario is reachable from another
+// scenario's thread. Two domains cover the repo (DESIGN.md §13); there is
+// no process-wide mutable state to share between them, so no locks:
 //
 //   ECGRID_DOMAIN_PER_HOST      Owned by exactly one mobile host: the
 //                               protocol stack, MAC, radio, battery,
@@ -27,14 +26,9 @@
 //                               locking — parallel workers each build
 //                               their own.
 //
-//   ECGRID_DOMAIN_GLOBAL        Process-wide and reachable from every
-//                               worker thread (util/log's Logger, the
-//                               harness thread pool bookkeeping). Must be
-//                               thread-safe: atomics, ECGRID_GUARDED_BY
-//                               fields, or immutable-after-init. New
-//                               mutable globals are rejected by the
-//                               `shared-mutable-global` lint rule unless
-//                               justified.
+// New mutable globals are rejected by the `shared-mutable-global` lint
+// rule. The only static mutable state in src/ is thread_local (the
+// allocation audit's counters): per thread by construction, not shared.
 //
 // The macros expand to nothing — they are declarative markers placed in
 // the class head (`class ECGRID_DOMAIN_PER_HOST CsmaMac final ...`) so
@@ -44,4 +38,3 @@
 
 #define ECGRID_DOMAIN_PER_HOST
 #define ECGRID_DOMAIN_PER_SCENARIO
-#define ECGRID_DOMAIN_GLOBAL

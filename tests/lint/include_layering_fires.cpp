@@ -11,4 +11,4 @@
 #include "net/link_layer.hpp"
 #include "net/packet.hpp"
 #include "phy/radio.hpp"
-#include "util/log.hpp"
+#include "util/error.hpp"

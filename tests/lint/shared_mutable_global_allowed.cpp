@@ -1,9 +1,9 @@
 // ecgrid-lint-fixture-path: src/util/registry_example.cpp
 // ecgrid-lint-fixture: expect-clean
 // The sanctioned shapes: a thread-safe process-wide registry behind a
-// justified allow() (util/log's Logger is the real instance), const and
-// constexpr statics, thread_local per-worker slots, and static member
-// functions — none of which the rule should flag.
+// justified allow(), const and constexpr statics, thread_local
+// per-worker slots, and static member functions — none of which the
+// rule should flag.
 #include <atomic>
 
 namespace ecgrid::util {

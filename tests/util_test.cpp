@@ -1,4 +1,4 @@
-// Tests for utilities: flags parsing, contract macros, logging plumbing.
+// Tests for utilities: flags parsing and contract macros.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,7 +11,6 @@
 
 #include "util/error.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 
 namespace ecgrid::util {
 namespace {
@@ -335,21 +334,6 @@ TEST(Contracts, EmptyMessageOmitsSeparator) {
     EXPECT_NE(what.find("requirement failed"), std::string::npos);
     EXPECT_EQ(what.find("—"), std::string::npos);
   }
-}
-
-TEST(Log, LevelParsing) {
-  EXPECT_EQ(Logger::parseLevel("debug"), LogLevel::kDebug);
-  EXPECT_EQ(Logger::parseLevel("3"), LogLevel::kInfo);
-  EXPECT_EQ(Logger::parseLevel("whatever"), LogLevel::kOff);
-}
-
-TEST(Log, LevelGatesEmission) {
-  LogLevel original = Logger::level();
-  Logger::setLevel(LogLevel::kWarn);
-  EXPECT_TRUE(logEnabled(LogLevel::kError));
-  EXPECT_TRUE(logEnabled(LogLevel::kWarn));
-  EXPECT_FALSE(logEnabled(LogLevel::kInfo));
-  Logger::setLevel(original);
 }
 
 }  // namespace

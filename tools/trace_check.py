@@ -14,9 +14,11 @@ span-pairing checks: every "e" must close an open (cat, id) span ("b"
 without "e" is legal — an open span at end-of-sim is a signal, e.g. a
 page that never woke its target) — and state samples ("state"/"host"
 instants) must carry served_x/served_y together and only on a gateway.
-Counter records ("C", the sim/health run-health samples) must carry the
-numeric args events, queue_depth, peak_queue_depth and slab_slots, and
-their events count never decreases.
+The per-hop and per-reception diagnostics instants (DIAGNOSTIC_ARGS:
+radio deaf/collision, routing, member relay, retire) must carry their
+argument keys. Counter records ("C", the sim/health run-health samples)
+must carry the numeric args events, queue_depth, peak_queue_depth and
+slab_slots, and their events count never decreases.
 
 Only the Python standard library is used. Exit 0 = valid; exit 1 prints
 every violation (capped) to stderr. --selftest runs the checks on inline
@@ -35,6 +37,21 @@ import tempfile
 MAX_REPORTED = 20
 
 HEALTH_KEYS = ("events", "queue_depth", "peak_queue_depth", "slab_slots")
+
+# Argument keys each diagnostics instant must carry, by (cat, ev).
+DIAGNOSTIC_ARGS = {
+    ("phy", "deaf"): ("src", "hdr", "state", "at"),
+    ("phy", "collision"): ("src", "hdr", "at"),
+    ("route", "local"): ("src", "dst", "flow", "seq"),
+    ("route", "fwd"): ("src", "dst", "flow", "seq", "gx", "gy"),
+    ("route", "non_router_drop"): ("src", "dst", "flow", "seq"),
+    ("route", "buffer"): ("src", "dst", "flow", "seq"),
+    ("route", "rreq_relay"): ("src", "dst", "hop"),
+    ("route", "rrep_no_reverse"): ("src", "dst", "gx", "gy"),
+    ("grid", "member_relay"): ("src", "dst", "flow", "seq", "to"),
+    ("grid", "member_drop"): ("src", "dst", "flow", "seq", "gw", "from"),
+    ("grid", "retire"): ("gx", "gy", "cause"),
+}
 
 
 class Checker:
@@ -101,6 +118,16 @@ def check_events(checker, records):
             elif phase == "i":
                 if record["cat"] == "state" and record["ev"] == "host":
                     check_state_sample(checker, lineno, record.get("args", {}))
+                required = DIAGNOSTIC_ARGS.get((record["cat"], record["ev"]))
+                if required:
+                    args = record.get("args", {})
+                    missing = [k for k in required if k not in args]
+                    if missing:
+                        checker.error(
+                            lineno,
+                            f"{record['cat']}/{record['ev']} missing args: "
+                            f"{', '.join(missing)}",
+                        )
             elif phase == "C":
                 last_events = check_counter(
                     checker, lineno, record.get("args"), last_events
@@ -257,6 +284,8 @@ def selftest():
         '{"t":1.0,"cat":"pkt","ev":"flow","ph":"b","id":4,"node":1}',
         '{"t":1.5,"cat":"state","ev":"host","ph":"i","node":1,'
         '"args":{"gateway":true,"served_x":2,"served_y":3}}',
+        '{"t":1.6,"cat":"route","ev":"fwd","ph":"i","node":1,'
+        '"args":{"src":1,"dst":2,"flow":1,"seq":0,"gx":2,"gy":3}}',
         health(2.0, 16384),
         '{"t":2.5,"cat":"pkt","ev":"flow","ph":"e","id":4,"node":2}',
         health(3.0, 32768),
@@ -271,7 +300,10 @@ def selftest():
     chrome_missing = dict(chrome_health,
                           args={"events": 16384, "queue_depth": 1})
     fixtures = [
-        ("paired span, gateway state, health counters", good, True),
+        ("paired span, gateway state, forward, health counters", good, True),
+        ("forward record without its next grid",
+         [header, '{"t":1.0,"cat":"route","ev":"fwd","ph":"i","node":1,'
+          '"args":{"src":1,"dst":2,"flow":1,"seq":0}}'], False),
         ("unmatched span end",
          [header, '{"t":1.0,"cat":"pkt","ev":"flow","ph":"e","id":9,'
           '"node":1}'], False),
