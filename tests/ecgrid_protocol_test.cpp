@@ -2,6 +2,10 @@
 // RAS paging, ACQ, buffered wakeup delivery, load balancing.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "test_net.hpp"
 
 namespace ecgrid::test {
@@ -137,7 +141,11 @@ TEST(Ecgrid, GridPageWakesWholeGridForElection) {
 }
 
 TEST(Ecgrid, LoadBalanceRotatesGateway) {
-  TestNet net;
+  TestNet net{TestNet::WithHub{}};
+  const std::string tracePath =
+      (std::filesystem::temp_directory_path() / "ecgrid_load_balance.jsonl")
+          .string();
+  net.hub->openTrace(tracePath);
   // Two hosts; small batteries so the upper→boundary transition happens
   // quickly. The sitting gateway must retire at the level drop and the
   // rested sleeper must take over.
@@ -151,6 +159,19 @@ TEST(Ecgrid, LoadBalanceRotatesGateway) {
   EXPECT_EQ(net.gateways(), (std::vector<net::NodeId>{2}));
   // And the retired host went back to sleep.
   EXPECT_TRUE(net.network.findNode(1)->radio().sleeping());
+  // Its RETIRE record names the cause.
+  net.hub->tracer()->flush();
+  std::ifstream trace(tracePath);
+  int loadBalanceRetires = 0;
+  for (std::string line; std::getline(trace, line);) {
+    if (line.find("\"ev\":\"retire\"") != std::string::npos &&
+        line.find("\"node\":1,") != std::string::npos &&
+        line.find("\"cause\":\"load_balance\"") != std::string::npos) {
+      ++loadBalanceRetires;
+    }
+  }
+  EXPECT_EQ(loadBalanceRetires, 1);
+  std::filesystem::remove(tracePath);
 }
 
 TEST(Ecgrid, SleepDisabledBehavesLikeGridPlusRules) {
