@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <type_traits>
 
 namespace ecgrid::net {
@@ -48,10 +47,6 @@ class Header {
 
   /// Short name for trace records ("HELLO", "RREQ", ...).
   [[nodiscard]] virtual const char* name() const = 0;
-
-  /// One-line human-readable rendering, for reading a header in a
-  /// debugger or a test failure; trace records use name() and fields.
-  [[nodiscard]] virtual std::string describe() const { return name(); }
 
   /// The concrete class's tag: the address of HeaderOf<H>::kTag, or
   /// nullptr for an untagged class.

@@ -73,7 +73,10 @@ void EventTracer::writeLine(const char* cat, const char* ev, const char* ph,
           std::fprintf(out_, "%lld", field.intValue);
           break;
         case TraceField::Kind::kDouble:
-          std::fprintf(out_, "%.9g", field.doubleValue);
+          // Round-trip precision: an argument such as a reception's start
+          // parses back to the very double it was, so it can be matched
+          // against another record's time to the last bit.
+          std::fprintf(out_, "%.17g", field.doubleValue);
           break;
         case TraceField::Kind::kBool:
           std::fputs(field.intValue != 0 ? "true" : "false", out_);

@@ -110,6 +110,7 @@ Channel::Channel(sim::Simulator& sim, const ChannelConfig& config)
   ends_.reserve(kInitialScratch);
   inFlight_.reserve(kInitialScratch);
   parked_.reserve(kInitialScratch);
+  replay_.reserve(kInitialScratch);
 }
 
 sim::Time Channel::frameAirtime(int bytes) const {
@@ -130,6 +131,7 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
     attachments_.push_back(Attachment{radio, std::move(legs)});
     legs_.emplace_back();
     asleep_.push_back(0);
+    sleepFrom_.push_back(0);
   }
   // A default leg has already ended: the first query reads a fresh one.
   legs_[id] = geo::Segment{};
@@ -143,6 +145,10 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
     bucketOf_.resize(attachments_.size(), kNoBucket);
     bucketUntil_.resize(attachments_.size());
     members_.resize(attachments_.size());
+    for (std::vector<double>* column :
+         {&legStart_, &originX_, &originY_, &velocityX_, &velocityY_}) {
+      column->resize(attachments_.size());
+    }
     scratch_.reserve(attachments_.size());
     bucketUntil_[id] = -kInfinity;
     refreshAt_ = -kInfinity;
@@ -165,6 +171,9 @@ void Channel::detach(std::size_t attachmentId) {
   ECGRID_REQUIRE(attachmentId < attachments_.size(), "bad attachment id");
   Attachment& slot = attachments_[attachmentId];
   ECGRID_REQUIRE(slot.radio != nullptr, "attachment already detached");
+  // Its counted arrivals can still replay if the radio wakes; they need
+  // its leg, which the slot's next owner replaces.
+  if (hasCountedArrivals(attachmentId)) parkCounted(attachmentId);
   if (config_.useSpatialIndex) {
     bucketOf_[attachmentId] = kNoBucket;
     bucketUntil_[attachmentId] = kInfinity;
@@ -246,19 +255,26 @@ ECGRID_HOT_PATH void Channel::refreshGrid(sim::Time now) {
     bucketStart_[b] = bucketStart_[b - 1];
   }
   bucketStart_[0] = 0;
+  // The scan reads the legs in member order, a row's span at a time.
+  const std::size_t count = bucketStart_.back();
+  for (std::size_t k = 0; k < count; ++k) {
+    const geo::Segment& leg = legs_[members_[k]];
+    legStart_[k] = leg.start;
+    originX_[k] = leg.origin.x;
+    originY_[k] = leg.origin.y;
+    velocityX_[k] = leg.velocity.x;
+    velocityY_[k] = leg.velocity.y;
+  }
 }
 
-ECGRID_HOT_PATH void Channel::gatherNear(const geo::Vec2& center) {
-  scratch_.clear();
+template <class Visit>
+ECGRID_HOT_PATH void Channel::forEachSpanNear(const geo::Vec2& center,
+                                              Visit visit) const {
   // An attachment lies within kGridMargin of its bucket on either axis,
   // so within kGridMargin * sqrt(2) of it: a radio in reach of `center`
   // sits in a bucket that meets this disc, with room to spare for
   // rounding.
   const double radius = reach_ + 2.0 * kGridMargin;
-  const auto copyBuckets = [this](std::size_t first, std::size_t last) {
-    scratch_.insert(scratch_.end(), members_.begin() + bucketStart_[first],
-                    members_.begin() + bucketStart_[last]);
-  };
   const std::uint32_t lastRow = rows_.cellOf(center.y + radius);
   for (std::uint32_t row = rows_.cellOf(center.y - radius); row <= lastRow;
        ++row) {
@@ -267,18 +283,137 @@ ECGRID_HOT_PATH void Channel::gatherNear(const geo::Vec2& center) {
         {0.0, rows_.low(row) - center.y, center.y - rows_.high(row)});
     const double half = std::sqrt(std::max(0.0, radius * radius - dy * dy));
     const std::size_t first = std::size_t{row} * columns_.cells;
-    copyBuckets(first + columns_.cellOf(center.x - half),
-                first + columns_.cellOf(center.x + half) + 1);
+    visit(bucketStart_[first + columns_.cellOf(center.x - half)],
+          bucketStart_[first + columns_.cellOf(center.x + half) + 1]);
   }
+}
+
+ECGRID_HOT_PATH void Channel::gatherNear(const geo::Vec2& center) {
+  scratch_.clear();
+  const auto copy = [this](std::uint32_t first, std::uint32_t last) {
+    scratch_.insert(scratch_.end(), members_.begin() + first,
+                    members_.begin() + last);
+  };
+  forEachSpanNear(center, copy);
   const std::size_t everywhere = std::size_t{columns_.cells} * rows_.cells;
-  copyBuckets(everywhere, everywhere + 1);
+  copy(bucketStart_[everywhere], bucketStart_[everywhere + 1]);
+}
+
+ECGRID_HOT_PATH void Channel::scanNear(std::size_t senderId,
+                                       net::NodeId sender,
+                                       const geo::Vec2& senderPos,
+                                       sim::Time now, const FrameRef& frame,
+                                       const sim::OrderBlock& places) {
+  const double rangeSq = config_.rangeMeters * config_.rangeMeters;
+  const double interfSq =
+      config_.interferenceRangeMeters * config_.interferenceRangeMeters;
+  std::uint64_t scheduled = 0;
+  double farthestSleeperSq = -1.0;
+  forEachSpanNear(senderPos, [&](std::uint32_t first, std::uint32_t last) {
+    for (std::uint32_t k = first; k < last; ++k) {
+      // Segment::at and Vec2::distanceSquaredTo, term for term, so the
+      // distance is bit-identical to deliverTo's.
+      const double dt = now - legStart_[k];
+      const double dx = senderPos.x - (originX_[k] + velocityX_[k] * dt);
+      const double dy = senderPos.y - (originY_[k] + velocityY_[k] * dt);
+      const double distSq = dx * dx + dy * dy;
+      if (distSq > rangeSq && distSq > interfSq) continue;
+      const std::uint32_t id = members_[k];
+      if (id == senderId) continue;
+      const bool decodable = distSq <= rangeSq;
+      if (decodable) ++scheduled;
+      if (asleep_[id] != 0) {
+        // Counted only: a wake rebuilds the arrival from this
+        // transmission's record and the sleeper's leg.
+        farthestSleeperSq = std::max(farthestSleeperSq, distSq);
+        continue;
+      }
+      awake_.push_back(ArrivalStart{
+          now + std::sqrt(distSq) / config_.propagationSpeed,
+          attachments_[id].radio, id, decodable});
+    }
+  });
+  deliveriesScheduled_ += scheduled;
+  mDeliveriesScheduled_.add(scheduled);
+  // Zero-length legs are read afresh at every query, so they have no leg
+  // to rebuild an arrival from: deliverTo parks their sleepers now.
+  const std::size_t everywhere = std::size_t{columns_.cells} * rows_.cells;
+  for (std::uint32_t k = bucketStart_[everywhere];
+       k < bucketStart_[everywhere + 1]; ++k) {
+    if (members_[k] == senderId) continue;
+    deliverTo(members_[k], sender, senderPos, now, frame, places);
+  }
+  if (farthestSleeperSq < 0.0) return;
+  inFlight_[currentRecord(frame, places, now, senderPos)].counted = true;
+  // The farthest sleeper's arrival is the latest: the expression is
+  // monotone in the distance.
+  latestParked_ = std::max(
+      latestParked_,
+      now + std::sqrt(farthestSleeperSq) / config_.propagationSpeed);
 }
 
 ECGRID_HOT_PATH geo::Vec2 Channel::positionOf(std::size_t id,
                                               sim::Time now) {
   geo::Segment& leg = legs_[id];
-  if (now >= leg.end) leg = attachments_[id].legs(now);
+  if (now >= leg.end) {
+    // A counted arrival is rebuilt from the leg that covered its sending:
+    // park it before that leg goes.
+    if (hasCountedArrivals(id)) parkCounted(id);
+    leg = attachments_[id].legs(now);
+  }
   return leg.at(now);
+}
+
+void Channel::setAsleep(std::size_t attachmentId, bool asleep) {
+  if (asleep) {
+    sleepFrom_[attachmentId] = framesTransmitted_;
+  } else if (hasCountedArrivals(attachmentId)) {
+    // Leaving sleep (awake, or Off until powerUp): replayDeferred reads
+    // only parked arrivals.
+    parkCounted(attachmentId);
+  }
+  asleep_[attachmentId] = asleep ? 1 : 0;
+}
+
+ECGRID_HOT_PATH std::uint32_t Channel::currentRecord(
+    const FrameRef& frame, const sim::OrderBlock& places, sim::Time now,
+    const geo::Vec2& senderPos) {
+  if (currentInFlight_ == kNoInFlight) {
+    currentInFlight_ = static_cast<std::uint32_t>(inFlight_.size());
+    inFlight_.push_back(
+        InFlight{frame, places, now, senderPos, framesTransmitted_});
+  }
+  return currentInFlight_;
+}
+
+template <class Visit>
+void Channel::forEachCountedArrival(std::size_t id, Visit visit) const {
+  const geo::Segment& leg = legs_[id];
+  // A zero-length leg's arrivals were parked at transmit time.
+  if (leg.end <= leg.start) return;
+  const double rangeSq = config_.rangeMeters * config_.rangeMeters;
+  const double interfSq =
+      config_.interferenceRangeMeters * config_.interferenceRangeMeters;
+  for (std::uint32_t tx = 0; tx < inFlight_.size(); ++tx) {
+    const InFlight& record = inFlight_[tx];
+    if (!record.counted || record.index < sleepFrom_[id]) continue;
+    // The leg still covers sentAt: it is replaced only after parkCounted.
+    const double distSq =
+        record.senderPos.distanceSquaredTo(leg.at(record.sentAt));
+    if (distSq > rangeSq && distSq > interfSq) continue;
+    visit(tx, record.sentAt + std::sqrt(distSq) / config_.propagationSpeed,
+          distSq <= rangeSq);
+  }
+}
+
+ECGRID_HOT_PATH void Channel::parkCounted(std::size_t id) {
+  Radio* radio = attachments_[id].radio;
+  forEachCountedArrival(id, [&](std::uint32_t tx, sim::Time at,
+                                bool decodable) {
+    parked_.push_back(
+        Parked{radio, at, static_cast<std::uint32_t>(id), tx, decodable});
+  });
+  sleepFrom_[id] = framesTransmitted_;
 }
 
 ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId senderId,
@@ -312,12 +447,9 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId senderId,
   if (asleep_[id] != 0) {
     // Park it against its block place; replayDeferred schedules it there
     // if the receiver wakes before it lands.
-    if (currentInFlight_ == kNoInFlight) {
-      currentInFlight_ = static_cast<std::uint32_t>(inFlight_.size());
-      inFlight_.push_back(InFlight{frame, places});
-    }
     parked_.push_back(Parked{attachments_[id].radio, at,
-                             static_cast<std::uint32_t>(id), currentInFlight_,
+                             static_cast<std::uint32_t>(id),
+                             currentRecord(frame, places, now, senderPos),
                              decodable});
     if (at > latestParked_) latestParked_ = at;
     return;
@@ -329,8 +461,18 @@ ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId senderId,
 
 ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
   ECGRID_HOT_SCOPE();
+  // Leaving sleep parked its counted arrivals after the ones parked at
+  // transmit time: replay them all in transmission order.
+  replay_.clear();
   for (Parked& arrival : parked_) {
     if (arrival.radio != &radio) continue;
+    replay_.push_back(arrival);
+    arrival.radio = nullptr;  // replayed, or landed while it slept
+  }
+  insertionPass(replay_, [](const Parked& a, const Parked& b) {
+    return a.tx < b.tx;
+  });
+  for (const Parked& arrival : replay_) {
     const InFlight& tx = inFlight_[arrival.tx];
     const sim::EventOrder place = tx.places[arrival.id];
     if (!sim_.wouldHaveRun(arrival.at, place)) {
@@ -350,21 +492,25 @@ ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
             "phy/rx_end");
       }
     }
-    arrival.radio = nullptr;  // replayed, or landed while it slept
   }
 }
 
 std::size_t Channel::deferredArrivals() const {
-  return static_cast<std::size_t>(
+  auto count = static_cast<std::size_t>(
       std::count_if(parked_.begin(), parked_.end(),
                     [](const Parked& p) { return p.radio != nullptr; }));
+  for (std::size_t id = 0; id < attachments_.size(); ++id) {
+    if (!hasCountedArrivals(id)) continue;
+    forEachCountedArrival(id, [&count](std::uint32_t, sim::Time, bool) {
+      ++count;
+    });
+  }
+  return count;
 }
 
 ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
     Radio& sender, const net::Packet& packet, sim::Time duration) {
   ECGRID_HOT_SCOPE();
-  ++framesTransmitted_;
-  mFramesTransmitted_.add();
   const FrameRef frame = frames_->acquire(packet, nextUid_++, duration);
 
   const std::size_t senderId = sender.channelAttachmentId();
@@ -374,8 +520,8 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
   const sim::Time now = sim_.now();
   const geo::Vec2 senderPos = positionOf(senderId, now);
 
-  if (!parked_.empty() && latestParked_ < now) {
-    // Every parked arrival has landed while its receiver slept: none can
+  if (!inFlight_.empty() && latestParked_ < now) {
+    // Every arrival at a sleeper has landed while it slept: none can
     // matter to a wake any more.
     parked_.clear();
     inFlight_.clear();
@@ -389,14 +535,18 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
   awake_.clear();
   if (config_.useSpatialIndex) {
     if (now >= refreshAt_) refreshGrid(now);
-    gatherNear(senderPos);
-    // Candidates come bucket by bucket. Only the fault slot sees visiting
-    // order (it may draw from a stateful stream), so only then are they
-    // sorted into the brute-force scan's slot order.
-    if (config_.deliveryFault) std::sort(scratch_.begin(), scratch_.end());
-    for (std::uint32_t id : scratch_) {
-      if (id == senderId) continue;
-      deliverTo(id, sender.id(), senderPos, now, frame, places);
+    if (!config_.deliveryFault) {
+      scanNear(senderId, sender.id(), senderPos, now, frame, places);
+    } else {
+      // Only the fault slot sees visiting order (it may draw from a
+      // stateful stream): the candidates are sorted into the brute-force
+      // scan's slot order, and every sleeper is consulted and parked.
+      gatherNear(senderPos);
+      std::sort(scratch_.begin(), scratch_.end());
+      for (std::uint32_t id : scratch_) {
+        if (id == senderId) continue;
+        deliverTo(id, sender.id(), senderPos, now, frame, places);
+      }
     }
   } else {
     for (std::size_t id = 0; id < attachments_.size(); ++id) {
@@ -404,6 +554,12 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
       deliverTo(id, sender.id(), senderPos, now, frame, places);
     }
   }
+
+  // This transmission's number was framesTransmitted_ until here: a sleeper
+  // whose counted arrivals were parked during the scan (its leg ended)
+  // still has this one counted.
+  ++framesTransmitted_;
+  mFramesTransmitted_.add();
 
   // The sender's tx end takes the next place, then the reception ends one
   // each, in start order: a start's own event, dispatched after this one,

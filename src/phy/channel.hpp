@@ -62,24 +62,40 @@
 //     (and alone sorts a set too small for the radix passes to pay).
 //     Keys are unique (places are), so the result is exactly a comparison
 //     sort's.
-//   * Sleepers cost nothing. A sleeping transceiver discards whatever
-//     arrives, so recording an arrival at it would only make work that
-//     does nothing. The channel keeps a dense sleep byte per attachment
+//   * Sleepers cost a count. A sleeping transceiver discards whatever
+//     arrives, so an arrival at it matters only if the radio wakes within
+//     the frame's flight — at most reach / propagationSpeed (≈0.83 µs at
+//     250 m). The channel keeps a dense sleep byte per attachment
 //     (Radio::setState sets and clears it; attach seeds it), so a
-//     candidate's sleep is read without touching its Radio. For a
-//     receiver asleep at transmit time the channel parks a compact record
-//     instead — receiver, attachment id, arrival time, decodable or not,
-//     and the index of the transmission's one in-flight record, which
-//     holds the frame and the block of places. Sleep has only two exits
-//     back to hearing — Radio::wake and, after a crash, Radio::powerUp —
-//     and both ask the channel to replay the receiver's parked arrivals.
-//     Each one whose start would not yet have run (Simulator::wouldHaveRun)
-//     is recorded on the radio with the start key it had at transmit
-//     time, and a decodable one's end queued as a single event; the rest
-//     would have been discarded and are dropped. Frames are in flight for
-//     at most reach / propagationSpeed (≈0.83 µs at 250 m), so once the
-//     latest parked arrival has passed, a transmission drops every record
-//     at once.
+//     candidate's sleep is read without touching its Radio. The grid scan
+//     reads each member's leg from copies made at refresh, in bucket
+//     order, and a sleeper in reach only adds to
+//     phy.deliveries_scheduled: no square root, no record. A transmission
+//     that sleepers heard keeps one in-flight record — frame, block of
+//     places, sent-at, sender position, transmission number — until its
+//     latest arrival at a sleeper has passed. Each attachment also keeps
+//     the number of the first transmission since it fell asleep whose
+//     arrival there is not yet parked. When the radio leaves sleep, its
+//     arrivals from those records are rebuilt from its cached leg at
+//     sent-at and parked: a compact record of receiver, attachment id,
+//     arrival time, decodable or not, and the in-flight record's index.
+//     Sleep has only two exits back to hearing — Radio::wake and, after a
+//     crash, Radio::powerUp — and both ask the channel to replay the
+//     receiver's parked arrivals in transmission order. Each one whose
+//     start would not yet have run (Simulator::wouldHaveRun) is recorded
+//     on the radio with the start key it had at transmit time, and a
+//     decodable one's end queued as a single event; the rest would have
+//     been discarded and are dropped.
+//   * The leg that covered sent-at. A cached leg is replaced only once it
+//     has ended, and the channel parks a sleeper's pending arrivals from
+//     the old leg before replacing it (and before a detach frees the
+//     slot), so a rebuilt arrival is the one a record parked at transmit
+//     time would have held, bit for bit. Three cases still park each
+//     sleeper at transmit time: a zero-length leg (a position provider,
+//     which has no leg to rebuild from), an armed fault slot (its verdict
+//     for the sleeper must be drawn then, in ascending attachment order)
+//     and the brute-force scan, the reference the differential tests
+//     compare against.
 //
 // Skipping sleepers is exact, not approximate: every other event keeps its
 // (time, tie key, sequence) key, deliveryFault is still consulted for
@@ -188,9 +204,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// Called by a transmitting radio. Records the arrival on every other
   /// attached radio within range (undecodable energy inside the
   /// interference ring) and queues the decodable ones' reception ends at
-  /// once, as one run; arrivals at sleeping radios are parked instead (see the
-  /// header comment). Returns the place right after the starts' block,
-  /// taken for the sender's tx end.
+  /// once, as one run; arrivals at sleeping radios are counted or parked
+  /// instead (see the header comment). Returns the place right after the
+  /// starts' block, taken for the sender's tx end.
   sim::EventOrder transmitFrom(Radio& sender, const net::Packet& packet,
                                sim::Time duration);
 
@@ -200,10 +216,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   void replayDeferred(Radio& radio);
 
   /// Called by the radio behind `attachmentId` on entering or leaving
-  /// sleep: the sleep byte transmitFrom reads.
-  void setAsleep(std::size_t attachmentId, bool asleep) {
-    asleep_[attachmentId] = asleep ? 1 : 0;
-  }
+  /// sleep: the sleep byte transmitFrom reads. Leaving sleep parks the
+  /// arrivals counted for it while it slept, for replayDeferred.
+  void setAsleep(std::size_t attachmentId, bool asleep);
 
   /// Arm (or, with nullptr, disarm) the fault-injection slot after
   /// construction — the FaultInjector's hook point.
@@ -220,8 +235,8 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::uint64_t deliveriesCorrupted() const { return deliveriesCorrupted_; }
   /// Attachments currently live (attached and not yet detached).
   std::size_t liveAttachmentCount() const { return liveAttachments_; }
-  /// Arrivals parked for sleeping receivers and neither replayed nor
-  /// dropped yet.
+  /// Arrivals at sleeping receivers, parked or counted, that a wake could
+  /// still replay: neither replayed nor dropped yet.
   std::size_t deferredArrivals() const;
 
  private:
@@ -260,11 +275,18 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     }
   };
 
-  /// A transmission some sleeper heard: what its parked arrivals share.
+  /// A transmission some sleeper heard, kept while any of its arrivals may
+  /// still land: what a parked arrival refers to, and what a counted
+  /// sleeper's arrival is rebuilt from.
   struct InFlight {
     FrameRef frame;
     sim::OrderBlock places;
+    sim::Time sentAt = 0.0;
+    geo::Vec2 senderPos;
+    std::uint64_t index = 0;  ///< its number among framesTransmitted_
+    bool counted = false;     ///< its sleepers on legs were only counted
   };
+  ECGRID_LAYOUT_BUDGET(InFlight, 72);
 
   /// One sleeping receiver's arrival, parked until it wakes.
   struct Parked {
@@ -274,10 +296,29 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
     std::uint32_t tx = 0;    ///< the transmission, in inFlight_
     bool decodable = false;  ///< else interference-ring energy
   };
+  ECGRID_LAYOUT_BUDGET(Parked, 32);
 
   /// Attachment `id`'s position now, from its cached leg (refreshed
-  /// through its provider once the leg has ended).
+  /// through its provider once the leg has ended; a sleeper's counted
+  /// arrivals are parked first, from the leg that covered them).
   geo::Vec2 positionOf(std::size_t id, sim::Time now);
+  /// Whether attachment `id` sleeps through a transmission that still has
+  /// its in-flight record: only then can it have counted arrivals.
+  bool hasCountedArrivals(std::size_t id) const {
+    return asleep_[id] != 0 && !inFlight_.empty() &&
+           sleepFrom_[id] <= inFlight_.back().index;
+  }
+  /// Call `visit(tx, at, decodable)` for each counted arrival at sleeping
+  /// attachment `id`: tx in inFlight_, rebuilt from its cached leg.
+  template <class Visit>
+  void forEachCountedArrival(std::size_t id, Visit visit) const;
+  /// Park attachment `id`'s counted arrivals; later ones are counted anew.
+  void parkCounted(std::size_t id);
+  /// inFlight_ index of the current transmission's record, opened on
+  /// first use.
+  std::uint32_t currentRecord(const FrameRef& frame,
+                              const sim::OrderBlock& places, sim::Time now,
+                              const geo::Vec2& senderPos);
   /// Grow the grid's box to hold `position` (seen at attach); a box that
   /// changes shape re-buckets every attachment on the next refresh.
   void fitGrid(const geo::Vec2& position);
@@ -285,9 +326,19 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   void placeInGrid(std::size_t id, sim::Time now);
   /// Re-bucket every expired attachment and rebuild the buckets.
   void refreshGrid(sim::Time now);
-  /// Gather into scratch_ every attachment whose bucket meets the disc of
-  /// radius reach + 2 * kGridMargin around `center`, plus the unbucketed.
+  /// Call `visit(first, last)` for the members_ range of each row's
+  /// buckets that meet the disc of radius reach + 2 * kGridMargin around
+  /// `center` (not the unbucketed).
+  template <class Visit>
+  void forEachSpanNear(const geo::Vec2& center, Visit visit) const;
+  /// Gather into scratch_ every attachment whose bucket meets that disc,
+  /// plus the unbucketed.
   void gatherNear(const geo::Vec2& center);
+  /// The fault-free grid fan-out: scan the legs in reach of the sender,
+  /// record the listeners' starts in awake_ and count the sleepers.
+  void scanNear(std::size_t senderId, net::NodeId sender,
+                const geo::Vec2& senderPos, sim::Time now,
+                const FrameRef& frame, const sim::OrderBlock& places);
   void deliverTo(std::size_t id, net::NodeId senderId,
                  const geo::Vec2& senderPos, sim::Time now,
                  const FrameRef& frame, const sim::OrderBlock& places);
@@ -313,9 +364,19 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<sim::Time> bucketUntil_;
   std::vector<std::uint32_t> bucketStart_;
   std::vector<std::uint32_t> members_;
+  // Each member's leg, copied at refresh, in members_ order: what the scan
+  // reads. Valid until refreshAt_, before which no member's leg ends.
+  std::vector<double> legStart_;
+  std::vector<double> originX_;
+  std::vector<double> originY_;
+  std::vector<double> velocityX_;
+  std::vector<double> velocityY_;
   sim::Time refreshAt_ = 0.0;  ///< earliest bucketUntil_, or sooner
   /// Each attachment's sleep byte, by id: 1 while its radio sleeps.
   std::vector<std::uint8_t> asleep_;
+  /// By id, while asleep: the number of the first transmission whose
+  /// arrival there has not yet been parked.
+  std::vector<std::uint64_t> sleepFrom_;
   std::vector<std::uint32_t> scratch_;  ///< candidate buffer, reused per tx
   std::vector<ArrivalStart> awake_;  ///< listeners' starts, reused per tx
   std::vector<ArrivalStart> radixBuffer_;  ///< orderArrivals' scratch
@@ -323,9 +384,10 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<sim::RunItem> ends_;
   FramePool::Handle frames_ = FramePool::create();
   std::vector<InFlight> inFlight_;
-  std::vector<Parked> parked_;  ///< sleepers', in transmission order
-  /// Latest arrival time among parked_; once it has passed, every record
-  /// can go.
+  std::vector<Parked> parked_;
+  std::vector<Parked> replay_;  ///< one radio's parked arrivals, per wake
+  /// Latest arrival time at any sleeper, parked or counted; once it has
+  /// passed, every record can go.
   sim::Time latestParked_ = 0.0;
   /// inFlight_ index of the current transmission (kNoInFlight until its
   /// first sleeper is parked).

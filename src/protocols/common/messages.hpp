@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,13 +52,6 @@ class HelloHeader final : public net::HeaderOf<HelloHeader> {
 
   int bytes() const override { return 28; }  // id4+grid8+flags1+lvl1+dist4+pos8+pad
   const char* name() const override { return "HELLO"; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "HELLO{id=" << id_ << " grid=" << grid_
-       << " g=" << (gatewayFlag_ ? 1 : 0) << " lvl=" << toString(level_)
-       << "}";
-    return os.str();
-  }
 
  private:
   net::NodeId id_;
@@ -220,12 +212,6 @@ class RreqHeader final : public net::HeaderOf<RreqHeader> {
 
   int bytes() const override { return 52; }
   const char* name() const override { return "RREQ"; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "RREQ{S=" << source_ << " D=" << destination_
-       << " id=" << requestId_ << " from=" << senderGrid_ << "}";
-    return os.str();
-  }
 
  private:
   net::NodeId source_;
@@ -317,12 +303,6 @@ class DataHeader final : public net::HeaderOf<DataHeader> {
 
   int bytes() const override { return 20 + payloadBytes_; }
   const char* name() const override { return "DATA"; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "DATA{" << appSrc_ << "->" << appDst_ << " seq=" << tag_.sequence
-       << "}";
-    return os.str();
-  }
 
  private:
   net::NodeId appSrc_;

@@ -150,13 +150,6 @@ TEST(Messages, HeadersAreImmutableShared) {
   EXPECT_EQ(a.header.get(), b.header.get());
 }
 
-TEST(Messages, DescribeIsHumanReadable) {
-  HelloHeader hello(7, {2, 3}, true, energy::BatteryLevel::kBoundary, 4.0, {});
-  EXPECT_NE(hello.describe().find("id=7"), std::string::npos);
-  DataHeader data(1, 2, 10, net::DataTag{0, 42, 0.0});
-  EXPECT_NE(data.describe().find("seq=42"), std::string::npos);
-}
-
 TEST(Messages, GafDiscoverySize) {
   GafDiscoveryHeader disc(1, {0, 0}, GafDiscoveryHeader::NodeState::kActive,
                           0.9, 30.0, {10.0, 10.0});

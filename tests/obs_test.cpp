@@ -433,6 +433,29 @@ TEST(DiagnosticsTrace, RadioRecordsACollisionOnAUnicast) {
   std::filesystem::remove(path);
 }
 
+// Double arguments are written at round-trip precision: the start of a
+// collided arrival at t = 300 s parses back to exactly the sender's
+// transmit instant plus the flight, to the last bit.
+TEST(DiagnosticsTrace, CollisionStartParsesBackExactly) {
+  const std::string path = tempPath("ecgrid_obs_collision_late.jsonl");
+  TracedChannelRig rig(path, {0.0, 240.0, 480.0});
+  const double flight = 240.0 / phy::ChannelConfig{}.propagationSpeed;
+  const sim::Time firstAt = 300.000000123;
+  const sim::Time secondAt = firstAt + 0.5e-3;
+  rig.simulator.scheduleAt(firstAt, [&] {
+    rig.radios[0]->transmit(stubFrame(0, 1), 2e-3);
+  });
+  rig.simulator.scheduleAt(secondAt, [&] {
+    rig.radios[2]->transmit(stubFrame(2, 1), 2e-3);
+  });
+  rig.simulator.run(301.0);
+  std::vector<util::JsonValue> collisions =
+      diagnostics(rig.finish(path), {"phy", "collision"});
+  ASSERT_EQ(collisions.size(), 1u);
+  EXPECT_EQ(numberArg(collisions[0], "at"), secondAt + flight);
+  std::filesystem::remove(path);
+}
+
 // A routed scenario buffers data while a route is discovered and then
 // forwards it hop by hop; every diagnostics record present carries its
 // argument keys, and a forward's flow/seq name a packet whose pkt/flow
