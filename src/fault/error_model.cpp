@@ -1,5 +1,7 @@
 #include "fault/error_model.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace ecgrid::fault {
@@ -26,7 +28,7 @@ double gilbertElliottPGoodToBad(double targetLoss, double pBadToGood) {
 }
 
 IidLossModel::IidLossModel(double lossProbability, sim::RngStream rng)
-    : lossProbability_(lossProbability), rng_(rng) {
+    : lossProbability_(lossProbability), rng_(std::move(rng)) {
   ECGRID_REQUIRE(lossProbability >= 0.0 && lossProbability <= 1.0,
                  "loss probability out of range");
 }
@@ -38,7 +40,7 @@ bool IidLossModel::dropDelivery(net::NodeId /*sender*/,
 
 GilbertElliottModel::GilbertElliottModel(const ChannelFault& params,
                                          sim::RngStream rng)
-    : params_(params), rng_(rng) {
+    : params_(params), rng_(std::move(rng)) {
   ECGRID_REQUIRE(params.pGoodToBad >= 0.0 && params.pGoodToBad <= 1.0,
                  "pGoodToBad out of range");
   ECGRID_REQUIRE(params.pBadToGood > 0.0 && params.pBadToGood <= 1.0,

@@ -1,5 +1,7 @@
 #include "fault/fault_injector.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace ecgrid::fault {
@@ -38,10 +40,12 @@ void FaultInjector::armChannel() {
       return;
     case ChannelErrorKind::kIid:
       errorModel_ =
-          std::make_unique<IidLossModel>(plan_.channel.lossProbability, rng);
+          std::make_unique<IidLossModel>(plan_.channel.lossProbability,
+                                         std::move(rng));
       break;
     case ChannelErrorKind::kGilbertElliott:
-      errorModel_ = std::make_unique<GilbertElliottModel>(plan_.channel, rng);
+      errorModel_ =
+          std::make_unique<GilbertElliottModel>(plan_.channel, std::move(rng));
       break;
   }
   network_.channel().setDeliveryFault(

@@ -142,4 +142,6 @@ class ECGRID_DOMAIN_PER_HOST CsmaMac final : public net::LinkLayer {
   obs::Counter mRetransmissions_;
 };
 
+ECGRID_LAYOUT_BUDGET(CsmaMac, 432);
+
 }  // namespace ecgrid::mac

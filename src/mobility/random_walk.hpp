@@ -9,6 +9,7 @@
 
 #include "mobility/mobility_model.hpp"
 #include "sim/rng.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::mobility {
@@ -34,5 +35,7 @@ class ECGRID_DOMAIN_PER_HOST RandomWalk final : public MobilityModel {
   sim::RngStream rng_;
   geo::Segment current_;
 };
+
+ECGRID_LAYOUT_BUDGET(RandomWalk, 96);
 
 }  // namespace ecgrid::mobility

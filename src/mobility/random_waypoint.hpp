@@ -16,6 +16,7 @@
 
 #include "mobility/mobility_model.hpp"
 #include "sim/rng.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::mobility {
@@ -47,5 +48,7 @@ class ECGRID_DOMAIN_PER_HOST RandomWaypoint final : public MobilityModel {
   sim::RngStream rng_;
   geo::Segment current_;
 };
+
+ECGRID_LAYOUT_BUDGET(RandomWaypoint, 104);
 
 }  // namespace ecgrid::mobility

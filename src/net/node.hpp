@@ -24,6 +24,7 @@
 #include "phy/paging.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::net {
@@ -181,5 +182,7 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   std::function<void(NodeId, const DataTag&, int)> onAppReceive_;
   std::function<void(NodeId, sim::Time)> onDeathCb_;
 };
+
+ECGRID_LAYOUT_BUDGET(Node, 448);
 
 }  // namespace ecgrid::net

@@ -33,6 +33,7 @@
 #include "protocols/common/routing_engine.hpp"
 #include "protocols/common/tables.hpp"
 #include "sim/rng.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::protocols {
@@ -212,5 +213,7 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   std::uint32_t electionSeq_ = 0;   ///< per-host round number (span ids)
   std::uint64_t openElectionSpan_ = 0;  ///< 0 = no round in flight
 };
+
+ECGRID_LAYOUT_BUDGET(GridProtocolBase, 1336);
 
 }  // namespace ecgrid::protocols

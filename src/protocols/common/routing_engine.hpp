@@ -32,6 +32,7 @@
 #include "protocols/common/routing_table.hpp"
 #include "protocols/common/tables.hpp"
 #include "sim/rng.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::protocols {
@@ -168,5 +169,7 @@ class ECGRID_DOMAIN_PER_HOST RoutingEngine {
   obs::Counter mDiscoveriesStarted_;
   obs::Counter mDiscoveriesFailed_;
 };
+
+ECGRID_LAYOUT_BUDGET(RoutingEngine, 712);
 
 }  // namespace ecgrid::protocols

@@ -184,7 +184,9 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   void setExecutionProbe(ExecutionProbe* probe) { probe_ = probe; }
   ExecutionProbe* executionProbe() const { return probe_; }
 
-  const RngFactory& rng() const { return rngFactory_; }
+  /// The run's stream factory. Streams from it must not outlive the
+  /// Simulator (RngFactory).
+  RngFactory& rng() { return rngFactory_; }
 
  private:
   /// The latest dispatch, for wouldHaveRun: the popped event's time and
@@ -204,9 +206,11 @@ class ECGRID_DOMAIN_PER_SCENARIO Simulator {
   std::uint64_t hookEvery_ = 0;
   std::function<void()> hook_;
   EventQueue queue_;
-  RngFactory rngFactory_;
   obs::Observability* observability_ = nullptr;
   ExecutionProbe* probe_ = nullptr;
+  // Last, after the members step() reads on every event. Destroyed
+  // first, so no queued event or hook may hold one of its streams.
+  RngFactory rngFactory_;
 };
 
 }  // namespace ecgrid::sim

@@ -25,8 +25,9 @@
 //                              a field added casually cannot silently
 //                              fatten 100k slots. The lint's
 //                              `layout-budget` rule enforces presence on
-//                              the census (InlineTask, event slots,
-//                              route-table entries, Radio).
+//                              every type in LAYOUT_BUDGET_CENSUS
+//                              (tools/ecgrid_lint), the one list of
+//                              census'd types.
 //
 // Inside a hot region the lint's `hot-path-allocation` rule bans
 // new / make_shared / make_unique / std::function construction /

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -546,6 +547,135 @@ TEST(Rng, InvalidArgumentsThrow) {
   EXPECT_THROW(static_cast<void>(stream.exponential(0.0)),
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(stream.chance(1.5)), std::invalid_argument);
+}
+
+// The first `n` raw draws of `stream`.
+std::vector<std::uint64_t> rawDraws(RngStream& stream, int n) {
+  std::vector<std::uint64_t> draws;
+  for (int i = 0; i < n; ++i) draws.push_back(stream.raw());
+  return draws;
+}
+
+// FNV-1a over whole 64-bit words: one number that changes with any draw.
+std::uint64_t foldDraws(const std::vector<std::uint64_t>& draws) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint64_t draw : draws) {
+    h ^= draw;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The first 1,000 raw draws of three streams the simulator uses, for
+// master seed 1, as the inline-engine RngStream produced them. 1,000
+// draws run past the engine's 312-word regeneration, so the pins cover
+// the regenerated state as well as the seeded one.
+TEST(Rng, FirstThousandDrawsArePinned) {
+  struct Pin {
+    RngStream stream;
+    std::uint64_t fold, d0, d311, d312, d999;
+  };
+  RngFactory factory(1);
+  Pin pins[] = {
+      {factory.stream("mac", 17), 0xad97ed00a15a7fabull,
+       0xaf18d653462e6f7dull, 0xc29cc29259eb0010ull, 0x91170b3b89eef7f2ull,
+       0x722c582a14ec6a88ull},
+      {factory.stream("gridproto", 3), 0x66fd10c9f256c4abull,
+       0x37ea95b63b7d19b5ull, 0xb827da3b8a1d2537ull, 0x89cd87710bbb34a3ull,
+       0x8de56a9795fceb8bull},
+      {factory.stream("check/tiebreak"), 0x773789126168bb9dull,
+       0x4a3fce25b8a8585cull, 0xcd6bf90bcbcad847ull, 0x08cbedfc75535457ull,
+       0xb23b2c2cd6be5daaull},
+  };
+  for (Pin& pin : pins) {
+    const std::vector<std::uint64_t> draws = rawDraws(pin.stream, 1000);
+    EXPECT_EQ(draws[0], pin.d0);
+    EXPECT_EQ(draws[311], pin.d311);
+    EXPECT_EQ(draws[312], pin.d312);
+    EXPECT_EQ(draws[999], pin.d999);
+    EXPECT_EQ(foldDraws(draws), pin.fold);
+  }
+}
+
+TEST(Rng, CopyContinuesTheSequenceAndDrawsIndependently) {
+  RngFactory factory(1);
+  RngStream reference = factory.stream("mac", 17);
+  const std::vector<std::uint64_t> expected = rawDraws(reference, 700);
+
+  RngStream source = factory.stream("mac", 17);
+  const std::vector<std::uint64_t> head = rawDraws(source, 300);
+  RngStream copy = source;
+  // The copy picks up where its source stood...
+  EXPECT_EQ(rawDraws(copy, 400),
+            std::vector<std::uint64_t>(expected.begin() + 300, expected.end()));
+  // ...without advancing the source, which still draws its own sequence.
+  EXPECT_EQ(rawDraws(source, 400),
+            std::vector<std::uint64_t>(expected.begin() + 300, expected.end()));
+  EXPECT_EQ(head,
+            std::vector<std::uint64_t>(expected.begin(), expected.begin() + 300));
+
+  // Copy assignment behaves the same.
+  RngStream assigned(99);
+  assigned = copy;
+  EXPECT_EQ(assigned.raw(), copy.raw());
+  // Copies own heap engines: only `reference` and `source` are pooled.
+  EXPECT_EQ(factory.liveStreams(), 2u);
+}
+
+// Streams come and go (a crashed host's reboot) while others draw; the
+// pool hands freed engines to new streams, and no stream may notice.
+TEST(Rng, StreamChurnLeavesLiveSequencesUnchanged) {
+  constexpr int kDraws = 900;
+  RngFactory reference(7);
+  std::vector<std::vector<std::uint64_t>> expected;
+  for (int i = 0; i < 3; ++i) {
+    RngStream stream = reference.stream("gridproto", i);
+    expected.push_back(rawDraws(stream, kDraws));
+  }
+
+  RngFactory factory(7);
+  std::vector<RngStream> live;
+  for (int i = 0; i < 3; ++i) live.push_back(factory.stream("gridproto", i));
+  std::vector<std::vector<std::uint64_t>> drawn(3);
+  // Each churned stream draws beside a heap copy of a fresh stream of
+  // the same name, which no pool slot can disturb.
+  struct Churned {
+    RngStream stream;
+    RngStream twin;
+  };
+  std::vector<Churned> churn;
+  int mismatches = 0;
+  for (int round = 0; round < kDraws; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      drawn[static_cast<std::size_t>(i)].push_back(
+          live[static_cast<std::size_t>(i)].raw());
+    }
+    // Open one stream per round and close the two oldest every third
+    // round, so freed engines are handed out again while others draw.
+    const RngStream fresh = reference.stream("routing", round);
+    churn.push_back({factory.stream("routing", round), fresh});
+    for (Churned& c : churn) mismatches += c.stream.raw() != c.twin.raw();
+    if (round % 3 == 2) churn.erase(churn.begin(), churn.begin() + 2);
+  }
+  EXPECT_EQ(drawn, expected);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(factory.liveStreams(), 3u + churn.size());
+  // Freed engines were reused: the pool grew only to the high-water mark.
+  EXPECT_LT(factory.pooledSlots(),
+            3u + churn.size() + 2 * RngFactory::kSlotsPerBlock);
+  churn.clear();
+  EXPECT_EQ(factory.liveStreams(), 3u);
+}
+
+TEST(RngDeathTest, StreamOutlivingItsFactoryIsCaught) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto factory = std::make_unique<RngFactory>(1);
+        RngStream stream = factory->stream("mac", 17);
+        factory.reset();
+      },
+      "outlived their RngFactory");
 }
 
 // Property sweep: for many (seed, horizon) pairs, executing a batch of

@@ -20,7 +20,9 @@ Metrics that repeat exactly in every run of both sides are reported as
 identical. Quartiles use the inclusive method (linear interpolation
 between order statistics).
 
-Each record keeps the run's `provenance:` line (compiler, optimized,
+While the pairs run, stderr gets one short line per run (pair, side,
+sim_s_per_wall_s, failed runs); the full record of each run goes only to
+--out. Each record keeps the run's `provenance:` line (compiler, optimized,
 ndebug, nproc, git sha, seconds, ...). The summary names both sides' git
 shas, and refuses (exit 1) to compare runs that differ in compiler,
 optimized, ndebug, nproc or seconds: such pairs measure the build or the
@@ -36,6 +38,7 @@ Usage:
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -88,8 +91,29 @@ def run_pairs(checkouts, workload, seed, seconds, pairs, runner, log):
                       "seed": seed, "seconds": seconds, "result": result,
                       "provenance": provenance}
             records.append(record)
-            log(json.dumps(record, sort_keys=True))
+            log(record)
     return records
+
+
+def progress_line(record):
+    """The short stderr line for one run record: pair, side, speed and
+    failed runs — not the record, whose provenance alone is kilobytes."""
+    result = record["result"]
+    speed = result.get("metrics", {}).get("sim_s_per_wall_s", {}).get("value")
+    speed_text = "n/a" if speed is None else f"{speed:.3f}"
+    return (f"pair {record['pair']} {record['side']}: sim_s_per_wall_s "
+            f"{speed_text}, failed {result.get('failed', 0)}")
+
+
+def make_logger(progress, out):
+    """A run_pairs log callback: a progress line to `progress`, the full
+    record (one JSON line) to `out` when it is not None."""
+    def log(record):
+        print(progress_line(record), file=progress, flush=True)
+        if out is not None:
+            out.write(json.dumps(record, sort_keys=True) + "\n")
+            out.flush()
+    return log
 
 
 def check_provenance(records):
@@ -255,8 +279,10 @@ def selftest():
         pair = sum(1 for c in calls if "--smoke" not in c[1]) - 1
         return canned(checkout, pair // 2), provenance(checkout)
 
+    progress, out = io.StringIO(), io.StringIO()
     records = run_pairs({"parent": "parent", "change": "change"},
-                        "dense_grid", 1, 25, 10, runner, lambda line: None)
+                        "dense_grid", 1, 25, 10, runner,
+                        make_logger(progress, out))
     timed = [c[0] for c in calls if "--smoke" not in c[1]]
     check(calls[0][0] == "parent" and calls[1][0] == "change"
           and all("--smoke" in c[1] for c in calls[:2]),
@@ -266,6 +292,15 @@ def selftest():
     check(len(records) == 20, "ten pairs make twenty records")
     check(all(r["provenance"] == provenance(r["side"]) for r in records),
           "every record keeps its run's provenance")
+    lines = progress.getvalue().splitlines()
+    check(len(lines) == 20 and lines[0] == (
+        "pair 0 parent: sim_s_per_wall_s 5.000, failed 0")
+          and lines[1] == "pair 0 change: sim_s_per_wall_s 6.000, failed 0"
+          and all(len(line) < 80 and "provenance" not in line
+                  for line in lines),
+          "progress is one short line per run: pair, side, speed, failed")
+    check([json.loads(line) for line in out.getvalue().splitlines()]
+          == records, "--out gets every full record")
     shas, problems = check_provenance(records)
     check(shas == {"parent": ["p" * 40], "change": ["c" * 40]}
           and not problems, "matching provenance: both shas, no problem")
@@ -374,16 +409,10 @@ def main():
         checkouts = {"parent": os.path.abspath(args.parent),
                      "change": os.path.abspath(args.change)}
         out = open(args.out, "a", encoding="utf-8") if args.out else None
-
-        def log(line):
-            print(line, file=sys.stderr, flush=True)
-            if out is not None:
-                out.write(line + "\n")
-                out.flush()
-
         try:
             records = run_pairs(checkouts, args.workload, args.seed,
-                                args.seconds, args.pairs, run_bench, log)
+                                args.seconds, args.pairs, run_bench,
+                                make_logger(sys.stderr, out))
         finally:
             if out is not None:
                 out.close()
