@@ -1,10 +1,33 @@
 #include "fault/error_model.hpp"
 
-#include <utility>
-
 #include "util/error.hpp"
 
 namespace ecgrid::fault {
+
+namespace {
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
+/// SplitMix64's output function: a bijective avalanche of all 64 bits.
+std::uint64_t mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// A hash of one delivery: (seed, transmission, sender, receiver).
+std::uint64_t deliveryKey(std::uint64_t seed, std::uint64_t transmission,
+                          net::NodeId sender, net::NodeId receiver) {
+  return mix(mix(seed + transmission * kGolden) ^
+             (std::uint64_t{static_cast<std::uint32_t>(sender)} << 32 |
+              static_cast<std::uint32_t>(receiver)));
+}
+
+/// Draw `k` (from 1) of the SplitMix64 sequence from `key`: its top 53
+/// bits, uniform in [0, 1). A delivery replays its draws whenever asked.
+double uniform(std::uint64_t key, std::uint64_t k) {
+  return static_cast<double>(mix(key + k * kGolden) >> 11) * 0x1.0p-53;
+}
+}  // namespace
 
 const char* toString(ChannelErrorKind kind) {
   switch (kind) {
@@ -27,20 +50,21 @@ double gilbertElliottPGoodToBad(double targetLoss, double pBadToGood) {
   return pBadToGood * targetLoss / (1.0 - targetLoss);
 }
 
-IidLossModel::IidLossModel(double lossProbability, sim::RngStream rng)
-    : lossProbability_(lossProbability), rng_(std::move(rng)) {
+IidLossModel::IidLossModel(double lossProbability, std::uint64_t seed)
+    : lossProbability_(lossProbability), seed_(seed) {
   ECGRID_REQUIRE(lossProbability >= 0.0 && lossProbability <= 1.0,
                  "loss probability out of range");
 }
 
-bool IidLossModel::dropDelivery(net::NodeId /*sender*/,
-                                net::NodeId /*receiver*/) {
-  return rng_.chance(lossProbability_);
+bool IidLossModel::dropDelivery(std::uint64_t transmission,
+                                net::NodeId sender, net::NodeId receiver) {
+  return uniform(deliveryKey(seed_, transmission, sender, receiver), 1) <
+         lossProbability_;
 }
 
 GilbertElliottModel::GilbertElliottModel(const ChannelFault& params,
-                                         sim::RngStream rng)
-    : params_(params), rng_(std::move(rng)) {
+                                         std::uint64_t seed)
+    : params_(params), seed_(seed) {
   ECGRID_REQUIRE(params.pGoodToBad >= 0.0 && params.pGoodToBad <= 1.0,
                  "pGoodToBad out of range");
   ECGRID_REQUIRE(params.pBadToGood > 0.0 && params.pBadToGood <= 1.0,
@@ -51,11 +75,14 @@ GilbertElliottModel::GilbertElliottModel(const ChannelFault& params,
                  "lossBad out of range");
 }
 
-bool GilbertElliottModel::dropDelivery(net::NodeId /*sender*/,
+bool GilbertElliottModel::dropDelivery(std::uint64_t transmission,
+                                       net::NodeId sender,
                                        net::NodeId receiver) {
   bool& bad = inBadState_[receiver];  // chains start Good
-  bool drop = rng_.chance(bad ? params_.lossBad : params_.lossGood);
-  bad = bad ? !rng_.chance(params_.pBadToGood) : rng_.chance(params_.pGoodToBad);
+  const std::uint64_t key = deliveryKey(seed_, transmission, sender, receiver);
+  bool drop = uniform(key, 1) < (bad ? params_.lossBad : params_.lossGood);
+  const double next = uniform(key, 2);
+  bad = bad ? next >= params_.pBadToGood : next < params_.pGoodToBad;
   return drop;
 }
 

@@ -1,70 +1,63 @@
 // Channel error models: per-delivery corruption decisions.
 //
-// An ErrorModel is consulted by phy::Channel once per (transmission,
-// in-range receiver) pair, in ascending receiver-attachment order — the
-// same order in both the spatial-index and brute-force fan-out paths, so
-// RNG consumption (and hence the whole run) is identical in either mode.
-// Returning true corrupts that delivery: the frame's energy still arrives
-// at the receiver (carrier sense stays busy, concurrent receptions are
-// ruined) but the frame itself can never decode.
+// FaultInjector puts a model in phy::Channel's deliveryFault slot, which
+// asks it once per (transmission, receiver in decode range), asleep or
+// not, in whatever order the fan-out visits the receivers. Every draw is
+// keyed on (seed, transmission, sender, receiver) by a SplitMix64 mix, so
+// the verdicts do not depend on that order. Returning true corrupts that
+// delivery: the frame's energy still arrives at the receiver (carrier
+// sense stays busy, concurrent receptions are ruined) but the frame
+// itself can never decode.
 //
-// Both shipped models are pure over their own RngStream, so the
-// statistical tests can drive them directly against the analytic loss
-// rate and burst length without running a simulation.
+// Both models are pure over their seed (one raw() of "fault/channel"),
+// so the statistical tests can drive them directly against the analytic
+// loss rate and burst length without running a simulation.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 
 #include "fault/fault_plan.hpp"
 #include "net/packet.hpp"
-#include "sim/rng.hpp"
 
 namespace ecgrid::fault {
 
-class ErrorModel {
- public:
-  virtual ~ErrorModel() = default;
-
-  /// One decision per delivery: corrupt the frame travelling
-  /// sender → receiver? Called in deterministic receiver order.
-  virtual bool dropDelivery(net::NodeId sender, net::NodeId receiver) = 0;
-
-  /// Long-run expected loss rate (for tests and bench labelling).
-  virtual double stationaryLoss() const = 0;
-};
-
 /// Memoryless loss: every delivery is corrupted independently.
-class IidLossModel final : public ErrorModel {
+class IidLossModel {
  public:
-  IidLossModel(double lossProbability, sim::RngStream rng);
+  IidLossModel(double lossProbability, std::uint64_t seed);
 
-  bool dropDelivery(net::NodeId sender, net::NodeId receiver) override;
-  double stationaryLoss() const override { return lossProbability_; }
+  /// Corrupt the frame of transmission number `transmission` travelling
+  /// sender → receiver?
+  bool dropDelivery(std::uint64_t transmission, net::NodeId sender,
+                    net::NodeId receiver);
 
  private:
   double lossProbability_;
-  sim::RngStream rng_;
+  std::uint64_t seed_;
 };
 
 /// Two-state Gilbert–Elliott burst-loss chain, one chain per receiver
 /// (each receiver sits in its own fading environment). The chain starts
-/// Good and advances once per delivered frame: the current state picks
-/// the loss probability, then the state transitions.
-class GilbertElliottModel final : public ErrorModel {
+/// Good and advances once per delivered frame, so in transmission order:
+/// the current state picks the loss probability, then the state
+/// transitions.
+class GilbertElliottModel {
  public:
-  GilbertElliottModel(const ChannelFault& params, sim::RngStream rng);
+  GilbertElliottModel(const ChannelFault& params, std::uint64_t seed);
 
-  bool dropDelivery(net::NodeId sender, net::NodeId receiver) override;
+  bool dropDelivery(std::uint64_t transmission, net::NodeId sender,
+                    net::NodeId receiver);
 
   /// πB·lossBad + (1−πB)·lossGood with πB = pGB/(pGB+pBG).
-  double stationaryLoss() const override;
+  double stationaryLoss() const;
 
   /// Mean frames spent in the bad state per visit: 1/pBadToGood.
   double meanBadSojournFrames() const { return 1.0 / params_.pBadToGood; }
 
  private:
   ChannelFault params_;
-  sim::RngStream rng_;
+  std::uint64_t seed_;
   std::unordered_map<net::NodeId, bool> inBadState_;
 };
 

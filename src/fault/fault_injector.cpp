@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "fault/error_model.hpp"
 #include "util/error.hpp"
 
 namespace ecgrid::fault {
@@ -33,25 +34,34 @@ bool FaultInjector::faultEligible(const net::Node& node) const {
   return !node.config().infiniteBattery;
 }
 
+namespace {
+/// A deliveryFault slot that owns `model`.
+template <class Model>
+phy::DeliveryFault slotFor(Model model) {
+  return [model = std::move(model)](std::uint64_t transmission,
+                                    net::NodeId sender,
+                                    net::NodeId receiver) mutable {
+    return model.dropDelivery(transmission, sender, receiver);
+  };
+}
+}  // namespace
+
 void FaultInjector::armChannel() {
-  sim::RngStream rng = sim_.rng().stream("fault/channel");
+  // Every verdict is keyed on its delivery, so one draw seeds them all.
+  const std::uint64_t seed = sim_.rng().stream("fault/channel").raw();
+  phy::Channel& channel = network_.channel();
   switch (plan_.channel.kind) {
     case ChannelErrorKind::kNone:
       return;
     case ChannelErrorKind::kIid:
-      errorModel_ =
-          std::make_unique<IidLossModel>(plan_.channel.lossProbability,
-                                         std::move(rng));
-      break;
+      channel.setDeliveryFault(
+          slotFor(IidLossModel(plan_.channel.lossProbability, seed)));
+      return;
     case ChannelErrorKind::kGilbertElliott:
-      errorModel_ =
-          std::make_unique<GilbertElliottModel>(plan_.channel, std::move(rng));
-      break;
+      channel.setDeliveryFault(
+          slotFor(GilbertElliottModel(plan_.channel, seed)));
+      return;
   }
-  network_.channel().setDeliveryFault(
-      [model = errorModel_.get()](net::NodeId sender, net::NodeId receiver) {
-        return model->dropDelivery(sender, receiver);
-      });
 }
 
 void FaultInjector::armPaging() {

@@ -2,7 +2,7 @@
 //
 // Construction wires every enabled fault into the simulation:
 //
-//   * channel errors  → an ErrorModel behind phy::Channel's deliveryFault
+//   * channel errors  → an error model in phy::Channel's deliveryFault
 //                       slot (frames corrupt instead of decode);
 //   * paging loss     → phy::PagingChannel's pageLoss slot;
 //   * host crashes    → scripted CrashEvents plus a per-host Poisson
@@ -13,7 +13,9 @@
 // All randomness comes from dedicated named streams ("fault/channel",
 // "fault/paging", "fault/crash", "fault/gps") split off the run's master
 // seed, so arming a fault never perturbs mobility, MAC backoff, or
-// traffic draws, and the same (plan, seed) pair replays exactly.
+// traffic draws, and the same (plan, seed) pair replays exactly. The
+// error model's draws are keyed on (transmission, sender, receiver) from
+// one raw() of "fault/channel", so they ignore the fan-out's visit order.
 //
 // The destructor disarms the channel and paging hooks; declare the
 // injector after the Network so it is destroyed first. An empty() plan
@@ -21,10 +23,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 
-#include "fault/error_model.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -64,7 +64,6 @@ class ECGRID_DOMAIN_PER_SCENARIO FaultInjector {
   net::Network& network_;
   FaultPlan plan_;
 
-  std::unique_ptr<ErrorModel> errorModel_;
   sim::RngStream pagingRng_;
   sim::RngStream crashRng_;
   sim::RngStream gpsRng_;

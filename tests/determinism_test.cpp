@@ -291,8 +291,10 @@ std::vector<ExactnessPin> exactnessPins() {
   faulted.fault.channel.lossProbability = 0.05;
   faulted.fault.hosts.crashRatePerHostPerSecond = 1e-3;
   faulted.fault.hosts.meanDowntimeSeconds = 20.0;
-  pins.push_back({"ecgrid_faulted", faulted, 13663670130035480756ull,
-                  10810973911655918363ull, 2833, 58507});
+  // Re-pinned when channel-fault draws became keyed on (transmission,
+  // sender, receiver) instead of drawn from one stream in visit order.
+  pins.push_back({"ecgrid_faulted", faulted, 12870888164629910477ull,
+                  4879514356907288980ull, 2846, 56838});
 
   harness::ScenarioConfig dense =
       pinnedBaseline(harness::ProtocolKind::kEcgrid);

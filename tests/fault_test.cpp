@@ -4,8 +4,11 @@
 // through the scenario harness, and the proximity-gated gateway audit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "check/audits.hpp"
@@ -15,6 +18,7 @@
 #include "fault/fault_plan.hpp"
 #include "harness/scenario.hpp"
 #include "obs/observability.hpp"
+#include "sim/rng.hpp"
 #include "test_net.hpp"
 
 namespace ecgrid {
@@ -59,7 +63,7 @@ TEST(GilbertElliott, HelperHitsTargetStationaryLoss) {
   ch.kind = fault::ChannelErrorKind::kGilbertElliott;
   ch.pBadToGood = 0.05;  // mean burst = 20 frames
   ch.pGoodToBad = fault::gilbertElliottPGoodToBad(0.2, ch.pBadToGood);
-  fault::GilbertElliottModel model(ch, sim::RngStream(1));
+  fault::GilbertElliottModel model(ch, 1);
   EXPECT_NEAR(model.stationaryLoss(), 0.2, 1e-12);
   EXPECT_DOUBLE_EQ(model.meanBadSojournFrames(), 20.0);
 
@@ -77,13 +81,14 @@ TEST(GilbertElliott, EmpiricalLossAndBurstLengthMatchAnalytic) {
   ch.kind = fault::ChannelErrorKind::kGilbertElliott;
   ch.pBadToGood = 0.05;
   ch.pGoodToBad = fault::gilbertElliottPGoodToBad(0.2, ch.pBadToGood);
-  fault::GilbertElliottModel model(ch, sim::RngStream(42));
+  fault::GilbertElliottModel model(ch, 42);
 
   const int kFrames = 200000;
   int drops = 0, bursts = 0;
   bool prevDrop = false;
   for (int i = 0; i < kFrames; ++i) {
-    bool drop = model.dropDelivery(/*sender=*/1, /*receiver=*/2);
+    bool drop = model.dropDelivery(/*transmission=*/i, /*sender=*/1,
+                                   /*receiver=*/2);
     if (drop) {
       ++drops;
       if (!prevDrop) ++bursts;
@@ -105,23 +110,72 @@ TEST(GilbertElliott, KeepsIndependentChainsPerReceiver) {
   ch.kind = fault::ChannelErrorKind::kGilbertElliott;
   ch.pGoodToBad = 1.0;  // enter the bad state immediately…
   ch.pBadToGood = 1e-9;  // …and essentially never leave
-  fault::GilbertElliottModel model(ch, sim::RngStream(3));
-  EXPECT_FALSE(model.dropDelivery(1, 7));  // receiver 7: first frame, Good
-  EXPECT_TRUE(model.dropDelivery(1, 7));   // now stuck Bad
-  EXPECT_FALSE(model.dropDelivery(1, 8));  // fresh receiver still starts Good
-  EXPECT_TRUE(model.dropDelivery(1, 7));
+  fault::GilbertElliottModel model(ch, 3);
+  EXPECT_FALSE(model.dropDelivery(0, 1, 7));  // receiver 7: first frame, Good
+  EXPECT_TRUE(model.dropDelivery(1, 1, 7));   // now stuck Bad
+  EXPECT_FALSE(model.dropDelivery(1, 1, 8));  // fresh receiver still starts Good
+  EXPECT_TRUE(model.dropDelivery(2, 1, 7));
 }
 
 TEST(IidLossModel, EmpiricalLossMatchesProbability) {
-  fault::IidLossModel model(0.3, sim::RngStream(7));
+  fault::IidLossModel model(0.3, 7);
   const int kFrames = 100000;
   int drops = 0;
   for (int i = 0; i < kFrames; ++i) {
-    if (model.dropDelivery(1, 2)) ++drops;
+    if (model.dropDelivery(i, 1, 2)) ++drops;
   }
   EXPECT_NEAR(static_cast<double>(drops) / kFrames, 0.3, 0.01);
-  EXPECT_THROW(fault::IidLossModel(1.5, sim::RngStream(7)),
-               std::invalid_argument);
+  EXPECT_THROW(fault::IidLossModel(1.5, 7), std::invalid_argument);
+}
+
+// The channel asks one transmission's receivers in whatever order its
+// fan-out visits them. Every verdict is keyed on its delivery, and each
+// Gilbert–Elliott chain advances once per transmission, so asking the
+// receivers in shuffled order gives the verdicts of ascending order.
+TEST(ErrorModels, VerdictsDoNotDependOnTheOrderReceiversAreAsked) {
+  fault::ChannelFault ch;
+  ch.kind = fault::ChannelErrorKind::kGilbertElliott;
+  ch.pGoodToBad = 0.2;
+  ch.pBadToGood = 0.3;
+  ch.lossGood = 0.1;
+  ch.lossBad = 0.8;
+  using Verdicts =
+      std::map<std::pair<std::uint64_t, net::NodeId>, std::pair<bool, bool>>;
+  const auto ask = [&ch](bool shuffled) {
+    fault::IidLossModel iid(0.4, 11);
+    fault::GilbertElliottModel burst(ch, 11);
+    sim::RngStream order(5);
+    std::vector<net::NodeId> receivers;
+    for (net::NodeId r = 0; r < 20; ++r) receivers.push_back(r);
+    Verdicts verdicts;
+    for (std::uint64_t tx = 0; tx < 300; ++tx) {
+      if (shuffled) {
+        for (std::size_t i = receivers.size() - 1; i > 0; --i) {
+          std::swap(receivers[i],
+                    receivers[static_cast<std::size_t>(order.uniformInt(
+                        0, static_cast<std::int64_t>(i)))]);
+        }
+      }
+      const auto sender = static_cast<net::NodeId>(20 + tx % 7);
+      for (net::NodeId r : receivers) {
+        verdicts[{tx, r}] = {iid.dropDelivery(tx, sender, r),
+                             burst.dropDelivery(tx, sender, r)};
+      }
+    }
+    return verdicts;
+  };
+  const Verdicts ascending = ask(false);
+  EXPECT_EQ(ask(true), ascending);
+  std::size_t iidDrops = 0, burstDrops = 0;
+  for (const auto& [key, verdict] : ascending) {
+    iidDrops += verdict.first ? 1 : 0;
+    burstDrops += verdict.second ? 1 : 0;
+  }
+  // 6,000 deliveries: both models drop some and keep some.
+  EXPECT_GT(iidDrops, 1000u);
+  EXPECT_LT(iidDrops, 5000u);
+  EXPECT_GT(burstDrops, 500u);
+  EXPECT_LT(burstDrops, 5500u);
 }
 
 // --------------------------------------------------------------------------

@@ -576,15 +576,20 @@ TEST(Channel, SleeperThroughTheWholeFlightCostsNoEvents) {
   }
 }
 
+// The fault slot is asked exactly once per (transmission, receiver in
+// decode range), asleep or not: sleepers change neither which deliveries
+// are asked about nor, with a verdict keyed on the delivery, which are
+// corrupted.
 TEST(Channel, DeliveryFaultSeesTheSameCallsWithSleepers) {
-  using Calls = std::vector<std::pair<net::NodeId, net::NodeId>>;
+  using Calls = std::vector<std::tuple<std::uint64_t, net::NodeId, net::NodeId>>;
   auto run = [](bool withSleepers) {
     sim::Simulator simulator;
     Calls calls;
     ChannelConfig config;
-    config.deliveryFault = [&calls](net::NodeId from, net::NodeId to) {
-      calls.emplace_back(from, to);
-      return (from + to) % 3 == 0;
+    config.deliveryFault = [&calls](std::uint64_t tx, net::NodeId from,
+                                    net::NodeId to) {
+      calls.emplace_back(tx, from, to);
+      return (tx + static_cast<std::uint64_t>(from + to)) % 3 == 0;
     };
     Channel channel(simulator, config);
     std::vector<std::unique_ptr<energy::Battery>> batteries;
@@ -608,13 +613,18 @@ TEST(Channel, DeliveryFaultSeesTheSameCallsWithSleepers) {
       });
     }
     simulator.run(1.0);
+    std::sort(calls.begin(), calls.end());
     return std::make_pair(calls, channel.deliveriesCorrupted());
   };
   const auto awake = run(false);
   const auto sleepy = run(true);
-  EXPECT_FALSE(awake.first.empty());
+  // Three transmissions, each heard by the five other radios.
+  ASSERT_EQ(awake.first.size(), 15u);
+  EXPECT_TRUE(std::adjacent_find(awake.first.begin(), awake.first.end()) ==
+              awake.first.end());
   EXPECT_EQ(sleepy.first, awake.first);
   EXPECT_EQ(sleepy.second, awake.second);
+  EXPECT_GT(awake.second, 0u);
 }
 
 TEST(Channel, ReplayedInterferenceStillCorruptsReceptionInProgress) {
