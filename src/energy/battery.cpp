@@ -43,22 +43,6 @@ Battery Battery::infinite() {
   return Battery(std::numeric_limits<double>::infinity(), /*infinite=*/true);
 }
 
-void Battery::advanceTo(sim::Time now) {
-  ECGRID_CHECK(now + 1e-9 >= lastUpdate_, "battery time went backwards");
-  if (now <= lastUpdate_) return;
-  double spent = powerW_ * (now - lastUpdate_);
-  consumedJ_ += spent;
-  if (!infinite_) {
-    if (spent >= remainingJ_ && remainingJ_ > 0.0 && powerW_ > 0.0) {
-      // Crossed zero somewhere inside the interval; pin the death time.
-      deathTime_ = lastUpdate_ + remainingJ_ / powerW_;
-    }
-    remainingJ_ -= spent;
-    if (remainingJ_ < 0.0) remainingJ_ = 0.0;
-  }
-  lastUpdate_ = now;
-}
-
 double Battery::remainingJ(sim::Time now) {
   advanceTo(now);
   return remainingJ_;
@@ -93,12 +77,6 @@ bool Battery::isDead(sim::Time now) {
   return level(now) == BatteryLevel::kDead;
 }
 
-void Battery::setPowerW(double watts, sim::Time now) {
-  ECGRID_REQUIRE(watts >= 0.0, "power draw cannot be negative");
-  advanceTo(now);
-  powerW_ = watts;
-}
-
 void Battery::drain(double joules, sim::Time now) {
   ECGRID_REQUIRE(joules >= 0.0, "cannot drain negative energy");
   advanceTo(now);
@@ -116,13 +94,6 @@ void Battery::injectJ(double joules, sim::Time now) {
   if (infinite_) return;
   remainingJ_ += joules;
   if (remainingJ_ > capacityJ_) remainingJ_ = capacityJ_;
-}
-
-double Battery::timeToEmpty(sim::Time now) {
-  if (infinite_) return std::numeric_limits<double>::infinity();
-  advanceTo(now);
-  if (powerW_ <= 0.0) return std::numeric_limits<double>::infinity();
-  return remainingJ_ / powerW_;
 }
 
 }  // namespace ecgrid::energy

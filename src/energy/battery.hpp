@@ -14,6 +14,8 @@
 #include <limits>
 
 #include "sim/time.hpp"
+#include "util/error.hpp"
+#include "util/hot_path.hpp"
 #include "util/ownership.hpp"
 
 namespace ecgrid::energy {
@@ -66,8 +68,13 @@ class ECGRID_DOMAIN_PER_HOST Battery {
   bool isDead(sim::Time now);
 
   /// Change the draw to `watts` effective at `now`. The interval since the
-  /// previous change is charged at the old draw first.
-  void setPowerW(double watts, sim::Time now);
+  /// previous change is charged at the old draw first. Inline: the radio
+  /// calls it on every Idle/Rx flip.
+  void setPowerW(double watts, sim::Time now) {
+    ECGRID_REQUIRE(watts >= 0.0, "power draw cannot be negative");
+    advanceTo(now);
+    powerW_ = watts;
+  }
 
   /// Withdraw `joules` instantaneously at `now` (fault injection / test
   /// setup: pre-aged batteries, surge consumers). No-op for infinite
@@ -84,7 +91,12 @@ class ECGRID_DOMAIN_PER_HOST Battery {
 
   /// Time from `now` until the battery empties at the current draw;
   /// +infinity for infinite batteries or zero draw.
-  double timeToEmpty(sim::Time now);
+  double timeToEmpty(sim::Time now) {
+    if (infinite_) return std::numeric_limits<double>::infinity();
+    advanceTo(now);
+    if (powerW_ <= 0.0) return std::numeric_limits<double>::infinity();
+    return remainingJ_ / powerW_;
+  }
 
   /// Pure, conservative: a time through which the battery surely keeps
   /// charge, having drawn at most `pastDrawW` from its last committed
@@ -106,7 +118,21 @@ class ECGRID_DOMAIN_PER_HOST Battery {
   Battery(double capacityJ, bool infinite);
 
   /// Integrates consumption up to `now`; records death when crossing zero.
-  void advanceTo(sim::Time now);
+  void advanceTo(sim::Time now) {
+    ECGRID_CHECK(now + 1e-9 >= lastUpdate_, "battery time went backwards");
+    if (now <= lastUpdate_) return;
+    double spent = powerW_ * (now - lastUpdate_);
+    consumedJ_ += spent;
+    if (!infinite_) {
+      if (spent >= remainingJ_ && remainingJ_ > 0.0 && powerW_ > 0.0) {
+        // Crossed zero somewhere inside the interval; pin the death time.
+        deathTime_ = lastUpdate_ + remainingJ_ / powerW_;
+      }
+      remainingJ_ -= spent;
+      if (remainingJ_ < 0.0) remainingJ_ = 0.0;
+    }
+    lastUpdate_ = now;
+  }
 
   double capacityJ_;
   double remainingJ_;
@@ -116,5 +142,9 @@ class ECGRID_DOMAIN_PER_HOST Battery {
   sim::Time lastUpdate_ = sim::kTimeZero;
   sim::Time deathTime_ = sim::kTimeNever;
 };
+
+/// One per host, held inline by Node and charged on every radio state
+/// flip: the integration state fits one cache line.
+ECGRID_LAYOUT_BUDGET(Battery, 56);
 
 }  // namespace ecgrid::energy

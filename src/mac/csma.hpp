@@ -103,6 +103,9 @@ class ECGRID_DOMAIN_PER_HOST CsmaMac final : public net::LinkLayer {
 
   sim::Simulator& sim_;
   phy::Radio& radio_;
+  // Beside radio_: a broadcast frame arriving reads these two members and
+  // nothing else of the MAC, so they share its first cache line.
+  std::function<void(const net::Packet&)> upperReceive_;
   phy::Channel& channel_;
   CsmaConfig config_;
   sim::RngStream rng_;
@@ -118,7 +121,6 @@ class ECGRID_DOMAIN_PER_HOST CsmaMac final : public net::LinkLayer {
   sim::EventHandle ackTimer_;
 
   std::uint64_t nextMacSeq_ = 1;
-  std::function<void(const net::Packet&)> upperReceive_;
   std::function<void(const net::Packet&)> sendFailure_;
 
   // Duplicate suppression for retransmitted unicasts. The set carries a

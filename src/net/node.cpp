@@ -77,7 +77,14 @@ Node::Node(sim::Simulator& sim, const geo::GridMap& grid,
       [this] { return gpsError_; });
 }
 
-Node::~Node() = default;
+Node::~Node() {
+  // node.hpp declares the radio and the protocol first, for the receive
+  // path's sake; release the stack top down all the same.
+  protocol_.reset();
+  tracker_.reset();
+  mac_.reset();
+  radio_.reset();
+}
 
 void Node::attachToMedia() {
   // Physical media always see the ground-truth position: GPS error warps

@@ -152,7 +152,18 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
   /// Recompute the believed cell at `now` and how long it holds.
   geo::GridCoord refreshCell(sim::Time now);
 
+  // What a frame's way up reads (alive(), the protocol, and cell() in
+  // its HELLO handling) first, so a reception touches one line of the
+  // node (DESIGN §9).
   sim::Simulator& sim_;
+  std::unique_ptr<phy::Radio> radio_;
+  std::unique_ptr<RoutingProtocol> protocol_;
+  /// cell()'s cache: `cachedCell_` is the believed cell at every time in
+  /// [cellFrom_, cellUntil_); an empty interval means nothing is cached.
+  geo::GridCoord cachedCell_{0, 0};
+  sim::Time cellFrom_ = sim::kTimeZero;
+  sim::Time cellUntil_ = sim::kTimeZero;
+
   geo::GridMap grid_;
   phy::Channel& channel_;
   phy::PagingChannel& paging_;
@@ -160,21 +171,14 @@ class ECGRID_DOMAIN_PER_HOST Node final : public HostEnv {
 
   energy::Battery battery_;
   std::unique_ptr<mobility::MobilityModel> mobility_;
-  std::unique_ptr<phy::Radio> radio_;
   std::unique_ptr<mac::CsmaMac> mac_;
   std::unique_ptr<mobility::GridTracker> tracker_;
-  std::unique_ptr<RoutingProtocol> protocol_;
   std::function<std::unique_ptr<RoutingProtocol>()> protocolFactory_;
 
   std::size_t channelAttachment_ = 0;
   std::size_t pagingAttachment_ = 0;
 
   geo::Vec2 gpsError_{0.0, 0.0};
-  /// cell()'s cache: `cachedCell_` is the believed cell at every time in
-  /// [cellFrom_, cellUntil_); an empty interval means nothing is cached.
-  geo::GridCoord cachedCell_{0, 0};
-  sim::Time cellFrom_ = sim::kTimeZero;
-  sim::Time cellUntil_ = sim::kTimeZero;
   bool crashed_ = false;
   sim::Time crashedAt_ = 0.0;
   std::uint64_t radioSleeps_ = 0;

@@ -120,6 +120,15 @@ sim::Time Channel::frameAirtime(int bytes) const {
 std::size_t Channel::attach(Radio* radio, LegProvider legs) {
   ECGRID_REQUIRE(radio != nullptr, "radio required");
   ECGRID_REQUIRE(legs != nullptr, "leg provider required");
+  // A default leg has already ended: the first query reads a fresh one.
+  geo::Segment first{};
+  if (config_.useSpatialIndex) {
+    // The grid buckets the radio now: read its first leg before the slot
+    // is committed, so a provider that fails the check leaves no trace.
+    first = legs(sim_.now());
+    ECGRID_CHECK(sim_.now() < first.end,
+                 "leg provider returned a leg that has already ended");
+  }
   std::size_t id;
   if (!freeSlots_.empty()) {
     id = freeSlots_.back();
@@ -132,8 +141,7 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
     asleep_.push_back(0);
     sleepFrom_.push_back(0);
   }
-  // A default leg has already ended: the first query reads a fresh one.
-  legs_[id] = geo::Segment{};
+  legs_[id] = first;
   // The radio keeps the sleep byte current from here on.
   radio->attachChannel(this);
   radio->setChannelAttachmentId(id);

@@ -1,5 +1,7 @@
 #include "protocols/common/grid_protocol_base.hpp"
 
+#include <algorithm>
+
 #include "obs/observability.hpp"
 #include "util/error.hpp"
 #include "util/hot_path.hpp"
@@ -9,10 +11,10 @@ namespace ecgrid::protocols {
 GridProtocolBase::GridProtocolBase(net::HostEnv& env,
                                    const GridProtocolConfig& config)
     : env_(env),
+      neighbours_(config.helloPeriod * config.gatewayStaleFactor),
       config_(config),
       engine_(env, makeHooks(), config.routing),
       hostTable_(config.helloPeriod * config.gatewayStaleFactor),
-      neighbours_(config.helloPeriod * config.gatewayStaleFactor),
       rng_(env.simulator().rng().stream("gridproto", env.id())),
       mElectionsStarted_(
           obs::counter(env.simulator(), "grid.elections.started")),
@@ -20,6 +22,10 @@ GridProtocolBase::GridProtocolBase(net::HostEnv& env,
       mRetires_(obs::counter(env.simulator(), "grid.retires")),
       mHandoffs_(obs::counter(env.simulator(), "grid.handoffs")) {
   ECGRID_REQUIRE(config.helloPeriod > 0.0, "HELLO period must be positive");
+  // A floor for the election field: a cell of the dense 1000-host field
+  // holds about ten hosts. A denser cell grows it once, to its high-water
+  // mark.
+  candidates_.reserve(16);
 }
 
 void GridProtocolBase::beginElectionRound() {
@@ -186,14 +192,13 @@ void GridProtocolBase::noteGatewaySeen(net::NodeId gateway) {
 
 std::vector<Candidate> GridProtocolBase::freshCandidates(sim::Time window) {
   sim::Time now = env_.simulator().now();
+  std::erase_if(candidates_, [&](const Sighting& sighting) {
+    return now - sighting.lastHeard > window;
+  });
   std::vector<Candidate> field;
-  for (auto it = candidates_.begin(); it != candidates_.end();) {
-    if (now - it->second.lastHeard > window) {
-      it = candidates_.erase(it);
-      continue;
-    }
-    field.push_back(it->second.candidate);
-    ++it;
+  field.reserve(candidates_.size() + 1);  // decideElection adds self
+  for (const Sighting& sighting : candidates_) {
+    field.push_back(sighting.candidate);
   }
   return field;
 }
@@ -270,7 +275,8 @@ void GridProtocolBase::becomeGateway() {
   {
     sim::Time now = env_.simulator().now();
     sim::Time window = config_.helloPeriod * config_.gatewayStaleFactor;
-    for (const auto& [id, sighting] : candidates_) {
+    for (const Sighting& sighting : candidates_) {
+      const net::NodeId id = sighting.candidate.id;
       if (id == env_.id()) continue;
       if (now - sighting.lastHeard > window) continue;
       if (assumeSeededHostsSleep()) {
@@ -402,7 +408,16 @@ ECGRID_HOT_PATH void GridProtocolBase::handleHello(const net::Packet& frame,
   sighting.candidate = Candidate{hello.id(), hello.level(),
                                  hello.distToCenter()};
   sighting.lastHeard = now;
-  candidates_[hello.id()] = sighting;
+  auto slot = std::lower_bound(
+      candidates_.begin(), candidates_.end(), hello.id(),
+      [](const Sighting& s, net::NodeId id) { return s.candidate.id < id; });
+  if (slot != candidates_.end() && slot->candidate.id == hello.id()) {
+    *slot = sighting;
+  } else {
+    // Grows past the constructor's reserve only in a cell denser than
+    // the floor.
+    candidates_.insert(slot, sighting);
+  }
 
   if (hello.gatewayFlag()) {
     if (role_ == Role::kGateway) {

@@ -22,8 +22,8 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "net/host_env.hpp"
 #include "net/routing_protocol.hpp"
@@ -139,6 +139,9 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   void queueAppData(std::shared_ptr<const net::Header> header);
   void flushAppQueue();
   void setRole(Role role);
+  /// The election field: every same-grid host heard within `window`, in
+  /// ascending id order. Sightings older than that are dropped for good.
+  std::vector<Candidate> freshCandidates(sim::Time window);
   void noteGatewaySeen(net::NodeId gateway);
   bool gatewayIsStale() const;
   /// Make-before-break: after RETIREing, keep forwarding transit data
@@ -151,26 +154,32 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   void unicastFrame(net::NodeId to, std::shared_ptr<const net::Header> header);
   void broadcastFrameRaw(std::shared_ptr<const net::Header> header);
 
-  net::HostEnv& env_;
-  GridProtocolConfig config_;
-  RoutingEngine engine_;
-  HostTable hostTable_;
-  NeighbourGatewayTable neighbours_;
-  sim::RngStream rng_;
-
-  Role role_ = Role::kUndecided;
-  std::uint64_t sleepEntries_ = 0;
-  std::optional<geo::GridCoord> servedGrid_;
-  std::optional<net::NodeId> currentGateway_;
-  sim::Time lastGatewayHello_ = sim::kTimeZero;
-  sim::Time lastHelloSent_ = -1.0;
-
   /// Same-grid HELLO sightings used as the election field.
   struct Sighting {
     Candidate candidate;
     sim::Time lastHeard = sim::kTimeZero;
   };
-  std::map<net::NodeId, Sighting> candidates_;
+
+  // What handleHello reads for every HELLO heard, first after env_, so a
+  // reception touches as few lines of this object as it can (DESIGN §9).
+  net::HostEnv& env_;
+  Role role_ = Role::kUndecided;
+  std::optional<net::NodeId> currentGateway_;
+  NeighbourGatewayTable neighbours_;
+  /// One sighting per same-grid host, sorted by id: a cell holds a handful
+  /// of hosts, so a flat sorted array beats a tree here, and elections
+  /// walk it in ascending id order.
+  std::vector<Sighting> candidates_;
+
+  GridProtocolConfig config_;
+  RoutingEngine engine_;
+  HostTable hostTable_;
+  sim::RngStream rng_;
+
+  std::uint64_t sleepEntries_ = 0;
+  std::optional<geo::GridCoord> servedGrid_;
+  sim::Time lastGatewayHello_ = sim::kTimeZero;
+  sim::Time lastHelloSent_ = -1.0;
 
   /// Routing table stored from a RETIRE, adopted if we win the election.
   std::optional<std::vector<RouteRecord>> storedRetireTable_;
@@ -201,7 +210,6 @@ class ECGRID_DOMAIN_PER_HOST GridProtocolBase : public net::RoutingProtocol {
   void handleLeave(const net::Packet& frame, const LeaveHeader& leave);
   void handleAcq(const net::Packet& frame, const AcqHeader& acq);
   void handleData(const net::Packet& frame, const DataHeader& data);
-  std::vector<Candidate> freshCandidates(sim::Time window);
   void handOffTo(net::NodeId newGateway);
   RoutingEngine::Hooks makeHooks();
 

@@ -29,33 +29,50 @@ void RreqCache::sweep(sim::Time now) {
 
 const NeighbourGatewayTable::Entry* NeighbourGatewayTable::find(
     const geo::GridCoord& grid) const {
-  for (const Entry& entry : entries_) {
-    if (entry.grid == grid) return &entry;
+  const std::uint64_t key = keyOf(grid);
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == key) return &entries_[i];
   }
   return nullptr;
+}
+
+template <typename Pred>
+void NeighbourGatewayTable::eraseIf(Pred drop) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (drop(keys_[i], entries_[i])) continue;
+    keys_[kept] = keys_[i];
+    entries_[kept] = entries_[i];
+    ++kept;
+  }
+  keys_.resize(kept);
+  entries_.resize(kept);
 }
 
 void NeighbourGatewayTable::observe(const geo::GridCoord& grid,
                                     net::NodeId gateway,
                                     const geo::Vec2& position, sim::Time now) {
-  const Entry fresh{grid, gateway, position, now};
+  const Entry fresh{gateway, position, now};
   if (const Entry* entry = find(grid)) {
     entries_[static_cast<std::size_t>(entry - entries_.data())] = fresh;
   } else {
+    keys_.push_back(keyOf(grid));
     entries_.push_back(fresh);
   }
 }
 
 void NeighbourGatewayTable::forget(const geo::GridCoord& grid,
                                    net::NodeId gateway) {
-  std::erase_if(entries_, [&](const Entry& entry) {
-    return entry.grid == grid && entry.gateway == gateway;
+  const std::uint64_t key = keyOf(grid);
+  eraseIf([&](std::uint64_t entryKey, const Entry& entry) {
+    return entryKey == key && entry.gateway == gateway;
   });
 }
 
 void NeighbourGatewayTable::forgetById(net::NodeId gateway) {
-  std::erase_if(entries_,
-                [&](const Entry& entry) { return entry.gateway == gateway; });
+  eraseIf([&](std::uint64_t, const Entry& entry) {
+    return entry.gateway == gateway;
+  });
 }
 
 std::optional<net::NodeId> NeighbourGatewayTable::gatewayOf(

@@ -281,6 +281,7 @@ TEST(ChannelGrid, ProviderReturningAnEndedLegThrows) {
       });
       rig.radios[0]->transmit(broadcastFrame(0), 1e-4);
     };
+    const std::size_t live = rig.channel->liveAttachmentCount();
     try {
       attachStaleAndSend();
       ADD_FAILURE() << "an ended leg was accepted";
@@ -290,6 +291,14 @@ TEST(ChannelGrid, ProviderReturningAnEndedLegThrows) {
                 std::string::npos)
           << error.what();
     }
+    if (!useGrid) continue;  // brute force reads the leg at the send
+    // The grid reads the first leg inside attach, which threw before
+    // committing the slot: nothing of the failed attach is left behind.
+    EXPECT_EQ(rig.channel->liveAttachmentCount(), live);
+    EXPECT_EQ(stale.channelAttachmentId(), Radio::kNoAttachment);
+    const int good = rig.add(parked({10.0, 0.0}));
+    EXPECT_EQ(rig.channel->liveAttachmentCount(), live + 1);
+    EXPECT_EQ(rig.heardFrom(0, 1.0), (std::vector<int>{good}));
   }
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "energy/battery.hpp"
 #include "energy/power_profile.hpp"
@@ -92,6 +94,32 @@ TEST(Battery, RejectsBadInputs) {
   EXPECT_THROW(Battery(-1.0), std::invalid_argument);
   Battery battery(10.0);
   EXPECT_THROW(battery.setPowerW(-0.1, 0.0), std::invalid_argument);
+}
+
+TEST(Battery, TimeGoingBackwardsIsCaught) {
+  Battery battery(100.0);
+  battery.setPowerW(1.0, 10.0);
+  // Within the 1 ns slack a read at an earlier time is a no-op...
+  EXPECT_DOUBLE_EQ(battery.remainingJ(10.0 - 1e-10), 100.0);
+  // ...beyond it every integrating entry point refuses.
+  EXPECT_THROW(battery.setPowerW(2.0, 5.0), std::logic_error);
+  EXPECT_THROW(battery.timeToEmpty(5.0), std::logic_error);
+  EXPECT_THROW((void)battery.remainingJ(5.0), std::logic_error);
+  // Nothing was charged or changed by the refused calls.
+  EXPECT_DOUBLE_EQ(battery.currentPowerW(), 1.0);
+  EXPECT_DOUBLE_EQ(battery.remainingJ(20.0), 90.0);
+}
+
+TEST(Battery, NegativeDrawIsRejected) {
+  Battery battery(100.0);
+  battery.setPowerW(1.0, 0.0);
+  EXPECT_THROW(battery.setPowerW(-1e-12, 10.0), std::invalid_argument);
+  // Rejected before integrating: the old draw holds from t = 0.
+  EXPECT_DOUBLE_EQ(battery.currentPowerW(), 1.0);
+  EXPECT_DOUBLE_EQ(battery.timeToEmpty(10.0), 90.0);
+  battery.setPowerW(0.0, 10.0);  // zero is a valid draw
+  EXPECT_EQ(battery.timeToEmpty(10.0),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(Battery, PaperLifetimeSanity) {

@@ -22,6 +22,47 @@ TEST(GridProtocol, ElectsClosestToCenter) {
             std::optional<net::NodeId>(2));
 }
 
+// Exposes the election field a host would vote on.
+class FieldProbe final : public protocols::GridProtocolBase {
+ public:
+  using GridProtocolBase::GridProtocolBase;
+  const char* name() const override { return "field-probe"; }
+  std::vector<net::NodeId> fieldIds() {
+    std::vector<net::NodeId> ids;
+    for (const protocols::Candidate& candidate : freshCandidates(
+             config().helloPeriod * config().gatewayStaleFactor)) {
+      ids.push_back(candidate.id);
+    }
+    return ids;
+  }
+};
+
+TEST(GridProtocol, ElectionFieldDropsStaleSightingsAndKeepsIdOrder) {
+  TestNet net;
+  // One cell, ids added out of order; host 7 only watches.
+  for (const net::NodeId id : {11, 3, 7, 5, 1, 9}) {
+    net.addStatic(id, {5.0 + 8.0 * id, 40.0});
+  }
+  for (auto& node : net.network.nodes()) {
+    if (node->id() != 7) net.installGrid(*node);
+  }
+  net::Node& watcher = *net.network.findNode(7);
+  auto probe = std::make_unique<FieldProbe>(watcher,
+                                            protocols::GridProtocolConfig{});
+  FieldProbe& field = *probe;
+  watcher.setProtocol(std::move(probe));
+  net.start(3.0);
+  EXPECT_EQ(field.fieldIds(), (std::vector<net::NodeId>{1, 3, 5, 9, 11}));
+  // Silenced hosts age out of the field; the rest keep their order.
+  net.network.findNode(3)->crash();
+  net.network.findNode(11)->crash();
+  net.simulator.run(net.simulator.now() + 4.0);
+  EXPECT_EQ(field.fieldIds(), (std::vector<net::NodeId>{1, 5, 9}));
+  net.network.findNode(1)->crash();
+  net.simulator.run(net.simulator.now() + 4.0);
+  EXPECT_EQ(field.fieldIds(), (std::vector<net::NodeId>{5, 9}));
+}
+
 TEST(GridProtocol, LoneHostElectsItself) {
   TestNet net;
   net.addStatic(9, {450.0, 450.0});

@@ -159,6 +159,43 @@ TEST(NeighbourGatewayTable, NewObservationReplacesOld) {
   EXPECT_EQ(table.gatewayOf({1, 1}, 1.5), std::optional<net::NodeId>(9));
 }
 
+TEST(NeighbourGatewayTable, KeysStayInStepAfterForget) {
+  // Negative coordinates fill the high bits of their packed key: (-1, 0)
+  // and (0, -1) must stay apart, and so must each entry and its key when
+  // forget/forgetById compact the table.
+  NeighbourGatewayTable table(5.0);
+  table.observe({-1, 0}, 1, {-50.0, 50.0}, 0.0);
+  table.observe({0, -1}, 2, {50.0, -50.0}, 0.0);
+  table.observe({-1, -1}, 3, {-50.0, -50.0}, 0.0);
+  table.observe({-2, 3}, 1, {-150.0, 350.0}, 0.0);
+  table.observe({4, -5}, 4, {450.0, -450.0}, 0.0);
+  ASSERT_EQ(table.size(), 5u);
+  table.forget({0, -1}, 2);
+  table.forgetById(1);
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_FALSE(table.gatewayOf({-1, 0}, 1.0).has_value());
+  EXPECT_FALSE(table.gatewayOf({0, -1}, 1.0).has_value());
+  EXPECT_FALSE(table.gatewayOf({-2, 3}, 1.0).has_value());
+  EXPECT_EQ(table.gatewayOf({-1, -1}, 1.0), std::optional<net::NodeId>(3));
+  EXPECT_EQ(table.gatewayOf({4, -5}, 1.0), std::optional<net::NodeId>(4));
+  // The survivors kept their positions: the range check reads them.
+  EXPECT_TRUE(
+      table.gatewayOf({4, -5}, 1.0, {450.0, -400.0}, 60.0).has_value());
+  EXPECT_FALSE(
+      table.gatewayOf({-1, -1}, 1.0, {450.0, -400.0}, 60.0).has_value());
+  // Re-observing a forgotten grid appends it afresh; a live one updates
+  // in place.
+  table.observe({0, -1}, 5, {60.0, -60.0}, 2.0);
+  table.observe({-1, -1}, 6, {-60.0, -60.0}, 2.0);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.gatewayOf({0, -1}, 3.0), std::optional<net::NodeId>(5));
+  EXPECT_EQ(table.gatewayOf({-1, -1}, 3.0), std::optional<net::NodeId>(6));
+  EXPECT_FALSE(table.gatewayOf({-1, 0}, 3.0).has_value());
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.gatewayOf({4, -5}, 3.0).has_value());
+}
+
 TEST(HostTable, TracksStatus) {
   HostTable table(2.5);
   table.markActive(4, 0.0);
