@@ -23,8 +23,7 @@ GridProtocolBase::GridProtocolBase(net::HostEnv& env,
       mHandoffs_(obs::counter(env.simulator(), "grid.handoffs")) {
   ECGRID_REQUIRE(config.helloPeriod > 0.0, "HELLO period must be positive");
   // A floor for the election field: a cell of the dense 1000-host field
-  // holds about ten hosts. A denser cell grows it once, to its high-water
-  // mark.
+  // holds about ten hosts. A denser cell grows it to its high-water mark.
   candidates_.reserve(16);
 }
 
