@@ -38,6 +38,14 @@ constexpr std::size_t kRadixMinItems = 16;
 // passes of the full span.
 constexpr int kRadixBits = 16;
 
+// The leg `legs` gives for `now`, checked to be still running.
+geo::Segment liveLeg(const Channel::LegProvider& legs, sim::Time now) {
+  const geo::Segment leg = legs(now);
+  ECGRID_CHECK(now < leg.end,
+               "leg provider returned a leg that has already ended");
+  return leg;
+}
+
 /// Insertion pass: sorts a set that is in order but for a few items close
 /// to their place in O(n) comparisons, and a small set outright.
 template <class Item, class Before>
@@ -120,15 +128,9 @@ sim::Time Channel::frameAirtime(int bytes) const {
 std::size_t Channel::attach(Radio* radio, LegProvider legs) {
   ECGRID_REQUIRE(radio != nullptr, "radio required");
   ECGRID_REQUIRE(legs != nullptr, "leg provider required");
-  // A default leg has already ended: the first query reads a fresh one.
-  geo::Segment first{};
-  if (config_.useSpatialIndex) {
-    // The grid buckets the radio now: read its first leg before the slot
-    // is committed, so a provider that fails the check leaves no trace.
-    first = legs(sim_.now());
-    ECGRID_CHECK(sim_.now() < first.end,
-                 "leg provider returned a leg that has already ended");
-  }
+  // Read the first leg before the slot is committed, so a provider that
+  // fails the check leaves no trace.
+  const geo::Segment first = liveLeg(legs, sim_.now());
   std::size_t id;
   if (!freeSlots_.empty()) {
     id = freeSlots_.back();
@@ -158,7 +160,7 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
     }
     bucketUntil_[id] = -kInfinity;
     refreshAt_ = -kInfinity;
-    fitGrid(positionOf(id, sim_.now()));
+    fitGrid(first.at(sim_.now()));
   }
   ++liveAttachments_;
   return id;
@@ -344,9 +346,7 @@ ECGRID_HOT_PATH geo::Vec2 Channel::positionOf(std::size_t id,
     // A counted arrival is rebuilt from the leg that covered its sending:
     // park it before that leg goes.
     if (hasCountedArrivals(id)) parkCounted(id);
-    leg = attachments_[id].legs(now);
-    ECGRID_CHECK(now < leg.end,
-                 "leg provider returned a leg that has already ended");
+    leg = liveLeg(attachments_[id].legs, now);
   }
   return leg.at(now);
 }

@@ -22,9 +22,11 @@ GridProtocolBase::GridProtocolBase(net::HostEnv& env,
       mRetires_(obs::counter(env.simulator(), "grid.retires")),
       mHandoffs_(obs::counter(env.simulator(), "grid.handoffs")) {
   ECGRID_REQUIRE(config.helloPeriod > 0.0, "HELLO period must be positive");
-  // A floor for the election field: a cell of the dense 1000-host field
-  // holds about ten hosts. A denser cell grows it to its high-water mark.
-  candidates_.reserve(16);
+  // The election field's measured high-water mark: at most 22 sightings
+  // on the dense 1000-host, 100-cell field (perfbench dense_grid, seeds 1
+  // and 7919; 20 under ECGRID, 12 on the paper's 100-host field). A
+  // denser cell grows it once more; erase_if and clear() keep capacity.
+  candidates_.reserve(22);
 }
 
 void GridProtocolBase::beginElectionRound() {
@@ -414,7 +416,7 @@ ECGRID_HOT_PATH void GridProtocolBase::handleHello(const net::Packet& frame,
     *slot = sighting;
   } else {
     // Grows past the constructor's reserve only in a cell denser than
-    // the floor.
+    // the measured high-water mark.
     candidates_.insert(slot, sighting);
   }
 

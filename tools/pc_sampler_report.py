@@ -2,7 +2,7 @@
 """Symbolize and rank the samples tools/pc_sampler.c wrote.
 
     python3 tools/pc_sampler_report.py pc_sampler.<pid>.out
-        [--binary PATH] [--top N] [--lines] [--lines-per-function K]
+        [--binary PATH] [--lines]
     python3 tools/pc_sampler_report.py --selftest
 
 Each sample is a program counter. The report maps it into the ELF file of
@@ -14,10 +14,10 @@ of all samples, largest first; samples outside the binary are grouped by
 the mapped file they fall in ("[libc.so.6]"), samples in no mapping as
 "[unmapped]".
 
---lines adds, under each listed function, its hottest source lines from
-`addr2line -C -e BINARY` (needs a build with -g; inlined code is charged to
-the line it was inlined from in the caller, as addr2line reports it
-without -i).
+The report lists the 30 largest functions. --lines adds, under each, its
+five hottest source lines from `addr2line -C -e BINARY` (needs a build with
+-g; inlined code is charged to the line it was inlined from in the caller,
+as addr2line reports it without -i).
 
 The binary defaults to the first mapped file whose name is the sampled
 program (the first `map` line); pass --binary when it moved or when the
@@ -166,8 +166,11 @@ def lines_of(binary: str, addresses: list[int]) -> list[str]:
         check=True, capture_output=True, text=True).stdout.splitlines()
 
 
-def report(path: str, binary: str | None, top: int, lines: bool,
-           per_function: int) -> None:
+TOP_FUNCTIONS = 30
+LINES_PER_FUNCTION = 5
+
+
+def report(path: str, binary: str | None, lines: bool) -> None:
     with open(path) as f:
         maps, pcs, header = parse_samples(f.read())
     if not pcs:
@@ -187,11 +190,11 @@ def report(path: str, binary: str | None, top: int, lines: bool,
     print(f"{path}: {total} samples ({header.get('dropped', '0')} dropped), "
           f"binary {binary}")
     print(f"{'share':>7} {'samples':>8}  function")
-    for name, count in counts.most_common(top):
+    for name, count in counts.most_common(TOP_FUNCTIONS):
         print(f"{100.0 * count / total:6.1f}% {count:8d}  {name}")
         if lines and addresses.get(name):
             by_line = collections.Counter(lines_of(binary, addresses[name]))
-            for where, n in by_line.most_common(per_function):
+            for where, n in by_line.most_common(LINES_PER_FUNCTION):
                 print(f"{'':17}{100.0 * n / count:5.1f}% of it  {where}")
 
 
@@ -267,20 +270,15 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("samples", nargs="?", help="pc_sampler.<pid>.out")
     parser.add_argument("--binary", help="ELF file to symbolize against")
-    parser.add_argument("--top", type=int, default=30,
-                        help="functions to list (default 30)")
     parser.add_argument("--lines", action="store_true",
                         help="per-line shares under each function (addr2line)")
-    parser.add_argument("--lines-per-function", type=int, default=5,
-                        help="lines listed per function with --lines")
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()
     if args.selftest:
         return selftest()
     if args.samples is None:
         parser.error("a samples file is required")
-    report(args.samples, args.binary, args.top, args.lines,
-           args.lines_per_function)
+    report(args.samples, args.binary, args.lines)
     return 0
 
 
