@@ -29,50 +29,33 @@ void RreqCache::sweep(sim::Time now) {
 
 const NeighbourGatewayTable::Entry* NeighbourGatewayTable::find(
     const geo::GridCoord& grid) const {
-  const std::uint64_t key = keyOf(grid);
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == key) return &entries_[i];
+  for (const Entry& entry : entries_) {
+    if (entry.grid == grid) return &entry;
   }
   return nullptr;
-}
-
-template <typename Pred>
-void NeighbourGatewayTable::eraseIf(Pred drop) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (drop(keys_[i], entries_[i])) continue;
-    keys_[kept] = keys_[i];
-    entries_[kept] = entries_[i];
-    ++kept;
-  }
-  keys_.resize(kept);
-  entries_.resize(kept);
 }
 
 void NeighbourGatewayTable::observe(const geo::GridCoord& grid,
                                     net::NodeId gateway,
                                     const geo::Vec2& position, sim::Time now) {
-  const Entry fresh{gateway, position, now};
+  const Entry fresh{grid, gateway, position, now};
   if (const Entry* entry = find(grid)) {
     entries_[static_cast<std::size_t>(entry - entries_.data())] = fresh;
   } else {
-    keys_.push_back(keyOf(grid));
     entries_.push_back(fresh);
   }
 }
 
 void NeighbourGatewayTable::forget(const geo::GridCoord& grid,
                                    net::NodeId gateway) {
-  const std::uint64_t key = keyOf(grid);
-  eraseIf([&](std::uint64_t entryKey, const Entry& entry) {
-    return entryKey == key && entry.gateway == gateway;
+  std::erase_if(entries_, [&](const Entry& entry) {
+    return entry.grid == grid && entry.gateway == gateway;
   });
 }
 
 void NeighbourGatewayTable::forgetById(net::NodeId gateway) {
-  eraseIf([&](std::uint64_t, const Entry& entry) {
-    return entry.gateway == gateway;
-  });
+  std::erase_if(entries_,
+                [&](const Entry& entry) { return entry.gateway == gateway; });
 }
 
 std::optional<net::NodeId> NeighbourGatewayTable::gatewayOf(

@@ -42,9 +42,7 @@ class ECGRID_DOMAIN_PER_HOST RreqCache {
 /// Entries age out when the gateway goes quiet; lookups are range-checked
 /// so a gateway that has drifted out of radio reach is not offered as a
 /// next hop. A host hears the gateways of a handful of grids, so the table
-/// is flat and searched linearly, in no particular order: `keys_` packs
-/// each entry's grid into 64 bits, in step with `entries_`, so a lookup
-/// walks one dense array.
+/// is a flat vector searched linearly, in no particular order.
 class ECGRID_DOMAIN_PER_HOST NeighbourGatewayTable {
  public:
   explicit NeighbourGatewayTable(sim::Time staleAfter)
@@ -67,32 +65,21 @@ class ECGRID_DOMAIN_PER_HOST NeighbourGatewayTable {
                                        sim::Time now, const geo::Vec2& from,
                                        double maxDistance) const;
 
-  void clear() {
-    keys_.clear();
-    entries_.clear();
-  }
+  void clear() { entries_.clear(); }
 
   std::size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
+    geo::GridCoord grid;
     net::NodeId gateway = net::kBroadcastId;
     geo::Vec2 position;
     sim::Time lastHeard = sim::kTimeZero;
   };
-  ECGRID_LAYOUT_BUDGET(Entry, 32);
-  static std::uint64_t keyOf(const geo::GridCoord& grid) {
-    return (std::uint64_t{static_cast<std::uint32_t>(grid.x)} << 32) |
-           static_cast<std::uint32_t>(grid.y);
-  }
+  ECGRID_LAYOUT_BUDGET(Entry, 40);
   /// The entry for `grid`, or nullptr.
   const Entry* find(const geo::GridCoord& grid) const;
-  /// Drop the entries `drop(key, entry)` picks, keeping the rest in order.
-  template <typename Pred>
-  void eraseIf(Pred drop);
-
   sim::Time staleAfter_;
-  std::vector<std::uint64_t> keys_;  ///< keyOf(grid), one per entry
   std::vector<Entry> entries_;
 };
 

@@ -160,9 +160,9 @@ TEST(NeighbourGatewayTable, NewObservationReplacesOld) {
 }
 
 TEST(NeighbourGatewayTable, KeysStayInStepAfterForget) {
-  // Negative coordinates fill the high bits of their packed key: (-1, 0)
-  // and (0, -1) must stay apart, and so must each entry and its key when
-  // forget/forgetById compact the table.
+  // Grids with negative coordinates: (-1, 0) and (0, -1) must stay apart,
+  // and each grid must keep its own entry when forget/forgetById compact
+  // the table.
   NeighbourGatewayTable table(5.0);
   table.observe({-1, 0}, 1, {-50.0, 50.0}, 0.0);
   table.observe({0, -1}, 2, {50.0, -50.0}, 0.0);
