@@ -136,8 +136,6 @@ void applyKey(harness::ScenarioConfig& config, const std::string& key,
     config.gafEndpointCount = intNumber(value, key);
   } else if (key == "interferenceRangeFactor") {
     config.interferenceRangeFactor = finiteNumber(value, key);
-  } else if (key == "channelSpatialIndex") {
-    config.channelSpatialIndex = value.asBool();
   } else if (key == "useLocationOracle") {
     config.useLocationOracle = value.asBool();
   } else if (key == "digestEveryEvents") {

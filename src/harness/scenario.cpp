@@ -132,7 +132,6 @@ ScenarioResult runScenario(const ScenarioConfig& config) {
     netConfig.channel.interferenceRangeMeters =
         config.interferenceRangeFactor * config.radioRange;
   }
-  netConfig.channel.useSpatialIndex = config.channelSpatialIndex;
   netConfig.paging.rangeMeters = config.radioRange;
   net::Network network(simulator, netConfig);
 

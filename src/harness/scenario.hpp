@@ -89,11 +89,6 @@ struct ScenarioConfig {
   /// unit disk, the paper's model). See ChannelConfig.
   double interferenceRangeFactor = 1.0;
 
-  /// Spatially index channel attachments so broadcasts scan O(density)
-  /// radios instead of all N. Off = brute-force scan; both modes produce
-  /// bit-identical runs (the differential tests prove it).
-  bool channelSpatialIndex = true;
-
   /// When true, RREQ search areas are confined using a GPS location
   /// oracle over the destination (the paper's location-aware assumption);
   /// when false every discovery floods globally.

@@ -148,20 +148,18 @@ std::size_t Channel::attach(Radio* radio, LegProvider legs) {
   radio->attachChannel(this);
   radio->setChannelAttachmentId(id);
   setAsleep(id, radio->sleeping());
-  if (config_.useSpatialIndex) {
-    // Every grid array is sized here, so refreshes and queries never grow
-    // one. The attachment is bucketed on the next refresh.
-    bucketOf_.resize(attachments_.size(), kNoBucket);
-    bucketUntil_.resize(attachments_.size());
-    members_.resize(attachments_.size());
-    for (std::vector<double>* column :
-         {&legStart_, &originX_, &originY_, &velocityX_, &velocityY_}) {
-      column->resize(attachments_.size());
-    }
-    bucketUntil_[id] = -kInfinity;
-    refreshAt_ = -kInfinity;
-    fitGrid(first.at(sim_.now()));
+  // Every grid array is sized here, so refreshes and queries never grow
+  // one. The attachment is bucketed on the next refresh.
+  bucketOf_.resize(attachments_.size(), kNoBucket);
+  bucketUntil_.resize(attachments_.size());
+  members_.resize(attachments_.size());
+  for (std::vector<double>* column :
+       {&legStart_, &originX_, &originY_, &velocityX_, &velocityY_}) {
+    column->resize(attachments_.size());
   }
+  bucketUntil_[id] = -kInfinity;
+  refreshAt_ = -kInfinity;
+  fitGrid(first.at(sim_.now()));
   ++liveAttachments_;
   return id;
 }
@@ -180,11 +178,9 @@ void Channel::detach(std::size_t attachmentId) {
   // Its counted arrivals can still replay if the radio wakes; they need
   // its leg, which the slot's next owner replaces.
   if (hasCountedArrivals(attachmentId)) parkCounted(attachmentId);
-  if (config_.useSpatialIndex) {
-    bucketOf_[attachmentId] = kNoBucket;
-    bucketUntil_[attachmentId] = kInfinity;
-    refreshAt_ = -kInfinity;  // rebuild the offsets without it
-  }
+  bucketOf_[attachmentId] = kNoBucket;
+  bucketUntil_[attachmentId] = kInfinity;
+  refreshAt_ = -kInfinity;  // rebuild the offsets without it
   slot.radio->setChannelAttachmentId(Radio::kNoAttachment);
   slot.radio = nullptr;
   slot.legs = nullptr;
@@ -297,8 +293,9 @@ template <bool kFaultArmed>
     for (std::uint32_t k =
              bucketStart_[rowStart + columns_.cellOf(senderPos.x - half)];
          k < last; ++k) {
-      // Segment::at and Vec2::distanceSquaredTo, term for term, so the
-      // distance is bit-identical to deliverTo's.
+      // Segment::at and Vec2::distanceSquaredTo, term for term: a counted
+      // arrival is rebuilt (forEachCountedArrival) and the tests' oracle
+      // judges reach with those, and both must see this very distance.
       const double dt = now - legStart_[k];
       const double dx = senderPos.x - (originX_[k] + velocityX_[k] * dt);
       const double dy = senderPos.y - (originY_[k] + velocityY_[k] * dt);
@@ -422,33 +419,6 @@ ECGRID_HOT_PATH void Channel::park(std::size_t id, sim::Time at,
   if (at > latestParked_) latestParked_ = at;
 }
 
-ECGRID_HOT_PATH void Channel::deliverTo(std::size_t id, net::NodeId sender,
-                                        const InFlight& tx) {
-  ECGRID_HOT_SCOPE();
-  const double rangeSq = config_.rangeMeters * config_.rangeMeters;
-  const double interfSq =
-      config_.interferenceRangeMeters * config_.interferenceRangeMeters;
-  const double distSq =
-      tx.senderPos.distanceSquaredTo(positionOf(id, tx.sentAt));
-  if (distSq > rangeSq && distSq > interfSq) return;
-  // Outside decode range (the interference ring) energy arrives but
-  // cannot decode.
-  bool decodable = distSq <= rangeSq;
-  if (decodable) {
-    ++deliveriesScheduled_;
-    mDeliveriesScheduled_.add();
-    if (config_.deliveryFault) decodable = !faultCorrupts(sender, id);
-  }
-  const sim::Time at = tx.sentAt + std::sqrt(distSq) / config_.propagationSpeed;
-  if (asleep_[id] != 0) {
-    park(id, at, decodable, tx);
-    return;
-  }
-  // Ordered with the other listeners' below.
-  awake_.push_back(ArrivalStart{at, attachments_[id].radio,
-                                static_cast<std::uint32_t>(id), decodable});
-}
-
 ECGRID_HOT_PATH void Channel::replayDeferred(Radio& radio) {
   ECGRID_HOT_SCOPE();
   // Leaving sleep parked its counted arrivals after the ones parked at
@@ -525,18 +495,11 @@ ECGRID_HOT_PATH sim::EventOrder Channel::transmitFrom(
   // The record sleepers' arrivals refer to, kept if any is heard asleep.
   const InFlight tx{frame, places, now, senderPos, framesTransmitted_};
   awake_.clear();
-  if (config_.useSpatialIndex) {
-    if (now >= refreshAt_) refreshGrid(now);
-    if (config_.deliveryFault) {
-      scanNear<true>(senderId, sender.id(), tx);
-    } else {
-      scanNear<false>(senderId, sender.id(), tx);
-    }
+  if (now >= refreshAt_) refreshGrid(now);
+  if (config_.deliveryFault) {
+    scanNear<true>(senderId, sender.id(), tx);
   } else {
-    for (std::size_t id = 0; id < attachments_.size(); ++id) {
-      if (attachments_[id].radio == nullptr || id == senderId) continue;
-      deliverTo(id, sender.id(), tx);
-    }
+    scanNear<false>(senderId, sender.id(), tx);
   }
 
   // This transmission's number was framesTransmitted_ until here: a sleeper

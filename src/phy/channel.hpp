@@ -7,14 +7,12 @@
 // Collisions are decided per-receiver by the Radio (any temporal overlap
 // corrupts), so hidden-terminal losses emerge naturally.
 //
-// Fan-out uses a bucket grid by default: attachments are bucketed on a
-// dense grid of squares half the effective reach wide, and a broadcast
-// visits only the buckets that meet its sender's reach disc. The buckets
-// are refreshed lazily from the cached motion legs, with no events
-// (DESIGN.md §9 argues they always hold a superset of the radios in
-// reach). The brute-force O(N) scan is kept behind
-// `ChannelConfig::useSpatialIndex = false` for differential testing; both
-// modes produce bit-identical simulations.
+// Fan-out uses a bucket grid: attachments are bucketed on a dense grid of
+// squares half the effective reach wide, and a broadcast visits only the
+// buckets that meet its sender's reach disc. The buckets are refreshed
+// lazily from the cached motion legs, with no events (DESIGN.md §9 argues
+// they always hold a superset of the radios in reach). The tests check
+// the scan against distances computed from the mobility models alone.
 //
 // PHY work scales with the radios that can hear a frame, not with every
 // radio in range:
@@ -90,11 +88,11 @@
 //     has ended, and the channel parks a sleeper's pending arrivals from
 //     the old leg before replacing it (and before a detach frees the
 //     slot), so a rebuilt arrival is the one a record parked at transmit
-//     time would have held, bit for bit. Two cases still park each
-//     sleeper at transmit time: an armed fault slot (its verdict for the
-//     sleeper is drawn then, and a rebuilt arrival could not carry it)
-//     and the brute-force scan, the reference the differential tests
-//     compare against.
+//     time would have held, bit for bit. One case still parks each
+//     sleeper at transmit time: an armed fault slot, whose verdict for
+//     the sleeper is drawn then and which a rebuilt arrival could not
+//     carry. So a run armed with a slot that never corrupts must equal
+//     the unarmed run bit for bit, which the tests check.
 //
 // Skipping sleepers is exact, not approximate: every other event keeps its
 // (time, tie key, sequence) key, deliveryFault is still consulted once
@@ -160,14 +158,10 @@ struct ChannelConfig {
   /// 1.8–2.2× their decode range; the `interference` rows of
   /// `bench/ablations` sweep this.
   double interferenceRangeMeters = 0.0;
-  /// Bucket attachments spatially so broadcasts visit O(density) radios
-  /// instead of all N. Off = the brute-force full scan (identical event
-  /// schedule; kept for differential tests and as a paranoia escape hatch).
-  bool useSpatialIndex = true;
   /// Fault-injection slot (src/fault): when set, asked exactly once per
   /// (transmission, receiver in decode range), asleep or not, with the
-  /// transmission's number. The fan-out modes ask in different orders, so
-  /// a slot decides from its arguments alone. Returning true corrupts that
+  /// transmission's number. Bucket order is not id order, so a slot
+  /// decides from its arguments alone. Returning true corrupts that
   /// delivery: the energy still arrives (carrier sense, collisions) but the
   /// frame cannot decode. Null (the default) costs nothing. Also armable
   /// post-construction via Channel::setDeliveryFault.
@@ -330,9 +324,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   /// starts in awake_; count sleepers, or, while armed, ask and park them.
   template <bool kFaultArmed>
   void scanNear(std::size_t senderId, net::NodeId sender, const InFlight& tx);
-  /// The brute-force fan-out's step: the same for attachment `id` alone,
-  /// parking it if it sleeps.
-  void deliverTo(std::size_t id, net::NodeId sender, const InFlight& tx);
   /// Ask the armed fault slot about this transmission's delivery to
   /// attachment `id`, counting a corruption.
   bool faultCorrupts(net::NodeId sender, std::size_t id);
@@ -348,7 +339,6 @@ class ECGRID_DOMAIN_PER_SCENARIO Channel {
   std::vector<std::size_t> freeSlots_;
   // The fan-out grid: columns_ x rows_ cells, row-major. Bucket b holds
   // members_[bucketStart_[b] .. bucketStart_[b + 1]), ids ascending.
-  // Empty while useSpatialIndex is off.
   double reach_ = 0.0;
   GridAxis columns_;
   GridAxis rows_;

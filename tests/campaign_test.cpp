@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign_runner.hpp"
@@ -187,17 +188,25 @@ TEST(CampaignResolve, RejectsUnknownKeysLoudly) {
 }
 
 // A key ScenarioConfig does not have is an error, not a silently ignored
-// knob.
+// knob: neither the removed shard count nor the removed channel-scan
+// switch, so an old spec fails loudly instead of running the defaults.
 TEST(CampaignResolve, RejectsAShardsKey) {
-  const CampaignSpec spec =
-      parseCampaignSpec(R"({"name":"x","base":{"shards":4},"seeds":[1]})");
-  const std::vector<RunSpec> runs = campaign::expandCampaign(spec);
-  ASSERT_EQ(runs.size(), 1u);
-  try {
-    (void)campaign::resolveConfig(runs[0].overrides, runs[0].seed);
-    FAIL() << "the spec resolved";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "unknown campaign config key 'shards'");
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"shards", "4"},
+        {"channelSpatialIndex", "false"}}) {
+    SCOPED_TRACE(key);
+    const CampaignSpec spec = parseCampaignSpec(
+        R"({"name":"x","base":{")" + key + "\":" + value +
+        R"(},"seeds":[1]})");
+    const std::vector<RunSpec> runs = campaign::expandCampaign(spec);
+    ASSERT_EQ(runs.size(), 1u);
+    try {
+      (void)campaign::resolveConfig(runs[0].overrides, runs[0].seed);
+      FAIL() << "the spec resolved";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown campaign config key '" + key + "'");
+    }
   }
 }
 

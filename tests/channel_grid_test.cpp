@@ -1,10 +1,13 @@
 // Tests for the channel's fan-out grid: movers, bucket walls, expiry at
 // a transmission's own instant, detach and slot reuse, providers that
 // return ended legs, and — the property that licenses the whole
-// optimisation — differential equivalence with the brute-force scan, from
-// single broadcasts on randomized topologies at many instants up to full
-// mobile scenarios with an interference ring, with and without the
-// delivery-fault slot armed.
+// optimisation — agreement with two references that share no code with
+// the scan. Geometry: every decoded frame, rx-end time, fault-slot call
+// and interference hit is predicted from the mobility models' own
+// positions alone. A zero-loss fault slot: armed, the scan parks every
+// sleeper at transmit time, so an unarmed run, which only counts sleepers
+// and rebuilds their arrivals on a wake, must match it bit for bit — from
+// single broadcasts up to full mobile scenarios with an interference ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,20 +47,52 @@ net::Packet broadcastFrame(net::NodeId src) {
   return frame;
 }
 
+/// Every transmission's airtime.
+constexpr sim::Time kAirtime = 1e-4;
+
+/// Every fault-slot call, as (transmission, sender, receiver).
+using FaultCalls =
+    std::vector<std::tuple<std::uint64_t, net::NodeId, net::NodeId>>;
+
+/// Arm the channel's fault slot with a keyed i.i.d. verdict (the one
+/// fault::FaultInjector arms) that also logs each call into `calls`. With
+/// loss 0 it is asked about every delivery and corrupts none.
+void armKeyedFault(Channel& channel, double loss, std::uint64_t seed,
+                   FaultCalls& calls) {
+  channel.setDeliveryFault(
+      [model = fault::IidLossModel(loss, seed), &calls](
+          std::uint64_t tx, net::NodeId sender, net::NodeId receiver) mutable {
+        calls.emplace_back(tx, sender, receiver);
+        return model.dropDelivery(tx, sender, receiver);
+      });
+}
+
+/// `calls` as a set: sorted, after checking that no delivery was asked
+/// about twice. The scan asks in bucket order, not id order.
+FaultCalls callSet(FaultCalls calls) {
+  std::sort(calls.begin(), calls.end());
+  EXPECT_TRUE(std::adjacent_find(calls.begin(), calls.end()) == calls.end())
+      << "a delivery was asked about twice";
+  return calls;
+}
+
 using Legs = std::vector<mobility::ScriptedMobility::Leg>;
 
 /// A radio that sits at `at` for good.
 Legs parked(geo::Vec2 at) { return {{0.0, at, {}}}; }
 
-/// Radios on scripted legs over one channel, grid or brute force. Each
-/// transmission is isolated in time, so without an interference ring a
-/// frame decodes at exactly the radios within range of its sender.
+/// A decoded frame, as the geometry predicts it: (receiver, rx-end time,
+/// sender).
+using Frame = std::tuple<int, sim::Time, int>;
+
+/// Radios on scripted legs over one channel. Each transmission is
+/// isolated in time unless a test overlaps them, so without an
+/// interference ring a frame decodes at exactly the awake radios within
+/// range of its sender.
 struct MoverRig {
-  explicit MoverRig(bool useGrid = true, double interferenceRange = 0.0,
-                    std::uint64_t seed = 1)
+  explicit MoverRig(double interferenceRange = 0.0, std::uint64_t seed = 1)
       : simulator(seed) {
     ChannelConfig config;
-    config.useSpatialIndex = useGrid;
     config.interferenceRangeMeters = interferenceRange;
     channel.emplace(simulator, config);
   }
@@ -83,37 +118,102 @@ struct MoverRig {
     return static_cast<int>(radios.size()) - 1;
   }
 
+  Radio& radio(int id) { return *radios[static_cast<std::size_t>(id)]; }
+
   geo::Vec2 positionAt(int id, sim::Time t) {
     return models[static_cast<std::size_t>(id)]->positionAt(t);
+  }
+
+  /// Schedule a broadcast from `src` at `at`; once sent, it is listed in
+  /// `sent` with its transmission number.
+  void sendAt(int src, sim::Time at) {
+    simulator.scheduleAt(at, [this, src] {
+      const std::uint64_t number = channel->framesTransmitted();
+      radio(src).transmit(broadcastFrame(src), kAirtime);
+      if (channel->framesTransmitted() > number) {
+        sent.push_back({number, src, simulator.now()});
+      }
+    });
   }
 
   /// Transmit from `src` at `at` and settle; returns who decoded it,
   /// ascending.
   std::vector<int> heardFrom(int src, sim::Time at) {
     heard.clear();
-    simulator.scheduleAt(at, [this, src] {
-      radios[static_cast<std::size_t>(src)]->transmit(broadcastFrame(src),
-                                                      1e-4);
-    });
+    sendAt(src, at);
     simulator.run(at + 0.01);
     std::sort(heard.begin(), heard.end());
     return heard;
   }
 
-  /// The radios within range of `src` at `at`, by the channel's own
-  /// distance expression, ascending.
-  std::vector<int> inRangeOf(int src, sim::Time at) {
-    const double range = channel->config().rangeMeters;
+  /// The radios within `reach` of `src` at `at`, ascending, judged by the
+  /// mobility models' positions and Vec2::distanceSquaredTo alone.
+  std::vector<int> inReachOf(int src, sim::Time at, double reach) {
     const geo::Vec2 from = positionAt(src, at);
     std::vector<int> near;
     for (int id = 0; id < static_cast<int>(radios.size()); ++id) {
       if (id == src) continue;
-      if (from.distanceSquaredTo(positionAt(id, at)) <= range * range) {
+      if (from.distanceSquaredTo(positionAt(id, at)) <= reach * reach) {
         near.push_back(id);
       }
     }
     return near;
   }
+
+  std::vector<int> inRangeOf(int src, sim::Time at) {
+    return inReachOf(src, at, channel->config().rangeMeters);
+  }
+
+  /// When a frame `src` sends at `at` ends at `id`: sent-at plus the
+  /// flight over the models' distance, plus the airtime.
+  sim::Time rxEnd(int src, int id, sim::Time at) {
+    const double distSq =
+        positionAt(src, at).distanceSquaredTo(positionAt(id, at));
+    return (at + std::sqrt(distSq) / channel->config().propagationSpeed) +
+           kAirtime;
+  }
+
+  /// What the geometry says a transmission from `src` at `at`, alone in
+  /// the air, decodes: one frame at each awake radio in range, ascending.
+  std::vector<Frame> expectedFrames(int src, sim::Time at) {
+    std::vector<Frame> frames;
+    for (int id : inRangeOf(src, at)) {
+      if (!radio(id).sleeping()) frames.emplace_back(id, rxEnd(src, id, at), src);
+    }
+    return frames;
+  }
+
+  /// The frames decoded since `decoded` held `from` of them, ascending.
+  std::vector<Frame> framesSince(std::size_t from) const {
+    std::vector<Frame> frames;
+    for (std::size_t k = from; k < decoded.size(); ++k) {
+      frames.emplace_back(std::get<0>(decoded[k]), std::get<1>(decoded[k]),
+                          std::get<2>(decoded[k]));
+    }
+    std::sort(frames.begin(), frames.end());
+    return frames;
+  }
+
+  /// The fault-slot calls the geometry predicts for the transmissions
+  /// sent since `sent` held `from` of them: one per radio in decode range
+  /// of the sender at its instant, asleep or not.
+  FaultCalls decodeRangeCalls(std::size_t from) {
+    FaultCalls calls;
+    for (std::size_t k = from; k < sent.size(); ++k) {
+      for (int id : inRangeOf(sent[k].sender, sent[k].at)) {
+        calls.emplace_back(sent[k].number, sent[k].sender, id);
+      }
+    }
+    std::sort(calls.begin(), calls.end());
+    return calls;
+  }
+
+  /// A transmission as sent: its number, sender and instant.
+  struct Sent {
+    std::uint64_t number = 0;
+    int sender = 0;
+    sim::Time at = 0.0;
+  };
 
   sim::Simulator simulator;
   std::optional<Channel> channel;
@@ -122,8 +222,9 @@ struct MoverRig {
   std::vector<std::unique_ptr<Radio>> radios;
   std::vector<std::size_t> attachments;  ///< by radio
   std::vector<int> heard;
-  /// (receiver, rx-end time, uid) of every decoded frame.
-  std::vector<std::tuple<int, sim::Time, std::uint64_t>> decoded;
+  std::vector<Sent> sent;
+  /// (receiver, rx-end time, sender, uid) of every decoded frame.
+  std::vector<std::tuple<int, sim::Time, int, std::uint64_t>> decoded;
 
  private:
   Radio& newRadio() {
@@ -133,7 +234,7 @@ struct MoverRig {
                                              energy::PowerProfile{}, id));
     radios.back()->setFrameCallback([this, id](const net::Packet& frame) {
       heard.push_back(id);
-      decoded.emplace_back(id, simulator.now(), frame.uid);
+      decoded.emplace_back(id, simulator.now(), frame.macSrc, frame.uid);
     });
     return *radios.back();
   }
@@ -269,125 +370,168 @@ TEST(ChannelGrid, DetachedSlotsAreReBucketedForTheirNewOwner) {
 // A leg provider must return the leg covering the query time; one that
 // returns an ended leg fails loudly instead of being mis-bucketed.
 TEST(ChannelGrid, ProviderReturningAnEndedLegThrows) {
-  for (const bool useGrid : {true, false}) {
-    SCOPED_TRACE(useGrid ? "grid" : "brute force");
-    MoverRig rig(useGrid);
-    rig.add(parked({0.0, 0.0}));
-    energy::Battery battery(1e6);
-    Radio stale(rig.simulator, battery, energy::PowerProfile{}, 1);
-    const std::size_t live = rig.channel->liveAttachmentCount();
-    try {
-      rig.channel->attach(&stale, [](sim::Time now) {
-        return geo::Segment{now - 1.0, now, {10.0, 0.0}, {}};
-      });
-      ADD_FAILURE() << "an ended leg was accepted";
-    } catch (const std::logic_error& error) {
-      EXPECT_NE(std::string(error.what())
-                    .find("leg provider returned a leg that has already ended"),
-                std::string::npos)
-          << error.what();
-    }
-    // attach read the first leg and threw before committing the slot:
-    // nothing of the failed attach is left behind.
-    EXPECT_EQ(rig.channel->liveAttachmentCount(), live);
-    EXPECT_EQ(stale.channelAttachmentId(), Radio::kNoAttachment);
-    const int good = rig.add(parked({10.0, 0.0}));
-    EXPECT_EQ(rig.channel->liveAttachmentCount(), live + 1);
-    EXPECT_EQ(rig.heardFrom(0, 1.0), (std::vector<int>{good}));
+  MoverRig rig;
+  rig.add(parked({0.0, 0.0}));
+  energy::Battery battery(1e6);
+  Radio stale(rig.simulator, battery, energy::PowerProfile{}, 1);
+  const std::size_t live = rig.channel->liveAttachmentCount();
+  try {
+    rig.channel->attach(&stale, [](sim::Time now) {
+      return geo::Segment{now - 1.0, now, {10.0, 0.0}, {}};
+    });
+    ADD_FAILURE() << "an ended leg was accepted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("leg provider returned a leg that has already ended"),
+              std::string::npos)
+        << error.what();
   }
+  // attach read the first leg and threw before committing the slot:
+  // nothing of the failed attach is left behind.
+  EXPECT_EQ(rig.channel->liveAttachmentCount(), live);
+  EXPECT_EQ(stale.channelAttachmentId(), Radio::kNoAttachment);
+  const int good = rig.add(parked({10.0, 0.0}));
+  EXPECT_EQ(rig.channel->liveAttachmentCount(), live + 1);
+  EXPECT_EQ(rig.heardFrom(0, 1.0), (std::vector<int>{good}));
 }
 
-// Grid against brute force at many instants: movers up to 20 m/s, radios
+/// Radios for the randomized rigs below on a `field`-metre square, one in
+/// ten at a fixed position, one in ten parked on a static leg, the rest
+/// random walks up to 20 m/s until `horizon`. Returns each mover's legs,
+/// by radio (empty for the others).
+std::vector<Legs> scatter(MoverRig& rig, int count, double field,
+                          sim::Time horizon, std::uint64_t seed) {
+  sim::RngStream rng(seed);
+  std::vector<Legs> movers(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    if (i % 10 == 0) {
+      rig.addFixed({rng.uniform(0.0, field), rng.uniform(0.0, field)});
+    } else if (i % 10 == 1) {
+      rig.add(parked({rng.uniform(0.0, field), rng.uniform(0.0, field)}));
+    } else {
+      movers[static_cast<std::size_t>(i)] =
+          randomLegs(rng, 20.0, horizon, field);
+      rig.add(movers[static_cast<std::size_t>(i)]);
+    }
+  }
+  return movers;
+}
+
+// The scan against geometry at many instants: movers up to 20 m/s, radios
 // parked on static legs or at fixed positions, an interference ring and
-// sleepers, with every decoded frame and counter compared after each
-// transmission. The 2 km field is a dozen buckets across, so a query
-// leaves most out.
+// sleepers. After each transmission, the frames decoded and their rx-end
+// times are exactly the geometry's, and phy.deliveries_scheduled grew by
+// every radio in decode range, asleep or not. The 2 km field is a dozen
+// buckets across, so a query leaves most out. (The name is the
+// brute-force scan's, the reference this test compared against until
+// geometry replaced it.)
 class GridDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridDifferential, MoversMatchBruteForceAtManyTimes) {
   const std::uint64_t seed = GetParam();
-  constexpr double kField = 2000.0;
   constexpr int kRadios = 120;
-  MoverRig grid(true, 350.0, seed);
-  MoverRig brute(false, 350.0, seed);
-  for (MoverRig* rig : {&grid, &brute}) {
-    sim::RngStream rng(seed);
-    for (int i = 0; i < kRadios; ++i) {
-      if (i % 10 == 0) {
-        rig->addFixed({rng.uniform(0.0, kField), rng.uniform(0.0, kField)});
-      } else if (i % 10 == 1) {
-        rig->add(
-            parked({rng.uniform(0.0, kField), rng.uniform(0.0, kField)}));
-      } else {
-        rig->add(randomLegs(rng, 20.0, 60.0, kField));
-      }
-    }
-  }
+  MoverRig rig(350.0, seed);
+  scatter(rig, kRadios, 2000.0, 60.0, seed);
   sim::RngStream script(seed * 13 + 5);
+  std::size_t sleepersInRange = 0;
   for (int k = 0; k < 400; ++k) {
     const sim::Time at = 0.05 + 0.14 * k + script.uniform(0.0, 0.05);
     const int src = static_cast<int>(script.uniformInt(0, kRadios - 1));
     const int sleeper = static_cast<int>(script.uniformInt(0, kRadios - 1));
-    for (MoverRig* rig : {&grid, &brute}) {
-      Radio& radio = *rig->radios[static_cast<std::size_t>(sleeper)];
-      if (sleeper == src) continue;
+    if (sleeper != src) {
+      Radio& radio = rig.radio(sleeper);
       if (radio.sleeping()) {
         radio.wake();
       } else {
         radio.sleep();
       }
     }
-    if (grid.radios[static_cast<std::size_t>(src)]->sleeping()) continue;
-    ASSERT_EQ(grid.heardFrom(src, at), brute.heardFrom(src, at)) << "tx " << k;
-    ASSERT_EQ(grid.decoded, brute.decoded) << "tx " << k;
-    ASSERT_EQ(grid.channel->deliveriesScheduled(),
-              brute.channel->deliveriesScheduled());
-    ASSERT_EQ(grid.simulator.eventsExecuted(),
-              brute.simulator.eventsExecuted());
+    if (rig.radio(src).sleeping()) continue;
+    const std::vector<Frame> expected = rig.expectedFrames(src, at);
+    const std::size_t inRange = rig.inRangeOf(src, at).size();
+    const std::size_t decodedBefore = rig.decoded.size();
+    const std::uint64_t scheduledBefore = rig.channel->deliveriesScheduled();
+    rig.heardFrom(src, at);
+    ASSERT_EQ(rig.framesSince(decodedBefore), expected) << "tx " << k;
+    ASSERT_EQ(rig.channel->deliveriesScheduled() - scheduledBefore, inRange)
+        << "tx " << k;
+    sleepersInRange += inRange - expected.size();
   }
-  EXPECT_GT(grid.decoded.size(), 400u);
+  EXPECT_GT(rig.decoded.size(), 400u);
+  EXPECT_GT(sleepersInRange, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridDifferential,
                          ::testing::Values(3u, 17u, 2026u));
 
+// The interference ring, against geometry: a second sender starts 20 µs
+// into the first one's frame. A radio decodes the first frame exactly when
+// it lies in range of the first sender and out of the second's reach
+// (decode range or ring): within reach, the second frame's energy lands
+// mid-reception and ruins it. Symmetrically, the first frame's energy is
+// still arriving when the second lands, so the second decodes only out of
+// the first's reach.
+class InterferenceRing : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(InterferenceRing, ASecondSenderCutsExactlyTheReceptionsWithinItsReach) {
+  const std::uint64_t seed = GetParam();
+  constexpr int kRadios = 80;
+  constexpr double kReach = 450.0;
+  constexpr sim::Time kLag = 20e-6;
+  MoverRig rig(kReach, seed);
+  scatter(rig, kRadios, 1500.0, 40.0, seed);
+  sim::RngStream script(seed * 17 + 11);
+  std::size_t cut = 0;
+  for (int k = 0; k < 200; ++k) {
+    const sim::Time at = 0.1 + 0.15 * k;
+    const int first = static_cast<int>(script.uniformInt(0, kRadios - 1));
+    int second = static_cast<int>(script.uniformInt(0, kRadios - 2));
+    if (second >= first) ++second;
+    const std::vector<int> firstReach = rig.inReachOf(first, at, kReach);
+    const std::vector<int> secondReach = rig.inReachOf(second, at + kLag, kReach);
+    const auto reaches = [](const std::vector<int>& near, int id) {
+      return std::binary_search(near.begin(), near.end(), id);
+    };
+    std::vector<Frame> expected;
+    for (const auto& [from, when, other] :
+         {std::tuple{first, at, &secondReach},
+          std::tuple{second, at + kLag, &firstReach}}) {
+      for (const Frame& frame : rig.expectedFrames(from, when)) {
+        const int receiver = std::get<0>(frame);
+        if (receiver == first || receiver == second) continue;
+        if (reaches(*other, receiver)) {
+          ++cut;
+        } else {
+          expected.push_back(frame);
+        }
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    const std::size_t decodedBefore = rig.decoded.size();
+    rig.sendAt(first, at);
+    rig.sendAt(second, at + kLag);
+    rig.simulator.run(at + 0.01);
+    ASSERT_EQ(rig.framesSince(decodedBefore), expected) << "pair " << k;
+  }
+  EXPECT_GT(cut, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InterferenceRing,
+                         ::testing::Values(7u, 31u, 2028u));
+
 // --- Counted sleepers: replay from the in-flight transmission ------------
 
-/// Every fault-slot call, as (transmission, sender, receiver).
-using FaultCalls =
-    std::vector<std::tuple<std::uint64_t, net::NodeId, net::NodeId>>;
-
-/// Arm the channel's fault slot with a keyed i.i.d. verdict (the one
-/// fault::FaultInjector arms) that also logs each call into `calls`.
-void armKeyedFault(Channel& channel, double loss, std::uint64_t seed,
-                   FaultCalls& calls) {
-  channel.setDeliveryFault(
-      [model = fault::IidLossModel(loss, seed), &calls](
-          std::uint64_t tx, net::NodeId sender, net::NodeId receiver) mutable {
-        calls.emplace_back(tx, sender, receiver);
-        return model.dropDelivery(tx, sender, receiver);
-      });
-}
-
-/// `calls` as a set: sorted, after checking that no delivery was asked
-/// about twice. The scans visit receivers in different orders.
-FaultCalls callSet(FaultCalls calls) {
-  std::sort(calls.begin(), calls.end());
-  EXPECT_TRUE(std::adjacent_find(calls.begin(), calls.end()) == calls.end())
-      << "a delivery was asked about twice";
-  return calls;
-}
-
-/// What a grid run and a brute-force run must agree on.
-void expectSameRun(MoverRig& grid, MoverRig& brute) {
-  EXPECT_EQ(grid.decoded, brute.decoded);
-  EXPECT_EQ(grid.channel->deliveriesScheduled(),
-            brute.channel->deliveriesScheduled());
-  EXPECT_EQ(grid.channel->deferredArrivals(),
-            brute.channel->deferredArrivals());
-  EXPECT_EQ(grid.simulator.eventsExecuted(), brute.simulator.eventsExecuted());
-  EXPECT_EQ(grid.simulator.reservedSequences(),
-            brute.simulator.reservedSequences());
+/// What an unarmed run and a zero-loss armed run must agree on.
+void expectSameRun(MoverRig& counted, MoverRig& armed) {
+  EXPECT_EQ(counted.decoded, armed.decoded);
+  EXPECT_EQ(counted.channel->deliveriesScheduled(),
+            armed.channel->deliveriesScheduled());
+  EXPECT_EQ(counted.channel->deferredArrivals(),
+            armed.channel->deferredArrivals());
+  EXPECT_EQ(counted.simulator.eventsExecuted(),
+            armed.simulator.eventsExecuted());
+  EXPECT_EQ(counted.simulator.reservedSequences(),
+            armed.simulator.reservedSequences());
 }
 
 // A sleeper is counted, not parked, and a wake rebuilds its arrival from
@@ -396,39 +540,37 @@ void expectSameRun(MoverRig& grid, MoverRig& brute) {
 // the arrival must be rebuilt from the old leg. With a second
 // transmission between the leg's end and the wake, the channel reads the
 // new leg before the wake and must park the arrival first; without it,
-// the wake finds the ended leg still cached.
+// the wake finds the ended leg still cached. A zero-loss armed run parks
+// the arrival at transmit time and must agree.
 TEST(CountedSleepers, LegEndingInsideTheFlightWindowKeepsTheArrival) {
   constexpr sim::Time kSend = 1.0;
   constexpr double kFlight = 100.0 / 3e8;  // 333 ns
   for (const bool readBetween : {true, false}) {
     SCOPED_TRACE(readBetween ? "leg re-read before the wake"
                              : "leg still cached at the wake");
-    MoverRig grid(true);
-    MoverRig brute(false);
-    for (MoverRig* rig : {&grid, &brute}) {
+    MoverRig counted;
+    MoverRig armed;
+    FaultCalls calls;
+    armKeyedFault(*armed.channel, 0.0, 1, calls);
+    for (MoverRig* rig : {&counted, &armed}) {
       rig->add(parked({0.0, 0.0}));
       rig->add({{0.0, {100.0, 0.0}, {}}, {kSend + 100e-9, {900.0, 0.0}, {}}});
       rig->add(parked({0.0, 2000.0}));  // out of everyone's reach
-      Radio& sleeper = *rig->radios[1];
+      Radio& sleeper = rig->radio(1);
       sleeper.sleep();
-      rig->simulator.scheduleAt(kSend, [rig] {
-        rig->radios[0]->transmit(broadcastFrame(0), 1e-4);
-      });
-      if (readBetween) {
-        rig->simulator.scheduleAt(kSend + 150e-9, [rig] {
-          rig->radios[2]->transmit(broadcastFrame(2), 1e-4);
-        });
-      }
+      rig->sendAt(0, kSend);
+      if (readBetween) rig->sendAt(2, kSend + 150e-9);
       rig->simulator.scheduleAt(kSend + 200e-9, [rig, &sleeper] {
         EXPECT_EQ(rig->channel->deferredArrivals(), 1u);
         sleeper.wake();
       });
       rig->simulator.run(2.0);
     }
-    ASSERT_EQ(grid.decoded.size(), 1u);
-    EXPECT_EQ(std::get<0>(grid.decoded[0]), 1);
-    EXPECT_EQ(std::get<1>(grid.decoded[0]), (kSend + kFlight) + 1e-4);
-    expectSameRun(grid, brute);
+    ASSERT_EQ(counted.decoded.size(), 1u);
+    EXPECT_EQ(std::get<0>(counted.decoded[0]), 1);
+    EXPECT_EQ(std::get<1>(counted.decoded[0]), (kSend + kFlight) + 1e-4);
+    expectSameRun(counted, armed);
+    EXPECT_EQ(callSet(calls), armed.decodeRangeCalls(0));
   }
 }
 
@@ -436,44 +578,35 @@ TEST(CountedSleepers, LegEndingInsideTheFlightWindowKeepsTheArrival) {
 // interference ring; bursts of transmissions 150 ns apart straddle a
 // mover's leg end, and radios fall asleep, wake, or nap (awake at a send,
 // asleep and awake again before it lands) at random instants inside the
-// flight windows.
-// The grid run, which counts sleepers on legs and rebuilds their
-// arrivals, matches the brute-force run, which parks every one — with the
-// fault slot armed (every sleeper consulted and parked in both, and the
-// same set of deliveries asked about, each once) and not.
+// flight windows. In every burst the armed slot is asked about exactly the
+// deliveries the geometry puts in decode range, sleepers included, each
+// once.
+// Not faulted: the unarmed run, which counts sleepers on legs and rebuilds
+// their arrivals, matches a zero-loss armed run, which parks every one.
+// Faulted (loss 0.2): every frame that decodes is one the geometry puts in
+// range, ends when the geometry says, and was not corrupted.
+// (The name is the brute-force scan's, the reference these runs matched
+// until the two above replaced it.)
 class CountedSleeperDifferential
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
 TEST_P(CountedSleeperDifferential, WakesInsideFlightWindowsMatchBruteForce) {
-  const auto [seed, faultArmed] = GetParam();
-  constexpr double kField = 1500.0;
+  const auto [seed, faulted] = GetParam();
+  constexpr double kLoss = 0.2;
   constexpr int kRadios = 80;
   constexpr sim::Time kHorizon = 30.0;
-  MoverRig grid(true, 350.0, seed);
-  MoverRig brute(false, 350.0, seed);
+  MoverRig counted(350.0, seed);
+  MoverRig armed(350.0, seed);
   std::vector<Legs> movers;  ///< by radio; empty unless a mover
-  for (MoverRig* rig : {&grid, &brute}) {
-    sim::RngStream rng(seed);
-    movers.assign(kRadios, Legs{});
-    for (int i = 0; i < kRadios; ++i) {
-      if (i % 10 == 0) {
-        rig->addFixed({rng.uniform(0.0, kField), rng.uniform(0.0, kField)});
-      } else if (i % 10 == 1) {
-        rig->add(
-            parked({rng.uniform(0.0, kField), rng.uniform(0.0, kField)}));
-      } else {
-        movers[static_cast<std::size_t>(i)] =
-            randomLegs(rng, 20.0, kHorizon + 1.0, kField);
-        rig->add(movers[static_cast<std::size_t>(i)]);
-      }
-    }
+  for (MoverRig* rig : {&counted, &armed}) {
+    movers = scatter(*rig, kRadios, 1500.0, kHorizon + 1.0, seed);
   }
-  FaultCalls gridCalls;
-  FaultCalls bruteCalls;
-  if (faultArmed) {
-    armKeyedFault(*grid.channel, 0.2, seed * 7 + 1, gridCalls);
-    armKeyedFault(*brute.channel, 0.2, seed * 7 + 1, bruteCalls);
-  }
+  FaultCalls calls;
+  armKeyedFault(*armed.channel, faulted ? kLoss : 0.0, seed * 7 + 1, calls);
+  fault::IidLossModel verdicts(kLoss, seed * 7 + 1);
+  // Only the armed run is checked when it corrupts.
+  std::vector<MoverRig*> rigs{&armed};
+  if (!faulted) rigs.push_back(&counted);
   sim::RngStream script(seed * 29 + 3);
   sim::Time after = 0.1;
   int bursts = 0;
@@ -511,13 +644,16 @@ TEST_P(CountedSleeperDifferential, WakesInsideFlightWindowsMatchBruteForce) {
         }
       }
     }
-    for (MoverRig* rig : {&grid, &brute}) {
+    const std::size_t sentBefore = armed.sent.size();
+    const std::size_t decodedBefore = armed.decoded.size();
+    calls.clear();
+    for (MoverRig* rig : rigs) {
       for (const auto& [i, sleepAt] : sleeps) {
-        Radio* radio = rig->radios[static_cast<std::size_t>(i)].get();
+        Radio* radio = &rig->radio(i);
         rig->simulator.scheduleAt(sleepAt, [radio] { radio->sleep(); });
       }
       for (const auto& [i, wakeAt] : wakes) {
-        Radio* radio = rig->radios[static_cast<std::size_t>(i)].get();
+        Radio* radio = &rig->radio(i);
         // Asleep from the start unless it naps.
         if (std::none_of(sleeps.begin(), sleeps.end(),
                          [i = i](const auto& nap) { return nap.first == i; })) {
@@ -526,30 +662,50 @@ TEST_P(CountedSleeperDifferential, WakesInsideFlightWindowsMatchBruteForce) {
         rig->simulator.scheduleAt(wakeAt, [radio] { radio->wake(); });
       }
       for (std::size_t k = 0; k < senders.size(); ++k) {
-        const int src = senders[k];
-        rig->simulator.scheduleAt(
-            t0 + 150e-9 * static_cast<double>(k), [rig, src] {
-              rig->radios[static_cast<std::size_t>(src)]->transmit(
-                  broadcastFrame(src), 1e-4);
-            });
+        rig->sendAt(senders[k], t0 + 150e-9 * static_cast<double>(k));
       }
       rig->simulator.run(t0 + 0.01);
       // The next burst starts with every radio awake.
       for (auto& radio : rig->radios) radio->wake();
     }
-    ASSERT_EQ(grid.decoded, brute.decoded) << "burst " << bursts;
-    ASSERT_EQ(callSet(gridCalls), callSet(bruteCalls)) << "burst " << bursts;
-    ASSERT_EQ(grid.simulator.eventsExecuted(),
-              brute.simulator.eventsExecuted())
+    ASSERT_EQ(armed.sent.size() - sentBefore, senders.size())
         << "burst " << bursts;
+    ASSERT_EQ(callSet(calls), armed.decodeRangeCalls(sentBefore))
+        << "burst " << bursts;
+    if (faulted) {
+      for (std::size_t k = decodedBefore; k < armed.decoded.size(); ++k) {
+        const auto [receiver, at, sender, uid] = armed.decoded[k];
+        const auto tx = std::find_if(
+            armed.sent.begin() + static_cast<std::ptrdiff_t>(sentBefore),
+            armed.sent.end(),
+            [sender = sender](const MoverRig::Sent& s) {
+              return s.sender == sender;
+            });
+        ASSERT_NE(tx, armed.sent.end()) << "burst " << bursts;
+        const std::vector<int> near = armed.inRangeOf(sender, tx->at);
+        EXPECT_TRUE(std::binary_search(near.begin(), near.end(), receiver))
+            << "burst " << bursts;
+        EXPECT_EQ(at, armed.rxEnd(sender, receiver, tx->at))
+            << "burst " << bursts;
+        EXPECT_FALSE(verdicts.dropDelivery(tx->number, sender, receiver))
+            << "burst " << bursts;
+      }
+    } else {
+      ASSERT_EQ(counted.decoded, armed.decoded) << "burst " << bursts;
+      ASSERT_EQ(counted.simulator.eventsExecuted(),
+                armed.simulator.eventsExecuted())
+          << "burst " << bursts;
+    }
     after = legEnd + 0.05;
     ++bursts;
   }
-  expectSameRun(grid, brute);
   EXPECT_EQ(bursts, 60);
-  EXPECT_GT(grid.decoded.size(), 100u);
-  if (faultArmed) {
-    EXPECT_GT(grid.channel->deliveriesCorrupted(), 0u);
+  EXPECT_GT(armed.decoded.size(), 100u);
+  if (faulted) {
+    EXPECT_GT(armed.channel->deliveriesCorrupted(), 0u);
+  } else {
+    expectSameRun(counted, armed);
+    EXPECT_EQ(armed.channel->deliveriesCorrupted(), 0u);
   }
 }
 
@@ -583,16 +739,14 @@ TEST(Channel, DetachedSlotsAreReused) {
   EXPECT_THROW(channel.detach(idB), std::invalid_argument);  // double detach
 }
 
-// --- Differential: grid fan-out == brute-force fan-out ---------------------
+// --- Static fields: geometry and the zero-loss armed run ------------------
 
-// One channel's worth of state for the differential rigs below: radios
-// parked at random on static legs, so the grid buckets them.
+// One channel's worth of state for the rigs below: radios parked at random
+// on static legs, so the grid buckets them.
 struct FanoutWorld {
-  explicit FanoutWorld(int radioCount, bool useIndex,
-                       double interferenceRange, std::uint64_t seed)
+  FanoutWorld(int radioCount, double interferenceRange, std::uint64_t seed)
       : simulator(seed) {
     ChannelConfig config;
-    config.useSpatialIndex = useIndex;
     config.interferenceRangeMeters = interferenceRange;
     channel.emplace(simulator, config);
     sim::RngStream rng(seed);
@@ -616,11 +770,78 @@ struct FanoutWorld {
     }
   }
 
+  Radio& radio(int id) { return *radios[static_cast<std::size_t>(id)]; }
+
+  /// Broadcast from radio `src` now; once sent, it is listed in `sent`
+  /// as (transmission number, sender).
+  void send(int src) {
+    const std::uint64_t number = channel->framesTransmitted();
+    radio(src).transmit(broadcastFrame(src), kAirtime);
+    if (channel->framesTransmitted() > number) sent.emplace_back(number, src);
+  }
+
   /// Broadcast from radio `src` and drain the simulator; each frame is
   /// isolated in time so receptions never collide.
   void broadcastAndSettle(int src) {
-    radios[static_cast<std::size_t>(src)]->transmit(broadcastFrame(src), 1e-4);
+    send(src);
     simulator.run(simulator.now() + 1.0);
+  }
+
+  /// The radios in decode range of `src`, ascending, by distanceSquaredTo
+  /// over the drawn positions.
+  std::vector<int> inRangeOf(int src) const {
+    const double range = channel->config().rangeMeters;
+    std::vector<int> near;
+    for (int id = 0; id < static_cast<int>(positions.size()); ++id) {
+      if (id != src && distanceSquared(src, id) <= range * range) {
+        near.push_back(id);
+      }
+    }
+    return near;
+  }
+
+  /// What the geometry says an isolated broadcast from `src` at `at`
+  /// delivers: one frame at each awake radio in range whose delivery
+  /// `corrupts` spares, ending at sent-at + distance / c + airtime;
+  /// ascending.
+  template <class Corrupts>
+  std::vector<std::pair<int, double>> expectedDeliveries(int src, sim::Time at,
+                                                         Corrupts corrupts) {
+    std::vector<std::pair<int, double>> expected;
+    for (int id : inRangeOf(src)) {
+      if (radio(id).sleeping() || corrupts(id)) continue;
+      expected.emplace_back(
+          id, (at + std::sqrt(distanceSquared(src, id)) /
+                        channel->config().propagationSpeed) +
+                  kAirtime);
+    }
+    return expected;
+  }
+
+  /// The deliveries since `deliveries` held `from` of them, ascending.
+  std::vector<std::pair<int, double>> deliveriesSince(std::size_t from) const {
+    std::vector<std::pair<int, double>> since(
+        deliveries.begin() + static_cast<std::ptrdiff_t>(from),
+        deliveries.end());
+    std::sort(since.begin(), since.end());
+    return since;
+  }
+
+  /// The fault-slot calls the geometry predicts for the transmissions
+  /// sent since `sent` held `from` of them, sorted.
+  FaultCalls decodeRangeCalls(std::size_t from) const {
+    FaultCalls calls;
+    for (std::size_t k = from; k < sent.size(); ++k) {
+      const auto [number, src] = sent[k];
+      for (int id : inRangeOf(src)) calls.emplace_back(number, src, id);
+    }
+    std::sort(calls.begin(), calls.end());
+    return calls;
+  }
+
+  double distanceSquared(int a, int b) const {
+    return positions[static_cast<std::size_t>(a)].distanceSquaredTo(
+        positions[static_cast<std::size_t>(b)]);
   }
 
   sim::Simulator simulator;
@@ -629,82 +850,85 @@ struct FanoutWorld {
   std::vector<std::unique_ptr<energy::Battery>> batteries;
   std::vector<std::unique_ptr<Radio>> radios;
   std::vector<std::pair<int, double>> deliveries;  ///< (receiver, rx-end time)
+  std::vector<std::pair<std::uint64_t, int>> sent;  ///< (number, sender)
 };
 
+// The names below are the brute-force scan's, the reference these tests
+// matched until geometry and the zero-loss armed run replaced it.
 class FanoutDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Every broadcast decodes at exactly the radios in range, at the
+// geometry's rx-end times, and counts each of them as scheduled. The
+// interference ring is wider than decode range, so the scan's reach is
+// max(range, interference) and it must still decode only within range.
 TEST_P(FanoutDifferential, IndexedMatchesBruteForce) {
   const std::uint64_t seed = GetParam();
   const int radioCount = 60;
-  // Interference ring wider than decode range so both delivery kinds and
-  // the grid's max(range, interference) reach are exercised.
-  const double interference = 450.0;
-  FanoutWorld indexed(radioCount, true, interference, seed);
-  FanoutWorld brute(radioCount, false, interference, seed);
+  FanoutWorld world(radioCount, 450.0, seed);
   for (int src = 0; src < radioCount; ++src) {
-    indexed.broadcastAndSettle(src);
-    brute.broadcastAndSettle(src);
-    ASSERT_EQ(indexed.deliveries, brute.deliveries) << "after tx from " << src;
-    ASSERT_EQ(indexed.channel->deliveriesScheduled(),
-              brute.channel->deliveriesScheduled());
-    ASSERT_EQ(indexed.simulator.eventsExecuted(),
-              brute.simulator.eventsExecuted());
+    const auto expected = world.expectedDeliveries(
+        src, world.simulator.now(), [](int) { return false; });
+    const std::size_t before = world.deliveries.size();
+    const std::uint64_t scheduled = world.channel->deliveriesScheduled();
+    world.broadcastAndSettle(src);
+    ASSERT_EQ(world.deliveriesSince(before), expected)
+        << "after tx from " << src;
+    ASSERT_EQ(world.channel->deliveriesScheduled() - scheduled,
+              world.inRangeOf(src).size())
+        << "after tx from " << src;
   }
-  EXPECT_GT(indexed.deliveries.size(), 0u);
+  EXPECT_GT(world.deliveries.size(), 0u);
 }
 
-// With the fault slot armed, the grid scan and the brute-force scan visit
-// receivers in different orders: each transmission must still ask about
-// the same deliveries, sleepers included, each once, and a verdict keyed
-// on its delivery makes the runs identical.
+// With the fault slot armed, each transmission asks about exactly the
+// deliveries in decode range, sleepers included, each once, whatever order
+// the buckets are visited in; the keyed verdicts, recomputed here, decide
+// which awake receivers decode.
 TEST_P(FanoutDifferential, FaultArmedIndexedMatchesBruteForce) {
   const std::uint64_t seed = GetParam();
   const int radioCount = 60;
-  FanoutWorld indexed(radioCount, true, 450.0, seed);
-  FanoutWorld brute(radioCount, false, 450.0, seed);
-  FaultCalls indexedCalls;
-  FaultCalls bruteCalls;
-  auto arm = [seed](FanoutWorld& world, FaultCalls& calls) {
-    armKeyedFault(*world.channel, 0.3, seed * 7 + 1, calls);
-    for (int i = 0; i < radioCount; i += 4) {
-      world.radios[static_cast<std::size_t>(i)]->sleep();
-    }
-  };
-  arm(indexed, indexedCalls);
-  arm(brute, bruteCalls);
+  constexpr double kLoss = 0.3;
+  FanoutWorld world(radioCount, 450.0, seed);
+  FaultCalls calls;
+  armKeyedFault(*world.channel, kLoss, seed * 7 + 1, calls);
+  fault::IidLossModel verdicts(kLoss, seed * 7 + 1);
+  for (int i = 0; i < radioCount; i += 4) world.radio(i).sleep();
+  std::uint64_t corrupted = 0;
   for (int src = 1; src < radioCount; ++src) {
     if (src % 4 == 0) continue;  // asleep: cannot transmit
-    indexed.broadcastAndSettle(src);
-    brute.broadcastAndSettle(src);
-    ASSERT_EQ(callSet(indexedCalls), callSet(bruteCalls))
+    const std::uint64_t number = world.channel->framesTransmitted();
+    const auto corrupts = [&](int id) {
+      return verdicts.dropDelivery(number, src, id);
+    };
+    const auto expected =
+        world.expectedDeliveries(src, world.simulator.now(), corrupts);
+    for (int id : world.inRangeOf(src)) corrupted += corrupts(id) ? 1 : 0;
+    const std::size_t sentBefore = world.sent.size();
+    const std::size_t before = world.deliveries.size();
+    calls.clear();
+    world.broadcastAndSettle(src);
+    ASSERT_EQ(callSet(calls), world.decodeRangeCalls(sentBefore))
         << "after tx from " << src;
-    ASSERT_EQ(indexed.deliveries, brute.deliveries) << "after tx from " << src;
+    ASSERT_EQ(world.deliveriesSince(before), expected)
+        << "after tx from " << src;
   }
-  EXPECT_EQ(indexed.channel->framesTransmitted(),
-            brute.channel->framesTransmitted());
-  EXPECT_EQ(indexed.channel->deliveriesScheduled(),
-            brute.channel->deliveriesScheduled());
-  EXPECT_EQ(indexed.channel->deliveriesCorrupted(),
-            brute.channel->deliveriesCorrupted());
-  EXPECT_EQ(indexed.channel->deferredArrivals(),
-            brute.channel->deferredArrivals());
-  EXPECT_EQ(indexed.simulator.eventsExecuted(),
-            brute.simulator.eventsExecuted());
-  EXPECT_EQ(indexed.simulator.reservedSequences(),
-            brute.simulator.reservedSequences());
-  EXPECT_GT(indexed.channel->deliveriesCorrupted(), 0u);
-  EXPECT_GT(indexed.deliveries.size(), 0u);
+  EXPECT_EQ(world.channel->deliveriesCorrupted(), corrupted);
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_GT(world.deliveries.size(), 0u);
 }
 
 // Bursts of transmissions a few hundred nanoseconds apart, so several are
 // in flight towards the same sleepers at once, with sleepers waking at
-// random instants inside the flight windows: the parked arrivals replay
-// identically in both modes.
+// random instants inside the flight windows: the unarmed run's counted
+// arrivals replay exactly as a zero-loss armed run's parked ones, and the
+// armed slot is asked about exactly the geometry's decode range.
 TEST_P(FanoutDifferential, OverlappingFlightsWithWakesMatchBruteForce) {
   const std::uint64_t seed = GetParam();
   const int radioCount = 60;
-  FanoutWorld indexed(radioCount, true, 450.0, seed);
-  FanoutWorld brute(radioCount, false, 450.0, seed);
+  FanoutWorld counted(radioCount, 450.0, seed);
+  FanoutWorld armed(radioCount, 450.0, seed);
+  FaultCalls calls;
+  armKeyedFault(*armed.channel, 0.0, seed * 7 + 1, calls);
   sim::RngStream script(seed * 31 + 7);
   for (int burst = 0; burst < 20; ++burst) {
     std::vector<int> senders;
@@ -717,31 +941,35 @@ TEST_P(FanoutDifferential, OverlappingFlightsWithWakesMatchBruteForce) {
         wakes.emplace_back(i, script.uniform(0.0, 2e-6));
       }
     }
-    for (FanoutWorld* world : {&indexed, &brute}) {
+    const std::size_t sentBefore = armed.sent.size();
+    calls.clear();
+    for (FanoutWorld* world : {&counted, &armed}) {
       const sim::Time t0 = world->simulator.now();
       for (const auto& [i, wakeAt] : wakes) {
-        Radio& radio = *world->radios[static_cast<std::size_t>(i)];
+        Radio& radio = world->radio(i);
         radio.sleep();
         world->simulator.scheduleAt(t0 + wakeAt, [&radio] { radio.wake(); });
       }
       for (std::size_t k = 0; k < senders.size(); ++k) {
         const int src = senders[k];
-        world->simulator.scheduleAt(t0 + 150e-9 * static_cast<double>(k), [=] {
-          world->radios[static_cast<std::size_t>(src)]->transmit(
-              broadcastFrame(src), 1e-4);
-        });
+        world->simulator.scheduleAt(t0 + 150e-9 * static_cast<double>(k),
+                                    [world, src] { world->send(src); });
       }
       world->simulator.run(t0 + 1.0);
     }
-    ASSERT_EQ(indexed.deliveries, brute.deliveries) << "after burst " << burst;
-    ASSERT_EQ(indexed.simulator.eventsExecuted(),
-              brute.simulator.eventsExecuted());
+    ASSERT_EQ(counted.deliveries, armed.deliveries) << "after burst " << burst;
+    ASSERT_EQ(counted.simulator.eventsExecuted(),
+              armed.simulator.eventsExecuted());
+    ASSERT_EQ(callSet(calls), armed.decodeRangeCalls(sentBefore))
+        << "after burst " << burst;
   }
-  EXPECT_EQ(indexed.simulator.reservedSequences(),
-            brute.simulator.reservedSequences());
-  EXPECT_EQ(indexed.channel->deliveriesScheduled(),
-            brute.channel->deliveriesScheduled());
-  EXPECT_GT(indexed.deliveries.size(), 0u);
+  EXPECT_EQ(counted.simulator.reservedSequences(),
+            armed.simulator.reservedSequences());
+  EXPECT_EQ(counted.channel->deliveriesScheduled(),
+            armed.channel->deliveriesScheduled());
+  EXPECT_EQ(counted.channel->deferredArrivals(),
+            armed.channel->deferredArrivals());
+  EXPECT_GT(counted.deliveries.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FanoutDifferential,
@@ -755,73 +983,65 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FanoutDifferential,
 namespace ecgrid::harness {
 namespace {
 
-// With mobility and an interference ring on, a full run exercises the
-// grid's lazy re-bucketing, death-time detaches, and slot reuse. The grid
-// claims a *bit-identical physical trajectory*: every frame, delivery,
-// battery sample, and death matches exactly — no tolerances — and the
-// same event count, since the refresh runs inside transmissions and arms
-// no timer.
-TEST(ScenarioDifferential, SpatialIndexIsBitIdenticalToBruteForce) {
-  ScenarioConfig config;
-  config.protocol = ProtocolKind::kEcgrid;
-  config.hostCount = 30;
-  config.fieldSize = 700.0;
-  config.duration = 150.0;
-  config.maxSpeed = 10.0;  // fast: many index-bucket crossings
-  config.interferenceRangeFactor = 2.0;
-  config.flowCount = 4;
-  config.seed = 5;
-
-  config.channelSpatialIndex = true;
-  ScenarioResult indexed = runScenario(config);
-  config.channelSpatialIndex = false;
-  ScenarioResult brute = runScenario(config);
-
-  // Re-bucketing is no event.
-  EXPECT_EQ(indexed.eventsExecuted, brute.eventsExecuted);
-  EXPECT_EQ(indexed.packetsSent, brute.packetsSent);
-  EXPECT_EQ(indexed.packetsReceived, brute.packetsReceived);
-  EXPECT_EQ(indexed.metrics, brute.metrics);
-  EXPECT_EQ(indexed.deathTimes, brute.deathTimes);
-  EXPECT_EQ(indexed.latencies, brute.latencies);
-  ASSERT_EQ(indexed.aen.points().size(), brute.aen.points().size());
-  EXPECT_EQ(indexed.aen.points(), brute.aen.points());
-  EXPECT_EQ(indexed.aliveFraction.points(), brute.aliveFraction.points());
-  EXPECT_EQ(indexed.awakeFraction.points(), brute.awakeFraction.points());
+// What an unarmed run and a zero-loss armed run of one scenario must agree
+// on: every frame, delivery, battery sample and death, exactly.
+void expectBitIdentical(const ScenarioResult& counted,
+                        const ScenarioResult& armed) {
+  EXPECT_EQ(counted.eventsExecuted, armed.eventsExecuted);
+  EXPECT_EQ(counted.packetsSent, armed.packetsSent);
+  EXPECT_EQ(counted.packetsReceived, armed.packetsReceived);
+  EXPECT_EQ(counted.metrics, armed.metrics);
+  EXPECT_EQ(counted.deathTimes, armed.deathTimes);
+  EXPECT_EQ(counted.latencies, armed.latencies);
+  ASSERT_EQ(counted.aen.points().size(), armed.aen.points().size());
+  EXPECT_EQ(counted.aen.points(), armed.aen.points());
+  EXPECT_EQ(counted.aliveFraction.points(), armed.aliveFraction.points());
+  EXPECT_EQ(counted.awakeFraction.points(), armed.awakeFraction.points());
 }
 
-// The same claim with the fault slot armed: a Gilbert–Elliott channel keeps
-// per-receiver Markov state, so it holds only if both scans ask about the
-// same deliveries, each once per transmission, and the verdicts do not
-// depend on the order in which they are asked.
-TEST(ScenarioDifferential, FaultArmedSpatialIndexIsBitIdenticalToBruteForce) {
+/// ECGRID with mobility and an interference ring: a full run exercises
+/// the grid's lazy re-bucketing, death-time detaches, slot reuse and many
+/// sleepers, which the unarmed scan counts and rebuilds on a wake.
+ScenarioConfig mobileRingScenario(std::uint64_t seed) {
   ScenarioConfig config;
   config.protocol = ProtocolKind::kEcgrid;
   config.hostCount = 30;
   config.fieldSize = 700.0;
   config.duration = 150.0;
-  config.maxSpeed = 10.0;
+  config.maxSpeed = 10.0;  // fast: many bucket crossings
   config.interferenceRangeFactor = 2.0;
   config.flowCount = 4;
-  config.seed = 6;
+  config.seed = seed;
+  return config;
+}
+
+// An armed fault slot parks every sleeper's arrival at transmit time, with
+// its verdict; an i.i.d. slot with loss 0 corrupts none, so the armed run
+// must equal the unarmed one bit for bit.
+TEST(ScenarioDifferential, CountedSleepersAreBitIdenticalToZeroLossArmed) {
+  ScenarioConfig config = mobileRingScenario(5);
+  const ScenarioResult counted = runScenario(config);
+  config.fault.channel.kind = fault::ChannelErrorKind::kIid;
+  config.fault.channel.lossProbability = 0.0;
+  const ScenarioResult armed = runScenario(config);
+  EXPECT_EQ(obs::metricOr(armed.metrics, "phy.deliveries_corrupted"), 0.0);
+  expectBitIdentical(counted, armed);
+}
+
+// The same with a Gilbert–Elliott slot that changes state but never
+// corrupts (loss 0 in both states): its per-receiver Markov chains advance
+// once per delivery in decode range, sleepers included, and must leave no
+// trace on the run.
+TEST(ScenarioDifferential, CountedSleepersAreBitIdenticalToZeroLossChain) {
+  ScenarioConfig config = mobileRingScenario(6);
+  const ScenarioResult counted = runScenario(config);
   config.fault.channel.kind = fault::ChannelErrorKind::kGilbertElliott;
   config.fault.channel.pGoodToBad = 0.05;
   config.fault.channel.pBadToGood = 0.3;
-
-  config.channelSpatialIndex = true;
-  ScenarioResult indexed = runScenario(config);
-  config.channelSpatialIndex = false;
-  ScenarioResult brute = runScenario(config);
-
-  EXPECT_GT(obs::metricOr(indexed.metrics, "phy.deliveries_corrupted"), 0.0);
-  EXPECT_EQ(indexed.packetsSent, brute.packetsSent);
-  EXPECT_EQ(indexed.packetsReceived, brute.packetsReceived);
-  EXPECT_EQ(indexed.metrics, brute.metrics);
-  EXPECT_EQ(indexed.deathTimes, brute.deathTimes);
-  EXPECT_EQ(indexed.latencies, brute.latencies);
-  EXPECT_EQ(indexed.aen.points(), brute.aen.points());
-  EXPECT_EQ(indexed.aliveFraction.points(), brute.aliveFraction.points());
-  EXPECT_EQ(indexed.awakeFraction.points(), brute.awakeFraction.points());
+  config.fault.channel.lossBad = 0.0;
+  const ScenarioResult armed = runScenario(config);
+  EXPECT_EQ(obs::metricOr(armed.metrics, "phy.deliveries_corrupted"), 0.0);
+  expectBitIdentical(counted, armed);
 }
 
 }  // namespace

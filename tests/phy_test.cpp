@@ -670,11 +670,17 @@ struct FanOutTrace {
   bool operator==(const FanOutTrace&) const = default;
 };
 
-FanOutTrace runSleepyFanOut(bool useSpatialIndex) {
+FanOutTrace runSleepyFanOut(bool armedZeroLoss) {
   sim::Simulator simulator(5);
   ChannelConfig config;
-  config.useSpatialIndex = useSpatialIndex;
   config.interferenceRangeMeters = 400.0;
+  if (armedZeroLoss) {
+    // Asked about every delivery, corrupts none: the armed scan parks
+    // each sleeper at transmit time.
+    config.deliveryFault = [](std::uint64_t, net::NodeId, net::NodeId) {
+      return false;
+    };
+  }
   Channel channel(simulator, config);
   sim::RngStream rng = simulator.rng().stream("test/fanout");
   constexpr int kRadios = 40;
@@ -719,11 +725,14 @@ FanOutTrace runSleepyFanOut(bool useSpatialIndex) {
   return trace;
 }
 
-TEST(Channel, SpatialIndexMatchesBruteForceWithSleepers) {
-  const FanOutTrace indexed = runSleepyFanOut(true);
-  const FanOutTrace brute = runSleepyFanOut(false);
-  EXPECT_FALSE(indexed.decoded.empty());
-  EXPECT_EQ(indexed, brute);
+// The unarmed scan only counts sleepers and rebuilds their arrivals on a
+// wake; an armed slot that never corrupts parks each one at transmit time.
+// Both must give the same run, event for event.
+TEST(Channel, CountedSleepersMatchZeroLossArmedRun) {
+  const FanOutTrace counted = runSleepyFanOut(false);
+  const FanOutTrace parked = runSleepyFanOut(true);
+  EXPECT_FALSE(counted.decoded.empty());
+  EXPECT_EQ(counted, parked);
 }
 
 TEST(Channel, BroadcastReceiversShareOneFrame) {

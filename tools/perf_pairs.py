@@ -16,6 +16,12 @@ neither side), and two verdicts:
   bound  the change's median is no worse than the parent's by more than
          the metric's declared bound (relative).
 
+Under each metric it also prints, for each side, the median of the first
+and of the second half of its runs in pair order, and flags DRIFT when the
+parent's two halves differ by more than the change-vs-parent median gap:
+the machine then moved more during the set than the change did, and a
+verdict from that one set is not repeatable. Drift changes no verdict.
+
 Metrics that repeat exactly in every run of both sides are reported as
 identical. Quartiles use the inclusive method (linear interpolation
 between order statistics).
@@ -149,6 +155,17 @@ def quartiles(values):
     return q1, median, q3
 
 
+def half_medians(values):
+    """(first, second): the medians of the first and the second half of
+    `values` (the middle one of an odd count in neither), or None for
+    fewer than two."""
+    half = len(values) // 2
+    if half == 0:
+        return None
+    return (statistics.median(values[:half]),
+            statistics.median(values[len(values) - half:]))
+
+
 def summarize(records, end_to_end):
     """Per-metric summary rows (dicts) of a list of run records."""
     by_pair = {}
@@ -183,6 +200,7 @@ def summarize(records, end_to_end):
         if counted == 0:
             rows.append({"name": name, "pairs": 0})
             continue
+        halves = {side: half_medians(values[side]) for side in SIDES}
         p_q1, p_med, p_q3 = quartiles(values["parent"])
         c_q1, c_med, c_q3 = quartiles(values["change"])
         gap = (c_med - p_med) if higher else (p_med - c_med)
@@ -200,6 +218,10 @@ def summarize(records, end_to_end):
                      and gap > p_q3 - p_q1),
             "within_bound": worse <= metric.get("bound", 0.0),
             "relative_change": (c_med - p_med) / p_med if p_med else None,
+            "halves": halves,
+            "drifted": (halves["parent"] is not None and
+                        abs(halves["parent"][1] - halves["parent"][0])
+                        > abs(c_med - p_med)),
         })
     return rows, failed, attempted
 
@@ -226,6 +248,12 @@ def format_rows(rows, failed, attempted, header="", shas=None):
             f"  wins {row['wins']}/{row['pairs']}"
             f"  gain {'yes' if row['gain'] else 'no'}"
             f"  bound {'ok' if row['within_bound'] else 'EXCEEDED'}")
+        if row["halves"]["parent"] is not None:
+            lines.append("  halves in pair order: " + ", ".join(
+                f"{side} {row['halves'][side][0]:.6g} -> "
+                f"{row['halves'][side][1]:.6g}" for side in SIDES)
+                + ("  DRIFT: the parent moved more than the change-vs-parent"
+                   " gap" if row["drifted"] else ""))
     lines.append("failed runs: " + ", ".join(
         f"{side} {failed[side]}/{attempted[side]}" for side in SIDES))
     return "\n".join(lines)
@@ -371,6 +399,32 @@ def selftest():
     text = format_rows(rows, failed, attempted)
     check("EXCEEDED" in text and "change 1/10" in text,
           "the report names the breach and the failures")
+    # Halves of a steady set: the parent's halves agree, no drift.
+    speed = summarize(records, end_to_end)[0][0]
+    check(speed["halves"]["parent"] == (5.1, 5.1)
+          and speed["halves"]["change"] == (6.0, 6.1)
+          and not speed["drifted"],
+          "a steady parent has matching halves and no drift")
+    # A drifting set: the parent speeds up by 0.6 over the set while the
+    # change stays 0.1 ahead of it in every pair. The change wins 10/10
+    # but the set says more about the machine than about the change.
+    drifting = [dict(r) for r in records]
+    for r in drifting:
+        value = 5.0 + 0.6 * (r["pair"] >= 5) + (r["side"] == "change") * 0.1
+        r["result"] = canned(r["side"], r["pair"])
+        r["result"]["metrics"]["sim_s_per_wall_s"]["value"] = value
+    rows = summarize(drifting, end_to_end)[0]
+    row = rows[0]
+    check(row["halves"]["parent"] == (5.0, 5.6) and row["drifted"],
+          "a parent drifting by more than the gap is flagged")
+    check(row["wins"] == 10 and row["within_bound"]
+          and row["gain"] == (row["change"][1] - row["parent"][1]
+                              > row["parent"][2] - row["parent"][0]),
+          "drift leaves the gain and bound verdicts as they were")
+    lines = format_rows(rows, none, none).splitlines()
+    check(lines[1].startswith("  halves in pair order: parent 5 -> 5.6,")
+          and "DRIFT" in lines[1],
+          "the report prints both halves and flags the drift")
     passed = sum(ok for ok, _ in checks)
     print(f"perf_pairs selftest: {passed}/{len(checks)} checks passed")
     return 0 if passed == len(checks) else 1
