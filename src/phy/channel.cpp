@@ -293,9 +293,10 @@ template <bool kFaultArmed>
     for (std::uint32_t k =
              bucketStart_[rowStart + columns_.cellOf(senderPos.x - half)];
          k < last; ++k) {
-      // Segment::at and Vec2::distanceSquaredTo, term for term: a counted
-      // arrival is rebuilt (forEachCountedArrival) and the tests' oracle
-      // judges reach with those, and both must see this very distance.
+      // Segment::at and Vec2::distanceSquaredTo, term for term:
+      // forEachCountedArrival rebuilds a counted arrival with those, and
+      // the tests' geometric oracle judges reach with them, so both must
+      // get this very distance.
       const double dt = now - legStart_[k];
       const double dx = senderPos.x - (originX_[k] + velocityX_[k] * dt);
       const double dy = senderPos.y - (originY_[k] + velocityY_[k] * dt);
