@@ -178,7 +178,8 @@ struct MoverRig {
   std::vector<Frame> expectedFrames(int src, sim::Time at) {
     std::vector<Frame> frames;
     for (int id : inRangeOf(src, at)) {
-      if (!radio(id).sleeping()) frames.emplace_back(id, rxEnd(src, id, at), src);
+      if (radio(id).sleeping()) continue;
+      frames.emplace_back(id, rxEnd(src, id, at), src);
     }
     return frames;
   }
@@ -422,9 +423,9 @@ std::vector<Legs> scatter(MoverRig& rig, int count, double field,
 // sleepers. After each transmission, the frames decoded and their rx-end
 // times are exactly the geometry's, and phy.deliveries_scheduled grew by
 // every radio in decode range, asleep or not. The 2 km field is a dozen
-// buckets across, so a query leaves most out. (The name is the
-// brute-force scan's, the reference this test compared against until
-// geometry replaced it.)
+// buckets across, so a query leaves most out. (The test keeps its
+// "BruteForce" name so that its id stays stable; no brute-force scan
+// exists any more.)
 class GridDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridDifferential, MoversMatchBruteForceAtManyTimes) {
@@ -488,7 +489,8 @@ TEST_P(InterferenceRing, ASecondSenderCutsExactlyTheReceptionsWithinItsReach) {
     int second = static_cast<int>(script.uniformInt(0, kRadios - 2));
     if (second >= first) ++second;
     const std::vector<int> firstReach = rig.inReachOf(first, at, kReach);
-    const std::vector<int> secondReach = rig.inReachOf(second, at + kLag, kReach);
+    const std::vector<int> secondReach =
+        rig.inReachOf(second, at + kLag, kReach);
     const auto reaches = [](const std::vector<int>& near, int id) {
       return std::binary_search(near.begin(), near.end(), id);
     };
@@ -585,8 +587,7 @@ TEST(CountedSleepers, LegEndingInsideTheFlightWindowKeepsTheArrival) {
 // their arrivals, matches a zero-loss armed run, which parks every one.
 // Faulted (loss 0.2): every frame that decodes is one the geometry puts in
 // range, ends when the geometry says, and was not corrupted.
-// (The name is the brute-force scan's, the reference these runs matched
-// until the two above replaced it.)
+// (The test keeps its "BruteForce" name so that its ids stay stable.)
 class CountedSleeperDifferential
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
@@ -853,8 +854,8 @@ struct FanoutWorld {
   std::vector<std::pair<std::uint64_t, int>> sent;  ///< (number, sender)
 };
 
-// The names below are the brute-force scan's, the reference these tests
-// matched until geometry and the zero-loss armed run replaced it.
+// The tests below keep their "BruteForce" names so that their ids stay
+// stable; their references are geometry and the zero-loss armed run.
 class FanoutDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Every broadcast decodes at exactly the radios in range, at the
